@@ -2,54 +2,54 @@
 //!
 //! The optimiser works in the *physical* (α, ε, δ) space; the surrogate
 //! consumes standardised 6-vectors `[α, ε, δ, onehot(solver)]`. This adapter
-//! owns the standardiser, the cached graph embedding, and the chain rule
-//! (`∂/∂raw = ∂/∂std / σ_col`) so gradients arrive in physical coordinates.
+//! sits between the two: it standardises on the way in and applies the
+//! chain rule (`∂/∂raw = ∂/∂std / σ_col`) on the way out, so gradients
+//! arrive in physical coordinates.
 
-use mcmcmi_autodiff::Tensor;
 use mcmcmi_bayesopt::SurrogateModel;
-use mcmcmi_gnn::Surrogate;
+use mcmcmi_gnn::InferenceHead;
 use mcmcmi_krylov::SolverType;
 use mcmcmi_stats::Standardizer;
 
-/// Physical-space view of the trained surrogate for one (matrix, solver).
+/// Physical-space view of one operator's compiled inference head, for one
+/// solver family.
 pub struct GnnSurrogateAdapter<'a> {
-    surrogate: &'a mut Surrogate,
-    h_g: Tensor,
-    xa_std: Vec<f64>,
+    head: &'a mut InferenceHead,
     xm_std: &'a Standardizer,
-    solver: SolverType,
+    one_hot: [f64; 3],
+    /// `∂z_i/∂x_i` of the standardiser for the three physical columns.
+    inv_scale: [f64; 3],
 }
 
 impl<'a> GnnSurrogateAdapter<'a> {
-    /// Wrap a trained surrogate for a given matrix embedding + features.
-    ///
-    /// `xa_std` must already be standardised; `xm_std` is the 6-dim
-    /// standardiser fitted on the training dataset.
-    pub fn new(
-        surrogate: &'a mut Surrogate,
-        h_g: Tensor,
-        xa_std: Vec<f64>,
-        xm_std: &'a Standardizer,
-        solver: SolverType,
-    ) -> Self {
+    /// Wrap a compiled head; `xm_std` is the 6-dim standardiser fitted on
+    /// the training dataset.
+    pub fn new(head: &'a mut InferenceHead, xm_std: &'a Standardizer, solver: SolverType) -> Self {
         assert_eq!(
             xm_std.dim(),
             6,
             "GnnSurrogateAdapter: expected 6-dim x_M standardiser"
         );
+        // Column scales recovered by transforming two probe points (avoids
+        // exposing the standardiser's internals). This difference *is* the
+        // value's definition: `1/σ` differs from it in the last bit, and a
+        // last bit moves recommendations.
+        let probe0 = xm_std.transform(&[0.0; 6]);
+        let probe1 = xm_std.transform(&[1.0; 6]);
         Self {
-            surrogate,
-            h_g,
-            xa_std,
+            head,
             xm_std,
-            solver,
+            one_hot: solver.one_hot(),
+            inv_scale: std::array::from_fn(|i| probe1[i] - probe0[i]),
         }
     }
 
-    fn raw6(&self, x: &[f64]) -> Vec<f64> {
-        let mut v = x.to_vec();
-        v.extend_from_slice(&self.solver.one_hot());
-        v
+    fn std6(&self, x: &[f64]) -> [f64; 6] {
+        assert_eq!(x.len(), 3, "GnnSurrogateAdapter: expected (α, ε, δ)");
+        let [s0, s1, s2] = self.one_hot;
+        let mut z = [x[0], x[1], x[2], s0, s1, s2];
+        self.xm_std.transform_in_place(&mut z);
+        z
     }
 }
 
@@ -59,32 +59,21 @@ impl SurrogateModel for GnnSurrogateAdapter<'_> {
     }
 
     fn predict(&mut self, x: &[f64]) -> (f64, f64) {
-        assert_eq!(
-            x.len(),
-            3,
-            "GnnSurrogateAdapter::predict: expected (α, ε, δ)"
-        );
-        let std6 = self.xm_std.transform(&self.raw6(x));
-        self.surrogate.predict(&self.h_g, &self.xa_std, &std6)
+        let z = self.std6(x);
+        self.head.eval(&z)
     }
 
     fn predict_grad(&mut self, x: &[f64]) -> (f64, f64, Vec<f64>, Vec<f64>) {
-        assert_eq!(
-            x.len(),
-            3,
-            "GnnSurrogateAdapter::predict_grad: expected (α, ε, δ)"
-        );
-        let raw = self.raw6(x);
-        let std6 = self.xm_std.transform(&raw);
-        let (mu, sigma, dmu6, dsg6) = self.surrogate.predict_grad(&self.h_g, &self.xa_std, &std6);
-        // Chain rule through z = (x − m)/s: ∂f/∂x_i = ∂f/∂z_i / s_i.
-        // Recover per-column scale from the standardiser by transforming two
-        // probe points (avoids exposing internals).
-        let probe0 = self.xm_std.transform(&[0.0; 6]);
-        let probe1 = self.xm_std.transform(&[1.0; 6]);
-        let inv_scale: Vec<f64> = probe1.iter().zip(&probe0).map(|(a, b)| a - b).collect();
-        let dmu: Vec<f64> = (0..3).map(|i| dmu6[i] * inv_scale[i]).collect();
-        let dsigma: Vec<f64> = (0..3).map(|i| dsg6[i] * inv_scale[i]).collect();
+        let z = self.std6(x);
+        let (mu, sigma, mut dmu, mut dsigma) = self.head.eval_grad(&z);
+        // Chain rule through z = (x − m)/s: ∂f/∂x_i = ∂f/∂z_i / s_i; the
+        // one-hot columns are not optimised over.
+        for d in [&mut dmu, &mut dsigma] {
+            d.truncate(3);
+            for (v, s) in d.iter_mut().zip(self.inv_scale) {
+                *v *= s;
+            }
+        }
         (mu, sigma, dmu, dsigma)
     }
 }
@@ -92,10 +81,10 @@ impl SurrogateModel for GnnSurrogateAdapter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcmcmi_gnn::{MatrixGraph, SurrogateConfig};
+    use mcmcmi_gnn::{MatrixGraph, Surrogate, SurrogateConfig};
     use mcmcmi_matgen::laplace_1d;
 
-    fn setup() -> (Surrogate, Tensor, Vec<f64>, Standardizer) {
+    fn setup() -> (InferenceHead, Standardizer) {
         let mut s = Surrogate::new(SurrogateConfig {
             gnn_hidden: 8,
             xa_hidden: 4,
@@ -121,13 +110,13 @@ mod tests {
             })
             .collect();
         let xm_std = Standardizer::fit(&rows);
-        (s, h_g, vec![0.1, -0.2, 0.3], xm_std)
+        (s.compile_head(&h_g, &[0.1, -0.2, 0.3]), xm_std)
     }
 
     #[test]
     fn predict_outputs_valid_gaussian_params() {
-        let (mut s, h_g, xa, xm_std) = setup();
-        let mut ad = GnnSurrogateAdapter::new(&mut s, h_g, xa, &xm_std, SolverType::Gmres);
+        let (mut head, xm_std) = setup();
+        let mut ad = GnnSurrogateAdapter::new(&mut head, &xm_std, SolverType::Gmres);
         let (mu, sigma) = ad.predict(&[2.0, 0.25, 0.25]);
         assert!(mu >= 0.0);
         assert!(sigma > 0.0);
@@ -136,8 +125,8 @@ mod tests {
 
     #[test]
     fn physical_gradients_match_finite_differences() {
-        let (mut s, h_g, xa, xm_std) = setup();
-        let mut ad = GnnSurrogateAdapter::new(&mut s, h_g, xa, &xm_std, SolverType::Gmres);
+        let (mut head, xm_std) = setup();
+        let mut ad = GnnSurrogateAdapter::new(&mut head, &xm_std, SolverType::Gmres);
         let x = [2.0, 0.3, 0.4];
         let (_, _, dmu, dsg) = ad.predict_grad(&x);
         let h = 1e-6;
@@ -156,22 +145,10 @@ mod tests {
 
     #[test]
     fn solver_choice_changes_predictions() {
-        let (mut s, h_g, xa, xm_std) = setup();
+        let (mut head, xm_std) = setup();
         let x = [2.0, 0.25, 0.25];
-        let p_gmres = {
-            let mut ad = GnnSurrogateAdapter::new(
-                &mut s,
-                h_g.clone(),
-                xa.clone(),
-                &xm_std,
-                SolverType::Gmres,
-            );
-            ad.predict(&x)
-        };
-        let p_bicg = {
-            let mut ad = GnnSurrogateAdapter::new(&mut s, h_g, xa, &xm_std, SolverType::BiCgStab);
-            ad.predict(&x)
-        };
+        let p_gmres = GnnSurrogateAdapter::new(&mut head, &xm_std, SolverType::Gmres).predict(&x);
+        let p_bicg = GnnSurrogateAdapter::new(&mut head, &xm_std, SolverType::BiCgStab).predict(&x);
         assert_ne!(p_gmres, p_bicg);
     }
 }

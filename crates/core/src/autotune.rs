@@ -145,6 +145,11 @@ pub struct AutotuneReport {
     /// Candidates that went through full-fidelity certification before
     /// one converged (1 = the top-ranked candidate certified first try).
     pub certification_attempts: usize,
+    /// Surrogate gradient evaluations the recommendation step spent (see
+    /// [`crate::pipeline::OperatorContext::surrogate_evals`]); 0 without a
+    /// recommender. Deterministic at a given seed.
+    #[serde(default)]
+    pub surrogate_evals: usize,
     /// Every trial, in evaluation order.
     pub trials: Vec<TrialRecord>,
 }
@@ -346,9 +351,12 @@ impl AutoTuner {
         // in a small budget). With a recommender, its (α, ε, δ)
         // recommendation replaces the first anchor's build parameters.
         let mut anchors: Vec<Vec<f64>> = Vec::new();
+        let mut surrogate_evals = 0;
         let anchor_a = if let Some(rec) = self.recommender.as_mut() {
-            let y_min = rec.predicted_min(a, self.cfg.solver, budget.seed);
-            let (params, _ei) = rec.recommend(a, self.cfg.solver, y_min, 0.05, budget.seed);
+            let mut ctx = rec.context(a);
+            let y_min = ctx.predicted_min(self.cfg.solver, budget.seed);
+            let (params, _ei) = ctx.recommend(self.cfg.solver, y_min, 0.05, budget.seed);
+            surrogate_evals = ctx.surrogate_evals();
             Self::encode(params, &CompressionPolicy::f32(1e-2))
         } else {
             Self::encode(
@@ -489,6 +497,7 @@ impl AutoTuner {
                 backed_off: cand.trial.effective_alpha != Some(cand.trial.requested.alpha),
                 relaxed_probe_opts: relaxed_opts,
                 certification_attempts: attempt + 1,
+                surrogate_evals,
                 trials,
             };
             return Ok((cand.precond, report));

@@ -32,5 +32,5 @@ pub use dataset::{DatasetRecord, PaperDataset};
 pub use drift::{DriftSession, RefreshAction, RefreshPolicy, RefreshStep, RefreshTrail};
 pub use features::matrix_features;
 pub use measure::{MeasureConfig, Measurement, MeasurementRunner};
-pub use pipeline::{BoRoundOutcome, PipelineConfig, Recommender};
+pub use pipeline::{BoRoundOutcome, OperatorContext, PipelineConfig, Recommender};
 pub use snapshot::{load_json_snapshot, save_json_snapshot};

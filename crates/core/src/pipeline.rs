@@ -5,14 +5,19 @@ use crate::adapter::GnnSurrogateAdapter;
 use crate::dataset::{DatasetRecord, PaperDataset};
 use crate::features::matrix_features;
 use crate::measure::MeasurementRunner;
-use mcmcmi_bayesopt::{propose_batch, propose_best, ProposeConfig};
+use mcmcmi_bayesopt::{
+    lbfgsb_minimize, propose_batch, propose_best, ProposeConfig, SurrogateModel,
+};
 use mcmcmi_gnn::{
-    train_surrogate, MatrixGraph, Surrogate, SurrogateConfig, TrainConfig, TrainReport,
+    train_surrogate, InferenceHead, MatrixGraph, Surrogate, SurrogateConfig, TrainConfig,
+    TrainReport,
 };
 use mcmcmi_krylov::SolverType;
 use mcmcmi_mcmc::McmcParams;
 use mcmcmi_sparse::Csr;
 use mcmcmi_stats::Standardizer;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Pipeline settings.
@@ -124,58 +129,30 @@ impl Recommender {
         &mut self.surrogate
     }
 
-    /// Predict `(μ̂, σ̂)` for given physical parameters on a matrix.
-    pub fn predict(&mut self, a: &Csr, solver: SolverType, params: McmcParams) -> (f64, f64) {
-        let graph = MatrixGraph::from_csr(a);
-        let h_g = self.surrogate.embed_graph(&graph);
+    /// Everything the surrogate needs to know about `a`, computed once:
+    /// the graph embedding, the standardised features and the compiled
+    /// inference head. Every query below goes through one of these; build
+    /// it yourself when asking more than one question about an operator.
+    pub fn context(&mut self, a: &Csr) -> OperatorContext {
+        let h_g = self.surrogate.embed_graph(&MatrixGraph::from_csr(a));
         let xa = self.xa_std.transform(&matrix_features(a));
-        let mut adapter =
-            GnnSurrogateAdapter::new(&mut self.surrogate, h_g, xa, &self.xm_std, solver);
-        use mcmcmi_bayesopt::SurrogateModel;
-        adapter.predict(&params.as_vec())
-    }
-
-    /// Surrogate-predicted minimum of μ̂ over the parameter box for a
-    /// matrix — the natural EI incumbent for a matrix with *no observations
-    /// yet* (using the global dataset minimum instead would poison the
-    /// improvement term with other matrices' easier baselines).
-    pub fn predicted_min(&mut self, a: &Csr, solver: SolverType, seed: u64) -> f64 {
-        let graph = MatrixGraph::from_csr(a);
-        let h_g = self.surrogate.embed_graph(&graph);
-        let xa = self.xa_std.transform(&matrix_features(a));
-        let (lo, hi) = McmcParams::search_box();
-        let mut adapter =
-            GnnSurrogateAdapter::new(&mut self.surrogate, h_g, xa, &self.xm_std, solver);
-        use mcmcmi_bayesopt::SurrogateModel;
-        // Multi-start minimisation of μ̂ (EI with y_min → −∞ reduces to
-        // exploitation; here we just descend μ̂ directly).
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        use rand::Rng;
-        use rand::SeedableRng;
-        let mut best = f64::INFINITY;
-        for _ in 0..12 {
-            let x0: Vec<f64> = lo
-                .iter()
-                .zip(&hi)
-                .map(|(&l, &h)| rng.gen_range(l..=h))
-                .collect();
-            let r = mcmcmi_bayesopt::lbfgsb_minimize(
-                |x| {
-                    let (mu, _s, dmu, _ds) = adapter.predict_grad(x);
-                    (mu, dmu)
-                },
-                &x0,
-                &lo,
-                &hi,
-                Default::default(),
-            );
-            best = best.min(r.f);
+        OperatorContext {
+            head: self.surrogate.compile_head(&h_g, &xa),
+            xm_std: self.xm_std.clone(),
         }
-        best
     }
 
-    /// Recommend parameters for an unseen matrix: multi-start EI
-    /// maximisation against the best observed metric `y_min`.
+    /// [`OperatorContext::predict`] on a fresh context for `a`.
+    pub fn predict(&mut self, a: &Csr, solver: SolverType, params: McmcParams) -> (f64, f64) {
+        self.context(a).predict(solver, params)
+    }
+
+    /// [`OperatorContext::predicted_min`] on a fresh context for `a`.
+    pub fn predicted_min(&mut self, a: &Csr, solver: SolverType, seed: u64) -> f64 {
+        self.context(a).predicted_min(solver, seed)
+    }
+
+    /// [`OperatorContext::recommend`] on a fresh context for `a`.
     pub fn recommend(
         &mut self,
         a: &Csr,
@@ -184,34 +161,11 @@ impl Recommender {
         xi: f64,
         seed: u64,
     ) -> (McmcParams, f64) {
-        let graph = MatrixGraph::from_csr(a);
-        let h_g = self.surrogate.embed_graph(&graph);
-        let xa = self.xa_std.transform(&matrix_features(a));
-        let (lo, hi) = McmcParams::search_box();
-        let mut adapter =
-            GnnSurrogateAdapter::new(&mut self.surrogate, h_g, xa, &self.xm_std, solver);
-        let (x, ei) = propose_best(
-            &mut adapter,
-            y_min,
-            &lo,
-            &hi,
-            16,
-            ProposeConfig {
-                xi,
-                seed,
-                ..Default::default()
-            },
-        );
-        (McmcParams::from_clamped(&x), ei)
+        self.context(a).recommend(solver, y_min, xi, seed)
     }
 
-    /// Paper §5 (future work, implemented here as an extension): recommend
-    /// the *solver type along with* its optimal `(α, ε, δ)` — runs the EI
-    /// recommendation once per candidate solver and picks the pair with the
-    /// lowest predicted metric at the recommended parameters.
-    ///
-    /// `allow_cg` should only be set for SPD systems (CG diverges
-    /// otherwise), mirroring the paper's dataset construction.
+    /// [`OperatorContext::recommend_with_solver`] on a fresh context for
+    /// `a`.
     pub fn recommend_with_solver(
         &mut self,
         a: &Csr,
@@ -219,20 +173,7 @@ impl Recommender {
         xi: f64,
         seed: u64,
     ) -> (SolverType, McmcParams, f64) {
-        let mut candidates = vec![SolverType::Gmres, SolverType::BiCgStab];
-        if allow_cg {
-            candidates.push(SolverType::Cg);
-        }
-        let mut best: Option<(SolverType, McmcParams, f64)> = None;
-        for solver in candidates {
-            let y_min = self.predicted_min(a, solver, seed);
-            let (params, _ei) = self.recommend(a, solver, y_min, xi, seed);
-            let (mu, _sigma) = self.predict(a, solver, params);
-            if best.as_ref().is_none_or(|(_, _, b)| mu < *b) {
-                best = Some((solver, params, mu));
-            }
-        }
-        best.expect("recommend_with_solver: candidate list is never empty")
+        self.context(a).recommend_with_solver(allow_cg, xi, seed)
     }
 
     /// One BO round (Algorithm 1 inner loop) on a target matrix: propose
@@ -248,26 +189,19 @@ impl Recommender {
         y_min: f64,
         cfg: PipelineConfig,
     ) -> BoRoundOutcome {
-        let graph = MatrixGraph::from_csr(a);
-        let h_g = self.surrogate.embed_graph(&graph);
-        let xa = self.xa_std.transform(&matrix_features(a));
         let (lo, hi) = McmcParams::search_box();
-        let candidates = {
-            let mut adapter =
-                GnnSurrogateAdapter::new(&mut self.surrogate, h_g, xa, &self.xm_std, solver);
-            propose_batch(
-                &mut adapter,
-                y_min,
-                &lo,
-                &hi,
-                cfg.bo_batch,
-                ProposeConfig {
-                    xi: cfg.xi,
-                    seed: cfg.seed,
-                    ..Default::default()
-                },
-            )
-        };
+        let candidates = propose_batch(
+            &mut self.context(a).adapter(solver),
+            y_min,
+            &lo,
+            &hi,
+            cfg.bo_batch,
+            ProposeConfig {
+                xi: cfg.xi,
+                seed: cfg.seed,
+                ..Default::default()
+            },
+        );
         let mut records = Vec::with_capacity(candidates.len());
         let mut best: Option<(McmcParams, f64)> = None;
         for (ci, cand) in candidates.iter().enumerate() {
@@ -302,6 +236,122 @@ impl Recommender {
     }
 }
 
+/// One operator as the trained surrogate sees it — built once by
+/// [`Recommender::context`], then asked any number of questions that vary
+/// only `x_M` (parameters and the solver one-hot). A snapshot of the
+/// weights it was compiled from: refitting the recommender does not reach
+/// it.
+pub struct OperatorContext {
+    head: InferenceHead,
+    xm_std: Standardizer,
+}
+
+impl OperatorContext {
+    fn adapter(&mut self, solver: SolverType) -> GnnSurrogateAdapter<'_> {
+        GnnSurrogateAdapter::new(&mut self.head, &self.xm_std, solver)
+    }
+
+    /// Surrogate gradient evaluations spent on this context so far — one
+    /// per objective evaluation of the L-BFGS-B runs behind
+    /// [`OperatorContext::predicted_min`] and
+    /// [`OperatorContext::recommend`]. A count, not a time: it repeats
+    /// exactly at a given seed.
+    pub fn surrogate_evals(&self) -> usize {
+        self.head.grad_evals()
+    }
+
+    /// Predict `(μ̂, σ̂)` for given physical parameters.
+    pub fn predict(&mut self, solver: SolverType, params: McmcParams) -> (f64, f64) {
+        self.adapter(solver).predict(&params.as_vec())
+    }
+
+    /// Surrogate-predicted minimum of μ̂ over the parameter box — the
+    /// natural EI incumbent for a matrix with *no observations yet* (using
+    /// the global dataset minimum instead would poison the improvement
+    /// term with other matrices' easier baselines).
+    pub fn predicted_min(&mut self, solver: SolverType, seed: u64) -> f64 {
+        let (lo, hi) = McmcParams::search_box();
+        let mut adapter = self.adapter(solver);
+        // Multi-start minimisation of μ̂ (EI with y_min → −∞ reduces to
+        // exploitation; here we just descend μ̂ directly).
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut best = f64::INFINITY;
+        for _ in 0..12 {
+            let x0: Vec<f64> = lo
+                .iter()
+                .zip(&hi)
+                .map(|(&l, &h)| rng.gen_range(l..=h))
+                .collect();
+            let r = lbfgsb_minimize(
+                |x| {
+                    let (mu, _s, dmu, _ds) = adapter.predict_grad(x);
+                    (mu, dmu)
+                },
+                &x0,
+                &lo,
+                &hi,
+                Default::default(),
+            );
+            best = best.min(r.f);
+        }
+        best
+    }
+
+    /// Recommend parameters: multi-start EI maximisation against the best
+    /// observed metric `y_min`.
+    pub fn recommend(
+        &mut self,
+        solver: SolverType,
+        y_min: f64,
+        xi: f64,
+        seed: u64,
+    ) -> (McmcParams, f64) {
+        let (lo, hi) = McmcParams::search_box();
+        let (x, ei) = propose_best(
+            &mut self.adapter(solver),
+            y_min,
+            &lo,
+            &hi,
+            16,
+            ProposeConfig {
+                xi,
+                seed,
+                ..Default::default()
+            },
+        );
+        (McmcParams::from_clamped(&x), ei)
+    }
+
+    /// Paper §5 (future work, implemented here as an extension): recommend
+    /// the *solver type along with* its optimal `(α, ε, δ)` — runs the EI
+    /// recommendation once per candidate solver and picks the pair with the
+    /// lowest predicted metric at the recommended parameters.
+    ///
+    /// `allow_cg` should only be set for SPD systems (CG diverges
+    /// otherwise), mirroring the paper's dataset construction.
+    pub fn recommend_with_solver(
+        &mut self,
+        allow_cg: bool,
+        xi: f64,
+        seed: u64,
+    ) -> (SolverType, McmcParams, f64) {
+        let mut candidates = vec![SolverType::Gmres, SolverType::BiCgStab];
+        if allow_cg {
+            candidates.push(SolverType::Cg);
+        }
+        let mut best: Option<(SolverType, McmcParams, f64)> = None;
+        for solver in candidates {
+            let y_min = self.predicted_min(solver, seed);
+            let (params, _ei) = self.recommend(solver, y_min, xi, seed);
+            let (mu, _sigma) = self.predict(solver, params);
+            if best.as_ref().is_none_or(|(_, _, b)| mu < *b) {
+                best = Some((solver, params, mu));
+            }
+        }
+        best.expect("recommend_with_solver: candidate list is never empty")
+    }
+}
+
 /// Evaluate the surrogate's predictions over a set of records on one matrix
 /// (used by the Figure-1/2 analyses): returns `(μ̂_j, σ̂_j)` per record.
 pub fn predict_records(
@@ -309,9 +359,10 @@ pub fn predict_records(
     a: &Csr,
     records: &[DatasetRecord],
 ) -> Vec<(f64, f64)> {
+    let mut ctx = rec.context(a);
     records
         .iter()
-        .map(|r| rec.predict(a, r.solver, r.params))
+        .map(|r| ctx.predict(r.solver, r.params))
         .collect()
 }
 

@@ -33,12 +33,16 @@ pub enum ConvKind {
 /// `activate_last`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Mlp {
-    weights: Vec<usize>,
-    biases: Vec<usize>,
-    layer_norm: bool,
-    activate_last: bool,
+    pub(crate) weights: Vec<usize>,
+    pub(crate) biases: Vec<usize>,
+    pub(crate) layer_norm: bool,
+    pub(crate) activate_last: bool,
     dims: Vec<usize>,
 }
+
+/// Variance floor of every layer norm in the model (tape and
+/// [`crate::InferenceHead`] alike).
+pub(crate) const LAYER_NORM_EPS: f64 = 1e-5;
 
 impl Mlp {
     /// Allocate an MLP with the given layer dimensions
@@ -102,7 +106,7 @@ impl Mlp {
             let is_last = l + 1 == n_layers;
             if !is_last || self.activate_last {
                 if self.layer_norm && self.dims[l + 1] > 1 {
-                    x = g.layer_norm(x, 1e-5);
+                    x = g.layer_norm(x, LAYER_NORM_EPS);
                 }
                 x = g.relu(x);
             }
@@ -256,7 +260,7 @@ impl GcnLayer {
         let agg = g.scatter_agg(scaled, &data.edge_dst, data.n_nodes, AggKind::Sum);
         let with_self = g.add(agg, x);
         let h = g.linear(with_self, bound.var(self.w), bound.var(self.b));
-        let h = g.layer_norm(h, 1e-5);
+        let h = g.layer_norm(h, LAYER_NORM_EPS);
         g.relu(h)
     }
 }
@@ -370,7 +374,7 @@ impl GatV2Layer {
         let proj = g.linear(xj, bound.var(self.w_proj), bound.var(self.b_proj));
         let weighted = g.mul_broadcast_col(proj, weights);
         let agg = g.scatter_agg(weighted, &data.edge_dst, data.n_nodes, AggKind::Sum);
-        let normed = g.layer_norm(agg, 1e-5);
+        let normed = g.layer_norm(agg, LAYER_NORM_EPS);
         g.relu(normed)
     }
 }

@@ -18,12 +18,14 @@
 //! the trio the ablation bench sweeps.
 
 pub mod graph_data;
+pub mod head;
 pub mod layers;
 pub mod params;
 pub mod surrogate;
 pub mod train;
 
 pub use graph_data::MatrixGraph;
+pub use head::InferenceHead;
 pub use layers::{ConvKind, EdgeConvLayer, GatV2Layer, GcnLayer, GineLayer, Mlp, PnaLayer};
 pub use params::{BoundParams, ParamSet};
 pub use surrogate::{Surrogate, SurrogateConfig};

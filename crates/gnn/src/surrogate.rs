@@ -2,6 +2,7 @@
 //! MCMC-parameter embedding → fused FC stack → (μ̂, σ̂) heads (paper Eq. 1).
 
 use crate::graph_data::MatrixGraph;
+use crate::head::InferenceHead;
 use crate::layers::{ConvKind, EdgeConvLayer, GatV2Layer, GcnLayer, GineLayer, Mlp, PnaLayer};
 use crate::params::{BoundParams, ParamSet};
 use mcmcmi_autodiff::{AggKind, Graph, Tensor, Var};
@@ -302,7 +303,8 @@ impl Surrogate {
     }
 
     /// Full forward for a batch of `x_M` rows on one matrix. Returns
-    /// `(μ̂, σ̂)` tape nodes, each `B × 1`.
+    /// `(μ̂, σ̂)` tape nodes, each `B × 1`. The training path, and the
+    /// oracle [`InferenceHead`] is tested against.
     ///
     /// `training` enables dropout (masks drawn from the surrogate's own RNG).
     #[allow(clippy::too_many_arguments)]
@@ -318,37 +320,6 @@ impl Surrogate {
     ) -> (Var, Var) {
         assert_eq!(xa.len(), self.cfg.xa_dim, "forward: xa dimension mismatch");
         let hg_row = self.graph_forward(g, bound, data);
-        self.fuse_forward(g, bound, hg_row, xa, xm_batch, batch, training)
-    }
-
-    /// Forward from a precomputed graph embedding (inference fast path for
-    /// BO: the embedding does not depend on `x_M`, so it is computed once
-    /// per matrix and reused across thousands of EI evaluations).
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_with_embedding(
-        &mut self,
-        g: &mut Graph,
-        bound: &BoundParams,
-        h_g: &Tensor,
-        xa: &[f64],
-        xm_batch: Var,
-        batch: usize,
-        training: bool,
-    ) -> (Var, Var) {
-        let hg_row = g.leaf(h_g.clone());
-        self.fuse_forward(g, bound, hg_row, xa, xm_batch, batch, training)
-    }
-
-    fn fuse_forward(
-        &mut self,
-        g: &mut Graph,
-        bound: &BoundParams,
-        hg_row: Var,
-        xa: &[f64],
-        xm_batch: Var,
-        batch: usize,
-        training: bool,
-    ) -> (Var, Var) {
         let hg = g.repeat_rows(hg_row, batch);
         let xa_row = g.leaf(Tensor::row_vector(xa));
         let ha_row = self.xa_mlp.forward(g, bound, xa_row);
@@ -391,36 +362,47 @@ impl Surrogate {
         g.value(hg).clone()
     }
 
+    /// Compile the inference head for one operator: everything that does
+    /// not depend on `x_M` (the `x_A` branch, the fused stack's sums over
+    /// `[h_g | h_a]`, the weight layouts) is done here, once, so that each
+    /// of the thousands of EI evaluations that follow costs only the
+    /// arithmetic that does. The head is a snapshot — later optimiser
+    /// steps on `self` do not reach it.
+    pub fn compile_head(&self, h_g: &Tensor, xa: &[f64]) -> InferenceHead {
+        assert_eq!(xa.len(), self.cfg.xa_dim, "compile_head: xa dimension");
+        assert_eq!(
+            (h_g.rows(), h_g.cols()),
+            (1, self.cfg.gnn_hidden),
+            "compile_head: h_g shape"
+        );
+        InferenceHead::compile(
+            &self.params,
+            &self.xa_mlp,
+            &self.xm_mlp,
+            &self.comb_mlp,
+            self.head_mu,
+            self.head_sigma,
+            h_g.data(),
+            xa,
+        )
+    }
+
     /// Predict `(μ̂, σ̂)` for one `x_M` on a matrix with a precomputed
-    /// embedding (inference mode, no dropout).
+    /// embedding (inference mode, no dropout). Compiles a head per call —
+    /// callers with more than one `x_M` should hold the head themselves.
     pub fn predict(&mut self, h_g: &Tensor, xa: &[f64], xm: &[f64]) -> (f64, f64) {
-        let mut g = Graph::new();
-        let bound = self.params.bind(&mut g);
-        let xm_var = g.leaf(Tensor::row_vector(xm));
-        let (mu, sigma) = self.forward_with_embedding(&mut g, &bound, h_g, xa, xm_var, 1, false);
-        (g.value(mu).scalar(), g.value(sigma).scalar())
+        self.compile_head(h_g, xa).eval(xm)
     }
 
     /// Predict with input gradients: returns
-    /// `(μ̂, σ̂, ∂μ̂/∂x_M, ∂σ̂/∂x_M)` — the quantities the EI optimiser needs
-    /// ("back-propagation supplies the exact gradient", paper §3.2).
+    /// `(μ̂, σ̂, ∂μ̂/∂x_M, ∂σ̂/∂x_M)`; see [`InferenceHead::eval_grad`].
     pub fn predict_grad(
         &mut self,
         h_g: &Tensor,
         xa: &[f64],
         xm: &[f64],
     ) -> (f64, f64, Vec<f64>, Vec<f64>) {
-        let mut g = Graph::new();
-        let bound = self.params.bind(&mut g);
-        let xm_var = g.leaf(Tensor::row_vector(xm));
-        let (mu, sigma) = self.forward_with_embedding(&mut g, &bound, h_g, xa, xm_var, 1, false);
-        let mu_val = g.value(mu).scalar();
-        let sigma_val = g.value(sigma).scalar();
-        let gmu = g.backward(mu);
-        let dmu = gmu.get_or_zero(xm_var, 1, xm.len()).data().to_vec();
-        let gsg = g.backward(sigma);
-        let dsigma = gsg.get_or_zero(xm_var, 1, xm.len()).data().to_vec();
-        (mu_val, sigma_val, dmu, dsigma)
+        self.compile_head(h_g, xa).eval_grad(xm)
     }
 }
 
@@ -479,8 +461,8 @@ mod tests {
         let bound = s.params.bind(&mut g);
         let xm_var = g.leaf(Tensor::row_vector(&xm));
         let (mu, sigma) = s.forward(&mut g, &bound, &data, &xa, xm_var, 1, false);
-        assert!((g.value(mu).scalar() - mu_fast).abs() < 1e-12);
-        assert!((g.value(sigma).scalar() - sg_fast).abs() < 1e-12);
+        assert_eq!(g.value(mu).scalar().to_bits(), mu_fast.to_bits());
+        assert_eq!(g.value(sigma).scalar().to_bits(), sg_fast.to_bits());
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub fn evaluate_loss(surrogate: &mut Surrogate, ds: &SurrogateDataset, indices: 
     if indices.is_empty() {
         return 0.0;
     }
-    // Group by matrix to reuse embeddings.
+    // Group by matrix: one embedding and one compiled head each.
     let mut by_matrix: Vec<Vec<usize>> = vec![Vec::new(); ds.graphs.len()];
     for &i in indices {
         by_matrix[ds.samples[i].matrix_idx].push(i);
@@ -139,9 +139,10 @@ pub fn evaluate_loss(surrogate: &mut Surrogate, ds: &SurrogateDataset, indices: 
             continue;
         }
         let h_g = surrogate.embed_graph(&ds.graphs[m]);
+        let mut head = surrogate.compile_head(&h_g, &ds.xa[m]);
         for &i in rows {
             let s = &ds.samples[i];
-            let (mu, sigma) = surrogate.predict(&h_g, &ds.xa[m], &s.xm);
+            let (mu, sigma) = head.eval(&s.xm);
             total += (mu - s.y_mean).powi(2) + (sigma - s.y_std).powi(2);
             count += 1;
         }

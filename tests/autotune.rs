@@ -6,9 +6,13 @@
 //! smoke-sized budget.
 
 use mcmcmi::core::autotune::{AutoTuner, AutotuneConfig};
-use mcmcmi::krylov::{SolveOptions, SolveSession, TuneBudget};
-use mcmcmi::matgen::PaperMatrix;
+use mcmcmi::core::features::N_MATRIX_FEATURES;
+use mcmcmi::core::{MeasureConfig, MeasurementRunner, PaperDataset, Recommender};
+use mcmcmi::gnn::{SurrogateConfig, TrainConfig};
+use mcmcmi::krylov::{SolveOptions, SolveSession, SolverType, TuneBudget};
+use mcmcmi::matgen::{fd_laplace_2d, laplace_1d, pdd_real_sparse, PaperMatrix};
 use mcmcmi::mcmc::{BuildConfig, BuildError, McmcInverse, McmcParams, SafeguardConfig, WalkMatrix};
+use mcmcmi::sparse::Csr;
 
 /// The full climate operator `nonsym_r3_a11` (n = 20 930, ~1.9 M nnz).
 fn climate() -> mcmcmi::sparse::Csr {
@@ -149,4 +153,89 @@ fn tuned_build_converges_on_the_advection_diffusion_pair() {
         let b: Vec<f64> = (0..n).map(|i| (0.7 * i as f64).sin()).collect();
         assert!(session.solve(&b).converged, "{m:?} tuned session solves");
     }
+}
+
+/// What the recommendation step returned **at the parent of the commit
+/// that made surrogate inference tape-free**, as raw `f64` bits: one line
+/// per (operator, seed) with `predicted_min`, `recommend` (α, ε, δ, EI),
+/// and of the tuned report the winner (effective, requested), certified
+/// `probe_iters`, `certification_attempts`, `surrogate_evals` (counted
+/// there by a patched-in counter) and every trial's requested (α, ε, δ).
+/// Inference may get cheaper; what it returns, and how often it is asked,
+/// may not move — L-BFGS-B turns one ulp into a different tuned session.
+const GOLDEN_RECOMMENDATIONS: [&str; 4] = [
+    "pdd48/0: pmin 3fd649063fa63a8b | rec 3fa999999999999a 3fad09673bc65fca 3fdaffcddd96dd87 3fa3ae70737ed53a | win 4010000000000000 3fe0000000000000 3fd0000000000000 | req 4010000000000000 3fe0000000000000 3fd0000000000000 | iters 13 cert 1 evals 8445 | trials 3fa999999999999a 3fad09673bc65fca 3fdaffcddd96dd87 4000000000000000 3fe0000000000000 3fd0000000000000 4010000000000000 3fe0000000000000 3fd0000000000000 3ff0eaf9c599b193 3fdab3afad521736 3fa6dd90c4f6cf04",
+    "pdd48/7: pmin 3fd419d216f0ec11 | rec 3fa999999999999a 3fa0000000000000 3fddb5535de08154 3f994377620f1ef3 | win 3fa999999999999a 3fa0000000000000 3fddb5535de08154 | req 3fa999999999999a 3fa0000000000000 3fddb5535de08154 | iters 6 cert 1 evals 15516 | trials 3fa999999999999a 3fa0000000000000 3fddb5535de08154 4000000000000000 3fe0000000000000 3fd0000000000000 4010000000000000 3fe0000000000000 3fd0000000000000 3ffc016ddb6c8427 3fb5055d272906a6 3fe25aff6165b398",
+    "lap2d8/0: pmin 3fe6ef038959ef0a | rec 3fa999999999999a 3fa0000000000000 3fc5472742f0b362 3f9a8107ae08d83b | win 4010000000000000 3fe0000000000000 3fd0000000000000 | req 4010000000000000 3fe0000000000000 3fd0000000000000 | iters 20 cert 1 evals 19863 | trials 3fa999999999999a 3fa0000000000000 3fc5472742f0b362 4000000000000000 3fe0000000000000 3fd0000000000000 4010000000000000 3fe0000000000000 3fd0000000000000 3ff0eaf9c599b193 3fdab3afad521736 3fa6dd90c4f6cf04",
+    "lap2d8/7: pmin 3fe6ef37d487d83e | rec 3fa999999999999a 3fa0000000000000 3fc5472742f1b320 3f9a83a6c3122296 | win 4010000000000000 3fe0000000000000 3fd0000000000000 | req 4010000000000000 3fe0000000000000 3fd0000000000000 | iters 20 cert 1 evals 25909 | trials 3fa999999999999a 3fa0000000000000 3fc5472742f1b320 4000000000000000 3fe0000000000000 3fd0000000000000 4010000000000000 3fe0000000000000 3fd0000000000000 3ffc016ddb6c8427 3fb5055d272906a6 3fe25aff6165b398",
+];
+
+fn hex(vals: &[f64]) -> String {
+    let words: Vec<String> = vals
+        .iter()
+        .map(|v| format!("{:016x}", v.to_bits()))
+        .collect();
+    words.join(" ")
+}
+
+#[test]
+fn recommendation_step_reproduces_parent_commit_bits() {
+    let matrices: Vec<(String, Csr, bool)> = vec![
+        ("lap".into(), laplace_1d(24), true),
+        ("pdd".into(), pdd_real_sparse(32, 2), false),
+    ];
+    let runner = MeasurementRunner::new(MeasureConfig {
+        solve: SolveOptions {
+            tol: 1e-6,
+            max_iter: 300,
+            restart: 30,
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    let ds = PaperDataset::build(&runner, &matrices, 1, 0, 0);
+    let snapshot = Recommender::fit(
+        &ds,
+        &matrices,
+        SurrogateConfig::lite(N_MATRIX_FEATURES, 6),
+        TrainConfig {
+            epochs: 4,
+            patience: 0,
+            ..Default::default()
+        },
+    )
+    .to_snapshot();
+
+    let mut lines = Vec::new();
+    for (name, a) in [
+        ("pdd48", pdd_real_sparse(48, 5)),
+        ("lap2d8", fd_laplace_2d(8)),
+    ] {
+        for seed in [0u64, 7] {
+            let mut rec = Recommender::from_snapshot(snapshot.clone());
+            let pmin = rec.predicted_min(&a, SolverType::Gmres, seed);
+            let (p, ei) = rec.recommend(&a, SolverType::Gmres, pmin, 0.05, seed);
+            let mut tuner = AutoTuner::new(AutotuneConfig::default()).with_recommender(rec);
+            let (_, report) = tuner
+                .tune_parts(&a, &TuneBudget::smoke(seed))
+                .unwrap_or_else(|e| panic!("{name}/{seed}: {e}"));
+            let trials: Vec<f64> = report
+                .trials
+                .iter()
+                .flat_map(|t| t.requested.as_vec())
+                .collect();
+            lines.push(format!(
+                "{name}/{seed}: pmin {} | rec {} | win {} | req {} | iters {} cert {} evals {} | trials {}",
+                hex(&[pmin]),
+                hex(&[p.alpha, p.eps, p.delta, ei]),
+                hex(&report.params.as_vec()),
+                hex(&report.requested_params.as_vec()),
+                report.probe_iters,
+                report.certification_attempts,
+                report.surrogate_evals,
+                hex(&trials),
+            ));
+        }
+    }
+    assert_eq!(lines, GOLDEN_RECOMMENDATIONS);
 }
