@@ -1,11 +1,14 @@
-//! Per-transition sampling cost: O(1) alias method vs O(log nnz_row)
-//! inverse-CDF binary search, chain-following over Table-1-class operators.
+//! Per-transition sampling cost: the library's O(1) alias method vs the
+//! O(log nnz_row) inverse-CDF binary search it replaced (the bench crate's
+//! [`InvCdfSampler`] baseline), chain-following over Table-1-class
+//! operators.
 //!
 //! Each bench iteration advances a persistent random walk by `STEPS`
 //! transitions (absorbing rows restart the chain), so the printed time is
 //! `STEPS ×` the per-transition cost — divide by 1024 for ns/transition.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use mcmcmi_bench::InvCdfSampler;
 use mcmcmi_matgen::{stretched_climate_operator, PaperMatrix};
 use mcmcmi_mcmc::WalkMatrix;
 use rand::SeedableRng;
@@ -24,6 +27,7 @@ fn bench_sampling(c: &mut Criterion) {
     ];
     for (name, a) in cases {
         let w = WalkMatrix::from_perturbed(&a, 0.5);
+        let invcdf = InvCdfSampler::new(&w);
         for (sampler, alias) in [("alias", true), ("invcdf", false)] {
             let mut rng = ChaCha8Rng::seed_from_u64(42);
             let mut k = 0usize;
@@ -38,7 +42,7 @@ fn bench_sampling(c: &mut Criterion) {
                         let (j, mult) = if alias {
                             w.sample_transition(k, &mut rng)
                         } else {
-                            w.sample_transition_invcdf(k, &mut rng)
+                            invcdf.sample_transition(&w, k, &mut rng)
                         };
                         black_box(mult);
                         k = j;

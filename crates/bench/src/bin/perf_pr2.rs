@@ -1,15 +1,15 @@
 //! **PR 2 perf record** — before/after numbers for the hot-path overhaul:
 //! O(1) alias-method transition sampling (vs the inverse-CDF binary-search
-//! baseline, which is retained in `WalkMatrix` exactly so this comparison
-//! stays honest), zero-alloc preconditioner builds, and the unrolled /
-//! nnz-balanced SpMV.
+//! baseline, which is retained as `mcmcmi_bench::InvCdfSampler` exactly so
+//! this comparison stays honest), zero-alloc preconditioner builds, and the
+//! unrolled / nnz-balanced SpMV.
 //!
 //! Writes `runs/perf_pr2/perf_pr2.{json,csv}` plus the top-level
 //! `BENCH_perf.json` headline file, and verifies the determinism contract
 //! (thread counts 1 vs 8 produce bit-identical builds and SpMV results)
 //! as part of the record.
 
-use mcmcmi_bench::{write_csv, write_json, RunDir};
+use mcmcmi_bench::{write_csv, write_json, InvCdfSampler, RunDir};
 use mcmcmi_matgen::{fd_laplace_2d, stretched_climate_operator, PaperMatrix};
 use mcmcmi_mcmc::{BuildConfig, McmcInverse, McmcParams, WalkMatrix};
 use rand::SeedableRng;
@@ -24,7 +24,7 @@ use std::time::Instant;
 /// `(ns/transition, transitions)`.
 fn ns_per_transition(
     w: &WalkMatrix,
-    alias: bool,
+    invcdf: Option<&InvCdfSampler>,
     chains_per_row: usize,
     delta: f64,
     max_len: usize,
@@ -42,10 +42,9 @@ fn ns_per_transition(
                 if rs == re || steps >= max_len {
                     break;
                 }
-                let (j, mult) = if alias {
-                    w.sample_transition(k, &mut rng)
-                } else {
-                    w.sample_transition_invcdf(k, &mut rng)
+                let (j, mult) = match invcdf {
+                    None => w.sample_transition(k, &mut rng),
+                    Some(baseline) => baseline.sample_transition(w, k, &mut rng),
                 };
                 wgt *= mult;
                 k = j;
@@ -153,10 +152,11 @@ fn main() {
         let w = WalkMatrix::from_perturbed(a, 0.5);
         // Interleave A/B/A/B and keep the faster of two passes each, so
         // frequency scaling or background noise cannot fake a win.
-        let (alias_a, transitions) = ns_per_transition(&w, true, chains_per_row, delta, 10_000);
-        let (invcdf_a, _) = ns_per_transition(&w, false, chains_per_row, delta, 10_000);
-        let (alias_b, _) = ns_per_transition(&w, true, chains_per_row, delta, 10_000);
-        let (invcdf_b, _) = ns_per_transition(&w, false, chains_per_row, delta, 10_000);
+        let baseline = InvCdfSampler::new(&w);
+        let (alias_a, transitions) = ns_per_transition(&w, None, chains_per_row, delta, 10_000);
+        let (invcdf_a, _) = ns_per_transition(&w, Some(&baseline), chains_per_row, delta, 10_000);
+        let (alias_b, _) = ns_per_transition(&w, None, chains_per_row, delta, 10_000);
+        let (invcdf_b, _) = ns_per_transition(&w, Some(&baseline), chains_per_row, delta, 10_000);
         let alias_ns = alias_a.min(alias_b);
         let invcdf_ns = invcdf_a.min(invcdf_b);
         let rec = SamplingRecord {

@@ -7,9 +7,11 @@
 //! human-readable stdout and machine-readable JSON/CSV.
 
 pub mod harness;
+pub mod invcdf;
 pub mod profile;
 pub mod report;
 
 pub use harness::{fit_models, grid_evaluation, EvaluatedGrid, FittedModels};
+pub use invcdf::InvCdfSampler;
 pub use profile::{parse_profile, Profile};
 pub use report::{write_csv, write_json, RunDir};

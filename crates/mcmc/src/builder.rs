@@ -62,8 +62,8 @@ pub struct BuildConfig {
     /// stream from it.
     pub seed: u64,
     /// Which walk engine estimates rows. Output is bit-identical either
-    /// way; the lockstep SoA engine (default) has higher transition
-    /// throughput, the scalar engine is kept as the reference.
+    /// way; the scalar engine (default) is the faster one on every workload
+    /// the ledger measures.
     pub engine: WalkEngine,
 }
 
@@ -74,7 +74,7 @@ impl Default for BuildConfig {
             trunc_threshold: 1e-9,
             max_walk_len: 10_000,
             seed: 0,
-            engine: WalkEngine::Soa,
+            engine: WalkEngine::Scalar,
         }
     }
 }
@@ -257,8 +257,14 @@ impl McmcInverse {
     /// stream keyed by `(seed, row)`, so the result is identical for any
     /// thread count.
     pub fn build(&self, a: &Csr, params: McmcParams) -> BuildOutcome {
+        self.build_on(&WalkMatrix::from_perturbed(a, params.alpha), a, params)
+    }
+
+    /// [`McmcInverse::build`] on a splitting the caller already derived:
+    /// `walk` must be `WalkMatrix::from_perturbed(a, params.alpha)`. The
+    /// safeguard walks the very matrix it probed.
+    pub(crate) fn build_on(&self, walk: &WalkMatrix, a: &Csr, params: McmcParams) -> BuildOutcome {
         let n = a.nrows();
-        let walk = WalkMatrix::from_perturbed(a, params.alpha);
         let chains = params.chains_per_row();
         let cfg = self.config;
 
@@ -274,7 +280,7 @@ impl McmcInverse {
                 // One workspace per worker: the O(n) scratch is allocated
                 // once per thread, not once per row.
                 || RowWorkspace::new(n),
-                |ws, i| estimate_row(&walk, i, chains, params.delta, &cfg, budgets[i], ws),
+                |ws, i| estimate_row(walk, i, chains, params.delta, &cfg, budgets[i], ws),
             )
             .collect();
 

@@ -14,8 +14,8 @@
 //! Walks run embarrassingly parallel across rows (Rayon) with deterministic
 //! per-`(seed, row, chain)` RNG streams, so a build is bit-reproducible for
 //! any thread count. Within a row, chains execute on either of two
-//! bit-identical engines ([`WalkEngine`]): the scalar reference loop or the
-//! default lockstep SoA lane batch (see [`walk`] for the engine contract).
+//! bit-identical engines ([`WalkEngine`]): the default scalar loop or the
+//! lockstep SoA lane batch (see [`walk`] for the engine contract).
 //! The regenerative single-budget variant (Ghosh et al., SIMAX'25) ships as
 //! an extension in [`regenerative`].
 

@@ -44,7 +44,9 @@ pub struct RegenerativeConfig {
     /// sequential cycles and charges the budget per transition, while the
     /// lockstep engine gives every cycle its own stream and charges the
     /// budget per round. Each engine is individually deterministic at any
-    /// thread count.
+    /// thread count. Because the two differ in bits, this default stays on
+    /// the lane engine when [`crate::BuildConfig`]'s moves: changing it
+    /// would change every regenerative preconditioner.
     pub engine: WalkEngine,
 }
 

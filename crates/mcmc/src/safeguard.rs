@@ -197,7 +197,8 @@ impl McmcInverse {
     /// non-contractive, audit the finished build's blown-chain fraction,
     /// and return a structured [`BuildError`] if the attempt budget runs
     /// out. A clean first attempt is bit-identical to the unguarded
-    /// [`McmcInverse::build`] at the same parameters.
+    /// [`McmcInverse::build`] at the same parameters. Each attempt derives
+    /// its splitting once: the matrix that was probed is the one walked.
     pub fn build_safeguarded(
         &self,
         a: &Csr,
@@ -231,7 +232,7 @@ impl McmcInverse {
                 continue;
             }
             let attempt_params = McmcParams::new(alpha, params.eps, params.delta);
-            let outcome = self.build(a, attempt_params);
+            let outcome = self.build_on(&walk, a, attempt_params);
             let total_chains = a.nrows() * outcome.chains_per_row;
             let blown_fraction = if total_chains == 0 {
                 0.0
@@ -281,16 +282,28 @@ mod tests {
         coo.to_csr()
     }
 
+    /// Splittings derived on this thread while `f` runs.
+    fn splittings_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        let before = crate::walk::CONSTRUCTIONS.with(|c| c.get());
+        let out = f();
+        (out, crate::walk::CONSTRUCTIONS.with(|c| c.get()) - before)
+    }
+
     #[test]
     fn clean_build_is_bit_identical_to_unguarded() {
         let a = mcmcmi_matgen::fd_laplace_2d(10);
         let params = McmcParams::new(0.5, 0.25, 0.125);
         let builder = McmcInverse::new(BuildConfig::default());
         let plain = builder.build(&a, params);
-        let guarded = builder
-            .build_safeguarded(&a, params, &SafeguardConfig::default())
-            .expect("laplacian at α=0.5 must pass");
+        let (guarded, splittings) = splittings_during(|| {
+            builder
+                .build_safeguarded(&a, params, &SafeguardConfig::default())
+                .expect("laplacian at α=0.5 must pass")
+        });
+        // The probed splitting is the one that was walked.
+        assert_eq!(splittings, 1);
         assert_eq!(guarded.outcome.precond.matrix(), plain.precond.matrix());
+        assert_eq!(guarded.outcome.transitions, plain.transitions);
         assert!(!guarded.backed_off());
         assert_eq!(guarded.params, params);
         assert_eq!(guarded.attempts.len(), 1);
@@ -340,6 +353,29 @@ mod tests {
         for w in guarded.attempts.windows(2) {
             assert!(w[1].alpha > w[0].alpha);
         }
+    }
+
+    #[test]
+    fn one_splitting_per_attempt_on_a_backoff_ladder() {
+        // Rejected at α = 0.5 and 1, accepted at 2: three attempts, three
+        // splittings — the accepted one is not derived again for its walks.
+        let a = mcmcmi_matgen::unsteady_adv_diff(8, mcmcmi_matgen::AdvDiffOrder::One);
+        let builder = McmcInverse::new(BuildConfig::default());
+        let (guarded, splittings) = splittings_during(|| {
+            builder
+                .build_safeguarded(
+                    &a,
+                    McmcParams::new(0.5, 0.125, 0.0625),
+                    &SafeguardConfig::default(),
+                )
+                .expect("backoff reaches a contractive α")
+        });
+        let trail: Vec<f64> = guarded.attempts.iter().map(|t| t.alpha).collect();
+        assert_eq!(trail, [0.5, 1.0, 2.0]);
+        assert_eq!(splittings, 3);
+        // And the accepted build is the unguarded build at the final α.
+        let plain = builder.build(&a, guarded.params);
+        assert_eq!(guarded.outcome.precond.matrix(), plain.precond.matrix());
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //! the slot's cutoff, replacing the O(log nnz_row) binary search of
 //! inverse-CDF sampling. Slots are packed to 12 bytes (cutoff, donor,
 //! column+sign) so a transition resolves in one or two cache-line touches
-//! with no floating-point arithmetic. The inverse-CDF path is retained as
-//! [`WalkMatrix::sample_transition_invcdf`] purely as a reference/baseline
-//! for benchmarks and distribution-equivalence tests.
+//! with no floating-point arithmetic. (The inverse-CDF sampler it replaced
+//! lives on in the bench crate as a timing baseline.)
 //!
 //! Alias construction (Vose's stable variant): scale the row's MAO
 //! probabilities by the row length `m` so they average 1, split the entries
@@ -41,18 +40,24 @@
 //! count or scheduling order (`RAYON_NUM_THREADS=1` vs `=8` produce equal
 //! preconditioners; see `tests/determinism.rs`) — and, because the streams
 //! are per *chain* rather than per row, independent of how chains are
-//! scheduled onto lanes inside a row. Note the alias and inverse-CDF
-//! samplers realise the *same distribution* but map uniform draws to states
-//! differently, so swapping samplers changes individual walk trajectories
-//! while leaving all estimator statistics intact.
+//! scheduled onto lanes inside a row.
 //!
-//! # Engines: scalar reference vs lockstep SoA
+//! Table set-up ([`WalkMatrix::from_perturbed`]) and the spectral probe
+//! ([`WalkMatrix::abs_spectral_radius_estimate`]) run over nnz-balanced row
+//! ranges in parallel once the operator clears
+//! [`mcmcmi_sparse::par_threshold`]: rows are independent, every per-row
+//! sum stays sequential and `max` is exact, so the tables and ρ̂ are
+//! bit-equal at any thread count too.
+//!
+//! # Engines: scalar default vs lockstep SoA
 //!
 //! Two interchangeable walk engines implement the estimator:
 //!
-//! * [`WalkEngine::Scalar`] — one chain at a time, the straightforward
-//!   reference loop ([`WalkMatrix::walk_row`]).
-//! * [`WalkEngine::Soa`] (default) — a lockstep structure-of-arrays batch
+//! * [`WalkEngine::Scalar`] (default) — one chain at a time, the
+//!   straightforward loop ([`WalkMatrix::walk_row`]). The ledger
+//!   (`benchmark/`, `mcmc.build_scalar_engine_s` vs the lane engine) has it
+//!   ahead on every workload, cache-resident and memory-bound alike.
+//! * [`WalkEngine::Soa`] — a lockstep structure-of-arrays batch
 //!   ([`WalkMatrix::walk_row_soa`]): the row's O(10³) chains stream through
 //!   a window of [`MAX_LANES`] lanes held in parallel weight/step/RNG/
 //!   row-cursor arrays, stepped together. Each lockstep round sweeps the
@@ -65,9 +70,9 @@
 //!   the steady-state loop touches only lane arrays and the alias table.
 //!   Breaking the scalar loop's serial draw→lookup→branch dependency chain
 //!   exposes instruction-level and memory-level parallelism (many
-//!   independent alias-table fetches in flight), which is where the
-//!   speed-up comes from on working sets beyond the cache hierarchy — and
-//!   the lane layout is exactly what a SIMD/GPU port would vectorise.
+//!   independent alias-table fetches in flight) — the lane layout is what
+//!   a SIMD/GPU port would vectorise — but on the CPUs measured so far the
+//!   lane bookkeeping and journal replay cost more than the overlap buys.
 //!
 //! The SoA engine is **bit-identical** to the scalar engine: chains draw
 //! from the same per-`(seed, row, chain)` streams regardless of lane
@@ -78,22 +83,24 @@
 //! not lanes, are sharded across rayon workers, so `rebuild_rows` and
 //! `build_safeguarded` ride on either engine unchanged.
 
-use mcmcmi_sparse::Csr;
+use mcmcmi_sparse::{nnz_balanced_ranges, par_pays_off, Csr};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Which engine runs the row walks. Both produce **bit-identical** output
 /// (same per-`(seed, row, chain)` streams, same floating-point add order);
 /// they differ only in throughput and memory access pattern.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalkEngine {
-    /// One chain at a time — the reference implementation
-    /// ([`WalkMatrix::walk_row`]).
+    /// One chain at a time ([`WalkMatrix::walk_row`]) — the default build
+    /// path: the faster engine on every workload the ledger measures.
+    #[default]
     Scalar,
     /// Lockstep structure-of-arrays lane batch
-    /// ([`WalkMatrix::walk_row_soa`]) — the default build path.
-    #[default]
+    /// ([`WalkMatrix::walk_row_soa`]).
     Soa,
 }
 
@@ -119,18 +126,18 @@ pub(crate) fn chain_rng(seed: u64, row: usize, chain: usize) -> ChaCha8Rng {
 }
 
 /// The Jacobi-splitting iteration matrix `C = I − D̂⁻¹Â` in walk-ready form:
-/// per row, the column indices, signed values, a Walker/Vose alias table for
-/// O(1) sampling (plus the cumulative |value| table for the reference
-/// inverse-CDF path), and the absolute row sum.
+/// per row, the column indices and signed values (what the spectral probe
+/// streams), a Walker/Vose alias table for O(1) sampling (all a walk
+/// touches), and the absolute row sum.
 #[derive(Clone, Debug)]
 pub struct WalkMatrix {
     n: usize,
     indptr: Vec<usize>,
-    cols: Vec<usize>,
+    /// Column per entry, `u32` like the alias slots' copy: the probe is
+    /// bandwidth-bound, and reading columns out of the 12-byte slots
+    /// instead costs it 20 rather than 12 bytes per entry per sweep.
+    cols: Vec<u32>,
     vals: Vec<f64>,
-    /// Cumulative |vals| within each row — reference inverse-CDF sampler
-    /// only (benchmark baseline and distribution cross-checks).
-    cum: Vec<f64>,
     /// Packed alias table, one slot per entry (aligned with `cols`).
     alias: Vec<AliasSlot>,
     /// Absolute row sums `S_k` (the weight multiplier magnitude).
@@ -139,15 +146,25 @@ pub struct WalkMatrix {
     inv_diag: Vec<f64>,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`WalkMatrix::from_perturbed`] calls made on this thread, so tests
+    /// can count the splittings a build derives.
+    pub(crate) static CONSTRUCTIONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Sign flag packed into [`AliasSlot::col_sign`] bit 31.
 const SIGN_BIT: u32 = 1 << 31;
+
+/// The shift σ of the spectral probe's power iteration on `|C| + σI`.
+const PROBE_SHIFT: f64 = 0.5;
 
 /// One alias-table slot, packed to 12 bytes so a transition touches one
 /// (sometimes two) cache lines and needs **zero floating-point ops** to
 /// resolve: the coin flip is a `u32` compare against the fixed-point
 /// cutoff, and the signed weight multiplier is reconstructed as
 /// `±rowsum[k]` from the sign bit folded into the column word.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct AliasSlot {
     /// In-slot acceptance cutoff, fixed point in 2⁻³² units. Saturated
     /// slots store `u32::MAX` and alias to themselves, so the 2⁻³²
@@ -159,21 +176,45 @@ pub(crate) struct AliasSlot {
     col_sign: u32,
 }
 
-/// Append the Walker/Vose alias table of one row (`cols`/`vals` are the
-/// row's entries, `s > 0` their absolute sum) to the flat slot array.
-/// Vose runs in f64 and the final cutoffs are quantised to 32-bit fixed
-/// point (≈2⁻³³ rounding per slot — orders of magnitude below any Monte
-/// Carlo error this engine can reach). Worklists are filled in ascending
-/// index order so construction is fully deterministic.
-fn push_row_alias(cols: &[usize], vals: &[f64], s: f64, slots: &mut Vec<AliasSlot>) {
-    let m = cols.len();
-    debug_assert!(m > 0 && s > 0.0);
+/// Worklists of the Vose construction, reused across the rows of one range
+/// so table set-up allocates per range, not per row.
+#[derive(Default)]
+struct AliasScratch {
+    prob: Vec<f64>,
+    alias: Vec<u32>,
+    small: Vec<u32>,
+    large: Vec<u32>,
+}
+
+/// Write the Walker/Vose alias table of one row into `slots` (`cols`/`vals`
+/// are the row's entries, `s > 0` their absolute sum). Vose runs in f64 and
+/// the final cutoffs are quantised to 32-bit fixed point (≈2⁻³³ rounding
+/// per slot — orders of magnitude below any Monte Carlo error this engine
+/// can reach). Worklists are filled in ascending index order so
+/// construction is fully deterministic.
+fn fill_row_alias(
+    cols: &[u32],
+    vals: &[f64],
+    s: f64,
+    scratch: &mut AliasScratch,
+    slots: &mut [AliasSlot],
+) {
+    let m = vals.len();
+    debug_assert!(m > 0 && s > 0.0 && slots.len() == m && cols.len() == m);
     assert_row_width(m);
+    let AliasScratch {
+        prob,
+        alias,
+        small,
+        large,
+    } = scratch;
     let scale = m as f64 / s;
-    let mut prob: Vec<f64> = vals.iter().map(|v| v.abs() * scale).collect();
-    let mut alias: Vec<u32> = (0..m as u32).collect();
-    let mut small: Vec<u32> = Vec::new();
-    let mut large: Vec<u32> = Vec::new();
+    prob.clear();
+    prob.extend(vals.iter().map(|v| v.abs() * scale));
+    alias.clear();
+    alias.extend(0..m as u32);
+    small.clear();
+    large.clear();
     for (i, &p) in prob.iter().enumerate() {
         if p < 1.0 {
             small.push(i as u32);
@@ -195,11 +236,60 @@ fn push_row_alias(cols: &[usize], vals: &[f64], s: f64, slots: &mut Vec<AliasSlo
     for &g in large.iter().chain(small.iter()) {
         prob[g as usize] = 1.0;
     }
-    slots.extend((0..m).map(|i| AliasSlot {
-        prob: (prob[i] * 4294967296.0).round().min(u32::MAX as f64) as u32,
-        alias: alias[i],
-        col_sign: cols[i] as u32 | if vals[i] < 0.0 { SIGN_BIT } else { 0 },
-    }));
+    for (i, slot) in slots.iter_mut().enumerate() {
+        *slot = AliasSlot {
+            prob: (prob[i] * 4294967296.0).round().min(u32::MAX as f64) as u32,
+            alias: alias[i],
+            col_sign: cols[i] | if vals[i] < 0.0 { SIGN_BIT } else { 0 },
+        };
+    }
+}
+
+/// How many row ranges a pass over `work` entries is split into: one per
+/// thread once the work clears the dispatch threshold, else one (serial).
+fn row_parts(work: usize) -> usize {
+    if par_pays_off(work) {
+        rayon::current_num_threads()
+    } else {
+        1
+    }
+}
+
+/// Split `buf` front to back into one slice per length in `lens`.
+fn carve<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+    lens.map(|len| {
+        let (head, tail) = std::mem::take(&mut buf).split_at_mut(len);
+        buf = tail;
+        head
+    })
+    .collect()
+}
+
+/// `â_ii` of row `i` under `Â = A + α·diag(A)`; a zero diagonal falls back
+/// to `α·max(‖row‖₁, 1)`.
+fn perturbed_diag(a: &Csr, alpha: f64, i: usize) -> f64 {
+    let aii = a.get(i, i);
+    if aii != 0.0 {
+        (1.0 + alpha) * aii
+    } else {
+        alpha
+            * a.row_values(i)
+                .iter()
+                .map(|v| v.abs())
+                .sum::<f64>()
+                .max(1.0)
+    }
+}
+
+/// Off-diagonal splitting entries `(j, c_ij = −â_ij/â_ii)` of row `i`, exact
+/// zeros dropped. Off-diagonal entries of `Â` equal `A`'s.
+fn splitting_row(a: &Csr, i: usize, dii: f64) -> impl Iterator<Item = (usize, f64)> + '_ {
+    a.row_indices(i)
+        .iter()
+        .zip(a.row_values(i))
+        .filter(move |&(&j, _)| j != i)
+        .map(move |(&j, &v)| (j, -v / dii))
+        .filter(|&(_, c)| c != 0.0)
 }
 
 /// Hard guard on the packed alias representation: a row with more than
@@ -236,73 +326,108 @@ impl WalkMatrix {
     /// monotonically: `S_k(α) = S_k(0)/(1 + α)`). `C = I − D̂⁻¹Â`
     /// (so `c_ii = 0`, `c_ij = −â_ij/â_ii`).
     ///
-    /// Rows whose diagonal is zero fall back to `â_ii = α·‖row‖₁` so the
-    /// perturbation still regularises them; if that is also zero the walk
-    /// row is empty (identity fallback).
+    /// Rows whose diagonal is zero fall back to `â_ii = α·max(‖row‖₁, 1)` so
+    /// the perturbation still regularises them; if that is also zero
+    /// (α = 0) the walk row is empty (identity fallback).
+    ///
+    /// Two passes over nnz-balanced row ranges, parallel once `nnz(A)`
+    /// clears the dispatch threshold: the first sizes every row (so the
+    /// flat arrays are allocated once, exactly), the second fills values,
+    /// row sums and alias tables in place. Each row is computed by the same
+    /// sequential code whichever range it lands in, so the result does not
+    /// depend on the thread count.
     pub fn from_perturbed(a: &Csr, alpha: f64) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "WalkMatrix: matrix must be square");
         let n = a.nrows();
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut cols = Vec::new();
-        let mut vals = Vec::new();
         assert!(
             n < SIGN_BIT as usize,
             "WalkMatrix: dimension exceeds 2^31 − 1 (alias slots pack the \
              column and sign into one u32)"
         );
-        let mut cum = Vec::new();
-        let mut alias = Vec::new();
-        let mut rowsum = Vec::with_capacity(n);
-        let mut inv_diag = Vec::with_capacity(n);
-        indptr.push(0);
+        #[cfg(test)]
+        CONSTRUCTIONS.with(|c| c.set(c.get() + 1));
+        let ranges = a.nnz_balanced_row_ranges(row_parts(a.nnz()));
+        let row_counts = || ranges.iter().map(Range::len);
+
+        // Pass 1: perturbed diagonal and entry count of every row. A
+        // degenerate diagonal (identity action, empty walk row) is stored
+        // as 0.
+        let mut diag = vec![0.0; n];
+        let mut indptr = vec![0usize; n + 1];
+        ranges
+            .iter()
+            .cloned()
+            .zip(carve(&mut diag, row_counts()))
+            .zip(carve(&mut indptr[1..], row_counts()))
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|((rows, diag), widths)| {
+                for (i, (d, width)) in rows.zip(diag.iter_mut().zip(widths)) {
+                    let dii = perturbed_diag(a, alpha, i);
+                    let degenerate = dii.abs() < f64::MIN_POSITIVE;
+                    if !degenerate {
+                        *d = dii;
+                        *width = splitting_row(a, i, dii).count();
+                    }
+                }
+            });
         for i in 0..n {
-            let aii = a.get(i, i);
-            let dii = if aii != 0.0 {
-                (1.0 + alpha) * aii
-            } else {
-                alpha
-                    * a.row_values(i)
-                        .iter()
-                        .map(|v| v.abs())
-                        .sum::<f64>()
-                        .max(1.0)
-            };
-            if dii.abs() < f64::MIN_POSITIVE {
-                // Degenerate row: identity action.
-                inv_diag.push(1.0);
-                rowsum.push(0.0);
-                indptr.push(cols.len());
-                continue;
-            }
-            inv_diag.push(1.0 / dii);
-            let mut s = 0.0;
-            let row_start = cols.len();
-            for (&j, &v) in a.row_indices(i).iter().zip(a.row_values(i)) {
-                // c_ij = −â_ij / â_ii; off-diagonal entries of Â equal A's.
-                if j == i {
-                    continue;
-                }
-                let c = -v / dii;
-                if c != 0.0 {
-                    cols.push(j);
-                    vals.push(c);
-                    s += c.abs();
-                    cum.push(s);
-                }
-            }
-            if cols.len() > row_start {
-                push_row_alias(&cols[row_start..], &vals[row_start..], s, &mut alias);
-            }
-            rowsum.push(s);
-            indptr.push(cols.len());
+            indptr[i + 1] += indptr[i];
         }
-        debug_assert_eq!(alias.len(), cols.len());
+
+        // Pass 2: values, row sums and alias tables, each range writing its
+        // own stretch of the flat arrays.
+        let nnz = indptr[n];
+        let entry_counts = || ranges.iter().map(|r| indptr[r.end] - indptr[r.start]);
+        let mut cols = vec![0u32; nnz];
+        let mut vals = vec![0.0; nnz];
+        let mut alias = vec![AliasSlot::default(); nnz];
+        let mut rowsum = vec![0.0; n];
+        let mut inv_diag = vec![1.0; n];
+        ranges
+            .iter()
+            .cloned()
+            .zip(carve(&mut cols, entry_counts()))
+            .zip(carve(&mut vals, entry_counts()))
+            .zip(carve(&mut alias, entry_counts()))
+            .zip(carve(&mut rowsum, row_counts()))
+            .zip(carve(&mut inv_diag, row_counts()))
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|(((((rows, cols), vals), alias), rowsum), inv_diag)| {
+                let base = indptr[rows.start];
+                let mut scratch = AliasScratch::default();
+                for (r, i) in rows.enumerate() {
+                    let dii = diag[i];
+                    if dii == 0.0 {
+                        continue;
+                    }
+                    let (rs, re) = (indptr[i] - base, indptr[i + 1] - base);
+                    inv_diag[r] = 1.0 / dii;
+                    let mut s = 0.0;
+                    let entries = cols[rs..re].iter_mut().zip(&mut vals[rs..re]);
+                    for ((col, v), (j, c)) in entries.zip(splitting_row(a, i, dii)) {
+                        *col = j as u32;
+                        *v = c;
+                        s += c.abs();
+                    }
+                    rowsum[r] = s;
+                    if re > rs {
+                        fill_row_alias(
+                            &cols[rs..re],
+                            &vals[rs..re],
+                            s,
+                            &mut scratch,
+                            &mut alias[rs..re],
+                        );
+                    }
+                }
+            });
         Self {
             n,
             indptr,
             cols,
             vals,
-            cum,
             alias,
             rowsum,
             inv_diag,
@@ -367,23 +492,27 @@ impl WalkMatrix {
     /// noise next to any build, so a degenerate `probe_iters` can never
     /// silently disable the guard. Zero rows and reducible structure are
     /// handled naturally — an all-absorbing matrix reports 0.
+    ///
+    /// Each sweep runs over nnz-balanced row ranges, in parallel once
+    /// `nnz(C)` clears the dispatch threshold; a row's sum is sequential in
+    /// entry order and the norm is an exact `max`, so the estimate is
+    /// bit-equal at any thread count.
     pub fn abs_spectral_radius_estimate(&self, iters: usize) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
-        const SHIFT: f64 = 0.5;
+        let ranges = nnz_balanced_ranges(&self.indptr, row_parts(self.vals.len()));
         let mut x = vec![1.0; self.n];
         let mut y = vec![0.0; self.n];
-        let mut lam = SHIFT;
+        let mut lam = PROBE_SHIFT;
         for _ in 0..iters.max(8) {
-            for i in 0..self.n {
-                let (rs, re) = (self.indptr[i], self.indptr[i + 1]);
-                let mut s = SHIFT * x[i];
-                for e in rs..re {
-                    s += self.vals[e].abs() * x[self.cols[e]];
-                }
-                y[i] = s;
-            }
+            ranges
+                .iter()
+                .cloned()
+                .zip(carve(&mut y, ranges.iter().map(Range::len)))
+                .collect::<Vec<_>>()
+                .into_par_iter()
+                .for_each(|(rows, y)| self.shifted_abs_sweep(rows, &x, y));
             let norm = y.iter().fold(0.0f64, |m, &v| m.max(v));
             if !norm.is_finite() {
                 return norm;
@@ -395,7 +524,28 @@ impl WalkMatrix {
             }
         }
         // The shifted iteration's ratio converges to ρ(|C|) + σ.
-        (lam - SHIFT).max(0.0)
+        (lam - PROBE_SHIFT).max(0.0)
+    }
+
+    /// One sweep of the probe over `rows`: `y ← (|C| + σI)·x` on those rows
+    /// (`y[0]` is row `rows.start`), each row summed in entry order.
+    fn shifted_abs_sweep(&self, rows: Range<usize>, x: &[f64], y: &mut [f64]) {
+        for (i, yi) in rows.zip(y) {
+            let mut s = PROBE_SHIFT * x[i];
+            for (j, c) in self.row_entries(i) {
+                s += c.abs() * x[j];
+            }
+            *yi = s;
+        }
+    }
+
+    /// Signed entries `(j, c_kj)` of row `k`, in storage order.
+    pub fn row_entries(&self, k: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let (rs, re) = (self.indptr[k], self.indptr[k + 1]);
+        self.cols[rs..re]
+            .iter()
+            .zip(&self.vals[rs..re])
+            .map(|(&j, &c)| (j as usize, c))
     }
 
     /// Entry range of row `k` in the flat arrays (empty ⇒ absorbing row).
@@ -414,20 +564,6 @@ impl WalkMatrix {
     #[inline]
     pub fn sample_transition<R: Rng>(&self, k: usize, rng: &mut R) -> (usize, f64) {
         self.step(k, rng).expect("sample_transition: absorbing row")
-    }
-
-    /// Reference O(log nnz_row) sampler: inverse-CDF binary search on the
-    /// cumulative table. Same distribution as [`WalkMatrix::sample_transition`]
-    /// (and the same single uniform draw), different draw→state mapping.
-    /// Kept as the benchmark baseline — the production walk loop uses the
-    /// alias path.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the row is absorbing.
-    #[inline]
-    pub fn sample_transition_invcdf<R: Rng>(&self, k: usize, rng: &mut R) -> (usize, f64) {
-        self.step_invcdf(k, rng)
-            .expect("sample_transition_invcdf: absorbing row")
     }
 
     /// Sample the next state from row `k` via the alias table; returns
@@ -469,25 +605,6 @@ impl WalkMatrix {
             -s
         };
         ((chosen.col_sign & !SIGN_BIT) as usize, mult)
-    }
-
-    /// Inverse-CDF sampling (binary search on the cumulative table).
-    #[inline]
-    fn step_invcdf<R: Rng>(&self, k: usize, rng: &mut R) -> Option<(usize, f64)> {
-        let (rs, re) = (self.indptr[k], self.indptr[k + 1]);
-        if rs == re {
-            return None;
-        }
-        let s = self.rowsum[k];
-        let u: f64 = rng.gen::<f64>() * s;
-        let row_cum = &self.cum[rs..re];
-        let idx = match row_cum.binary_search_by(|c| c.partial_cmp(&u).unwrap()) {
-            Ok(i) => (i + 1).min(row_cum.len() - 1),
-            Err(i) => i.min(row_cum.len() - 1),
-        };
-        let j = self.cols[rs + idx];
-        let mult = self.vals[rs + idx].signum() * s;
-        Some((j, mult))
     }
 
     /// Run `n_chains` walks from row `i`, accumulating weight tallies into
@@ -1044,7 +1161,7 @@ mod tests {
                         "row {k} entry {e}: implied {got} vs MAO {expect}"
                     );
                     let slot = w.alias[rs + e];
-                    assert_eq!((slot.col_sign & !SIGN_BIT) as usize, w.cols[rs + e]);
+                    assert_eq!(slot.col_sign & !SIGN_BIT, w.cols[rs + e]);
                     assert_eq!(slot.col_sign & SIGN_BIT != 0, w.vals[rs + e] < 0.0);
                 }
             }
@@ -1053,7 +1170,7 @@ mod tests {
 
     #[test]
     fn alias_sampler_passes_chi_square_against_mao_distribution() {
-        // One heavily skewed 10-entry row; both samplers must match the MAO
+        // One heavily skewed 10-entry row; the sampler must match the MAO
         // distribution |c_kj|/S_k. χ²₀.₉₉₉(9 dof) = 27.88.
         let n = 11;
         let mut coo = Coo::new(n, n);
@@ -1066,83 +1183,24 @@ mod tests {
             coo.push(j, j, 1.0);
         }
         let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.0);
-        let (rs, re) = w.row_range(0);
-        let m = re - rs;
-        assert_eq!(m, 10);
+        assert_eq!(w.row_entries(0).count(), 10);
         let s = w.rowsum(0);
         let draws = 200_000usize;
 
-        let chi2 = |sampler: &dyn Fn(&WalkMatrix, &mut ChaCha8Rng) -> (usize, f64)| {
-            let mut rng = ChaCha8Rng::seed_from_u64(12345);
-            let mut counts = vec![0usize; n];
-            for _ in 0..draws {
-                let (j, mult) = sampler(&w, &mut rng);
-                assert!((mult.abs() - s).abs() < 1e-15);
-                counts[j] += 1;
-            }
-            let mut stat = 0.0;
-            for e in 0..m {
-                let p = w.vals[rs + e].abs() / s;
-                let expected = p * draws as f64;
-                let d = counts[w.cols[rs + e]] as f64 - expected;
-                stat += d * d / expected;
-            }
-            stat
-        };
-
-        let chi2_alias = chi2(&|w, rng| w.sample_transition(0, rng));
-        let chi2_invcdf = chi2(&|w, rng| w.sample_transition_invcdf(0, rng));
-        assert!(chi2_alias < 27.88, "alias χ² = {chi2_alias}");
-        assert!(chi2_invcdf < 27.88, "invcdf χ² = {chi2_invcdf}");
-    }
-
-    #[test]
-    fn alias_and_invcdf_estimators_agree_statistically() {
-        // Same Neumann-series target through both samplers on a branching
-        // ring: the estimators must agree within Monte Carlo error even
-        // though individual trajectories differ draw-by-draw.
-        let nn = 4usize;
-        let mut coo = Coo::new(nn, nn);
-        for i in 0..nn {
-            coo.push(i, i, 3.0);
-            coo.push(i, (i + 1) % nn, -1.0);
-            coo.push(i, (i + 3) % nn, -0.5);
+        let mut rng = ChaCha8Rng::seed_from_u64(12345);
+        let mut counts = vec![0usize; n];
+        for _ in 0..draws {
+            let (j, mult) = w.sample_transition(0, &mut rng);
+            assert!((mult.abs() - s).abs() < 1e-15);
+            counts[j] += 1;
         }
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.5);
-        let chains = 100_000usize;
-        let delta = 1e-4f64;
-
-        // Alias path through the production walk loop.
-        let mut scratch = vec![0.0; nn];
-        let mut touched = Vec::new();
-        w.walk_row(0, chains, delta, 10_000, 9, &mut scratch, &mut touched);
-
-        // Inverse-CDF path, replicating walk_row's contribution rule.
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        let mut scratch_inv = vec![0.0; nn];
-        for _ in 0..chains {
-            let mut k = 0usize;
-            let mut wgt = 1.0f64;
-            scratch_inv[k] += wgt;
-            loop {
-                let (rs, re) = w.row_range(k);
-                if rs == re {
-                    break;
-                }
-                let (j, mult) = w.sample_transition_invcdf(k, &mut rng);
-                wgt *= mult;
-                k = j;
-                if wgt.abs() < delta {
-                    break;
-                }
-                scratch_inv[k] += wgt;
-            }
+        let mut stat = 0.0;
+        for (j, c) in w.row_entries(0) {
+            let expected = c.abs() / s * draws as f64;
+            let d = counts[j] as f64 - expected;
+            stat += d * d / expected;
         }
-        for j in 0..nn {
-            let a = scratch[j] / chains as f64;
-            let b = scratch_inv[j] / chains as f64;
-            assert!((a - b).abs() < 0.02, "col {j}: alias {a} vs invcdf {b}");
-        }
+        assert!(stat < 27.88, "alias χ² = {stat}");
     }
 
     #[test]
@@ -1293,8 +1351,6 @@ mod tests {
             coo.push(j, j, 1.0);
         }
         let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.0);
-        let (rs, re) = w.row_range(0);
-        let m = re - rs;
         let s = w.rowsum(0);
 
         let lanes = 512usize;
@@ -1316,10 +1372,9 @@ mod tests {
         }
         let total = (lanes * rounds) as f64;
         let mut stat = 0.0;
-        for e in 0..m {
-            let p = w.vals[rs + e].abs() / s;
-            let expected = p * total;
-            let d = counts[w.cols[rs + e]] as f64 - expected;
+        for (j, c) in w.row_entries(0) {
+            let expected = c.abs() / s * total;
+            let d = counts[j] as f64 - expected;
             stat += d * d / expected;
         }
         assert!(stat < 27.88, "gathered-lane χ² = {stat}");
@@ -1401,6 +1456,106 @@ mod tests {
                 "pass {pass}: scalar {scalar_ns:.2} ns/t  soa {soa_ns:.2} ns/t  \
                  (journal replay of last row: {replay_ns:.0} ns, sink {sink})"
             );
+        }
+    }
+
+    /// Serializes the tests that install the process-wide dispatch
+    /// threshold, and clears it when the test ends (also on panic).
+    struct ThresholdOverride(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
+
+    impl ThresholdOverride {
+        fn install(threshold: usize) -> Self {
+            static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+            mcmcmi_sparse::set_par_threshold_for_tests(Some(threshold));
+            Self(guard)
+        }
+    }
+
+    impl Drop for ThresholdOverride {
+        fn drop(&mut self) {
+            mcmcmi_sparse::set_par_threshold_for_tests(None);
+        }
+    }
+
+    fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    #[test]
+    fn setup_and_probe_are_bit_equal_at_any_thread_count() {
+        // A threshold between the two operators' nnz: the first is set up
+        // and probed over per-thread row ranges, the second serially.
+        const THRESHOLD: usize = 400;
+        let above = mcmcmi_matgen::pdd_real_sparse(96, 3);
+        let below = mcmcmi_matgen::fd_laplace_2d(6);
+        let _guard = ThresholdOverride::install(THRESHOLD);
+        for (a, parts) in [(&above, 5), (&below, 1)] {
+            let reference = in_pool(1, || WalkMatrix::from_perturbed(a, 0.5));
+            for work in [a.nnz(), reference.vals.len()] {
+                assert_eq!(in_pool(5, || row_parts(work)), parts, "{work} entries");
+            }
+            let rho = reference.abs_spectral_radius_estimate(32);
+            for threads in [2usize, 5] {
+                let (w, rho_t) = in_pool(threads, || {
+                    let w = WalkMatrix::from_perturbed(a, 0.5);
+                    let rho = w.abs_spectral_radius_estimate(32);
+                    (w, rho)
+                });
+                assert_eq!(w.indptr, reference.indptr, "{threads} threads");
+                assert_eq!(w.cols, reference.cols, "{threads} threads");
+                assert_eq!(w.alias, reference.alias, "{threads} threads");
+                assert_eq!(w.rowsum, reference.rowsum, "{threads} threads");
+                assert_eq!(w.inv_diag, reference.inv_diag, "{threads} threads");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&w.vals), bits(&reference.vals), "{threads} threads");
+                assert_eq!(rho_t.to_bits(), rho.to_bits(), "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_diagonal_and_degenerate_rows_split_the_same_in_every_range() {
+        // Row 1 has no diagonal (falls back to α·max(‖row‖₁, 1)), row 2 is
+        // empty and row 3 has an explicit zero off-diagonal: the sizing pass
+        // and the fill pass must agree on every width, in one range or many.
+        let mut coo = Coo::new(5, 5);
+        coo.push(0, 0, 2.0);
+        coo.push(0, 1, -1.0);
+        coo.push(1, 0, 0.25);
+        coo.push(1, 4, -0.25);
+        coo.push(3, 3, 4.0);
+        coo.push(3, 0, 0.0);
+        coo.push(3, 4, 1.0);
+        coo.push(4, 4, -3.0);
+        coo.push(4, 2, 1.5);
+        let a = coo.to_csr();
+        let _guard = ThresholdOverride::install(1);
+        for alpha in [0.0, 0.5] {
+            let serial = in_pool(1, || WalkMatrix::from_perturbed(&a, alpha));
+            let entries = |w: &WalkMatrix, k| w.row_entries(k).collect::<Vec<_>>();
+            if alpha == 0.0 {
+                // â_11 = 0·max(0.5, 1) = 0: identity fallback.
+                assert!(entries(&serial, 1).is_empty());
+                assert_eq!(serial.inv_diag()[1], 1.0);
+            } else {
+                // â_11 = 0.5·max(0.5, 1) = 0.5 ⇒ c_10 = −0.5, c_14 = 0.5.
+                assert_eq!(entries(&serial, 1), vec![(0, -0.5), (4, 0.5)]);
+                assert_eq!(serial.inv_diag()[1], 2.0);
+            }
+            assert!(entries(&serial, 2).is_empty());
+            assert_eq!(entries(&serial, 3).len(), 1, "explicit zero dropped");
+            let split = in_pool(3, || WalkMatrix::from_perturbed(&a, alpha));
+            assert_eq!(split.indptr, serial.indptr);
+            assert_eq!(split.cols, serial.cols);
+            assert_eq!(split.alias, serial.alias);
+            assert_eq!(split.vals, serial.vals);
+            assert_eq!(split.rowsum, serial.rowsum);
+            assert_eq!(split.inv_diag, serial.inv_diag);
         }
     }
 

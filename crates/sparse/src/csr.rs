@@ -299,36 +299,7 @@ impl<T: Scalar> Csr<T> {
     /// 5-point Laplacian rows) row-count chunking leaves threads idle; this
     /// greedily cuts at the nearest row boundary to each ideal nnz share.
     pub fn nnz_balanced_row_ranges(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        let parts = parts.max(1);
-        let n = self.nrows;
-        let total = self.nnz();
-        if n == 0 {
-            return Vec::new();
-        }
-        if parts == 1 || total == 0 {
-            return std::iter::once(0..n).collect();
-        }
-        let mut ranges = Vec::with_capacity(parts);
-        let mut start = 0usize;
-        for p in 1..=parts {
-            if start >= n {
-                break;
-            }
-            let target = total * p / parts;
-            // First row boundary whose cumulative nnz reaches the target
-            // (indptr is the cumulative nnz array — binary search it).
-            let mut end = match self.indptr[start + 1..=n].binary_search(&target) {
-                Ok(k) => start + 1 + k,
-                Err(k) => start + 1 + k,
-            };
-            if p == parts {
-                end = n;
-            }
-            let end = end.clamp(start + 1, n);
-            ranges.push(start..end);
-            start = end;
-        }
-        ranges
+        nnz_balanced_ranges(&self.indptr, parts)
     }
 
     /// `y ← A·x` with Rayon parallelism over nnz-balanced contiguous row
@@ -388,7 +359,7 @@ impl<T: Scalar> Csr<T> {
     /// decision as the `_auto` entry points — the paths can never disagree.
     #[inline]
     pub fn par_pays_off(&self, work: usize) -> bool {
-        work >= par_threshold() && rayon::current_num_threads() > 1
+        par_pays_off(work)
     }
 
     /// `y ← A·x`, dispatching to [`Csr::spmv_par`] when the matrix is large
@@ -783,6 +754,50 @@ impl Csr<f64> {
             *v *= s;
         }
     }
+}
+
+/// [`Csr::nnz_balanced_row_ranges`] over a bare CSR row-pointer array
+/// (`indptr.len() == nrows + 1`), for row-major structures that are not a
+/// [`Csr`] — the MCMC walk matrix partitions its table set-up and spectral
+/// sweeps with it.
+pub fn nnz_balanced_ranges(indptr: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
+    let parts = parts.max(1);
+    let n = indptr.len().saturating_sub(1);
+    if n == 0 {
+        return Vec::new();
+    }
+    let total = indptr[n];
+    if parts == 1 || total == 0 {
+        return std::iter::once(0..n).collect();
+    }
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0usize;
+    for p in 1..=parts {
+        if start >= n {
+            break;
+        }
+        let target = total * p / parts;
+        // First row boundary whose cumulative nnz reaches the target
+        // (indptr is the cumulative nnz array — binary search it).
+        let mut end = match indptr[start + 1..=n].binary_search(&target) {
+            Ok(k) => start + 1 + k,
+            Err(k) => start + 1 + k,
+        };
+        if p == parts {
+            end = n;
+        }
+        let end = end.clamp(start + 1, n);
+        ranges.push(start..end);
+        start = end;
+    }
+    ranges
+}
+
+/// The rule behind [`Csr::par_pays_off`], for callers whose work is not a
+/// traversal of a [`Csr`].
+#[inline]
+pub fn par_pays_off(work: usize) -> bool {
+    work >= par_threshold() && rayon::current_num_threads() > 1
 }
 
 /// Does `ranges` cover `0..n` exactly, in order, with no overlap?

@@ -19,7 +19,10 @@ pub mod structure;
 pub use backend::{KernelBackend, SpecializedBackend};
 pub use coo::Coo;
 pub use csc::Csc;
-pub use csr::{par_threshold, set_par_threshold_for_tests, Csr, DEFAULT_PAR_THRESHOLD};
+pub use csr::{
+    nnz_balanced_ranges, par_pays_off, par_threshold, set_par_threshold_for_tests, Csr,
+    DEFAULT_PAR_THRESHOLD,
+};
 pub use fault::{corrupt_rows, FaultKind, FaultSpec, FaultyBackend};
 pub use ops::{csr_add, csr_add_diag, csr_eye, csr_scale};
 pub use scalar::Scalar;
