@@ -1,7 +1,8 @@
 //! **Serve smoke** — the PR-8 `mcmcmi-serve` daemon end to end in one
 //! process: build-then-cache, a same-fingerprint storm against a jammed
 //! single worker (coalesced replies bit-identical to a local sequential
-//! oracle, overflow shed with structured `Overloaded`), a poison operator
+//! oracle, overflow shed with structured `Overloaded`), three hostile
+//! bodies refused with a structured 400, a poison operator
 //! answered from the negative cache on repeat, a worker panic survived by
 //! pool replacement, and a clean drain.
 //!
@@ -103,6 +104,19 @@ fn main() {
     let (status, v) = post(addr, &body(None, Some(fp), &rhs(n, 1.0), &[]));
     assert_eq!(status, 200);
     assert_eq!(v.get("cached"), Some(&Value::Bool(true)));
+
+    // Hostile bodies are refused at the edge with a structured 400 — CSR
+    // arrays that index out of range, an `nrows` that wraps, a value past
+    // f64 — and never reach the queue.
+    for hostile in [
+        r#"{"matrix":{"nrows":2,"ncols":2,"indptr":[0,100,2],"indices":[0,1],"data":[1.0,1.0]},"b":[1.0,1.0]}"#,
+        r#"{"matrix":{"nrows":18446744073709551615,"ncols":2,"indptr":[],"indices":[],"data":[]},"b":[1.0]}"#,
+        r#"{"fingerprint":1,"b":[1e999]}"#,
+    ] {
+        let (status, v) = post(addr, hostile);
+        assert_eq!(status, 400, "{hostile}: {v:?}");
+        assert_eq!(kind(&v), "BadRequest");
+    }
 
     // Jam the single worker, then storm six same-fingerprint clients at a
     // capacity-3 queue: survivors coalesce, overflow sheds structurally.

@@ -83,6 +83,23 @@ impl<P: Preconditioner + ?Sized> Preconditioner for Box<P> {
     }
 }
 
+/// A shared preconditioner: sessions bound to one cached operator apply
+/// the same `P` without each holding a copy.
+impl<P: Preconditioner + Send + ?Sized> Preconditioner for std::sync::Arc<P> {
+    fn apply(&self, r: &[f64], z: &mut [f64]) {
+        (**self).apply(r, z)
+    }
+    fn dim(&self) -> usize {
+        (**self).dim()
+    }
+    fn apply_block(&self, r: &[f64], k: usize, z: &mut [f64]) {
+        (**self).apply_block(r, k, z)
+    }
+    fn is_compressed(&self) -> bool {
+        (**self).is_compressed()
+    }
+}
+
 /// No-op preconditioner (`P = I`): the "without preconditioner" baseline of
 /// Eq. (4)'s denominator.
 #[derive(Clone, Copy, Debug)]

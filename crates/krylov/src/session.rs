@@ -27,6 +27,7 @@ use crate::resilient::{
 use crate::solver::{SolveOptions, SolveResult, SolverType};
 use mcmcmi_sparse::{Csr, KernelBackend, SpecializedBackend, Structure};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Scalar scratch for the session's solver type.
 #[derive(Clone, Debug)]
@@ -60,8 +61,9 @@ enum BlockWs {
 pub struct SolveSession<P: Preconditioner> {
     /// The operator behind the kernel seam: structure is detected once at
     /// session build, so every matvec in every solve dispatches straight
-    /// to the banded/stencil/generic kernel family.
-    a: SpecializedBackend,
+    /// to the banded/stencil/generic kernel family. Shared, so the sessions
+    /// a cache binds to one operator hold one copy of it between them.
+    a: Arc<SpecializedBackend>,
     precond: P,
     solver: SolverType,
     opts: SolveOptions,
@@ -76,6 +78,26 @@ impl<P: Preconditioner> SolveSession<P> {
     /// # Panics
     /// Panics if `a` is not square or the preconditioner dimension differs.
     pub fn new(a: Csr, precond: P, solver: SolverType, opts: SolveOptions) -> Self {
+        Self::with_backend(
+            Arc::new(SpecializedBackend::detect(a)),
+            precond,
+            solver,
+            opts,
+        )
+    }
+
+    /// Bind an operator whose structure is already detected, sharing it
+    /// with whoever else holds the `Arc` (with `P = Arc<_>`, the
+    /// preconditioner too): binding copies nothing and scans nothing.
+    ///
+    /// # Panics
+    /// Panics if `a` is not square or the preconditioner dimension differs.
+    pub fn with_backend(
+        a: Arc<SpecializedBackend>,
+        precond: P,
+        solver: SolverType,
+        opts: SolveOptions,
+    ) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "SolveSession: matrix must be square");
         assert_eq!(
             a.nrows(),
@@ -90,7 +112,7 @@ impl<P: Preconditioner> SolveSession<P> {
             SolverType::FCg => ScalarWs::FCg(FcgWorkspace::new()),
         };
         Self {
-            a: SpecializedBackend::detect(a),
+            a,
             precond,
             solver,
             opts,
@@ -138,11 +160,11 @@ impl<P: Preconditioner> SolveSession<P> {
     pub fn solve(&mut self, b: &[f64]) -> SolveResult {
         assert_eq!(b.len(), self.a.nrows(), "solve: rhs dimension mismatch");
         match &mut self.scalar_ws {
-            ScalarWs::Cg(ws) => cg_with(&self.a, b, &self.precond, self.opts, ws),
-            ScalarWs::BiCgStab(ws) => bicgstab_with(&self.a, b, &self.precond, self.opts, ws),
-            ScalarWs::Gmres(ws) => gmres_with(&self.a, b, &self.precond, self.opts, ws),
-            ScalarWs::Fgmres(ws) => fgmres_with(&self.a, b, &self.precond, self.opts, ws),
-            ScalarWs::FCg(ws) => fcg_with(&self.a, b, &self.precond, self.opts, ws),
+            ScalarWs::Cg(ws) => cg_with(&*self.a, b, &self.precond, self.opts, ws),
+            ScalarWs::BiCgStab(ws) => bicgstab_with(&*self.a, b, &self.precond, self.opts, ws),
+            ScalarWs::Gmres(ws) => gmres_with(&*self.a, b, &self.precond, self.opts, ws),
+            ScalarWs::Fgmres(ws) => fgmres_with(&*self.a, b, &self.precond, self.opts, ws),
+            ScalarWs::FCg(ws) => fcg_with(&*self.a, b, &self.precond, self.opts, ws),
         }
     }
 
@@ -169,11 +191,11 @@ impl<P: Preconditioner> SolveSession<P> {
             SolverType::FCg => BlockWs::FCg(FcgBlockWorkspace::new()),
         });
         match ws {
-            BlockWs::Cg(ws) => cg_batch(&self.a, rhs, &self.precond, self.opts, ws),
-            BlockWs::BiCgStab(ws) => bicgstab_batch(&self.a, rhs, &self.precond, self.opts, ws),
-            BlockWs::Gmres(ws) => gmres_batch(&self.a, rhs, &self.precond, self.opts, ws),
-            BlockWs::Fgmres(ws) => fgmres_batch(&self.a, rhs, &self.precond, self.opts, ws),
-            BlockWs::FCg(ws) => fcg_batch(&self.a, rhs, &self.precond, self.opts, ws),
+            BlockWs::Cg(ws) => cg_batch(&*self.a, rhs, &self.precond, self.opts, ws),
+            BlockWs::BiCgStab(ws) => bicgstab_batch(&*self.a, rhs, &self.precond, self.opts, ws),
+            BlockWs::Gmres(ws) => gmres_batch(&*self.a, rhs, &self.precond, self.opts, ws),
+            BlockWs::Fgmres(ws) => fgmres_batch(&*self.a, rhs, &self.precond, self.opts, ws),
+            BlockWs::FCg(ws) => fcg_batch(&*self.a, rhs, &self.precond, self.opts, ws),
         }
     }
 
@@ -202,7 +224,7 @@ impl<P: Preconditioner> SolveSession<P> {
             };
         }
         escalate_scalar(
-            &self.a,
+            &*self.a,
             b,
             &self.precond,
             self.solver,
@@ -229,7 +251,7 @@ impl<P: Preconditioner> SolveSession<P> {
     ) -> (Vec<SolveResult>, RecoveryTrail) {
         let base = self.solve_batch(rhs);
         escalate_batch(
-            &self.a,
+            &*self.a,
             rhs,
             &self.precond,
             self.solver,
@@ -257,7 +279,7 @@ impl<P: Preconditioner> SolveSession<P> {
             scalar_ws,
             ..
         } = self;
-        let opts = *opts;
+        let (a, opts) = (&**a, *opts);
         crate::warm::warm_scalar_with(a, b, x0, opts, |r, inner| match scalar_ws {
             ScalarWs::Cg(ws) => cg_with(a, r, precond, inner, ws),
             ScalarWs::BiCgStab(ws) => bicgstab_with(a, r, precond, inner, ws),
@@ -292,7 +314,7 @@ impl<P: Preconditioner> SolveSession<P> {
             block_ws,
             ..
         } = self;
-        let (solver, opts) = (*solver, *opts);
+        let (a, solver, opts) = (&**a, *solver, *opts);
         crate::warm::warm_batch_with(a, rhs, x0, opts, |residuals, inner| {
             let ws = block_ws
                 .entry(residuals.len())
@@ -336,7 +358,7 @@ impl<P: Preconditioner> SolveSession<P> {
             self.precond.dim(),
             "replace_matrix: dimension change invalidates the session"
         );
-        self.a = SpecializedBackend::detect(a);
+        self.a = Arc::new(SpecializedBackend::detect(a));
     }
 
     /// Swap the preconditioner (after a partial row rebuild, a safeguarded
@@ -356,7 +378,9 @@ impl<P: Preconditioner> SolveSession<P> {
 
     /// Tear the session apart, recovering the matrix and preconditioner.
     pub fn into_parts(self) -> (Csr, P) {
-        (self.a.into_csr(), self.precond)
+        let a =
+            Arc::try_unwrap(self.a).map_or_else(|shared| shared.csr().clone(), |a| a.into_csr());
+        (a, self.precond)
     }
 }
 

@@ -13,15 +13,17 @@
 //!
 //! Eviction is least-recently-used over an explicit byte budget (matrix +
 //! preconditioner storage), so a long-lived daemon facing an unbounded
-//! stream of distinct operators stays inside a fixed footprint. In-flight
-//! solves hold `Arc`s to their entry, so eviction never invalidates a
+//! stream of distinct operators stays inside a fixed footprint. An entry
+//! holds the one copy of its operator and preconditioner; the sessions it
+//! hands out share them, so the bytes charged are the bytes resident.
+//! In-flight solves hold `Arc`s to both, so eviction never invalidates a
 //! running solve — the memory is reclaimed when the last user drops it.
 
 use crate::queue::GroupKey;
 use crate::sync::lock_unpoisoned;
 use mcmcmi_krylov::{SolveOptions, SolveSession, SparsePrecond};
 use mcmcmi_mcmc::{BuildAttempt, BuildError, McmcParams};
-use mcmcmi_sparse::Csr;
+use mcmcmi_sparse::{Csr, SpecializedBackend};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -29,26 +31,30 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// is tiny, but charging something keeps the accounting honest.
 const POISON_ENTRY_BYTES: usize = 512;
 
+/// The session type the cache pools: bound to an entry's shared operator
+/// and preconditioner.
+pub type PooledSession = SolveSession<Arc<SparsePrecond>>;
+
 /// A successfully built operator: matrix, preconditioner, provenance, and
 /// the per-solver-options session pool.
 pub struct OperatorEntry {
-    /// The operator.
-    pub matrix: Csr,
+    /// The operator, its structure detected once, when the entry is made.
+    pub operator: Arc<SpecializedBackend>,
     /// The accepted MCMC approximate inverse.
-    pub precond: SparsePrecond,
+    pub precond: Arc<SparsePrecond>,
     /// Effective build parameters (α reflects any safeguard backoff).
     pub params: McmcParams,
     /// The safeguard's attempt trail for the accepted build.
     pub attempts: Vec<BuildAttempt>,
     /// `ρ(|C|)` estimate of the accepted splitting.
     pub rho_estimate: f64,
-    /// Bytes this entry is charged against the cache budget.
+    /// Bytes this entry is charged against the cache budget: the storage
+    /// of `operator` and `precond`, which every session shares.
     pub bytes: usize,
-    /// One warm [`SolveSession`] per solver-options key. Sessions are
-    /// *taken* for the duration of a solve (so the entry mutex is never
-    /// held across iteration work) and returned afterwards with their
-    /// workspaces grown.
-    sessions: Mutex<HashMap<GroupKey, SolveSession<SparsePrecond>>>,
+    /// One warm session per solver-options key. Sessions are *taken* for
+    /// the duration of a solve (so the entry mutex is never held across
+    /// iteration work) and returned afterwards with their workspaces grown.
+    sessions: Mutex<HashMap<GroupKey, PooledSession>>,
 }
 
 impl OperatorEntry {
@@ -62,8 +68,8 @@ impl OperatorEntry {
     ) -> Self {
         let bytes = matrix.storage_bytes() + precond.matrix().storage_bytes();
         Self {
-            matrix,
-            precond,
+            operator: Arc::new(SpecializedBackend::detect(matrix)),
+            precond: Arc::new(precond),
             params,
             attempts,
             rho_estimate,
@@ -76,18 +82,24 @@ impl OperatorEntry {
     /// return it with [`OperatorEntry::put_session`] when the solve is
     /// done; a concurrent taker for the same key simply gets a fresh
     /// session — results are bit-identical either way, only workspace
-    /// reuse is lost.
-    pub fn take_session(&self, key: &GroupKey, opts: SolveOptions) -> SolveSession<SparsePrecond> {
+    /// reuse is lost. A fresh session copies nothing: it is bound to this
+    /// entry's operator and preconditioner.
+    pub fn take_session(&self, key: &GroupKey, opts: SolveOptions) -> PooledSession {
         // A panic mid-take/put leaves the pool map itself intact (at worst
         // a session is lost), so recover the lock rather than cascade.
         let taken = lock_unpoisoned(&self.sessions).remove(key);
         taken.unwrap_or_else(|| {
-            SolveSession::new(self.matrix.clone(), self.precond.clone(), key.solver, opts)
+            SolveSession::with_backend(
+                Arc::clone(&self.operator),
+                Arc::clone(&self.precond),
+                key.solver,
+                opts,
+            )
         })
     }
 
     /// Return a session to the pool for the next request with this key.
-    pub fn put_session(&self, key: GroupKey, session: SolveSession<SparsePrecond>) {
+    pub fn put_session(&self, key: GroupKey, session: PooledSession) {
         lock_unpoisoned(&self.sessions).insert(key, session);
     }
 
@@ -377,6 +389,63 @@ mod tests {
         assert_eq!(e.pooled_sessions(), 0);
         let r2 = s2.solve(&b);
         assert_eq!(r1.x, r2.x, "reused session is bit-identical");
+    }
+
+    #[test]
+    fn sessions_share_the_entry_s_storage_and_bytes_counts_what_is_resident() {
+        let (_fp, e) = entry(24, 0.0);
+        let key = |solver| GroupKey {
+            fingerprint: 1,
+            solver,
+            tol_bits: 1e-8f64.to_bits(),
+            max_iter: 100,
+            restart: 50,
+        };
+        let (cg, gmres) = (
+            key(mcmcmi_krylov::SolverType::Cg),
+            key(mcmcmi_krylov::SolverType::Gmres),
+        );
+        // Bytes of every distinct operator / preconditioner allocation the
+        // entry and its pooled sessions hold between them.
+        let resident = |e: &OperatorEntry| {
+            let mut seen = std::collections::HashMap::new();
+            seen.insert(
+                Arc::as_ptr(&e.operator).cast::<()>(),
+                e.operator.csr().storage_bytes(),
+            );
+            seen.insert(
+                Arc::as_ptr(&e.precond).cast::<()>(),
+                e.precond.matrix().storage_bytes(),
+            );
+            for s in lock_unpoisoned(&e.sessions).values() {
+                seen.insert(
+                    std::ptr::from_ref(s.backend()).cast::<()>(),
+                    s.matrix().storage_bytes(),
+                );
+                seen.insert(
+                    Arc::as_ptr(s.precond()).cast::<()>(),
+                    s.precond().matrix().storage_bytes(),
+                );
+            }
+            seen.values().sum::<usize>()
+        };
+        assert_eq!(e.bytes, resident(&e), "empty pool");
+
+        let opts = SolveOptions::default();
+        let (s1, s2) = (e.take_session(&cg, opts), e.take_session(&gmres, opts));
+        assert!(std::ptr::eq(s1.backend(), s2.backend()), "one operator");
+        assert!(std::ptr::eq(s1.backend(), &*e.operator));
+        assert!(
+            Arc::ptr_eq(s1.precond(), s2.precond()),
+            "one preconditioner"
+        );
+        assert!(Arc::ptr_eq(s1.precond(), &e.precond));
+
+        e.put_session(cg, s1);
+        assert_eq!(e.bytes, resident(&e), "one pooled session");
+        e.put_session(gmres, s2);
+        assert_eq!(e.pooled_sessions(), 2);
+        assert_eq!(e.bytes, resident(&e), "two pooled sessions");
     }
 
     #[test]

@@ -1,19 +1,26 @@
 //! Wire types of the serving daemon: the `/solve` request, the success
 //! reply, and the structured error envelope.
 //!
-//! Requests are parsed by hand from the JSON [`Value`] tree rather than
-//! through `#[derive(Deserialize)]` because the derive (faithfully to the
-//! shimmed subset of serde) has no `#[serde(default)]`: it rejects any
-//! missing field, while almost every request field here is optional with a
-//! server-side default. Replies are *assembled* as [`Value`]s from types
-//! that are already `Serialize` (`RecoveryTrail`, `BuildAttempt`, ...), so
-//! the failure taxonomy crosses the wire in exactly the shape the library
-//! serializes it — the round-trip regression tests pin that shape.
+//! Requests are parsed by hand rather than through
+//! `#[derive(Deserialize)]` because the derive (faithfully to the shimmed
+//! subset of serde) has no `#[serde(default)]`: it rejects any missing
+//! field, while almost every request field here is optional with a
+//! server-side default. [`SolveRequest::parse`] reads a body in one scan —
+//! the number arrays that are nearly all of it go straight into their
+//! `Vec`s — and [`SolveRequest::from_value`] reads the same request from a
+//! [`Value`] tree; the two share every check and are tested against each
+//! other. Success replies are written in place; error envelopes are
+//! *assembled* as [`Value`]s from types that are already `Serialize`
+//! (`BuildError`, ...), so the failure taxonomy crosses the wire in exactly
+//! the shape the library serializes it — the round-trip regression tests
+//! pin that shape.
 
 use mcmcmi_krylov::{RecoveryTrail, SolveOptions, SolverType};
 use mcmcmi_mcmc::{BuildError, McmcParams};
 use mcmcmi_sparse::Csr;
-use serde::{Deserialize as _, Serialize, Value};
+use serde::{Deserialize, Serialize, Value};
+use serde_json::Reader;
+use std::fmt::Write as _;
 
 /// Test-only fault injections, honoured when the server runs with
 /// `ServeConfig::test_faults = true` (smoke/e2e harnesses only).
@@ -77,10 +84,33 @@ impl SolveRequest {
         }
     }
 
-    /// Parse a request from a JSON body.
+    /// Parse a request from a JSON body, in one scan: `matrix.indptr` /
+    /// `indices` / `data` and `b` are decoded straight into their `Vec`s,
+    /// everything else (a handful of scalars) goes through the same checks
+    /// as [`SolveRequest::from_value`]. Accepts and rejects exactly what
+    /// `from_value(parse_value_str(body))` does, with the same message.
     pub fn parse(body: &str) -> Result<Self, String> {
-        let v = serde_json::parse_value_str(body).map_err(|e| format!("invalid JSON: {e}"))?;
-        Self::from_value(&v)
+        let invalid = |e: serde_json::Error| format!("invalid JSON: {e}");
+        let mut reader = Reader::new(body);
+        if reader.peek() != Some(b'{') {
+            let v = serde_json::parse_value_str(body).map_err(invalid)?;
+            return Self::from_value(&v);
+        }
+        // First occurrence of a key wins, as `Value::get` has it.
+        let (mut matrix, mut b) = (None, None);
+        let mut rest = Vec::new();
+        reader
+            .object(|r, key| {
+                match key.as_str() {
+                    "matrix" if matrix.is_none() => matrix = Some(scan_matrix(r)?),
+                    "b" if b.is_none() => b = Some(scan_array::<f64>(r)?.map_err(bad_b)),
+                    _ => rest.push((key, r.value()?)),
+                }
+                Ok(())
+            })
+            .and_then(|()| reader.end())
+            .map_err(invalid)?;
+        Self::assemble(&Value::Object(rest), matrix.flatten(), b)
     }
 
     /// Parse from an already-decoded JSON tree. Missing optional fields
@@ -89,11 +119,24 @@ impl SolveRequest {
         if !matches!(v, Value::Object(_)) {
             return Err(format!("request must be a JSON object, got {}", v.kind()));
         }
+        let matrix = v.get("matrix").and_then(matrix_from_value);
+        let b = v.get("b").map(|b| Vec::<f64>::from_value(b).map_err(bad_b));
+        Self::assemble(v, matrix, b)
+    }
+
+    /// The checks both parsers share, in the order their errors are
+    /// reported: `matrix` and `b` arrive decoded (or with the reason they
+    /// could not be), every other field is looked up in `v`.
+    fn assemble(
+        v: &Value,
+        matrix: Option<Result<Csr, String>>,
+        b: Option<Result<Vec<f64>, String>>,
+    ) -> Result<Self, String> {
         let defaults = SolveOptions::default();
-        let matrix = match v.get("matrix") {
-            None | Some(Value::Null) => None,
-            Some(m) => Some(Csr::from_value(m).map_err(|e| format!("bad `matrix`: {e}"))?),
-        };
+        let matrix = matrix.transpose()?;
+        if matrix.as_ref().is_some_and(|m| !all_finite(m.values())) {
+            return Err("bad `matrix`: `data` has a non-finite entry".to_string());
+        }
         let fingerprint = match v.get("fingerprint") {
             None | Some(Value::Null) => None,
             Some(f) => Some(
@@ -101,10 +144,10 @@ impl SolveRequest {
                     .ok_or_else(|| "bad `fingerprint`: expected u64".to_string())?,
             ),
         };
-        let b = match v.get("b") {
-            Some(b) => Vec::<f64>::from_value(b).map_err(|e| format!("bad `b`: {e}"))?,
-            None => return Err("missing required field `b`".to_string()),
-        };
+        let b = b.ok_or_else(|| "missing required field `b`".to_string())??;
+        if !all_finite(&b) {
+            return Err("bad `b`: non-finite entry".to_string());
+        }
         if b.is_empty() {
             return Err("`b` must be non-empty".to_string());
         }
@@ -191,6 +234,89 @@ impl SolveRequest {
             fault,
         })
     }
+}
+
+fn bad_b(e: serde::Error) -> String {
+    format!("bad `b`: {e}")
+}
+
+fn bad_matrix(e: serde::Error) -> String {
+    format!("bad `matrix`: {e}")
+}
+
+fn all_finite(xs: &[f64]) -> bool {
+    xs.iter().all(|x| x.is_finite())
+}
+
+/// `matrix` as [`SolveRequest::from_value`] reads it: `null` is absent.
+fn matrix_from_value(m: &Value) -> Option<Result<Csr, String>> {
+    match m {
+        Value::Null => None,
+        m => Some(Csr::from_value(m).map_err(bad_matrix)),
+    }
+}
+
+/// The `matrix` member in one scan: what [`matrix_from_value`] returns for
+/// the same text. The outer `Err` is malformed JSON, the inner one a
+/// well-formed value that is not a CSR matrix.
+fn scan_matrix(r: &mut Reader<'_>) -> serde_json::Result<Option<Result<Csr, String>>> {
+    if r.peek() != Some(b'{') {
+        return Ok(matrix_from_value(&r.value()?));
+    }
+    let (mut nrows, mut ncols) = (None, None);
+    let (mut indptr, mut indices, mut data) = (None, None, None);
+    r.object(|r, key| {
+        match key.as_str() {
+            "nrows" if nrows.is_none() => nrows = Some(usize::from_value(&r.value()?)),
+            "ncols" if ncols.is_none() => ncols = Some(usize::from_value(&r.value()?)),
+            "indptr" if indptr.is_none() => indptr = Some(scan_array::<usize>(r)?),
+            "indices" if indices.is_none() => indices = Some(scan_array::<usize>(r)?),
+            "data" if data.is_none() => data = Some(scan_array::<f64>(r)?),
+            _ => drop(r.value()?),
+        }
+        Ok(())
+    })?;
+    // Field by field, missing before malformed, as `Csr::from_value` has it.
+    fn field<T>(slot: Option<Result<T, serde::Error>>, name: &str) -> Result<T, serde::Error> {
+        slot.ok_or_else(|| serde::Error::missing_field("Csr", name))?
+    }
+    let csr = (|| {
+        Csr::try_from_raw(
+            field(nrows, "nrows")?,
+            field(ncols, "ncols")?,
+            field(indptr, "indptr")?,
+            field(indices, "indices")?,
+            field(data, "data")?,
+        )
+        .map_err(serde::Error::custom)
+    })();
+    Ok(Some(csr.map_err(bad_matrix)))
+}
+
+/// An array member decoded straight into a `Vec<T>`: what
+/// `Vec::<T>::from_value` returns for the same text, element by element
+/// through `T::from_value`, so the number rules (an integer token in a
+/// float array, an integral float in an index array) are the tree's.
+fn scan_array<T: Deserialize>(
+    r: &mut Reader<'_>,
+) -> serde_json::Result<Result<Vec<T>, serde::Error>> {
+    if r.peek() != Some(b'[') {
+        return Ok(Vec::<T>::from_value(&r.value()?));
+    }
+    let mut out = Vec::new();
+    let mut bad = None;
+    r.array(|r| {
+        // Past the first bad element the rest is read for its syntax only.
+        let v = r.value()?;
+        if bad.is_none() {
+            match T::from_value(&v) {
+                Ok(x) => out.push(x),
+                Err(e) => bad = Some(e),
+            }
+        }
+        Ok(())
+    })?;
+    Ok(bad.map_or(Ok(out), Err))
 }
 
 fn parse_solver(s: &str) -> Result<SolverType, String> {
@@ -368,27 +494,33 @@ impl SolveReply {
     /// harness assert coalesced ≡ sequential at the bit level across the
     /// wire.
     pub fn to_json(&self) -> String {
-        let body = Value::Object(vec![
-            ("ok".to_string(), Value::Bool(true)),
-            ("x".to_string(), self.x.to_value()),
-            (
-                "iterations".to_string(),
-                Value::UInt(self.iterations as u64),
-            ),
-            ("rel_residual".to_string(), Value::Float(self.rel_residual)),
-            ("converged".to_string(), Value::Bool(self.converged)),
-            ("fingerprint".to_string(), Value::UInt(self.fingerprint)),
-            ("cached".to_string(), Value::Bool(self.cached)),
-            (
-                "build_attempts".to_string(),
-                Value::UInt(self.build_attempts as u64),
-            ),
-            (
-                "coalesced_width".to_string(),
-                Value::UInt(self.coalesced_width as u64),
-            ),
-            ("trail".to_string(), self.trail.to_value()),
-        ]);
-        serde_json::to_string(&body).expect("reply serialization cannot fail")
+        // Written in place: `x` is most of a reply, and a `Value` per entry
+        // costs more than printing it. Same bytes as serialising
+        // `{"ok": true, "x": [...], ...}` through the tree.
+        let mut out = String::with_capacity(24 * self.x.len() + 512);
+        out.push_str("{\"ok\":true,\"x\":[");
+        for (i, &xi) in self.x.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            serde_json::write_f64(&mut out, xi);
+        }
+        let _ = write!(
+            out,
+            "],\"iterations\":{},\"rel_residual\":",
+            self.iterations
+        );
+        serde_json::write_f64(&mut out, self.rel_residual);
+        let _ = write!(
+            out,
+            ",\"converged\":{},\"fingerprint\":{},\"cached\":{},\"build_attempts\":{},\"coalesced_width\":{},\"trail\":{}}}",
+            self.converged,
+            self.fingerprint,
+            self.cached,
+            self.build_attempts,
+            self.coalesced_width,
+            serde_json::to_string(&self.trail).expect("trail serialization cannot fail"),
+        );
+        out
     }
 }

@@ -26,7 +26,7 @@
 use crate::cache::{OperatorCache, OperatorEntry, Slot};
 use crate::protocol::{Fault, ServeError, SolveReply};
 use crate::queue::{AdmissionQueue, Job};
-use crate::sync::lock_unpoisoned;
+use crate::sync::{lock_unpoisoned, wait_timeout_while_unpoisoned};
 use mcmcmi_core::{load_json_snapshot, save_json_snapshot};
 use mcmcmi_krylov::{
     with_cancel, CancelToken, RecoveryContext, RecoveryPolicy, RecoveryTrail, SolveFailure,
@@ -39,7 +39,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -189,6 +189,10 @@ struct ServerInner {
     drain_cutoff: AtomicBool,
     worker_seq: AtomicU64,
     workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Worker threads still running, and the condition [`Server::join`]
+    /// sleeps on until there are none.
+    live_workers: Mutex<usize>,
+    workers_done: Condvar,
 }
 
 impl ServerInner {
@@ -280,6 +284,8 @@ impl Server {
             drain_cutoff: AtomicBool::new(false),
             worker_seq: AtomicU64::new(0),
             workers: Mutex::new(Vec::new()),
+            live_workers: Mutex::new(0),
+            workers_done: Condvar::new(),
             config,
         });
         for _ in 0..inner.config.workers.max(1) {
@@ -311,24 +317,23 @@ impl Server {
     /// store, and stop the HTTP front.
     pub fn join(self) -> io::Result<DrainOutcome> {
         self.inner.queue.begin_drain();
-        let deadline = Instant::now() + Duration::from_millis(self.inner.config.drain_deadline_ms);
-        loop {
-            let all_done = lock_unpoisoned(&self.inner.workers)
-                .iter()
-                .all(|h| h.is_finished());
-            if all_done {
-                break;
+        // Workers leave once the queue is drained and empty. Sleep until
+        // the last one has, or until the drain deadline.
+        let drain = Duration::from_millis(self.inner.config.drain_deadline_ms);
+        let timed_out = {
+            let live = lock_unpoisoned(&self.inner.live_workers);
+            *wait_timeout_while_unpoisoned(&self.inner.workers_done, live, drain, |n| *n > 0) > 0
+        };
+        if timed_out {
+            // Cut every solve in flight. One that starts after this sweep
+            // sees the flag when it registers its token and cancels itself.
+            self.inner.drain_cutoff.store(true, Ordering::Release);
+            for token in lock_unpoisoned(&self.inner.active_tokens).values() {
+                token.cancel();
             }
-            if Instant::now() >= deadline {
-                // Re-cancel on every pass: a solve that started after the
-                // first sweep registered a fresh token and must be cut too.
-                self.inner.drain_cutoff.store(true, Ordering::Release);
-                for token in lock_unpoisoned(&self.inner.active_tokens).values() {
-                    token.cancel();
-                }
-            }
-            std::thread::sleep(Duration::from_millis(2));
         }
+        // Joining the handles is the wait for whoever is still winding down
+        // (a replacement's handle is pushed before its predecessor exits).
         loop {
             let handle = lock_unpoisoned(&self.inner.workers).pop();
             match handle {
@@ -348,11 +353,26 @@ impl Server {
 }
 
 fn spawn_worker(inner: &Arc<ServerInner>) {
+    /// Counts its worker out however the thread ends, and wakes `join`
+    /// when it was the last.
+    struct Live(Arc<ServerInner>);
+    impl Drop for Live {
+        fn drop(&mut self) {
+            let mut live = lock_unpoisoned(&self.0.live_workers);
+            *live -= 1;
+            if *live == 0 {
+                self.0.workers_done.notify_all();
+            }
+        }
+    }
     let id = inner.worker_seq.fetch_add(1, Ordering::AcqRel);
-    let for_thread = Arc::clone(inner);
+    // Counted in before the thread exists: a replacement is live before
+    // the worker it replaces counts itself out.
+    *lock_unpoisoned(&inner.live_workers) += 1;
+    let live = Live(Arc::clone(inner));
     let handle = std::thread::Builder::new()
         .name(format!("serve-worker-{id}"))
-        .spawn(move || worker_loop(&for_thread, id))
+        .spawn(move || worker_loop(&live.0, id))
         .expect("failed to spawn worker thread");
     lock_unpoisoned(&inner.workers).push(handle);
 }
@@ -435,7 +455,7 @@ fn process_group(inner: &Arc<ServerInner>, worker_id: u64, jobs: &[Arc<Job>]) {
 
     // Reject members whose rhs cannot belong to this operator before they
     // can poison the lockstep batch.
-    let n = entry.matrix.nrows();
+    let n = entry.operator.csr().nrows();
     let mut pending: Vec<Arc<Job>> = Vec::with_capacity(jobs.len());
     for job in jobs {
         if job.request.b.len() == n {
@@ -466,6 +486,12 @@ fn process_group(inner: &Arc<ServerInner>, worker_id: u64, jobs: &[Arc<Job>]) {
             None => CancelToken::new(),
         };
         lock_unpoisoned(&inner.active_tokens).insert(worker_id, token.clone());
+        // Registered after the drain cut-off swept the tokens: cut at once.
+        // (Registered before it: the sweep, which takes the same lock after
+        // setting the flag, cancels this token itself.)
+        if inner.drain_cutoff.load(Ordering::Acquire) {
+            token.cancel();
+        }
 
         let mut session = entry.take_session(&key, opts);
         let (results, trail): (Vec<SolveResult>, RecoveryTrail) = with_cancel(&token, || {
@@ -697,7 +723,11 @@ fn error_response(inner: &Arc<ServerInner>, err: ServeError) -> httpd::Response 
 }
 
 fn handle_solve(inner: &Arc<ServerInner>, req: &httpd::Request) -> httpd::Response {
-    let parsed = match crate::protocol::SolveRequest::parse(&req.body_str()) {
+    // Validated in place and scanned once: the body is never copied.
+    let parsed = std::str::from_utf8(&req.body)
+        .map_err(|e| format!("request body is not UTF-8: {e}"))
+        .and_then(crate::protocol::SolveRequest::parse);
+    let parsed = match parsed {
         Ok(p) => p,
         Err(detail) => return error_response(inner, ServeError::BadRequest(detail)),
     };

@@ -13,6 +13,7 @@
 //! answer, pool replaced" true even when the panic happened mid-lock.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
 /// Lock `m`, recovering the guard if a previous holder panicked.
 pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -23,6 +24,20 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// panicked while we slept.
 pub(crate) fn wait_unpoisoned<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait_timeout_while`], recovering the guard the same way as
+/// [`wait_unpoisoned`];
+/// the caller reads the state to tell a timeout from a wake-up.
+pub(crate) fn wait_timeout_while_unpoisoned<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+    condition: impl FnMut(&mut T) -> bool,
+) -> MutexGuard<'a, T> {
+    cv.wait_timeout_while(guard, timeout, condition)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
 }
 
 /// Test helper: panic while holding `m`'s guard on a scoped thread,

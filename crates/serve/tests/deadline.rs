@@ -172,3 +172,73 @@ fn mid_solve_expiry_reports_progress_and_frees_the_worker() {
     );
     server.join().unwrap();
 }
+
+#[test]
+fn drain_deadline_cuts_the_solve_in_flight_and_the_one_queued_behind_it() {
+    let server = Server::start(ServeConfig {
+        drain_deadline_ms: 150,
+        ..single_worker_config()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let a = mcmcmi_matgen::fd_laplace_2d(220);
+    let n = a.nrows();
+    let (status, v) = post_solve(
+        addr,
+        &solve_body(
+            Some(&a),
+            None,
+            &rhs(n, 0.0),
+            &["\"solver\":\"cg\"", "\"tol\":1e-6"],
+        ),
+    );
+    assert_eq!(status, 200, "warm-up failed: {v:?}");
+    let fp = reply_u64(&v, "fingerprint");
+
+    // Two solves that cannot converge and carry no deadline of their own,
+    // with different iteration caps so they do not coalesce: one runs, one
+    // waits in the queue behind it.
+    let endless = |max_iter: u64| {
+        std::thread::spawn(move || {
+            let cap = format!("\"max_iter\":{max_iter}");
+            post_solve(
+                addr,
+                &solve_body(
+                    None,
+                    Some(fp),
+                    &rhs(n, 1.0),
+                    &["\"solver\":\"cg\"", "\"tol\":0.0", &cap],
+                ),
+            )
+        })
+    };
+    let running = endless(5_000_000);
+    while stats(addr).cache_hits < 1 {
+        std::thread::yield_now();
+    }
+    let queued = endless(5_000_001);
+    while stats(addr).queue_depth < 1 {
+        std::thread::yield_now();
+    }
+
+    // The sweep at the deadline cancels the running solve; the queued one
+    // registers its token after the sweep and must cut itself.
+    let t0 = std::time::Instant::now();
+    let outcome = server.join().unwrap();
+    let elapsed = t0.elapsed();
+    assert!(!outcome.drained_clean);
+    assert!(
+        elapsed >= std::time::Duration::from_millis(150),
+        "{elapsed:?}"
+    );
+    assert!(elapsed < std::time::Duration::from_secs(5), "{elapsed:?}");
+    for client in [running, queued] {
+        let (status, v) = client.join().unwrap();
+        assert_eq!(status, 408);
+        let err = v.get("error").unwrap();
+        assert_eq!(
+            err.get("phase"),
+            Some(&serde::Value::Str("drain".to_string()))
+        );
+    }
+}

@@ -237,3 +237,49 @@ fn storm_overload_poison_panic_and_drain_all_answer_structured() {
         "idle drain finishes inside the deadline"
     );
 }
+
+#[test]
+fn hostile_bodies_get_a_400_and_the_daemon_keeps_answering() {
+    let server = Server::start(ServeConfig::default()).unwrap();
+    let addr = server.addr();
+    let matrix = |arrays: &str| format!("{{\"matrix\":{{{arrays}}},\"b\":[1.0,1.0]}}");
+    let hostile = [
+        // A row pointer past the end of `indices`, and an `nrows` that
+        // wraps `nrows + 1`: each used to panic the connection thread
+        // inside the invariant check, closing the socket without a reply.
+        matrix("\"nrows\":2,\"ncols\":2,\"indptr\":[0,100,2],\"indices\":[0,1],\"data\":[1.0,1.0]"),
+        matrix(
+            "\"nrows\":18446744073709551615,\"ncols\":2,\"indptr\":[],\"indices\":[],\"data\":[]",
+        ),
+        // Numbers past f64 parse to ±inf; they used to be admitted.
+        matrix("\"nrows\":2,\"ncols\":2,\"indptr\":[0,1,2],\"indices\":[0,1],\"data\":[4.0,1e999]"),
+        "{\"fingerprint\":1,\"b\":[1.0,-1e999]}".to_string(),
+    ];
+    for body in &hostile {
+        let (status, v) = post_solve(addr, body);
+        assert_eq!(status, 400, "{body}: {v:?}");
+        assert_eq!(error_kind(&v), "BadRequest", "{body}");
+        assert_eq!(httpd::client::get(addr, "/healthz").unwrap().0, 200);
+    }
+
+    // A body that is not UTF-8 is refused as it stands, not repaired.
+    use std::io::{Read, Write};
+    let mut raw = b"{\"fingerprint\":1,\"b\":[1.0],\"note\":\"".to_vec();
+    raw.extend_from_slice(&[0xff, 0xfe, b'"', b'}']);
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let head = format!(
+        "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        raw.len()
+    );
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(&raw).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    assert!(reply.starts_with("HTTP/1.1 400 "), "{reply}");
+    assert!(reply.contains("\"kind\":\"BadRequest\"") && reply.contains("not UTF-8"));
+
+    let s = stats(addr);
+    assert_eq!(s.submitted, 0, "none of them was admitted");
+    assert_eq!(s.worker_panics, 0);
+    assert!(server.join().unwrap().drained_clean);
+}

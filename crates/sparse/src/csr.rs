@@ -41,6 +41,19 @@ impl<T: Scalar> Csr<T> {
         indices: Vec<usize>,
         data: Vec<T>,
     ) -> Self {
+        Self::try_from_raw(nrows, ncols, indptr, indices, data)
+            .expect("Csr::from_raw: invalid CSR arrays")
+    }
+
+    /// Build from raw CSR arrays that come from outside the program:
+    /// `Err` with the violated invariant instead of a panic.
+    pub fn try_from_raw(
+        nrows: usize,
+        ncols: usize,
+        indptr: Vec<usize>,
+        indices: Vec<usize>,
+        data: Vec<T>,
+    ) -> Result<Self, String> {
         let m = Self {
             nrows,
             ncols,
@@ -48,33 +61,38 @@ impl<T: Scalar> Csr<T> {
             indices,
             data,
         };
-        m.check_invariants()
-            .expect("Csr::from_raw: invalid CSR arrays");
-        m
+        m.check_invariants()?;
+        Ok(m)
     }
 
-    /// Validate the CSR structural invariants.
+    /// Validate the CSR structural invariants. Total: no array contents
+    /// (a wrapping `nrows + 1`, a row pointer past the end of `indices`)
+    /// can make it index out of range.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if self.indptr.len() != self.nrows + 1 {
+        let Some(indptr_len) = self.nrows.checked_add(1) else {
+            return Err(format!("nrows {} out of range", self.nrows));
+        };
+        if self.indptr.len() != indptr_len {
             return Err(format!(
-                "indptr length {} != nrows+1 {}",
-                self.indptr.len(),
-                self.nrows + 1
+                "indptr length {} != nrows+1 {indptr_len}",
+                self.indptr.len()
             ));
         }
         if self.indptr[0] != 0 {
             return Err("indptr[0] != 0".into());
         }
-        if *self.indptr.last().unwrap() != self.indices.len()
-            || self.indices.len() != self.data.len()
-        {
+        if self.indptr[self.nrows] != self.indices.len() || self.indices.len() != self.data.len() {
             return Err("indptr/indices/data length mismatch".into());
         }
         for r in 0..self.nrows {
-            if self.indptr[r] > self.indptr[r + 1] {
+            let (start, end) = (self.indptr[r], self.indptr[r + 1]);
+            if start > end {
                 return Err(format!("indptr decreasing at row {r}"));
             }
-            let cols = &self.indices[self.indptr[r]..self.indptr[r + 1]];
+            if end > self.indices.len() {
+                return Err(format!("indptr[{}] = {end} past the end of indices", r + 1));
+            }
+            let cols = &self.indices[start..end];
             for w in cols.windows(2) {
                 if w[0] >= w[1] {
                     return Err(format!("row {r}: columns not strictly increasing"));
@@ -119,6 +137,12 @@ impl<T: Scalar> Csr<T> {
     #[inline]
     pub fn indptr(&self) -> &[usize] {
         &self.indptr
+    }
+
+    /// All stored values, row after row.
+    #[inline]
+    pub fn values(&self) -> &[T] {
+        &self.data
     }
 
     /// Column indices of row `i` (sorted ascending).
@@ -836,15 +860,14 @@ impl<T: Scalar> Deserialize for Csr<T> {
             v.get(name)
                 .ok_or_else(|| serde::Error::missing_field("Csr", name))
         };
-        let m = Csr {
-            nrows: Deserialize::from_value(field("nrows")?)?,
-            ncols: Deserialize::from_value(field("ncols")?)?,
-            indptr: Deserialize::from_value(field("indptr")?)?,
-            indices: Deserialize::from_value(field("indices")?)?,
-            data: Deserialize::from_value(field("data")?)?,
-        };
-        m.check_invariants().map_err(serde::Error::custom)?;
-        Ok(m)
+        Csr::try_from_raw(
+            Deserialize::from_value(field("nrows")?)?,
+            Deserialize::from_value(field("ncols")?)?,
+            Deserialize::from_value(field("indptr")?)?,
+            Deserialize::from_value(field("indices")?)?,
+            Deserialize::from_value(field("data")?)?,
+        )
+        .map_err(serde::Error::custom)
     }
 }
 
@@ -1051,6 +1074,25 @@ mod tests {
             coo.push(i, j, v);
         }
         coo.to_csr()
+    }
+
+    #[test]
+    fn check_invariants_is_total_on_hostile_arrays() {
+        // Each of these used to index out of range instead of returning Err.
+        let past_the_end = Csr::try_from_raw(2, 2, vec![0, 100, 2], vec![0, 1], vec![1.0, 1.0]);
+        assert!(past_the_end.unwrap_err().contains("past the end"));
+        let wrapping = Csr::<f64>::try_from_raw(usize::MAX, 2, vec![], vec![], vec![]);
+        assert!(wrapping.unwrap_err().contains("out of range"));
+        let wrong_len = Csr::try_from_raw(3, 3, vec![0, 1, 1], vec![0], vec![1.0]);
+        assert_eq!(wrong_len.unwrap_err(), "indptr length 3 != nrows+1 4");
+        // The same arrays through the deserialiser: Err, not a panic.
+        for json in [
+            r#"{"nrows":2,"ncols":2,"indptr":[0,100,2],"indices":[0,1],"data":[1.0,1.0]}"#,
+            r#"{"nrows":18446744073709551615,"ncols":2,"indptr":[],"indices":[],"data":[]}"#,
+        ] {
+            assert!(serde_json::from_str::<Csr>(json).is_err(), "{json}");
+        }
+        assert!(sample().check_invariants().is_ok());
     }
 
     #[test]

@@ -9,9 +9,13 @@
 //!
 //! - request line + headers + `Content-Length` body parsing (no chunked
 //!   encoding, no keep-alive, no TLS);
-//! - graceful shutdown: the accept loop is non-blocking and polls a stop
-//!   flag, and [`ServerHandle::join`] waits for in-flight connection
-//!   threads to finish so no response is cut off mid-write;
+//! - a blocking accept loop: a connection is picked up when it arrives,
+//!   and nothing in the server sleeps or polls;
+//! - graceful shutdown: [`ServerHandle::stop`] sets a flag and wakes the
+//!   accept loop with a loopback connection to itself (the only way to
+//!   interrupt `accept` with `std` alone), and [`ServerHandle::join`]
+//!   waits for in-flight connection threads to finish so no response is
+//!   cut off mid-write;
 //! - a matching blocking [`client`] for tests and smoke drivers.
 //!
 //! The handler is a plain `Fn(Request) -> Response`, so the application
@@ -20,9 +24,9 @@
 //! drop-in replacement of this crate only.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -144,9 +148,8 @@ impl HttpServer {
     where
         H: Fn(Request) -> Response + Send + Sync + 'static,
     {
-        self.listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let active = Arc::new(AtomicUsize::new(0));
+        let active = Arc::new(Active::default());
         let handler = Arc::new(handler);
         let max_body = self.max_body;
         let accept_stop = Arc::clone(&stop);
@@ -155,10 +158,15 @@ impl HttpServer {
         let thread = std::thread::Builder::new()
             .name("httpd-accept".to_string())
             .spawn(move || loop {
-                if accept_stop.load(Ordering::Acquire) {
+                let accepted = listener.accept();
+                // Checked after every wake-up: the connection that ends a
+                // blocked `accept` once `stop` is set (the handle's own, or
+                // a client's that raced it) is dropped unanswered, and the
+                // listener closes with this thread.
+                if accept_stop.load(Ordering::SeqCst) {
                     return;
                 }
-                match listener.accept() {
+                match accepted {
                     Ok((stream, _)) => {
                         let h = Arc::clone(&handler);
                         let guard = ConnGuard::enter(&accept_active);
@@ -171,43 +179,65 @@ impl HttpServer {
                                 let _ = handle_connection(stream, &*h, max_body);
                             });
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
+                    // Out of descriptors, or the peer reset before we got
+                    // to it: back off instead of spinning on the error.
                     Err(_) => std::thread::sleep(Duration::from_millis(2)),
                 }
             })?;
+        let wake = match self.addr {
+            SocketAddr::V4(a) if a.ip().is_unspecified() => (Ipv4Addr::LOCALHOST, a.port()).into(),
+            SocketAddr::V6(a) if a.ip().is_unspecified() => (Ipv6Addr::LOCALHOST, a.port()).into(),
+            addr => addr,
+        };
         Ok(ServerHandle {
             stop,
             active,
             addr: self.addr,
-            thread: Some(thread),
+            wake,
+            thread: Mutex::new(Some(thread)),
         })
     }
 }
 
+/// In-flight connection count, with a condition [`ServerHandle::join`]
+/// sleeps on until it reaches zero.
+#[derive(Default)]
+struct Active {
+    count: Mutex<usize>,
+    idle: Condvar,
+}
+
 /// RAII connection counter used by [`ServerHandle::join`].
-struct ConnGuard(Arc<AtomicUsize>);
+struct ConnGuard(Arc<Active>);
 
 impl ConnGuard {
-    fn enter(counter: &Arc<AtomicUsize>) -> Self {
-        counter.fetch_add(1, Ordering::AcqRel);
-        Self(Arc::clone(counter))
+    fn enter(active: &Arc<Active>) -> Self {
+        // The count is valid whenever the lock is free, poisoned or not.
+        *active.count.lock().unwrap_or_else(PoisonError::into_inner) += 1;
+        Self(Arc::clone(active))
     }
 }
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
+        let mut count = self.0.count.lock().unwrap_or_else(PoisonError::into_inner);
+        *count -= 1;
+        if *count == 0 {
+            self.0.idle.notify_all();
+        }
     }
 }
 
 /// Handle to a running server: stop it, wait for it to wind down.
 pub struct ServerHandle {
     stop: Arc<AtomicBool>,
-    active: Arc<AtomicUsize>,
+    active: Arc<Active>,
     addr: SocketAddr,
-    thread: Option<JoinHandle<()>>,
+    /// Where [`ServerHandle::stop`] connects to wake the accept loop: the
+    /// listener's address, through loopback when it is bound to a wildcard.
+    wake: SocketAddr,
+    /// Taken by the first `stop`, which is the one that wakes the thread.
+    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ServerHandle {
@@ -216,38 +246,51 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Signal the accept loop to stop taking new connections. In-flight
-    /// connection threads keep running; use [`ServerHandle::join`] to wait
-    /// for them.
+    /// Stop taking new connections: the accept loop is woken, exits and
+    /// closes the listener. In-flight connection threads keep running; use
+    /// [`ServerHandle::join`] to wait for them. Idempotent.
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
+        self.stop.store(true, Ordering::SeqCst);
+        let thread = self
+            .thread
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        let Some(thread) = thread else {
+            return;
+        };
+        // The accept loop is blocked in `accept`; any connection ends that.
+        let woken = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1)).is_ok();
+        if woken || thread.is_finished() {
+            let _ = thread.join();
+        }
+        // Otherwise the loop could not be reached (the connect was refused
+        // or filtered): leave the thread detached rather than block here.
+        // It exits on the next connection it is handed, without serving it.
     }
 
     /// Stop accepting and wait (bounded by `drain`) for in-flight
     /// connections to finish. Returns `true` if everything drained inside
     /// the deadline.
-    pub fn join(mut self, drain: Duration) -> bool {
+    pub fn join(self, drain: Duration) -> bool {
         self.stop();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-        let deadline = std::time::Instant::now() + drain;
-        while self.active.load(Ordering::Acquire) > 0 {
-            if std::time::Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        true
+        let count = self
+            .active
+            .count
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let (count, _) = self
+            .active
+            .idle
+            .wait_timeout_while(count, drain, |n| *n > 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        *count == 0
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
     }
 }
 
@@ -257,7 +300,6 @@ fn handle_connection(
     handler: &dyn Fn(Request) -> Response,
     max_body: usize,
 ) -> io::Result<()> {
-    stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
     let req = match read_request(&mut stream, max_body) {
         Ok(r) => r,
@@ -343,15 +385,16 @@ fn read_request(stream: &mut TcpStream, max_body: usize) -> io::Result<Request> 
             "body exceeds size cap",
         ));
     }
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed before body completed"));
-        }
-        body.extend_from_slice(&chunk[..n]);
+    // One buffer of the declared size (within the cap checked above): the
+    // bytes that came with the headers, then the socket read straight into
+    // the rest of it.
+    let prefix = &buf[header_end + 4..];
+    let mut body = Vec::with_capacity(content_length);
+    body.extend_from_slice(&prefix[..prefix.len().min(content_length)]);
+    let missing = (content_length - body.len()) as u64;
+    if stream.take(missing).read_to_end(&mut body)? as u64 != missing {
+        return Err(bad("connection closed before body completed"));
     }
-    body.truncate(content_length);
     Ok(Request {
         method,
         path,
@@ -372,8 +415,12 @@ fn write_response(stream: &mut TcpStream, resp: &Response) -> io::Result<()> {
         resp.content_type,
         resp.body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&resp.body)?;
+    // One write: a reply that fits the socket buffer leaves in one segment
+    // train instead of a small head followed by the body.
+    let mut out = Vec::with_capacity(head.len() + resp.body.len());
+    out.extend_from_slice(head.as_bytes());
+    out.extend_from_slice(&resp.body);
+    stream.write_all(&out)?;
     stream.flush()
 }
 
@@ -431,6 +478,7 @@ pub mod client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn echo_server() -> ServerHandle {
         HttpServer::bind("127.0.0.1:0")
@@ -503,6 +551,86 @@ mod tests {
         let (status, _) = client::post(addr, "/x", &"y".repeat(4096)).unwrap();
         assert_eq!(status, 413);
         assert!(server.join(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn nobody_polls_between_connections() {
+        // Structural, not a benchmark: an accept loop that sleeps 2 ms
+        // between polls cannot finish this under 400 ms; a blocking one
+        // takes about 25 ms.
+        let server = echo_server();
+        let addr = server.addr();
+        let t0 = Instant::now();
+        for _ in 0..200 {
+            assert_eq!(client::get(addr, "/healthz").unwrap().0, 200);
+        }
+        let elapsed = t0.elapsed();
+        assert!(elapsed < Duration::from_millis(200), "{elapsed:?}");
+        assert!(server.join(Duration::from_secs(2)));
+    }
+
+    #[test]
+    fn idle_shutdown_is_prompt_and_stop_is_idempotent() {
+        let t0 = Instant::now();
+        // Dropped without ever seeing a connection.
+        drop(echo_server());
+        // Joined idle.
+        assert!(echo_server().join(Duration::from_secs(2)));
+        // Stopped twice, then joined: the later calls find nothing to do.
+        let server = echo_server();
+        let addr = server.addr();
+        server.stop();
+        server.stop();
+        assert!(client::get(addr, "/").is_err(), "listener closed by stop");
+        assert!(server.join(Duration::from_secs(2)));
+        let elapsed = t0.elapsed();
+        assert!(elapsed < Duration::from_millis(100), "{elapsed:?}");
+    }
+
+    #[test]
+    fn join_waits_for_a_connection_in_flight_only_up_to_the_deadline() {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let server = HttpServer::bind("127.0.0.1:0")
+            .unwrap()
+            .serve(move |_| {
+                let _ = gate.lock().unwrap().recv();
+                Response::text(200, "late")
+            })
+            .unwrap();
+        let addr = server.addr();
+        let client = std::thread::spawn(move || client::get(addr, "/").unwrap());
+        while *server.active.count.lock().unwrap() == 0 {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        assert!(
+            !server.join(Duration::from_millis(50)),
+            "handler still held"
+        );
+        assert!(t0.elapsed() >= Duration::from_millis(50));
+        release.send(()).unwrap();
+        assert_eq!(client.join().unwrap(), (200, "late".to_string()));
+    }
+
+    #[test]
+    fn refused_wake_up_detaches_instead_of_blocking() {
+        let mut server = echo_server();
+        let addr = server.addr();
+        // tcpmux: nothing listens there, so the connect is refused.
+        server.wake = (Ipv4Addr::LOCALHOST, 1).into();
+        let t0 = Instant::now();
+        assert!(
+            server.join(Duration::from_secs(2)),
+            "no connection in flight"
+        );
+        assert!(t0.elapsed() < Duration::from_secs(1));
+        // The detached loop is still in `accept`; the next connection ends
+        // it unanswered.
+        let mut s = TcpStream::connect(addr).unwrap();
+        let _ = s.write_all(b"GET / HTTP/1.1\r\n\r\n");
+        let mut buf = Vec::new();
+        assert_eq!(s.read_to_end(&mut buf).unwrap_or(0), 0);
     }
 
     #[test]

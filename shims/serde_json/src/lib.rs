@@ -89,17 +89,21 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn write_float(out: &mut String, f: f64) {
+/// Append `f` the way [`to_string`] prints a float: shortest round-trip
+/// digits, a trailing `.0` on integral values, `null` for NaN/±inf. For
+/// callers that write a long number array without a [`Value`] per entry.
+pub fn write_f64(out: &mut String, f: f64) {
+    use std::fmt::Write as _;
     if !f.is_finite() {
         // JSON has no NaN/Infinity; real serde_json errors here. A null is
         // the friendliest lossy encoding for diagnostics output.
         out.push_str("null");
     } else {
-        let s = format!("{f}");
-        out.push_str(&s);
+        let start = out.len();
+        write!(out, "{f}").expect("writing to a String cannot fail");
         // Keep a float marker so integral floats parse back as numbers with
         // the same semantic type class ("3.0" rather than "3").
-        if !s.contains(['.', 'e', 'E']) {
+        if !out[start..].contains(['.', 'e', 'E']) {
             out.push_str(".0");
         }
     }
@@ -111,7 +115,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::UInt(u) => out.push_str(&u.to_string()),
         Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(f) => write_float(out, *f),
+        Value::Float(f) => write_f64(out, *f),
         Value::Str(s) => write_escaped(out, s),
         Value::Array(items) => {
             if items.is_empty() {
@@ -175,15 +179,156 @@ pub fn from_reader<R: std::io::Read, T: Deserialize>(mut reader: R) -> Result<T>
 
 /// Parse a complete JSON document (surrounding whitespace allowed).
 pub fn parse_value_str(s: &str) -> Result<Value> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    skip_ws(bytes, &mut pos);
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {pos}")));
-    }
+    let mut reader = Reader::new(s);
+    let v = reader.value()?;
+    reader.end()?;
     Ok(v)
+}
+
+/// Pull reader over one JSON document, for callers that decode a large
+/// document straight into their own types instead of through a [`Value`]
+/// tree. The caller walks the containers it cares about with
+/// [`Reader::object`] / [`Reader::array`] and takes everything else —
+/// scalars, small sub-documents, members to ignore — as a [`Value`] from
+/// [`Reader::value`] (a number is a `Value` without an allocation). Every
+/// byte goes through the functions [`parse_value_str`] is made of, so a
+/// document is well-formed to one exactly when it is to the other, with
+/// the same error at the same byte.
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// Start reading `s`; leading whitespace is skipped.
+    pub fn new(s: &'a str) -> Self {
+        let mut reader = Reader {
+            bytes: s.as_bytes(),
+            pos: 0,
+        };
+        skip_ws(reader.bytes, &mut reader.pos);
+        reader
+    }
+
+    /// First byte of the next value (`None` at end of input). Only
+    /// meaningful where a value is due: at the start of the document and
+    /// inside an [`Reader::object`] / [`Reader::array`] callback.
+    pub fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    /// Read the next value, whatever it is, as a tree.
+    pub fn value(&mut self) -> Result<Value> {
+        let (bytes, pos) = (self.bytes, &mut self.pos);
+        match bytes.get(*pos) {
+            None => Err(Error::new("unexpected end of input")),
+            Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
+            Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
+            Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
+            Some(b'"') => parse_string(bytes, pos).map(Value::Str),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Ok(Value::Array(items))
+            }
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|r, key| {
+                    pairs.push((key, r.value()?));
+                    Ok(())
+                })?;
+                Ok(Value::Object(pairs))
+            }
+            Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
+            Some(&c) => Err(Error::new(format!(
+                "unexpected character `{}` at byte {}",
+                c as char, *pos
+            ))),
+        }
+    }
+
+    /// Walk the object that is due: `member` is called with each key in
+    /// document order (duplicates included) and must read exactly one
+    /// value.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, String) -> Result<()>,
+    ) -> Result<()> {
+        let bytes = self.bytes;
+        expect(bytes, &mut self.pos, b'{')?;
+        skip_ws(bytes, &mut self.pos);
+        if bytes.get(self.pos) == Some(&b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            skip_ws(bytes, &mut self.pos);
+            let key = parse_string(bytes, &mut self.pos)?;
+            skip_ws(bytes, &mut self.pos);
+            expect(bytes, &mut self.pos, b':')?;
+            skip_ws(bytes, &mut self.pos);
+            member(self, key)?;
+            skip_ws(bytes, &mut self.pos);
+            match bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => {
+                    return Err(Error::new(format!(
+                        "expected `,` or `}}` at byte {}",
+                        self.pos
+                    )))
+                }
+            }
+        }
+    }
+
+    /// Walk the array that is due: `item` is called once per element and
+    /// must read exactly one value.
+    pub fn array(&mut self, mut item: impl FnMut(&mut Self) -> Result<()>) -> Result<()> {
+        let bytes = self.bytes;
+        expect(bytes, &mut self.pos, b'[')?;
+        skip_ws(bytes, &mut self.pos);
+        if bytes.get(self.pos) == Some(&b']') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            skip_ws(bytes, &mut self.pos);
+            item(self)?;
+            skip_ws(bytes, &mut self.pos);
+            match bytes.get(self.pos) {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => {
+                    return Err(Error::new(format!(
+                        "expected `,` or `]` at byte {}",
+                        self.pos
+                    )))
+                }
+            }
+        }
+    }
+
+    /// The document is over: only whitespace may follow.
+    pub fn end(mut self) -> Result<()> {
+        skip_ws(self.bytes, &mut self.pos);
+        if self.pos != self.bytes.len() {
+            return Err(Error::new(format!(
+                "trailing characters at byte {}",
+                self.pos
+            )));
+        }
+        Ok(())
+    }
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -203,70 +348,6 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<()> {
             *pos,
             bytes.get(*pos).map(|&b| b as char)
         )))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value> {
-    match bytes.get(*pos) {
-        None => Err(Error::new("unexpected end of input")),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Value::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(Error::new(format!("expected `,` or `]` at byte {pos}"))),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Value::Object(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                skip_ws(bytes, pos);
-                let val = parse_value(bytes, pos)?;
-                pairs.push((key, val));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Value::Object(pairs));
-                    }
-                    _ => return Err(Error::new(format!("expected `,` or `}}` at byte {pos}"))),
-                }
-            }
-        }
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        Some(&c) => Err(Error::new(format!(
-            "unexpected character `{}` at byte {}",
-            c as char, *pos
-        ))),
     }
 }
 
@@ -336,13 +417,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Advance over one UTF-8 scalar.
+                // Copy the run up to the next quote or escape. Both are
+                // ASCII, so they never fall inside a multi-byte scalar.
                 let start = *pos;
-                let s = std::str::from_utf8(&bytes[start..])
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
                     .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
             }
         }
     }
@@ -434,6 +517,59 @@ mod tests {
         assert!(s.contains('\n'));
         let w: Value = parse_value_str(&s).unwrap();
         assert_eq!(v, w);
+    }
+
+    #[test]
+    fn strings_keep_multibyte_runs_between_escapes() {
+        let s: String = from_str("\"é✓\\n𝄞 \\\"q\\\" \\ud834\\udd1e\"").unwrap();
+        assert_eq!(s, "é✓\n𝄞 \"q\" 𝄞");
+        assert!(from_str::<String>("\"open é").is_err());
+    }
+
+    #[test]
+    fn reader_walks_what_the_tree_parser_builds() {
+        let doc = r#" { "skip" : {"deep":[1,{"x":null}]}, "xs":[1, -2, 3.5e0 ,1e999], "xs":[9], "s":"a\"b" } "#;
+        let (mut xs, mut keys) = (Vec::new(), Vec::new());
+        let mut r = Reader::new(doc);
+        assert_eq!(r.peek(), Some(b'{'));
+        r.object(|r, key| {
+            if key == "xs" && xs.is_empty() {
+                r.array(|r| {
+                    xs.push(r.value()?.as_f64().unwrap());
+                    Ok(())
+                })?;
+            } else {
+                r.value()?;
+            }
+            keys.push(key);
+            Ok(())
+        })
+        .unwrap();
+        r.end().unwrap();
+        assert_eq!(keys, ["skip", "xs", "xs", "s"]);
+        assert_eq!(xs, [1.0, -2.0, 3.5, f64::INFINITY]);
+
+        // Malformed input fails in the walker with the tree parser's error.
+        for bad in [
+            "{\"a\":[1,2",
+            "{\"a\":[1 2]}",
+            "{\"a\" 1}",
+            "{\"a\":1}x",
+            "[1,]",
+        ] {
+            let tree = parse_value_str(bad).unwrap_err().to_string();
+            let mut r = Reader::new(bad);
+            let items = |r: &mut Reader<'_>| match r.peek() {
+                Some(b'[') => r.array(|r| r.value().map(drop)),
+                _ => r.value().map(drop),
+            };
+            let walk = |r: &mut Reader<'_>| match r.peek() {
+                Some(b'{') => r.object(|r, _| items(r)),
+                _ => items(r),
+            };
+            let walked = walk(&mut r).and_then(|()| r.end()).unwrap_err().to_string();
+            assert_eq!(walked, tree, "{bad}");
+        }
     }
 
     #[test]
