@@ -6,7 +6,7 @@
 //! operators over the same build: the full f64 inverse (baseline), the
 //! same pattern demoted to f32 (value bandwidth halved, f64 accumulation),
 //! and a drop-tolerance-sparsified f32 operator (fewer entries *and*
-//! narrower values — the policy the perf_pr4 record sweeps).
+//! narrower values).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcmcmi_krylov::Preconditioner;
@@ -16,8 +16,8 @@ use std::hint::black_box;
 
 fn bench_precond_apply(c: &mut Criterion) {
     let mut group = c.benchmark_group("precond_apply");
-    // a_00512 and pdd256 have droppable Monte-Carlo tails (the perf_pr4
-    // accepted set); the Laplacian rides along as the all-signal control.
+    // a_00512 and pdd256 have droppable Monte-Carlo tails; the Laplacian
+    // rides along as the all-signal control.
     let cases = [
         ("a_00512", PaperMatrix::A00512.generate()),
         ("pdd_n256", PaperMatrix::PddRealSparseN256.generate()),

@@ -1,7 +1,7 @@
 //! Inverse-CDF transition sampling — the O(log nnz_row) binary search the
 //! walk engine used before its alias tables. Kept here, outside the
-//! library, purely as the timing baseline for the `walk_sampling` bench and
-//! the `perf_pr2` record: it realises the same MAO distribution
+//! library, purely as the timing baseline for the `walk_sampling` bench:
+//! it realises the same MAO distribution
 //! `|c_kj| / S_k` as [`WalkMatrix::sample_transition`] from the same single
 //! uniform draw, but maps draws to states differently.
 

@@ -46,8 +46,7 @@
 use crate::pipeline::Recommender;
 use mcmcmi_hpo::{ParamKind, SearchSpace, TpeConfig, TpeSampler};
 use mcmcmi_krylov::{
-    solve_batch, CompressedPrecond, SessionTuner, SolveSession, SolverType, TuneBudget, TuneError,
-    TunedParts,
+    solve_batch, CompressedPrecond, SolveSession, SolverType, TuneBudget, TuneError,
 };
 use mcmcmi_mcmc::{
     BuildAttempt, BuildConfig, CompressionPolicy, CompressionReport, McmcInverse, McmcParams,
@@ -156,10 +155,8 @@ pub struct AutotuneReport {
 
 /// The joint `(α, ε, δ) × (drop_tol, row_topk, precision)` tuner.
 ///
-/// Implements [`SessionTuner`], so `SolveSession::auto(&a, budget, &mut
-/// tuner)` yields a tuned, compressed session in one call; or use
-/// [`AutoTuner::auto_session`] for the same thing without importing the
-/// trait.
+/// [`AutoTuner::auto_session`] yields a tuned, compressed session in one
+/// call; [`AutoTuner::tune_parts`] hands back the pieces.
 pub struct AutoTuner {
     cfg: AutotuneConfig,
     recommender: Option<Recommender>,
@@ -518,34 +515,16 @@ impl AutoTuner {
         }
     }
 
-    /// One-call tuned session: search, then bind the winner to `a`
-    /// (convenience over `SolveSession::auto` that skips the trait
-    /// import).
+    /// One-call tuned session: search, then bind the winning
+    /// preconditioner, driver and probe options to `a`.
     pub fn auto_session(
         &mut self,
         a: &Csr,
         budget: TuneBudget,
     ) -> Result<(SolveSession<CompressedPrecond>, AutotuneReport), TuneError> {
-        SolveSession::auto(a, budget, self)
-    }
-}
-
-impl SessionTuner for AutoTuner {
-    type Precond = CompressedPrecond;
-    type Report = AutotuneReport;
-
-    fn tune(
-        &mut self,
-        a: &Csr,
-        budget: &TuneBudget,
-    ) -> Result<TunedParts<CompressedPrecond, AutotuneReport>, TuneError> {
-        let (precond, report) = self.tune_parts(a, budget)?;
-        Ok(TunedParts {
-            precond,
-            solver: report.solver,
-            opts: budget.probe_opts,
-            report,
-        })
+        let (precond, report) = self.tune_parts(a, &budget)?;
+        let session = SolveSession::new(a.clone(), precond, report.solver, budget.probe_opts);
+        Ok((session, report))
     }
 }
 

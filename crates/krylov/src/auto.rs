@@ -1,20 +1,10 @@
-//! The session-tuning hook: how a solver session is born from a matrix
-//! and a budget, without this crate knowing *how* tuning works.
-//!
-//! The dependency arrow points the wrong way for the obvious design —
-//! the auto-tuner (in `mcmcmi_core`) needs the MCMC builder and the
-//! surrogate stack, both of which sit *above* this crate. So the session
-//! layer owns only the contract: a [`SessionTuner`] turns `(A, budget)`
-//! into a preconditioner + solver + options bundle ([`TunedParts`]), and
-//! [`SolveSession::auto`] binds that bundle into a ready session. The
-//! concrete tuner (`mcmcmi_core::autotune::AutoTuner`) implements the
-//! trait; callers who want the one-call experience use the re-exported
-//! pair through the umbrella crate.
+//! The auto-tuning contract this crate owns: the budget a tuning run may
+//! spend and the reasons it can fail. The tuner itself
+//! (`mcmcmi_core::autotune::AutoTuner`, whose `auto_session` returns a
+//! ready [`crate::SolveSession`]) needs the MCMC builder and the surrogate
+//! stack, both of which sit *above* this crate.
 
-use crate::precond::Preconditioner;
-use crate::session::SolveSession;
-use crate::solver::{SolveOptions, SolverType};
-use mcmcmi_sparse::Csr;
+use crate::solver::SolveOptions;
 use serde::{Deserialize, Serialize};
 
 /// How much work an auto-tuning run may spend.
@@ -114,127 +104,9 @@ impl std::fmt::Display for TuneError {
 
 impl std::error::Error for TuneError {}
 
-/// What a tuner hands back: everything a session binds, plus the tuner's
-/// own diagnostics (trial history, chosen parameters, compression report —
-/// whatever the implementation wants to surface).
-pub struct TunedParts<P: Preconditioner, R> {
-    /// The tuned (typically compressed) preconditioner.
-    pub precond: P,
-    /// The Krylov driver the tuner validated the preconditioner with.
-    pub solver: SolverType,
-    /// Solve options for the session (usually the probe options).
-    pub opts: SolveOptions,
-    /// Tuner-specific diagnostics.
-    pub report: R,
-}
-
-/// A strategy that turns a matrix and a budget into session parts.
-///
-/// `&mut self` because realistic tuners carry stateful machinery (a
-/// surrogate model, an adaptive sampler); determinism is still expected —
-/// the contract is that the same `(self, a, budget)` triple yields the
-/// same parts bit for bit regardless of thread count.
-pub trait SessionTuner {
-    /// Preconditioner type the tuner produces.
-    type Precond: Preconditioner;
-    /// Diagnostics bundle attached to the tuned parts.
-    type Report;
-
-    /// Search the budgeted configuration space and return the best parts.
-    fn tune(
-        &mut self,
-        a: &Csr,
-        budget: &TuneBudget,
-    ) -> Result<TunedParts<Self::Precond, Self::Report>, TuneError>;
-}
-
-impl<P: Preconditioner> SolveSession<P> {
-    /// Build a tuned session in one call: run the tuner's budgeted search
-    /// and bind the winning preconditioner, driver, and options to `a`.
-    /// Returns the session together with the tuner's diagnostics.
-    ///
-    /// This is the serving-path entry point the AI-tuning loop closes
-    /// over: `SolveSession::auto(&a, budget, &mut tuner)` replaces the
-    /// hand-set default parameters that diverge on hard operators.
-    pub fn auto<T: SessionTuner<Precond = P>>(
-        a: &Csr,
-        budget: TuneBudget,
-        tuner: &mut T,
-    ) -> Result<(Self, T::Report), TuneError> {
-        let parts = tuner.tune(a, &budget)?;
-        Ok((
-            SolveSession::new(a.clone(), parts.precond, parts.solver, parts.opts),
-            parts.report,
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::JacobiPrecond;
-
-    /// A toy tuner: always returns Jacobi + GMRES (enough to exercise the
-    /// trait plumbing without the real auto-tuner's dependencies).
-    struct JacobiTuner {
-        calls: usize,
-    }
-
-    impl SessionTuner for JacobiTuner {
-        type Precond = JacobiPrecond;
-        type Report = usize;
-
-        fn tune(
-            &mut self,
-            a: &Csr,
-            budget: &TuneBudget,
-        ) -> Result<TunedParts<JacobiPrecond, usize>, TuneError> {
-            self.calls += 1;
-            if budget.trials == 0 {
-                return Err(TuneError::NoConvergingCandidate {
-                    trials: 0,
-                    best_rel_residual: f64::INFINITY,
-                });
-            }
-            Ok(TunedParts {
-                precond: JacobiPrecond::new(a),
-                solver: SolverType::Gmres,
-                opts: budget.probe_opts,
-                report: self.calls,
-            })
-        }
-    }
-
-    #[test]
-    fn auto_binds_tuner_output_into_a_session() {
-        let a = mcmcmi_matgen::fd_laplace_2d(8);
-        let n = a.nrows();
-        let mut tuner = JacobiTuner { calls: 0 };
-        let (mut sess, report) =
-            SolveSession::auto(&a, TuneBudget::default(), &mut tuner).expect("tuner succeeds");
-        assert_eq!(report, 1);
-        assert_eq!(sess.solver(), SolverType::Gmres);
-        assert_eq!(sess.opts().tol, TuneBudget::default().probe_opts.tol);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let r = sess.solve(&b);
-        assert!(r.converged);
-    }
-
-    #[test]
-    fn auto_propagates_tuner_errors() {
-        let a = mcmcmi_matgen::fd_laplace_2d(4);
-        let mut tuner = JacobiTuner { calls: 0 };
-        let err = SolveSession::auto(
-            &a,
-            TuneBudget {
-                trials: 0,
-                ..Default::default()
-            },
-            &mut tuner,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("no candidate converged"));
-    }
 
     #[test]
     fn budget_serializes_and_smoke_is_smaller() {

@@ -65,7 +65,6 @@ pub fn cg_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
             iterations: 0,
             rel_residual: 0.0,
             initial_rel_residual: 0.0,
-            breakdown: false,
             outcome: SolveOutcome::Converged(ConvergedWithin::Tol),
         };
     }

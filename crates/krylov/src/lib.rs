@@ -16,6 +16,13 @@
 //! ([`block_cg`]), and the reusable [`SolveSession`] that amortises the
 //! preconditioner and all solver workspaces over many solves.
 //!
+//! Each driver keeps two loops — a scalar one and a lockstep one, the same
+//! bits per column, each the faster on some workload — and everything above
+//! them is written once, over columns: one dispatch in [`solver`] reads the
+//! batch width and picks the loop, and the warm start ([`warm`]), the
+//! recovery ladder ([`resilient`]) and [`SolveSession`] are thin layers on
+//! it. `solve(b)` is `solve_batch(&[b])`.
+//!
 //! For *inexact* preconditioners — the compressed, reduced-precision MCMC
 //! inverses produced by `mcmcmi_mcmc`'s `CompressionPolicy` — the flexible
 //! drivers [`fcg`] (Notay) and [`fgmres`] (Saad, right-preconditioned)
@@ -41,7 +48,7 @@ pub mod staleness;
 pub mod warm;
 pub mod watchdog;
 
-pub use auto::{SessionTuner, TuneBudget, TuneError, TunedParts};
+pub use auto::{TuneBudget, TuneError};
 pub use bicgstab::{bicgstab, bicgstab_batch, bicgstab_with, BiCgStabWorkspace};
 pub use block_cg::block_cg;
 pub use cancel::{with_cancel, CancelToken};
@@ -64,5 +71,5 @@ pub use solver::{
     SolveResult, SolverType, CONVERGENCE_SLACK,
 };
 pub use staleness::{StalenessConfig, StalenessMonitor, StalenessVerdict};
-pub use warm::{block_cg_warm, solve_batch_warm, solve_warm};
+pub use warm::solve_warm;
 pub use watchdog::{Watchdog, WatchdogConfig};

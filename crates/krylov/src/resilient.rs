@@ -35,7 +35,10 @@
 //! resilience costs nothing until something fails.
 
 use crate::precond::{IdentityPrecond, Preconditioner};
-use crate::solver::{solve, solve_batch, SolveFailure, SolveOptions, SolveResult, SolverType};
+use crate::solver::{
+    only, solve_batch, solve_columns, SolveFailure, SolveOptions, SolveResult, SolverType,
+    Workspaces,
+};
 use mcmcmi_sparse::KernelBackend;
 use serde::{Deserialize, Serialize};
 
@@ -226,7 +229,6 @@ impl<'a> RecoveryContext<'a> {
 enum ActivePrecond<'a> {
     Borrowed(&'a dyn Preconditioner),
     Owned(Box<dyn Preconditioner>),
-    Identity(IdentityPrecond),
 }
 
 impl ActivePrecond<'_> {
@@ -234,7 +236,6 @@ impl ActivePrecond<'_> {
         match self {
             ActivePrecond::Borrowed(p) => *p,
             ActivePrecond::Owned(p) => p.as_ref(),
-            ActivePrecond::Identity(p) => p,
         }
     }
 }
@@ -256,181 +257,15 @@ fn better(candidate: &SolveResult, best: &SolveResult) -> bool {
     }
 }
 
-/// The ladder's rung plan for one escalation run, shared by the scalar and
-/// batched paths so they escalate identically.
-struct Rung {
-    kind: RecoveryStepKind,
-    solver: SolverType,
-}
-
-/// Escalate a failed solve through the ladder. `base` is the already-failed
-/// result of the plain solve (so the clean path never enters this
-/// function). Shared by [`solve_resilient`] and
-/// [`crate::SolveSession::solve_resilient`].
+/// The ladder, written once over columns. `results` are the plain solve's
+/// per-column results; each rung that applies re-solves only the
+/// still-failing columns as one sub-batch through the crate's dispatch (so
+/// a lone failing column — every scalar resilient solve — runs the scalar
+/// loop), keeps the better iterate per column, and leaves converged
+/// siblings untouched: recovery never perturbs a healthy column. A clean
+/// batch never gets past the first check.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn escalate_scalar<A: KernelBackend + ?Sized>(
-    a: &A,
-    b: &[f64],
-    precond: &dyn Preconditioner,
-    solver: SolverType,
-    opts: SolveOptions,
-    policy: &RecoveryPolicy,
-    mut ctx: RecoveryContext<'_>,
-    base: SolveResult,
-) -> ResilientResult {
-    let mut trail = RecoveryTrail::default();
-    let mut trigger = base
-        .failure()
-        .cloned()
-        .unwrap_or(SolveFailure::BudgetExhausted);
-    let mut best = base;
-    // A cancelled solve is out of deadline budget, not out of numerical
-    // luck — every rung would burn post-deadline CPU on a result nobody is
-    // waiting for. Hand back the best iterate with an empty trail.
-    if matches!(trigger, SolveFailure::Cancelled) {
-        return finish_scalar(best, trail);
-    }
-    let mut active = ActivePrecond::Borrowed(precond);
-    let mut active_solver = solver;
-
-    // Rung 1 — full-precision retry.
-    if policy.full_precision_retry && precond.is_compressed() {
-        if let Some(full) = ctx.full_precision {
-            active = ActivePrecond::Borrowed(full);
-            let r = solve(a, b, active.as_dyn(), active_solver, opts);
-            let done = record_scalar(
-                &mut trail,
-                &mut trigger,
-                &mut best,
-                RecoveryStepKind::FullPrecisionRetry,
-                active_solver,
-                r,
-            );
-            if done {
-                return finish_scalar(best, trail);
-            }
-        }
-    }
-
-    // Rung 2 — flexible-driver swap.
-    if policy.flexible_swap && !active_solver.is_flexible() {
-        active_solver = active_solver.flexible();
-        let r = solve(a, b, active.as_dyn(), active_solver, opts);
-        let done = record_scalar(
-            &mut trail,
-            &mut trigger,
-            &mut best,
-            RecoveryStepKind::FlexibleSwap,
-            active_solver,
-            r,
-        );
-        if done {
-            return finish_scalar(best, trail);
-        }
-    }
-
-    // Rung 3 — partial (dirty-row) refresh of a drift-stale preconditioner.
-    if policy.stale_refresh {
-        if let Some(refresher) = ctx.refresher.as_deref_mut() {
-            if let Some(refreshed) = refresher.refresh(&trigger) {
-                active = ActivePrecond::Owned(refreshed);
-                let r = solve(a, b, active.as_dyn(), active_solver, opts);
-                let done = record_scalar(
-                    &mut trail,
-                    &mut trigger,
-                    &mut best,
-                    RecoveryStepKind::StaleRefresh,
-                    active_solver,
-                    r,
-                );
-                if done {
-                    return finish_scalar(best, trail);
-                }
-            }
-        }
-    }
-
-    // Rung 4 — preconditioner rebuild.
-    if policy.rebuild {
-        if let Some(rebuilder) = ctx.rebuilder.as_deref_mut() {
-            if let Some(fresh) = rebuilder.rebuild(&trigger) {
-                active = ActivePrecond::Owned(fresh);
-                let r = solve(a, b, active.as_dyn(), active_solver, opts);
-                let done = record_scalar(
-                    &mut trail,
-                    &mut trigger,
-                    &mut best,
-                    RecoveryStepKind::Rebuild,
-                    active_solver,
-                    r,
-                );
-                if done {
-                    return finish_scalar(best, trail);
-                }
-            }
-        }
-    }
-
-    // Rung 5 — unpreconditioned GMRES: nothing left to distrust.
-    if policy.unpreconditioned_fallback {
-        let id = ActivePrecond::Identity(IdentityPrecond::new(b.len()));
-        let r = solve(a, b, id.as_dyn(), SolverType::Gmres, opts);
-        record_scalar(
-            &mut trail,
-            &mut trigger,
-            &mut best,
-            RecoveryStepKind::UnpreconditionedFallback,
-            SolverType::Gmres,
-            r,
-        );
-    }
-
-    finish_scalar(best, trail)
-}
-
-/// Append one scalar rung to the trail, fold its result into `best`, and
-/// roll the trigger forward. Returns `true` when the rung converged (the
-/// ladder stops).
-fn record_scalar(
-    trail: &mut RecoveryTrail,
-    trigger: &mut SolveFailure,
-    best: &mut SolveResult,
-    kind: RecoveryStepKind,
-    solver: SolverType,
-    r: SolveResult,
-) -> bool {
-    let recovered = r.converged;
-    trail.steps.push(RecoveryStep {
-        step: kind,
-        trigger: trigger.clone(),
-        solver,
-        iterations: r.iterations,
-        recovered,
-    });
-    if let Some(f) = r.failure() {
-        *trigger = f.clone();
-    }
-    if better(&r, best) {
-        *best = r;
-    }
-    recovered
-}
-
-fn finish_scalar(best: SolveResult, mut trail: RecoveryTrail) -> ResilientResult {
-    trail.recovered = best.converged;
-    ResilientResult {
-        result: best,
-        trail,
-    }
-}
-
-/// Batched escalation: each rung re-solves only the still-failing columns
-/// (as one lockstep sub-batch), keeping the already-converged siblings'
-/// results untouched — recovery never perturbs a healthy column. Shared by
-/// [`solve_batch_resilient`] and
-/// [`crate::SolveSession::solve_batch_resilient`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn escalate_batch<A: KernelBackend + ?Sized>(
+pub(crate) fn escalate<A: KernelBackend + ?Sized>(
     a: &A,
     rhs: &[Vec<f64>],
     precond: &dyn Preconditioner,
@@ -441,115 +276,87 @@ pub(crate) fn escalate_batch<A: KernelBackend + ?Sized>(
     mut results: Vec<SolveResult>,
 ) -> (Vec<SolveResult>, RecoveryTrail) {
     let mut trail = RecoveryTrail::default();
+    // A cancelled column is out of deadline budget, not out of numerical
+    // luck — every rung would burn post-deadline CPU on a result nobody is
+    // waiting for. It keeps its best iterate and is never re-solved.
     let mut failing: Vec<usize> = (0..results.len())
         .filter(|&c| {
-            // Cancelled columns are past their deadline — never re-solved
-            // (see the scalar path's rationale).
             !results[c].converged && !matches!(results[c].failure(), Some(SolveFailure::Cancelled))
         })
         .collect();
-    if failing.is_empty() {
-        trail.recovered = results.iter().all(|r| r.converged);
-        return (results, trail);
-    }
     // The trigger reported per rung is the first failing column's failure —
     // a deterministic representative of the batch's trouble.
-    let mut trigger = results[failing[0]]
-        .failure()
-        .cloned()
-        .unwrap_or(SolveFailure::BudgetExhausted);
+    let diagnosis = |r: &SolveResult| {
+        let failure = r.failure().cloned();
+        failure.unwrap_or(SolveFailure::BudgetExhausted)
+    };
+    // (Unread when nothing is failing: no rung runs.)
+    let first = failing.first();
+    let mut trigger = first.map_or(SolveFailure::BudgetExhausted, |&c| diagnosis(&results[c]));
+    let identity = IdentityPrecond::new(a.nrows());
     let mut active = ActivePrecond::Borrowed(precond);
     let mut active_solver = solver;
+    let mut ws = Workspaces::default();
 
-    let mut rungs: Vec<Rung> = Vec::new();
-    if policy.full_precision_retry && precond.is_compressed() && ctx.full_precision.is_some() {
-        rungs.push(Rung {
-            kind: RecoveryStepKind::FullPrecisionRetry,
-            solver: active_solver,
-        });
-    }
-    if policy.flexible_swap && !active_solver.is_flexible() {
-        rungs.push(Rung {
-            kind: RecoveryStepKind::FlexibleSwap,
-            solver: active_solver.flexible(),
-        });
-    }
-    if policy.stale_refresh && ctx.refresher.is_some() {
-        rungs.push(Rung {
-            kind: RecoveryStepKind::StaleRefresh,
-            // Solver carried over from whatever the previous rung selected;
-            // patched below when the rung actually runs.
-            solver: active_solver,
-        });
-    }
-    if policy.rebuild && ctx.rebuilder.is_some() {
-        rungs.push(Rung {
-            kind: RecoveryStepKind::Rebuild,
-            // Solver carried over from whatever the previous rung selected;
-            // patched below when the rung actually runs.
-            solver: active_solver,
-        });
-    }
-    if policy.unpreconditioned_fallback {
-        rungs.push(Rung {
-            kind: RecoveryStepKind::UnpreconditionedFallback,
-            solver: SolverType::Gmres,
-        });
-    }
-
-    let identity = IdentityPrecond::new(a.nrows());
-    for rung in rungs {
+    for step in [
+        RecoveryStepKind::FullPrecisionRetry,
+        RecoveryStepKind::FlexibleSwap,
+        RecoveryStepKind::StaleRefresh,
+        RecoveryStepKind::Rebuild,
+        RecoveryStepKind::UnpreconditionedFallback,
+    ] {
         if failing.is_empty() {
             break;
         }
-        match rung.kind {
-            RecoveryStepKind::FullPrecisionRetry => {
-                if let Some(full) = ctx.full_precision {
+        // Arm the rung — its preconditioner and driver — or skip it.
+        match step {
+            RecoveryStepKind::FullPrecisionRetry => match ctx.full_precision {
+                Some(full) if policy.full_precision_retry && precond.is_compressed() => {
                     active = ActivePrecond::Borrowed(full);
                 }
-            }
+                _ => continue,
+            },
             RecoveryStepKind::FlexibleSwap => {
-                active_solver = rung.solver;
+                if !policy.flexible_swap || active_solver.is_flexible() {
+                    continue;
+                }
+                active_solver = active_solver.flexible();
             }
             RecoveryStepKind::StaleRefresh => {
-                let Some(refreshed) = ctx
+                let hook = ctx
                     .refresher
                     .as_deref_mut()
-                    .and_then(|r| r.refresh(&trigger))
-                else {
-                    continue;
-                };
-                active = ActivePrecond::Owned(refreshed);
+                    .filter(|_| policy.stale_refresh);
+                match hook.and_then(|r| r.refresh(&trigger)) {
+                    Some(refreshed) => active = ActivePrecond::Owned(refreshed),
+                    None => continue,
+                }
             }
             RecoveryStepKind::Rebuild => {
-                let Some(fresh) = ctx
-                    .rebuilder
-                    .as_deref_mut()
-                    .and_then(|r| r.rebuild(&trigger))
-                else {
-                    continue;
-                };
-                active = ActivePrecond::Owned(fresh);
+                let hook = ctx.rebuilder.as_deref_mut().filter(|_| policy.rebuild);
+                match hook.and_then(|r| r.rebuild(&trigger)) {
+                    Some(fresh) => active = ActivePrecond::Owned(fresh),
+                    None => continue,
+                }
             }
+            // Nothing left to distrust: no preconditioner, the most robust
+            // general-purpose driver.
             RecoveryStepKind::UnpreconditionedFallback => {
+                if !policy.unpreconditioned_fallback {
+                    continue;
+                }
                 active = ActivePrecond::Borrowed(&identity);
                 active_solver = SolverType::Gmres;
             }
         }
         let sub_rhs: Vec<Vec<f64>> = failing.iter().map(|&c| rhs[c].clone()).collect();
-        let sub = solve_batch(a, &sub_rhs, active.as_dyn(), active_solver, opts);
-        let iterations: usize = sub.iter().map(|r| r.iterations).sum();
+        let sub = solve_columns(a, active.as_dyn(), active_solver, opts, &sub_rhs, &mut ws);
+        let iterations = sub.iter().map(|r| r.iterations).sum();
         let mut still_failing = Vec::new();
         let mut next_trigger = None;
         for (&c, r) in failing.iter().zip(sub) {
             if !r.converged {
-                if next_trigger.is_none() {
-                    next_trigger = Some(
-                        r.failure()
-                            .cloned()
-                            .unwrap_or(SolveFailure::BudgetExhausted),
-                    );
-                }
+                next_trigger.get_or_insert_with(|| diagnosis(&r));
                 still_failing.push(c);
             }
             if better(&r, &results[c]) {
@@ -557,7 +364,7 @@ pub(crate) fn escalate_batch<A: KernelBackend + ?Sized>(
             }
         }
         trail.steps.push(RecoveryStep {
-            step: rung.kind,
+            step,
             trigger: trigger.clone(),
             solver: active_solver,
             iterations,
@@ -572,11 +379,7 @@ pub(crate) fn escalate_batch<A: KernelBackend + ?Sized>(
     (results, trail)
 }
 
-/// Solve with automatic recovery: run the plain [`solve`] first (the clean
-/// path is bit-identical to it, including workspace-free allocation
-/// behaviour), and on a structured failure escalate through the
-/// [`RecoveryPolicy`] ladder. The returned [`RecoveryTrail`] records every
-/// rung executed; it is empty exactly when the first attempt converged.
+/// Solve with automatic recovery: [`solve_batch_resilient`] at width one.
 ///
 /// # Panics
 /// Panics if dimensions disagree.
@@ -589,22 +392,19 @@ pub fn solve_resilient<A: KernelBackend + ?Sized, P: Preconditioner>(
     policy: &RecoveryPolicy,
     ctx: RecoveryContext<'_>,
 ) -> ResilientResult {
-    let base = solve(a, b, precond, solver, opts);
-    if base.converged {
-        return ResilientResult {
-            result: base,
-            trail: RecoveryTrail {
-                steps: Vec::new(),
-                recovered: true,
-            },
-        };
+    let (results, trail) =
+        solve_batch_resilient(a, &[b.to_vec()], precond, solver, opts, policy, ctx);
+    ResilientResult {
+        result: only(results),
+        trail,
     }
-    escalate_scalar(a, b, precond, solver, opts, policy, ctx, base)
 }
 
-/// Batched [`solve_resilient`]: the clean path is exactly
-/// [`solve_batch`] (bit-identical), and recovery rungs re-solve only the
-/// failing columns in lockstep sub-batches.
+/// Solve with automatic recovery: run the plain [`solve_batch`] first (the
+/// clean path is bit-identical to it), and on a structured failure escalate
+/// the failing columns through the [`RecoveryPolicy`] ladder. The returned
+/// [`RecoveryTrail`] records every rung executed; it is empty exactly when
+/// no column needed one.
 ///
 /// # Panics
 /// Panics if dimensions disagree.
@@ -618,13 +418,14 @@ pub fn solve_batch_resilient<A: KernelBackend + ?Sized, P: Preconditioner>(
     ctx: RecoveryContext<'_>,
 ) -> (Vec<SolveResult>, RecoveryTrail) {
     let base = solve_batch(a, rhs, precond, solver, opts);
-    escalate_batch(a, rhs, precond, solver, opts, policy, ctx, base)
+    escalate(a, rhs, precond, solver, opts, policy, ctx, base)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::precond::JacobiPrecond;
+    use crate::solver::solve;
     use mcmcmi_matgen::fd_laplace_2d;
 
     #[test]

@@ -4,50 +4,21 @@
 //! parallel) MCMC preconditioner build is amortised over *many* solves —
 //! which in serving practice means many right-hand sides against the same
 //! operator. [`SolveSession`] is the object that holds everything those
-//! repeated solves share: the matrix, the preconditioner, the scalar
-//! workspace (so single-RHS solves allocate nothing beyond their solution
-//! vector), and one block workspace per batch width (so repeated
-//! same-width batches reuse every O(n·k) block — only O(k) bookkeeping
-//! and the returned solutions are allocated per call).
+//! repeated solves share: the matrix, the preconditioner, and the driver
+//! workspaces — the scalar loop's vectors and one set of blocks per batch
+//! width — so a repeated solve allocates only O(k) bookkeeping, its
+//! solutions and, for the one-column methods, the copy of `b` that makes
+//! the column.
 //!
-//! The per-width map is never evicted: a serving process that sees many
-//! distinct batch widths should normalise requests to a few fixed widths
-//! (padding with zero columns is cheap — they retire in round one).
+//! Every method is a few lines over the crate's one dispatch: the batch
+//! width, not the method called, decides which Krylov loop runs.
 
-use crate::bicgstab::{bicgstab_batch, bicgstab_with, BiCgStabBlockWorkspace, BiCgStabWorkspace};
-use crate::cg::{cg_batch, cg_with, CgBlockWorkspace, CgWorkspace};
-use crate::fcg::{fcg_batch, fcg_with, FcgBlockWorkspace, FcgWorkspace};
-use crate::fgmres::{fgmres_batch, fgmres_with, FgmresBlockWorkspace, FgmresWorkspace};
-use crate::gmres::{gmres_batch, gmres_with, GmresBlockWorkspace, GmresWorkspace};
 use crate::precond::Preconditioner;
-use crate::resilient::{
-    escalate_batch, escalate_scalar, RecoveryContext, RecoveryPolicy, RecoveryTrail,
-    ResilientResult,
-};
-use crate::solver::{SolveOptions, SolveResult, SolverType};
+use crate::resilient::{escalate, RecoveryContext, RecoveryPolicy, RecoveryTrail, ResilientResult};
+use crate::solver::{only, solve_columns, SolveOptions, SolveResult, SolverType, Workspaces};
+use crate::warm::warm_columns;
 use mcmcmi_sparse::{Csr, KernelBackend, SpecializedBackend, Structure};
-use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Scalar scratch for the session's solver type.
-#[derive(Clone, Debug)]
-enum ScalarWs {
-    Cg(CgWorkspace),
-    BiCgStab(BiCgStabWorkspace),
-    Gmres(GmresWorkspace),
-    Fgmres(FgmresWorkspace),
-    FCg(FcgWorkspace),
-}
-
-/// Block scratch for one batch width.
-#[derive(Clone, Debug)]
-enum BlockWs {
-    Cg(CgBlockWorkspace),
-    BiCgStab(BiCgStabBlockWorkspace),
-    Gmres(GmresBlockWorkspace),
-    Fgmres(FgmresBlockWorkspace),
-    FCg(FcgBlockWorkspace),
-}
 
 /// A solver bound to one `(A, P)` pair for repeated single and batched
 /// solves.
@@ -67,9 +38,7 @@ pub struct SolveSession<P: Preconditioner> {
     precond: P,
     solver: SolverType,
     opts: SolveOptions,
-    scalar_ws: ScalarWs,
-    /// One preallocated workspace per batch width seen so far.
-    block_ws: BTreeMap<usize, BlockWs>,
+    ws: Workspaces,
 }
 
 impl<P: Preconditioner> SolveSession<P> {
@@ -104,20 +73,12 @@ impl<P: Preconditioner> SolveSession<P> {
             precond.dim(),
             "SolveSession: preconditioner dimension mismatch"
         );
-        let scalar_ws = match solver {
-            SolverType::Cg => ScalarWs::Cg(CgWorkspace::new()),
-            SolverType::BiCgStab => ScalarWs::BiCgStab(BiCgStabWorkspace::new()),
-            SolverType::Gmres => ScalarWs::Gmres(GmresWorkspace::new()),
-            SolverType::Fgmres => ScalarWs::Fgmres(FgmresWorkspace::new()),
-            SolverType::FCg => ScalarWs::FCg(FcgWorkspace::new()),
-        };
         Self {
             a,
             precond,
             solver,
             opts,
-            scalar_ws,
-            block_ws: BTreeMap::new(),
+            ws: Workspaces::default(),
         }
     }
 
@@ -141,69 +102,42 @@ impl<P: Preconditioner> SolveSession<P> {
         &self.precond
     }
 
-    /// The session's Krylov method.
-    pub fn solver(&self) -> SolverType {
-        self.solver
-    }
-
     /// The session's solve options.
     pub fn opts(&self) -> SolveOptions {
         self.opts
     }
 
-    /// Solve a single system, reusing the session's scalar workspace —
-    /// after the first call, allocation-free apart from the returned
-    /// solution vector.
+    /// Solve a single system: [`SolveSession::solve_batch`] at width one.
     ///
     /// # Panics
     /// Panics if `b` has the wrong length.
     pub fn solve(&mut self, b: &[f64]) -> SolveResult {
-        assert_eq!(b.len(), self.a.nrows(), "solve: rhs dimension mismatch");
-        match &mut self.scalar_ws {
-            ScalarWs::Cg(ws) => cg_with(&*self.a, b, &self.precond, self.opts, ws),
-            ScalarWs::BiCgStab(ws) => bicgstab_with(&*self.a, b, &self.precond, self.opts, ws),
-            ScalarWs::Gmres(ws) => gmres_with(&*self.a, b, &self.precond, self.opts, ws),
-            ScalarWs::Fgmres(ws) => fgmres_with(&*self.a, b, &self.precond, self.opts, ws),
-            ScalarWs::FCg(ws) => fcg_with(&*self.a, b, &self.precond, self.opts, ws),
-        }
+        only(self.solve_batch(&[b.to_vec()]))
     }
 
-    /// Solve a batch of systems in lockstep, sharing every matrix
-    /// traversal (SpMM) and preconditioner application across the batch
-    /// with per-column convergence masking. Results are bit-identical to
-    /// calling [`SolveSession::solve`] once per rhs, in order. The block
-    /// workspace for this batch width persists on the session, so repeated
-    /// same-width batches reuse every O(n·k) buffer; only O(k) bookkeeping
-    /// and the returned solutions are allocated per call.
+    /// Solve a batch of systems. Two or more columns run in lockstep,
+    /// sharing every matrix traversal (SpMM) and preconditioner
+    /// application across the batch with per-column convergence masking;
+    /// a single column runs the scalar loop. Results are bit-identical to
+    /// calling [`SolveSession::solve`] once per rhs, in order, and to the
+    /// free [`crate::solve_batch`]. The workspace for this batch width
+    /// persists on the session, so repeated same-width batches reuse every
+    /// O(n·k) buffer.
     ///
     /// # Panics
     /// Panics if any rhs has the wrong length.
     pub fn solve_batch(&mut self, rhs: &[Vec<f64>]) -> Vec<SolveResult> {
-        let k = rhs.len();
-        if k == 0 {
-            return Vec::new();
-        }
-        let ws = self.block_ws.entry(k).or_insert_with(|| match self.solver {
-            SolverType::Cg => BlockWs::Cg(CgBlockWorkspace::new()),
-            SolverType::BiCgStab => BlockWs::BiCgStab(BiCgStabBlockWorkspace::new()),
-            SolverType::Gmres => BlockWs::Gmres(GmresBlockWorkspace::new()),
-            SolverType::Fgmres => BlockWs::Fgmres(FgmresBlockWorkspace::new()),
-            SolverType::FCg => BlockWs::FCg(FcgBlockWorkspace::new()),
-        });
-        match ws {
-            BlockWs::Cg(ws) => cg_batch(&*self.a, rhs, &self.precond, self.opts, ws),
-            BlockWs::BiCgStab(ws) => bicgstab_batch(&*self.a, rhs, &self.precond, self.opts, ws),
-            BlockWs::Gmres(ws) => gmres_batch(&*self.a, rhs, &self.precond, self.opts, ws),
-            BlockWs::Fgmres(ws) => fgmres_batch(&*self.a, rhs, &self.precond, self.opts, ws),
-            BlockWs::FCg(ws) => fcg_batch(&*self.a, rhs, &self.precond, self.opts, ws),
-        }
+        solve_columns(
+            &*self.a,
+            &self.precond,
+            self.solver,
+            self.opts,
+            rhs,
+            &mut self.ws,
+        )
     }
 
-    /// [`SolveSession::solve`] with the recovery ladder behind it: a clean
-    /// solve takes exactly the workspace-reusing session path (bit-identical
-    /// results, empty trail); on a structured failure the
-    /// [`RecoveryPolicy`] rungs escalate deterministically and the
-    /// [`crate::RecoveryTrail`] records each one.
+    /// [`SolveSession::solve_batch_resilient`] at width one.
     ///
     /// # Panics
     /// Panics if `b` has the wrong length.
@@ -213,33 +147,19 @@ impl<P: Preconditioner> SolveSession<P> {
         policy: &RecoveryPolicy,
         ctx: RecoveryContext<'_>,
     ) -> ResilientResult {
-        let base = self.solve(b);
-        if base.converged {
-            return ResilientResult {
-                result: base,
-                trail: RecoveryTrail {
-                    steps: Vec::new(),
-                    recovered: true,
-                },
-            };
+        let (results, trail) = self.solve_batch_resilient(&[b.to_vec()], policy, ctx);
+        ResilientResult {
+            result: only(results),
+            trail,
         }
-        escalate_scalar(
-            &*self.a,
-            b,
-            &self.precond,
-            self.solver,
-            self.opts,
-            policy,
-            ctx,
-            base,
-        )
     }
 
     /// [`SolveSession::solve_batch`] with the recovery ladder behind it: a
-    /// clean batch is bit-identical to the plain batched path (empty
-    /// trail); on failures, each ladder rung re-solves only the
-    /// still-failing columns in a lockstep sub-batch, leaving converged
-    /// siblings' results untouched.
+    /// clean batch is bit-identical to the plain path (empty trail); on
+    /// structured failures the [`RecoveryPolicy`] rungs escalate
+    /// deterministically, each re-solving only the still-failing columns
+    /// and leaving converged siblings' results untouched, and the
+    /// [`RecoveryTrail`] records each one.
     ///
     /// # Panics
     /// Panics if any rhs has the wrong length.
@@ -250,7 +170,7 @@ impl<P: Preconditioner> SolveSession<P> {
         ctx: RecoveryContext<'_>,
     ) -> (Vec<SolveResult>, RecoveryTrail) {
         let base = self.solve_batch(rhs);
-        escalate_batch(
+        escalate(
             &*self.a,
             rhs,
             &self.precond,
@@ -262,39 +182,21 @@ impl<P: Preconditioner> SolveSession<P> {
         )
     }
 
-    /// [`SolveSession::solve`] with an initial guess (see
-    /// [`crate::solve_warm`] for the exact contracts): `None`/zero guesses
-    /// are bit-identical to [`SolveSession::solve`], an already-converged
-    /// guess returns in zero iterations without running the driver, and
-    /// anything else runs the correction solve through the session's
-    /// reusable scalar workspace.
+    /// [`SolveSession::solve_batch_warm`] at width one (see
+    /// [`crate::solve_warm`] for the exact contracts).
     ///
     /// # Panics
     /// Panics if `b` or `x0` has the wrong length.
     pub fn solve_warm(&mut self, b: &[f64], x0: Option<&[f64]>) -> SolveResult {
-        let Self {
-            a,
-            precond,
-            opts,
-            scalar_ws,
-            ..
-        } = self;
-        let (a, opts) = (&**a, *opts);
-        crate::warm::warm_scalar_with(a, b, x0, opts, |r, inner| match scalar_ws {
-            ScalarWs::Cg(ws) => cg_with(a, r, precond, inner, ws),
-            ScalarWs::BiCgStab(ws) => bicgstab_with(a, r, precond, inner, ws),
-            ScalarWs::Gmres(ws) => gmres_with(a, r, precond, inner, ws),
-            ScalarWs::Fgmres(ws) => fgmres_with(a, r, precond, inner, ws),
-            ScalarWs::FCg(ws) => fcg_with(a, r, precond, inner, ws),
-        })
+        let guess = x0.map(|x| [x.to_vec()]);
+        only(self.solve_batch_warm(&[b.to_vec()], guess.as_ref().map(|g| &g[..])))
     }
 
-    /// [`SolveSession::solve_batch`] with per-column initial guesses (see
-    /// [`crate::solve_batch_warm`] for the shared-tolerance contract). The
-    /// correction sub-batch reuses the session's width-keyed block
-    /// workspaces — note the sub-batch width is the number of columns whose
-    /// guess did *not* already converge, so a drift sequence in steady
-    /// state mostly exercises the small widths.
+    /// [`SolveSession::solve_batch`] with per-column initial guesses (the
+    /// contracts are on [`crate::warm`]). The correction sub-batch reuses
+    /// the session's workspaces — note its width is the number of columns
+    /// whose guess did *not* already converge, so a drift sequence in
+    /// steady state mostly exercises the small widths.
     ///
     /// # Panics
     /// Panics if any rhs or guess has the wrong length.
@@ -303,36 +205,8 @@ impl<P: Preconditioner> SolveSession<P> {
         rhs: &[Vec<f64>],
         x0: Option<&[Vec<f64>]>,
     ) -> Vec<SolveResult> {
-        if rhs.is_empty() {
-            return Vec::new();
-        }
-        let Self {
-            a,
-            precond,
-            solver,
-            opts,
-            block_ws,
-            ..
-        } = self;
-        let (a, solver, opts) = (&**a, *solver, *opts);
-        crate::warm::warm_batch_with(a, rhs, x0, opts, |residuals, inner| {
-            let ws = block_ws
-                .entry(residuals.len())
-                .or_insert_with(|| match solver {
-                    SolverType::Cg => BlockWs::Cg(CgBlockWorkspace::new()),
-                    SolverType::BiCgStab => BlockWs::BiCgStab(BiCgStabBlockWorkspace::new()),
-                    SolverType::Gmres => BlockWs::Gmres(GmresBlockWorkspace::new()),
-                    SolverType::Fgmres => BlockWs::Fgmres(FgmresBlockWorkspace::new()),
-                    SolverType::FCg => BlockWs::FCg(FcgBlockWorkspace::new()),
-                });
-            match ws {
-                BlockWs::Cg(ws) => cg_batch(a, residuals, precond, inner, ws),
-                BlockWs::BiCgStab(ws) => bicgstab_batch(a, residuals, precond, inner, ws),
-                BlockWs::Gmres(ws) => gmres_batch(a, residuals, precond, inner, ws),
-                BlockWs::Fgmres(ws) => fgmres_batch(a, residuals, precond, inner, ws),
-                BlockWs::FCg(ws) => fcg_batch(a, residuals, precond, inner, ws),
-            }
-        })
+        let (solver, opts) = (self.solver, self.opts);
+        warm_columns(&*self.a, &self.precond, solver, opts, rhs, x0, &mut self.ws)
     }
 
     /// Swap the operator under the session — the drift-step primitive.
@@ -412,6 +286,9 @@ mod tests {
                 solver,
                 SolveOptions::default(),
             );
+            // The session runs the stencil kernels, the free call the
+            // generic ones: the seam is live, and the bits agree anyway.
+            assert!(sess.backend().is_specialized());
             for b in rhs_set(n, 3) {
                 let from_session = sess.solve(&b);
                 let reference = solve(
@@ -474,9 +351,9 @@ mod tests {
         );
         let r1 = sess.solve_batch(&rhs_set(n, 4));
         let r2 = sess.solve_batch(&rhs_set(n, 4));
-        assert_eq!(sess.block_ws.len(), 1);
+        assert_eq!(sess.ws.cg.lockstep.len(), 1);
         let _ = sess.solve_batch(&rhs_set(n, 2));
-        assert_eq!(sess.block_ws.len(), 2);
+        assert_eq!(sess.ws.cg.lockstep.len(), 2);
         // Same inputs through a reused workspace ⇒ same bits out.
         for (p, q) in r1.iter().zip(&r2) {
             assert_eq!(p.x, q.x);

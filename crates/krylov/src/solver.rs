@@ -1,10 +1,16 @@
 //! Common solver options, results, the failure taxonomy, and the
 //! type-dispatched entry point.
 
+use crate::bicgstab::{bicgstab_batch, bicgstab_with, BiCgStabBlockWorkspace, BiCgStabWorkspace};
+use crate::cg::{cg_batch, cg_with, CgBlockWorkspace, CgWorkspace};
+use crate::fcg::{fcg_batch, fcg_with, FcgBlockWorkspace, FcgWorkspace};
+use crate::fgmres::{fgmres_batch, fgmres_with, FgmresBlockWorkspace, FgmresWorkspace};
+use crate::gmres::{gmres_batch, gmres_with, GmresBlockWorkspace, GmresWorkspace};
 use crate::precond::Preconditioner;
 use crate::watchdog::WatchdogConfig;
 use mcmcmi_sparse::KernelBackend;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The Krylov method to use — the categorical component of the paper's
 /// MCMC parameter vector `x_M`.
@@ -211,10 +217,6 @@ pub struct SolveResult {
     /// quality for [`crate::solve_warm`]. Observable so drift pipelines can
     /// tell how much of the convergence the previous solution bought.
     pub initial_rel_residual: f64,
-    /// Legacy flag: set when the structured outcome is a numerical
-    /// breakdown or a non-finite value (kept so existing callers keep
-    /// working; prefer [`SolveResult::outcome`]).
-    pub breakdown: bool,
     /// The structured outcome: converged-within-which-contract, or the
     /// failure taxonomy variant that stopped the solve.
     pub outcome: SolveOutcome,
@@ -256,7 +258,7 @@ pub(crate) struct ColOutcome {
 
 /// Shared classification: turn a measured true relative residual plus the
 /// driver's structured failure (if any) into a [`SolveResult`]. This is the
-/// single place the `converged`/`breakdown` flags and the
+/// single place the `converged` flag and the
 /// [`SolveOutcome`]/[`ConvergedWithin`] fields are derived, for scalar and
 /// batched drivers alike — pure flag logic, no floating-point arithmetic,
 /// so clean solves stay bit-identical.
@@ -287,17 +289,12 @@ pub(crate) fn classify(
     } else {
         SolveOutcome::Failed(failure.unwrap_or(SolveFailure::BudgetExhausted))
     };
-    let breakdown = matches!(
-        &outcome,
-        SolveOutcome::Failed(SolveFailure::Breakdown { .. } | SolveFailure::NonFinite { .. })
-    );
     SolveResult {
         x,
         converged,
         iterations,
         rel_residual: rel,
         initial_rel_residual: initial_rel,
-        breakdown,
         outcome,
     }
 }
@@ -392,10 +389,99 @@ pub(crate) fn finalize_columns<A: KernelBackend + ?Sized>(
     results
 }
 
+/// One driver's reusable scratch: the scalar loop's vectors, and one set of
+/// `n×k` blocks per batch width the lockstep loop has seen.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DriverScratch<S, B> {
+    scalar: S,
+    pub(crate) lockstep: BTreeMap<usize, B>,
+}
+
+impl<S, B: Default> DriverScratch<S, B> {
+    fn block(&mut self, k: usize) -> &mut B {
+        self.lockstep.entry(k).or_default()
+    }
+}
+
+/// Scratch for every driver, empty until a driver first runs — what a
+/// [`crate::SolveSession`] keeps between solves so that repeated solves
+/// allocate only their solutions. The per-width maps are never evicted: a
+/// serving process that sees many distinct batch widths should normalise
+/// requests to a few fixed widths (padding with zero columns is cheap —
+/// they retire in round one).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Workspaces {
+    pub(crate) cg: DriverScratch<CgWorkspace, CgBlockWorkspace>,
+    bicgstab: DriverScratch<BiCgStabWorkspace, BiCgStabBlockWorkspace>,
+    gmres: DriverScratch<GmresWorkspace, GmresBlockWorkspace>,
+    fgmres: DriverScratch<FgmresWorkspace, FgmresBlockWorkspace>,
+    fcg: DriverScratch<FcgWorkspace, FcgBlockWorkspace>,
+}
+
+/// Narrowest batch the lockstep loops run. Below it each column runs the
+/// scalar loop: at one column the lockstep form costs 1.5–3.2× the scalar
+/// one (strided single-column blocks, per-column masks), from two columns
+/// up it shares every matrix traversal. Both loops produce the same bits
+/// per column, so this constant moves time, never results.
+const LOCKSTEP_MIN_WIDTH: usize = 2;
+
+/// The one place a Krylov loop is chosen: solve `A·x_c = b_c` for every
+/// column with `solver`, through the scalar loop when the batch is narrower
+/// than [`LOCKSTEP_MIN_WIDTH`] and through the lockstep loop otherwise.
+/// Every solve entry point of the crate — plain, warm-started, resilient,
+/// free function or session method — ends here.
+///
+/// # Panics
+/// Panics if dimensions disagree.
+pub(crate) fn solve_columns<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
+    a: &A,
+    precond: &P,
+    solver: SolverType,
+    opts: SolveOptions,
+    columns: &[Vec<f64>],
+    ws: &mut Workspaces,
+) -> Vec<SolveResult> {
+    assert_eq!(a.nrows(), a.ncols(), "solve: matrix must be square");
+    assert_eq!(
+        a.nrows(),
+        precond.dim(),
+        "solve: preconditioner dimension mismatch"
+    );
+    for b in columns {
+        assert_eq!(a.nrows(), b.len(), "solve: rhs dimension mismatch");
+    }
+    let k = columns.len();
+    if k < LOCKSTEP_MIN_WIDTH {
+        return columns
+            .iter()
+            .map(|b| match solver {
+                SolverType::Cg => cg_with(a, b, precond, opts, &mut ws.cg.scalar),
+                SolverType::BiCgStab => bicgstab_with(a, b, precond, opts, &mut ws.bicgstab.scalar),
+                SolverType::Gmres => gmres_with(a, b, precond, opts, &mut ws.gmres.scalar),
+                SolverType::Fgmres => fgmres_with(a, b, precond, opts, &mut ws.fgmres.scalar),
+                SolverType::FCg => fcg_with(a, b, precond, opts, &mut ws.fcg.scalar),
+            })
+            .collect();
+    }
+    match solver {
+        SolverType::Cg => cg_batch(a, columns, precond, opts, ws.cg.block(k)),
+        SolverType::BiCgStab => bicgstab_batch(a, columns, precond, opts, ws.bicgstab.block(k)),
+        SolverType::Gmres => gmres_batch(a, columns, precond, opts, ws.gmres.block(k)),
+        SolverType::Fgmres => fgmres_batch(a, columns, precond, opts, ws.fgmres.block(k)),
+        SolverType::FCg => fcg_batch(a, columns, precond, opts, ws.fcg.block(k)),
+    }
+}
+
+/// The single result of a one-column call.
+pub(crate) fn only<T>(mut one: Vec<T>) -> T {
+    one.pop().expect("one column in, one result out")
+}
+
 /// Solve `Ax = b` with the chosen method and left preconditioner. `a` is
 /// any [`KernelBackend`] — a bare [`mcmcmi_sparse::Csr`] (generic kernels)
 /// or a [`mcmcmi_sparse::SpecializedBackend`] (structure-dispatched
-/// kernels, bit-identical results).
+/// kernels, bit-identical results). [`solve_batch`] at width one (it copies
+/// `b` to make that one column).
 ///
 /// # Panics
 /// Panics if dimensions disagree.
@@ -406,31 +492,19 @@ pub fn solve<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     solver: SolverType,
     opts: SolveOptions,
 ) -> SolveResult {
-    assert_eq!(a.nrows(), a.ncols(), "solve: matrix must be square");
-    assert_eq!(a.nrows(), b.len(), "solve: rhs dimension mismatch");
-    assert_eq!(
-        a.nrows(),
-        precond.dim(),
-        "solve: preconditioner dimension mismatch"
-    );
-    match solver {
-        SolverType::Gmres => crate::gmres::gmres(a, b, precond, opts),
-        SolverType::BiCgStab => crate::bicgstab::bicgstab(a, b, precond, opts),
-        SolverType::Cg => crate::cg::cg(a, b, precond, opts),
-        SolverType::Fgmres => crate::fgmres::fgmres(a, b, precond, opts),
-        SolverType::FCg => crate::fcg::fcg(a, b, precond, opts),
-    }
+    only(solve_batch(a, &[b.to_vec()], precond, solver, opts))
 }
 
-/// Solve `A·x_c = b_c` for every right-hand side in `rhs` with one lockstep
-/// batched sweep: the Krylov matrix traversals and preconditioner
-/// applications are shared across all columns (SpMM / block apply), while
-/// each column runs exactly the scalar algorithm's arithmetic — results are
-/// bit-identical to calling [`solve`] once per rhs, at any thread count.
-/// Columns converge independently (per-column masking).
+/// Solve `A·x_c = b_c` for every right-hand side in `rhs`. Two or more
+/// columns run one lockstep batched sweep: the Krylov matrix traversals and
+/// preconditioner applications are shared across all columns (SpMM / block
+/// apply), while each column runs exactly the scalar algorithm's arithmetic
+/// and converges independently (per-column masking). A single column runs
+/// the scalar loop itself. Either way the results are bit-identical to
+/// calling [`solve`] once per rhs, at any thread count.
 ///
 /// One-shot convenience over [`crate::SolveSession`], which additionally
-/// reuses the block workspaces across repeated batches.
+/// reuses the workspaces across repeated solves.
 ///
 /// # Panics
 /// Panics if dimensions disagree.
@@ -441,19 +515,7 @@ pub fn solve_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     solver: SolverType,
     opts: SolveOptions,
 ) -> Vec<SolveResult> {
-    match solver {
-        SolverType::Gmres => {
-            crate::gmres::gmres_batch(a, rhs, precond, opts, &mut Default::default())
-        }
-        SolverType::BiCgStab => {
-            crate::bicgstab::bicgstab_batch(a, rhs, precond, opts, &mut Default::default())
-        }
-        SolverType::Cg => crate::cg::cg_batch(a, rhs, precond, opts, &mut Default::default()),
-        SolverType::Fgmres => {
-            crate::fgmres::fgmres_batch(a, rhs, precond, opts, &mut Default::default())
-        }
-        SolverType::FCg => crate::fcg::fcg_batch(a, rhs, precond, opts, &mut Default::default()),
-    }
+    solve_columns(a, precond, solver, opts, rhs, &mut Workspaces::default())
 }
 
 #[cfg(test)]
@@ -509,7 +571,7 @@ mod tests {
         let tol = 1e-8;
         // Strictly within tol.
         let r = classify(vec![0.0], 3, 5e-9, None, tol, ColEnd::Wrapped, 1.0);
-        assert!(r.converged && !r.breakdown);
+        assert!(r.converged);
         assert_eq!(r.outcome, SolveOutcome::Converged(ConvergedWithin::Tol));
         // Within tol × CONVERGENCE_SLACK only.
         let r = classify(vec![0.0], 3, 5e-8, None, tol, ColEnd::Wrapped, 1.0);
@@ -517,7 +579,7 @@ mod tests {
         assert_eq!(r.outcome, SolveOutcome::Converged(ConvergedWithin::Slack));
         // Past the slack: budget exhausted when no sharper diagnosis exists.
         let r = classify(vec![0.0], 3, 1e-6, None, tol, ColEnd::Wrapped, 1.0);
-        assert!(!r.converged && !r.breakdown);
+        assert!(!r.converged);
         assert_eq!(
             r.outcome,
             SolveOutcome::Failed(SolveFailure::BudgetExhausted)
@@ -525,7 +587,7 @@ mod tests {
     }
 
     #[test]
-    fn classify_maps_failures_to_legacy_flags() {
+    fn classify_keeps_the_drivers_failure() {
         let tol = 1e-8;
         let bd = SolveFailure::Breakdown {
             kind: BreakdownKind::ZeroCurvature,
@@ -540,18 +602,17 @@ mod tests {
             ColEnd::Wrapped,
             1.0,
         );
-        assert!(!r.converged && r.breakdown);
+        assert!(!r.converged);
         assert_eq!(r.failure(), Some(&bd));
-        // Stagnation/divergence are *not* legacy breakdowns.
         let st = SolveFailure::Stagnated {
             window: 10,
             best_residual: 0.1,
         };
         let r = classify(vec![0.0], 50, 0.1, Some(st), tol, ColEnd::Wrapped, 1.0);
-        assert!(!r.converged && !r.breakdown);
+        assert!(matches!(r.failure(), Some(SolveFailure::Stagnated { .. })));
         // A non-finite true residual is diagnosed even with no driver failure.
         let r = classify(vec![f64::NAN], 2, f64::NAN, None, tol, ColEnd::Wrapped, 1.0);
-        assert!(!r.converged && r.breakdown);
+        assert!(!r.converged);
         assert!(matches!(
             r.failure(),
             Some(SolveFailure::NonFinite { what }) if what == "true residual"
@@ -582,6 +643,7 @@ mod tests {
             ColEnd::Preset { converged: true },
             1.0,
         );
-        assert!(!r.converged && r.breakdown);
+        assert!(!r.converged);
+        assert!(matches!(r.failure(), Some(SolveFailure::NonFinite { .. })));
     }
 }

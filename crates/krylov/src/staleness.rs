@@ -151,7 +151,6 @@ mod tests {
             iterations,
             rel_residual: 1e-9,
             initial_rel_residual: 1.0,
-            breakdown: false,
             outcome: SolveOutcome::Converged(ConvergedWithin::Tol),
         }
     }

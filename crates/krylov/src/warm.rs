@@ -21,60 +21,45 @@
 //! is algebraically the outer contract `‖b − A·x‖ ≤ tol·‖b‖`, and the
 //! iteration count shrinks with the quality of the guess.
 //!
-//! Contracts:
-//! - `x₀ = None` (or all zeros, or a zero rhs) delegates to the plain
-//!   driver — **bit-identical** to a cold solve, by construction.
+//! Contracts, per column (the harness is written once, over columns; a
+//! single solve is a batch of width one):
+//! - **Cold columns** — no guess, an all-zero guess, a zero rhs, or a guess
+//!   whose residual is not finite (a poisoned guess must not poison the
+//!   split) — ride the inner solve on their original rhs, and when every
+//!   column that reaches the driver is cold the driver's results are
+//!   returned as they are: **bit-identical** to a cold solve.
 //! - `‖r₀‖/‖b‖ ≤ tol` returns `x₀` immediately as converged with zero
 //!   iterations — the guard that keeps the stagnation watchdog (and the
 //!   driver itself) from ever running on an already-converged iterate.
-//! - Otherwise the returned result is re-measured against the *outer*
-//!   system (`rel_residual` is the true ‖b − A·x‖/‖b‖, the `converged`
-//!   flag re-derived from it), and
-//!   [`SolveResult::initial_rel_residual`] records ‖r₀‖/‖b‖ so callers
+//! - Otherwise the column solves its correction system, and the result is
+//!   re-measured against the *outer* system (`rel_residual` is the true
+//!   ‖b − A·x‖/‖b‖, the `converged` flag re-derived from it), with
+//!   [`SolveResult::initial_rel_residual`] recording ‖r₀‖/‖b‖ so callers
 //!   can see how much the guess bought.
+//! - One inner solve has one tolerance, so a batch runs at
+//!   `tol′ = tol / max_c(init_rel_c)` over the columns that reach the
+//!   driver (a cold column counts 1): every column is then guaranteed
+//!   `‖b_c − A·x_c‖ ≤ tol·‖b_c‖`, with columns whose guess was better than
+//!   the worst one solved slightly deeper than strictly necessary. When
+//!   that moves `tol′` off `tol`, cold columns are re-measured at the outer
+//!   tolerance too, since the driver's flags then answer a different
+//!   question.
 
 use crate::precond::Preconditioner;
 use crate::solver::{
-    classify, solve, solve_batch, wrap_scalar, ColEnd, SolveOptions, SolveResult, SolverType,
+    classify, only, solve_columns, wrap_scalar, ColEnd, SolveOptions, SolveResult, SolverType,
+    Workspaces,
 };
 use mcmcmi_dense::norm2;
 use mcmcmi_sparse::KernelBackend;
 
-/// Is this guess absent or indistinguishable from the cold `x₀ = 0` start?
-fn is_cold(x0: Option<&[f64]>) -> bool {
-    match x0 {
-        None => true,
-        Some(x) => x.iter().all(|&v| v == 0.0),
-    }
-}
-
-/// `r₀ = b − A·x₀` into a fresh vector (the one SpMV a warm start costs
-/// up front).
-fn initial_residual<A: KernelBackend + ?Sized>(a: &A, b: &[f64], x0: &[f64]) -> Vec<f64> {
-    let mut r0 = vec![0.0; b.len()];
-    a.spmv(x0, &mut r0);
-    for (ri, &bi) in r0.iter_mut().zip(b) {
-        *ri = bi - *ri;
-    }
-    r0
-}
-
-/// The inner (correction-system) options: same budget and monitor, the
-/// tolerance rescaled so the inner relative test equals the outer one.
-fn inner_opts(opts: SolveOptions, init_rel: f64) -> SolveOptions {
-    SolveOptions {
-        tol: opts.tol / init_rel,
-        ..opts
-    }
-}
-
-/// [`solve`] with an initial guess.
+/// [`crate::solve`] with an initial guess: the warm harness at width one.
 ///
 /// See the module docs for the exact contracts; in short: `None`/zero
-/// guesses are bit-identical to [`solve`], an already-converged guess
-/// returns immediately without running the driver, and anything else costs
-/// two extra SpMVs (initial residual + honest final re-measure) plus the
-/// correction solve.
+/// guesses are bit-identical to [`crate::solve`], an already-converged
+/// guess returns immediately without running the driver, and anything else
+/// costs two extra SpMVs (initial residual + honest final re-measure) plus
+/// the correction solve.
 ///
 /// # Panics
 /// Panics if dimensions disagree.
@@ -86,281 +71,135 @@ pub fn solve_warm<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     solver: SolverType,
     opts: SolveOptions,
 ) -> SolveResult {
-    warm_scalar_with(a, b, x0, opts, |r, inner| {
-        solve(a, r, precond, solver, inner)
-    })
+    let (rhs, guess) = ([b.to_vec()], x0.map(|x| [x.to_vec()]));
+    let guess = guess.as_ref().map(|g| &g[..]);
+    let ws = &mut Workspaces::default();
+    only(warm_columns(a, precond, solver, opts, &rhs, guess, ws))
 }
 
-/// The shared scalar warm harness: `inner_solve` is the cold driver (free
-/// function or session workspace path) applied to whatever rhs the split
-/// dictates. Factored out so [`crate::SolveSession::solve_warm`] reuses its
-/// workspaces through exactly this logic.
-pub(crate) fn warm_scalar_with<A, F>(
+/// What the split decided for one column; the payload is its initial
+/// relative residual ‖b − A·x₀‖/‖b‖.
+enum WarmCol {
+    /// The guess already satisfies the contract: `x₀` verbatim.
+    Converged(f64),
+    /// Solves the correction system `A·e = r₀`; the guess is added back.
+    Correction(f64),
+    /// Rides the inner batch on its original rhs.
+    Cold,
+}
+
+/// The warm harness: split each column into `x₀ + e`, hand the systems that
+/// still need a driver to the crate's dispatch at the shared adjusted
+/// tolerance, and re-finalize against the outer systems.
+pub(crate) fn warm_columns<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     a: &A,
-    b: &[f64],
-    x0: Option<&[f64]>,
-    opts: SolveOptions,
-    inner_solve: F,
-) -> SolveResult
-where
-    A: KernelBackend + ?Sized,
-    F: FnOnce(&[f64], SolveOptions) -> SolveResult,
-{
-    assert_eq!(a.nrows(), a.ncols(), "solve_warm: matrix must be square");
-    assert_eq!(a.nrows(), b.len(), "solve_warm: rhs dimension mismatch");
-    if let Some(x) = x0 {
-        assert_eq!(x.len(), b.len(), "solve_warm: x0 dimension mismatch");
-    }
-    let bn = norm2(b);
-    if is_cold(x0) || bn == 0.0 {
-        return inner_solve(b, opts);
-    }
-    let x0 = x0.expect("non-cold guess is present");
-    let r0 = initial_residual(a, b, x0);
-    let init_rel = norm2(&r0) / bn;
-    if init_rel.is_finite() && init_rel <= opts.tol {
-        // The guess already satisfies the contract: report it converged in
-        // zero iterations. The driver (and its stagnation watchdog) never
-        // runs, so a flat residual at convergence can't trip anything.
-        return classify(
-            x0.to_vec(),
-            0,
-            init_rel,
-            None,
-            opts.tol,
-            ColEnd::Preset { converged: true },
-            init_rel,
-        );
-    }
-    if !init_rel.is_finite() {
-        // A non-finite guess poisons the correction split; fall back to the
-        // cold path, which at least returns an honest answer.
-        return inner_solve(b, opts);
-    }
-    let inner = inner_solve(&r0, inner_opts(opts, init_rel));
-    let iterations = inner.iterations;
-    let failure = inner.failure().cloned();
-    let mut x = inner.x;
-    for (xi, &x0i) in x.iter_mut().zip(x0) {
-        *xi += x0i;
-    }
-    let mut scratch = Vec::new();
-    let mut result = wrap_scalar(
-        a,
-        b,
-        x,
-        iterations,
-        failure,
-        opts.tol,
-        ColEnd::Wrapped,
-        &mut scratch,
-    );
-    result.initial_rel_residual = init_rel;
-    result
-}
-
-/// Per-column state a warm batch solve carries from setup to finalize.
-struct WarmCol {
-    /// Initial relative residual ‖b − A·x₀‖/‖b‖ of this column.
-    init_rel: f64,
-    /// Column index into the sub-batch actually handed to the inner batched
-    /// driver (`None` for columns resolved before the driver runs).
-    active_slot: Option<usize>,
-    /// Did this column solve the *residual* system (so the guess must be
-    /// added back), or ride along cold on its original rhs?
-    warm: bool,
-}
-
-/// [`solve_batch`] with per-column initial guesses.
-///
-/// The lockstep batched drivers share one `opts.tol` across the batch, so
-/// the inner correction batch runs at
-/// `tol′ = tol / max_c(init_rel_c)` over the still-unconverged columns:
-/// every column is then guaranteed `‖b_c − A·x_c‖ ≤ tol·‖b_c‖`, with
-/// columns whose guess was better than the worst one solved slightly
-/// deeper than strictly necessary. Columns whose guess already satisfies
-/// the tolerance never enter the driver at all.
-///
-/// `x0` as `None`, or with every column absent/zero, is bit-identical to
-/// [`solve_batch`].
-///
-/// # Panics
-/// Panics if dimensions disagree.
-pub fn solve_batch_warm<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
-    a: &A,
-    rhs: &[Vec<f64>],
-    x0: Option<&[Vec<f64>]>,
     precond: &P,
     solver: SolverType,
     opts: SolveOptions,
-) -> Vec<SolveResult> {
-    warm_batch_with(a, rhs, x0, opts, |residuals, inner| {
-        solve_batch(a, residuals, precond, solver, inner)
-    })
-}
-
-/// The shared warm-batch harness: split each column into `x₀ + e`, hand the
-/// correction systems to `inner_solve` at the adjusted shared tolerance,
-/// and re-finalize every column against its outer system. Factored out so
-/// the lockstep batches and [`crate::block_cg`] warm the same way.
-pub(crate) fn warm_batch_with<A, F>(
-    a: &A,
     rhs: &[Vec<f64>],
     x0: Option<&[Vec<f64>]>,
-    opts: SolveOptions,
-    inner_solve: F,
-) -> Vec<SolveResult>
-where
-    A: KernelBackend + ?Sized,
-    F: FnOnce(&[Vec<f64>], SolveOptions) -> Vec<SolveResult>,
-{
-    let k = rhs.len();
-    let cold = match x0 {
-        None => true,
-        Some(g) => {
-            assert_eq!(g.len(), k, "solve_batch_warm: x0 batch width mismatch");
-            g.iter().all(|x| x.iter().all(|&v| v == 0.0))
-        }
+    ws: &mut Workspaces,
+) -> Vec<SolveResult> {
+    let Some(guesses) = x0 else {
+        return solve_columns(a, precond, solver, opts, rhs, ws);
     };
-    if cold || k == 0 {
-        return inner_solve(rhs, opts);
-    }
-    let guesses = x0.expect("non-cold batch guess is present");
+    assert_eq!(guesses.len(), rhs.len(), "solve_warm: x0 width mismatch");
 
-    // Per-column split. A zero-rhs or zero/non-finite-guess column takes
-    // the cold path for that column (riding the inner batch with its
-    // original rhs), so mixed batches keep the plain drivers' semantics.
-    let mut cols = Vec::with_capacity(k);
-    let mut residuals: Vec<Vec<f64>> = Vec::new();
+    let mut cols = Vec::with_capacity(rhs.len());
+    let mut inner_rhs: Vec<Vec<f64>> = Vec::new();
     let mut worst = 0.0f64;
     for (b, g) in rhs.iter().zip(guesses) {
-        assert_eq!(g.len(), b.len(), "solve_batch_warm: x0 dimension mismatch");
+        assert_eq!(g.len(), b.len(), "solve_warm: x0 dimension mismatch");
         let bn = norm2(b);
-        let warmable = bn > 0.0 && g.iter().any(|&v| v != 0.0);
-        let init_rel = if warmable {
-            let r0 = initial_residual(a, b, g);
-            let rel = norm2(&r0) / bn;
-            if rel.is_finite() && rel <= opts.tol {
-                cols.push(WarmCol {
-                    init_rel: rel,
-                    active_slot: None,
-                    warm: true,
-                });
+        if bn > 0.0 && g.iter().any(|&v| v != 0.0) {
+            // r₀ = b − A·x₀: the one SpMV a warm start costs up front.
+            let mut r0 = vec![0.0; b.len()];
+            a.spmv(g, &mut r0);
+            for (ri, &bi) in r0.iter_mut().zip(b) {
+                *ri = bi - *ri;
+            }
+            let init_rel = norm2(&r0) / bn;
+            if init_rel.is_finite() {
+                if init_rel <= opts.tol {
+                    cols.push(WarmCol::Converged(init_rel));
+                } else {
+                    cols.push(WarmCol::Correction(init_rel));
+                    inner_rhs.push(r0);
+                    worst = worst.max(init_rel);
+                }
                 continue;
             }
-            if rel.is_finite() {
-                cols.push(WarmCol {
-                    init_rel: rel,
-                    active_slot: Some(residuals.len()),
-                    warm: true,
-                });
-                residuals.push(r0);
-                worst = worst.max(rel);
-                continue;
-            }
-            // Poisoned guess: cold-solve this column below.
-            1.0
-        } else if bn > 0.0 {
-            1.0
-        } else {
-            0.0
-        };
-        // Cold ride-along: the original system at the shared tolerance.
-        // `worst ≥ 1` whenever one of these carries a nonzero rhs, so the
-        // shared inner tolerance `tol/worst ≤ tol` never under-solves it.
-        cols.push(WarmCol {
-            init_rel,
-            active_slot: Some(residuals.len()),
-            warm: false,
-        });
-        residuals.push(b.clone());
-        worst = worst.max(init_rel);
+        }
+        cols.push(WarmCol::Cold);
+        inner_rhs.push(b.clone());
+        worst = worst.max(if bn > 0.0 { 1.0 } else { 0.0 });
     }
 
-    let inner_results = if residuals.is_empty() {
-        Vec::new()
-    } else {
-        // Shared tolerance: the worst column dictates; better-seeded
-        // columns over-solve slightly (documented above).
-        let inner = SolveOptions {
-            tol: if worst > 0.0 {
-                opts.tol / worst
-            } else {
-                opts.tol
-            },
-            ..opts
-        };
-        inner_solve(&residuals, inner)
+    // `tol′ = tol / init_rel` makes the inner relative test equal the outer
+    // one (module docs); the worst column dictates it for the batch.
+    let inner_opts = SolveOptions {
+        tol: if worst > 0.0 {
+            opts.tol / worst
+        } else {
+            opts.tol
+        },
+        ..opts
     };
+    let mut inner = solve_columns(a, precond, solver, inner_opts, &inner_rhs, ws).into_iter();
 
     let mut scratch = Vec::new();
-    cols.iter()
-        .enumerate()
-        .map(|(c, col)| match col.active_slot {
-            None => {
-                // Guess already converged: x₀ verbatim, zero iterations.
-                classify(
-                    guesses[c].clone(),
-                    0,
-                    col.init_rel,
-                    None,
-                    opts.tol,
-                    ColEnd::Preset { converged: true },
-                    col.init_rel,
-                )
-            }
-            Some(slot) => {
-                let inner = &inner_results[slot];
-                let mut x = inner.x.clone();
-                if col.warm {
-                    for (xi, &x0i) in x.iter_mut().zip(&guesses[c]) {
-                        *xi += x0i;
-                    }
+    cols.into_iter()
+        .zip(rhs.iter().zip(guesses))
+        .map(|(col, (b, g))| {
+            let init_rel = match col {
+                WarmCol::Converged(init_rel) => {
+                    // Zero iterations: the driver (and its stagnation
+                    // watchdog) never sees a flat residual at convergence.
+                    let preset = ColEnd::Preset { converged: true };
+                    return classify(g.clone(), 0, init_rel, None, opts.tol, preset, init_rel);
                 }
-                // Every driver-run column is re-measured against its outer
-                // system at the *outer* tolerance — the inner batch ran at
-                // the shared adjusted tolerance, so its flags don't apply.
-                let mut r = wrap_scalar(
-                    a,
-                    &rhs[c],
-                    x,
-                    inner.iterations,
-                    inner.failure().cloned(),
-                    opts.tol,
-                    ColEnd::Wrapped,
-                    &mut scratch,
-                );
-                r.initial_rel_residual = col.init_rel;
-                r
+                WarmCol::Correction(init_rel) => Some(init_rel),
+                WarmCol::Cold => None,
+            };
+            // Columns reached the driver in the order they are visited here.
+            let mut r = inner.next().expect("one inner result per driver column");
+            if init_rel.is_none() && inner_opts.tol == opts.tol {
+                return r;
             }
+            if init_rel.is_some() {
+                for (xi, &x0i) in r.x.iter_mut().zip(g) {
+                    *xi += x0i;
+                }
+            }
+            let failure = r.failure().cloned();
+            let (tol, end) = (opts.tol, ColEnd::Wrapped);
+            let mut out = wrap_scalar(a, b, r.x, r.iterations, failure, tol, end, &mut scratch);
+            if let Some(init_rel) = init_rel {
+                out.initial_rel_residual = init_rel;
+            }
+            out
         })
         .collect()
-}
-
-/// [`crate::block_cg`] with per-column initial guesses: the correction
-/// systems share search directions in one true block-CG sweep, then each
-/// column is re-measured against its outer system. Same per-column
-/// contracts as [`solve_batch_warm`].
-///
-/// # Panics
-/// Panics if dimensions disagree.
-pub fn block_cg_warm<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
-    a: &A,
-    rhs: &[Vec<f64>],
-    x0: Option<&[Vec<f64>]>,
-    precond: &P,
-    opts: SolveOptions,
-) -> Vec<SolveResult> {
-    warm_batch_with(a, rhs, x0, opts, |residuals, inner| {
-        crate::block_cg::block_cg(a, residuals, precond, inner)
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{IdentityPrecond, JacobiPrecond};
+    use crate::precond::JacobiPrecond;
+    use crate::solver::{solve, solve_batch};
     use mcmcmi_matgen::{convection_diffusion_2d, fd_laplace_2d, ConvectionDiffusionParams};
+
+    /// The harness over a batch, through its public entry point.
+    fn solve_batch_warm(
+        a: &mcmcmi_sparse::Csr,
+        rhs: &[Vec<f64>],
+        x0: Option<&[Vec<f64>]>,
+        p: &JacobiPrecond,
+        solver: SolverType,
+        opts: SolveOptions,
+    ) -> Vec<SolveResult> {
+        crate::SolveSession::new(a.clone(), p, solver, opts).solve_batch_warm(rhs, x0)
+    }
 
     const ALL: [SolverType; 5] = [
         SolverType::Cg,
@@ -534,32 +373,6 @@ mod tests {
                 w.rel_residual <= opts.tol * crate::CONVERGENCE_SLACK,
                 "col {c}"
             );
-        }
-    }
-
-    #[test]
-    fn block_cg_warm_matches_contracts() {
-        let a = fd_laplace_2d(10);
-        let n = a.nrows();
-        let p = IdentityPrecond::new(n);
-        let opts = SolveOptions::default();
-        let rhs: Vec<Vec<f64>> = (0..3).map(|c| rhs_for(n, c + 1)).collect();
-        let cold = crate::block_cg::block_cg(&a, &rhs, &p, opts);
-        assert!(cold.iter().all(|r| r.converged));
-        let guesses: Vec<Vec<f64>> = cold
-            .iter()
-            .map(|r| r.x.iter().map(|&v| v * (1.0 + 1e-5)).collect())
-            .collect();
-        let warm = block_cg_warm(&a, &rhs, Some(&guesses), &p, opts);
-        for (c, (w, k)) in warm.iter().zip(&cold).enumerate() {
-            assert!(w.converged, "col {c}");
-            assert!(w.iterations <= k.iterations, "col {c}");
-            assert!(w.initial_rel_residual < 1e-2, "col {c}");
-        }
-        // Cold block path unchanged.
-        let none = block_cg_warm(&a, &rhs, None, &p, opts);
-        for (w, k) in none.iter().zip(&cold) {
-            assert_eq!(w.x, k.x);
         }
     }
 

@@ -494,18 +494,9 @@ fn process_group(inner: &Arc<ServerInner>, worker_id: u64, jobs: &[Arc<Job>]) {
         }
 
         let mut session = entry.take_session(&key, opts);
+        let rhs: Vec<Vec<f64>> = pending.iter().map(|j| j.request.b.clone()).collect();
         let (results, trail): (Vec<SolveResult>, RecoveryTrail) = with_cancel(&token, || {
-            if pending.len() == 1 {
-                let r = session.solve_resilient(
-                    &pending[0].request.b,
-                    &policy,
-                    RecoveryContext::none(),
-                );
-                (vec![r.result], r.trail)
-            } else {
-                let rhs: Vec<Vec<f64>> = pending.iter().map(|j| j.request.b.clone()).collect();
-                session.solve_batch_resilient(&rhs, &policy, RecoveryContext::none())
-            }
+            session.solve_batch_resilient(&rhs, &policy, RecoveryContext::none())
         });
         entry.put_session(key, session);
         lock_unpoisoned(&inner.active_tokens).remove(&worker_id);

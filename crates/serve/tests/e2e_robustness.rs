@@ -254,6 +254,13 @@ fn hostile_bodies_get_a_400_and_the_daemon_keeps_answering() {
         // Numbers past f64 parse to ±inf; they used to be admitted.
         matrix("\"nrows\":2,\"ncols\":2,\"indptr\":[0,1,2],\"indices\":[0,1],\"data\":[4.0,1e999]"),
         "{\"fingerprint\":1,\"b\":[1.0,-1e999]}".to_string(),
+        // An ignored member nested past the reader's depth bound: it used to
+        // recurse until the connection thread's stack overflowed, which
+        // aborts the process — daemon, cache and all.
+        format!(
+            "{{\"fingerprint\":1,\"b\":[1.0],\"note\":{}",
+            "[".repeat(300_000)
+        ),
     ];
     for body in &hostile {
         let (status, v) = post_solve(addr, body);

@@ -1,5 +1,5 @@
 //! The closed AI-tuning loop in one sitting: a matrix whose default-α
-//! MCMC build diverges outright, rescued by `SolveSession::auto` — the
+//! MCMC build diverges outright, rescued by `AutoTuner::auto_session` — the
 //! safeguarded, joint `(α, ε, δ) × CompressionPolicy` search that returns
 //! a tuned, compressed solve session in one call.
 //!
@@ -8,7 +8,7 @@
 //! ```
 
 use mcmcmi::core::autotune::{AutoTuner, AutotuneConfig};
-use mcmcmi::krylov::{SolveSession, TuneBudget};
+use mcmcmi::krylov::TuneBudget;
 use mcmcmi::matgen::PaperMatrix;
 use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams, SafeguardConfig};
 
@@ -41,7 +41,8 @@ fn main() {
     // 2. The closed loop: safeguarded builds + joint TPE search over
     //    (α, ε, δ) and the compression axes, scored by probe solves.
     let mut tuner = AutoTuner::new(AutotuneConfig::default());
-    let (mut session, report) = SolveSession::auto(&a, TuneBudget::default(), &mut tuner)
+    let (mut session, report) = tuner
+        .auto_session(&a, TuneBudget::default())
         .expect("the tuner must find a converging configuration");
     println!(
         "tuned in {} trials ({} converged):",

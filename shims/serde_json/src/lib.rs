@@ -197,7 +197,14 @@ pub fn parse_value_str(s: &str) -> Result<Value> {
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open.
+    depth: usize,
 }
+
+/// Deepest container nesting a document may have. The reader recurses once
+/// per open `[` / `{`, and a stack overflow is an abort, not an error a
+/// caller can catch — so input from strangers must hit this bound first.
+const MAX_DEPTH: usize = 128;
 
 impl<'a> Reader<'a> {
     /// Start reading `s`; leading whitespace is skipped.
@@ -205,6 +212,7 @@ impl<'a> Reader<'a> {
         let mut reader = Reader {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         skip_ws(reader.bytes, &mut reader.pos);
         reader
@@ -258,11 +266,10 @@ impl<'a> Reader<'a> {
         mut member: impl FnMut(&mut Self, String) -> Result<()>,
     ) -> Result<()> {
         let bytes = self.bytes;
-        expect(bytes, &mut self.pos, b'{')?;
+        self.open(b'{')?;
         skip_ws(bytes, &mut self.pos);
         if bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(());
+            return self.close();
         }
         loop {
             skip_ws(bytes, &mut self.pos);
@@ -274,10 +281,7 @@ impl<'a> Reader<'a> {
             skip_ws(bytes, &mut self.pos);
             match bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
+                Some(b'}') => return self.close(),
                 _ => {
                     return Err(Error::new(format!(
                         "expected `,` or `}}` at byte {}",
@@ -292,11 +296,10 @@ impl<'a> Reader<'a> {
     /// must read exactly one value.
     pub fn array(&mut self, mut item: impl FnMut(&mut Self) -> Result<()>) -> Result<()> {
         let bytes = self.bytes;
-        expect(bytes, &mut self.pos, b'[')?;
+        self.open(b'[')?;
         skip_ws(bytes, &mut self.pos);
         if bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(());
+            return self.close();
         }
         loop {
             skip_ws(bytes, &mut self.pos);
@@ -304,10 +307,7 @@ impl<'a> Reader<'a> {
             skip_ws(bytes, &mut self.pos);
             match bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
+                Some(b']') => return self.close(),
                 _ => {
                     return Err(Error::new(format!(
                         "expected `,` or `]` at byte {}",
@@ -316,6 +316,26 @@ impl<'a> Reader<'a> {
                 }
             }
         }
+    }
+
+    /// Consume the container's opening byte, one level deeper.
+    fn open(&mut self, bracket: u8) -> Result<()> {
+        expect(self.bytes, &mut self.pos, bracket)?;
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos - 1
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Consume the container's closing byte, one level back up.
+    fn close(&mut self) -> Result<()> {
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
     }
 
     /// The document is over: only whitespace may follow.
@@ -570,6 +590,22 @@ mod tests {
             let walked = walk(&mut r).and_then(|()| r.end()).unwrap_err().to_string();
             assert_eq!(walked, tree, "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_value_str(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_value_str(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        // Objects count too, and siblings do not accumulate.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse_value_str(&objects).is_err());
+        let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 4].join(","));
+        assert!(parse_value_str(&wide).is_ok());
+        // Used to overflow the stack and abort the process.
+        assert!(parse_value_str(&"[".repeat(1_000_000)).is_err());
+        assert!(from_str::<Value>(&"{\"k\":[".repeat(500_000)).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use mcmcmi::core::autotune::{AutoTuner, AutotuneConfig};
 use mcmcmi::core::features::N_MATRIX_FEATURES;
 use mcmcmi::core::{MeasureConfig, MeasurementRunner, PaperDataset, Recommender};
 use mcmcmi::gnn::{SurrogateConfig, TrainConfig};
-use mcmcmi::krylov::{SolveOptions, SolveSession, SolverType, TuneBudget};
+use mcmcmi::krylov::{SolveOptions, SolverType, TuneBudget};
 use mcmcmi::matgen::{fd_laplace_2d, laplace_1d, pdd_real_sparse, PaperMatrix};
 use mcmcmi::mcmc::{BuildConfig, BuildError, McmcInverse, McmcParams, SafeguardConfig, WalkMatrix};
 use mcmcmi::sparse::Csr;
@@ -88,7 +88,8 @@ fn tuned_build_converges_on_climate_with_smoke_budget() {
         },
         seed: 0,
     };
-    let (mut session, report) = SolveSession::auto(&a, budget, &mut tuner)
+    let (mut session, report) = tuner
+        .auto_session(&a, budget)
         .expect("tuned build must converge where default α diverged");
     assert!(report.solver.is_flexible());
     assert!(report.probe_iters > 0, "probe must have iterated");

@@ -52,7 +52,7 @@ fn solve_batch_bit_identical_to_sequential_for_all_solvers() {
                 batch[c].rel_residual, single.rel_residual,
                 "{solver:?} col {c}"
             );
-            assert_eq!(batch[c].breakdown, single.breakdown, "{solver:?} col {c}");
+            assert_eq!(batch[c].outcome, single.outcome, "{solver:?} col {c}");
         }
     }
 }

@@ -51,9 +51,12 @@ fn spmv_par_identical_across_thread_counts() {
 /// and bit-identical per column to k independent SpMVs.
 #[test]
 fn spmm_identical_across_thread_counts_and_to_spmv_columns() {
-    let a = mcmcmi::matgen::stretched_climate_operator(13, 46, 22, 1.0);
-    let n = a.nrows();
-    for k in [1usize, 3, 4, 6, 8] {
+    let climate = mcmcmi::matgen::stretched_climate_operator(13, 46, 22, 1.0);
+    for (a, k) in [climate, fd_laplace_2d(12)]
+        .iter()
+        .flat_map(|a| [1usize, 3, 4, 6, 8].map(|k| (a, k)))
+    {
+        let n = a.nrows();
         let xb: Vec<f64> = (0..n * k)
             .map(|t| (t as f64 * 0.0077).sin() * 2.0)
             .collect();
@@ -224,13 +227,13 @@ fn surrogate_training_deterministic() {
 #[test]
 fn autotune_recommendation_and_tuned_solve_identical_across_thread_counts() {
     use mcmcmi::core::autotune::{AutoTuner, AutotuneConfig};
-    use mcmcmi::krylov::{SolveSession, TuneBudget};
+    use mcmcmi::krylov::TuneBudget;
     let a = mcmcmi::matgen::pdd_real_sparse(72, 9);
     let n = a.nrows();
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.29).sin()).collect();
     let run = |threads: Option<usize>| {
         let mut tuner = AutoTuner::new(AutotuneConfig::default());
-        let mut tune = || SolveSession::auto(&a, TuneBudget::smoke(11), &mut tuner).unwrap();
+        let mut tune = || tuner.auto_session(&a, TuneBudget::smoke(11)).unwrap();
         let (mut session, report) = match threads {
             None => tune(),
             Some(t) => rayon::ThreadPoolBuilder::new()

@@ -7,7 +7,9 @@
 //!   tests pin it under both 1 and 8 Rayon threads);
 //! * a **no-dirty** rebuild is a no-op on the preconditioner bytes;
 //! * the declared dirty set of every drift generator matches
-//!   `Csr::diff_rows` exactly.
+//!   `Csr::diff_rows` exactly;
+//! * a drift burst escalates `DriftSession`'s refresh ladder the same way
+//!   at any thread count.
 
 use mcmcmi_matgen::CoefficientDrift;
 use mcmcmi_mcmc::{BuildConfig, McmcInverse, McmcParams};
@@ -182,4 +184,47 @@ fn generator_ground_truth_matches_csr_diff_under_both_thread_counts() {
             assert_eq!(out.precond.matrix().nrows(), fresh.precond.matrix().nrows());
         });
     }
+}
+
+/// A violent burst mid-sequence must escalate past keep-applying, end
+/// converged, stay converged — and leave a byte-identical `RefreshTrail`
+/// at 1 and 8 threads.
+#[test]
+fn drift_burst_escalates_the_same_way_at_any_thread_count() {
+    use mcmcmi_core::{DriftSession, RefreshAction, RefreshPolicy};
+    use mcmcmi_krylov::{SolveOptions, SolverType};
+    let run = |threads: usize| {
+        in_pool(threads, || {
+            let a = mcmcmi_matgen::fd_laplace_2d(12);
+            let n = a.nrows();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.17).sin() + 0.5).collect();
+            let mut sess = DriftSession::new(
+                a.clone(),
+                McmcParams::new(0.1, 0.0625, 0.0625),
+                BuildConfig::default(),
+                mcmcmi_mcmc::SafeguardConfig::default(),
+                SolverType::Gmres,
+                SolveOptions {
+                    max_iter: 60,
+                    ..Default::default()
+                },
+                RefreshPolicy::default(),
+            );
+            // Calibrate on the unchanged operator, then rescale every row 6×.
+            for _ in 0..4 {
+                let _ = sess.step(a.clone(), &b);
+            }
+            let mut burst = a.clone();
+            for i in 0..n {
+                for v in burst.row_values_mut(i) {
+                    *v *= 6.0;
+                }
+            }
+            assert!(sess.step(burst.clone(), &b).converged, "rescued burst step");
+            assert!(sess.step(burst, &b).converged, "post-burst step");
+            assert_ne!(sess.trail().steps[4].action, RefreshAction::KeepApplying);
+            serde_json::to_string(sess.trail()).expect("trail serialises")
+        })
+    };
+    assert_eq!(run(8), run(1), "refresh trail at 8 threads vs 1");
 }

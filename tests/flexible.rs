@@ -100,10 +100,17 @@ fn flexible_batch_drivers_bit_identical_to_scalar_through_solve_batch() {
         ..Default::default()
     };
     let rhs = rhs_set(n, 5);
-    for solver in [SolverType::FCg, SolverType::Fgmres] {
-        let batch = solve_batch(&a, &rhs, &built.precond, solver, opts);
+    // The exact operator, and the inexact one the flexible drivers exist
+    // for: its f32, tail-dropped compression.
+    let (compressed, _) = built.compress(&CompressionPolicy::f32(1e-3));
+    let preconds: [&dyn Preconditioner; 2] = [&built.precond, &compressed];
+    for (precond, solver) in preconds
+        .into_iter()
+        .flat_map(|p| [(p, SolverType::FCg), (p, SolverType::Fgmres)])
+    {
+        let batch = solve_batch(&a, &rhs, precond, solver, opts);
         for (c, b) in rhs.iter().enumerate() {
-            let single = solve(&a, b, &built.precond, solver, opts);
+            let single = solve(&a, b, precond, solver, opts);
             assert_eq!(batch[c].x, single.x, "{solver:?} col {c}");
             assert_eq!(batch[c].iterations, single.iterations, "{solver:?} col {c}");
             assert_eq!(batch[c].converged, single.converged, "{solver:?} col {c}");

@@ -58,7 +58,7 @@ fn taxonomy_nonfinite_fires_on_injected_nan() {
         SolverType::Cg,
         SolveOptions::default(),
     );
-    assert!(!r.converged && r.breakdown);
+    assert!(!r.converged);
     assert!(
         matches!(r.failure(), Some(SolveFailure::NonFinite { .. })),
         "want NonFinite, got {:?}",
@@ -76,7 +76,7 @@ fn taxonomy_breakdown_zero_curvature() {
         SolverType::Cg,
         SolveOptions::default(),
     );
-    assert!(!r.converged && r.breakdown);
+    assert!(!r.converged);
     assert!(matches!(
         r.failure(),
         Some(SolveFailure::Breakdown {
@@ -102,10 +102,7 @@ fn taxonomy_stagnation_watchdog() {
         ..Default::default()
     };
     let r = solve(&a, &rhs(n), &IdentityPrecond::new(n), SolverType::Cg, opts);
-    assert!(
-        !r.converged && !r.breakdown,
-        "stagnation is not a breakdown"
-    );
+    assert!(!r.converged);
     assert!(
         matches!(r.failure(), Some(SolveFailure::Stagnated { window: 3, .. })),
         "want Stagnated, got {:?}",
@@ -156,7 +153,7 @@ fn taxonomy_budget_exhausted() {
         ..Default::default()
     };
     let r = solve(&a, &rhs(n), &IdentityPrecond::new(n), SolverType::Cg, opts);
-    assert!(!r.converged && !r.breakdown);
+    assert!(!r.converged);
     assert_eq!(r.iterations, 3);
     assert!(matches!(r.failure(), Some(SolveFailure::BudgetExhausted)));
 }
