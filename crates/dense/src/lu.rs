@@ -85,32 +85,6 @@ impl Lu {
         self.singular
     }
 
-    /// Ratio of the smallest to the largest absolute U-diagonal entry — a
-    /// cheap near-rank-deficiency indicator (0 for an exactly singular
-    /// factorisation). Block-Krylov coupling solves use it to detect rank
-    /// collapse before it turns into an exact zero pivot.
-    pub fn pivot_ratio(&self) -> f64 {
-        if self.singular {
-            return 0.0;
-        }
-        let n = self.order();
-        if n == 0 {
-            return 1.0;
-        }
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        for i in 0..n {
-            let p = self.lu.get(i, i).abs();
-            min = min.min(p);
-            max = max.max(p);
-        }
-        if max == 0.0 {
-            0.0
-        } else {
-            min / max
-        }
-    }
-
     /// Order of the factorised matrix.
     pub fn order(&self) -> usize {
         self.lu.nrows()

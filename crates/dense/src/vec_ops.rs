@@ -14,11 +14,12 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
 }
 
 /// Euclidean norm `‖x‖₂`, with scaling to avoid overflow for large entries.
+/// NaN if any entry is NaN.
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {
     let amax = x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()));
     if amax == 0.0 || !amax.is_finite() {
-        return if amax == 0.0 { 0.0 } else { f64::INFINITY };
+        return unscaled_norm(amax, x.iter());
     }
     let s: f64 = x
         .iter()
@@ -28,6 +29,20 @@ pub fn norm2(x: &[f64]) -> f64 {
         })
         .sum();
     amax * s.sqrt()
+}
+
+/// The norm of a vector whose largest magnitude `amax` is 0 or ∞, where the
+/// scaled sum of squares cannot be formed. `f64::max` skips NaN, so such an
+/// `amax` may hide NaN entries (an all-NaN vector folds to 0): look for them,
+/// because a norm that reads 0 tells a solver it has converged.
+fn unscaled_norm<'a>(amax: f64, mut entries: impl Iterator<Item = &'a f64>) -> f64 {
+    if entries.any(|v| v.is_nan()) {
+        f64::NAN
+    } else if amax == 0.0 {
+        0.0
+    } else {
+        f64::INFINITY
+    }
 }
 
 /// 1-norm `‖x‖₁ = Σ|xᵢ|`.
@@ -112,7 +127,7 @@ pub fn norm2_col(x: &[f64], k: usize, c: usize) -> f64 {
         .step_by(k)
         .fold(0.0_f64, |m, &v| m.max(v.abs()));
     if amax == 0.0 || !amax.is_finite() {
-        return if amax == 0.0 { 0.0 } else { f64::INFINITY };
+        return unscaled_norm(amax, x[c..].iter().step_by(k));
     }
     let s: f64 = x[c..]
         .iter()
@@ -228,10 +243,8 @@ pub fn norm2_cols_masked(x: &[f64], k: usize, mask: &[bool], out: &mut [f64]) {
         if !mask[c] {
             continue;
         }
-        out[c] = if amax[c] == 0.0 {
-            0.0
-        } else if !amax[c].is_finite() {
-            f64::INFINITY
+        out[c] = if amax[c] == 0.0 || !amax[c].is_finite() {
+            unscaled_norm(amax[c], x[c..].iter().step_by(k))
         } else {
             amax[c] * sums[c].sqrt()
         };
@@ -348,6 +361,32 @@ mod tests {
     fn norm2_zero_vector() {
         assert_eq!(norm2(&[0.0, 0.0, 0.0]), 0.0);
         assert_eq!(norm2(&[]), 0.0);
+    }
+
+    #[test]
+    fn norms_propagate_nan() {
+        // `f64::max` skips NaN: without the explicit scan the first two
+        // vectors fold to amax = 0 and read as norm 0 — "converged".
+        for x in [
+            [f64::NAN; 3],
+            [0.0, f64::NAN, 0.0],
+            [1.0, f64::NAN, -2.0],
+            [f64::INFINITY, f64::NAN, 1.0],
+        ] {
+            assert!(norm2(&x).is_nan(), "{x:?}");
+            // The same vector as column 1 of a 3×2 block beside a clean one.
+            let block = [3.0, x[0], 4.0, x[1], 0.0, x[2]];
+            assert!(norm2_col(&block, 2, 1).is_nan(), "{x:?}");
+            assert_eq!(norm2_col(&block, 2, 0), 5.0);
+            for mask in [[true, true], [false, true]] {
+                let mut out = [-1.0; 2];
+                norm2_cols_masked(&block, 2, &mask, &mut out);
+                assert!(out[1].is_nan(), "{x:?} {mask:?}");
+                assert_eq!(out[0], if mask[0] { 5.0 } else { -1.0 });
+            }
+        }
+        // Infinite without NaN stays infinite.
+        assert_eq!(norm2(&[1.0, f64::NEG_INFINITY]), f64::INFINITY);
     }
 
     #[test]

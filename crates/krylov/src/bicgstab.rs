@@ -12,10 +12,11 @@ use mcmcmi_dense::{
 use mcmcmi_sparse::KernelBackend;
 
 /// Reusable scratch for repeated scalar BiCGStab solves on same-size
-/// systems. After the first solve, subsequent [`bicgstab_with`] calls
-/// allocate nothing beyond the returned solution vector.
+/// systems (empty until first use). After the first solve, subsequent
+/// [`bicgstab_with`] calls allocate nothing beyond the returned solution
+/// vector.
 #[derive(Clone, Debug, Default)]
-pub struct BiCgStabWorkspace {
+pub(crate) struct BiCgStabWorkspace {
     pb: Vec<f64>,
     r: Vec<f64>,
     r_hat: Vec<f64>,
@@ -25,13 +26,6 @@ pub struct BiCgStabWorkspace {
     t: Vec<f64>,
     tmp: Vec<f64>,
     fin: Vec<f64>,
-}
-
-impl BiCgStabWorkspace {
-    /// Empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Solve `PA x = Pb` with the stabilised bi-conjugate gradient method.
@@ -48,12 +42,13 @@ pub fn bicgstab<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     precond: &P,
     opts: SolveOptions,
 ) -> SolveResult {
-    bicgstab_with(a, b, precond, opts, &mut BiCgStabWorkspace::new())
+    bicgstab_with(a, b, precond, opts, &mut BiCgStabWorkspace::default())
 }
 
-/// [`bicgstab`] with caller-owned scratch ([`BiCgStabWorkspace`]) —
-/// identical results, zero per-call allocation of the iteration vectors.
-pub fn bicgstab_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
+/// The scalar loop behind [`bicgstab`], on caller-owned scratch
+/// ([`BiCgStabWorkspace`]) — zero per-call allocation of the iteration
+/// vectors.
+pub(crate) fn bicgstab_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     a: &A,
     b: &[f64],
     precond: &P,
@@ -227,9 +222,9 @@ pub fn bicgstab_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
 }
 
 /// Block workspace for [`bicgstab_batch`]: row-major `n×k` blocks reused
-/// across batches of the same (or smaller) width.
+/// across batches of the same (or smaller) width (empty until first use).
 #[derive(Clone, Debug, Default)]
-pub struct BiCgStabBlockWorkspace {
+pub(crate) struct BiCgStabBlockWorkspace {
     bb: Vec<f64>,
     xb: Vec<f64>,
     pbb: Vec<f64>,
@@ -243,13 +238,6 @@ pub struct BiCgStabBlockWorkspace {
     fin: Vec<f64>,
 }
 
-impl BiCgStabBlockWorkspace {
-    /// Empty workspace; blocks grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Lockstep batched BiCGStab: one batch-wide SpMM + block preconditioner
 /// application per half-step serves every column, while each column runs
 /// exactly the scalar [`bicgstab`] arithmetic — results are bit-identical
@@ -258,7 +246,7 @@ impl BiCgStabBlockWorkspace {
 ///
 /// # Panics
 /// Panics if `A` is not square or any rhs has the wrong length.
-pub fn bicgstab_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
+pub(crate) fn bicgstab_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     a: &A,
     rhs: &[Vec<f64>],
     precond: &P,

@@ -1,5 +1,21 @@
-//! Preconditioned conjugate gradients (SPD systems): scalar driver with a
-//! reusable workspace, and the lockstep batched (multi-RHS) driver.
+//! The conjugate-gradient family (SPD systems): one scalar loop with a
+//! reusable workspace and one lockstep batched (multi-RHS) loop, each taking
+//! the [`BetaRule`] that tells classical CG from flexible CG.
+//!
+//! Classical CG assumes the preconditioner is a *fixed SPD operator*; its
+//! β = ⟨r₊, z₊⟩/⟨r, z⟩ (Fletcher–Reeves form) silently relies on
+//! ⟨z₊, r⟩ = 0, which an inexact or slightly nonsymmetric preconditioner —
+//! a drop-tolerance-sparsified, f32-demoted MCMC inverse — no longer
+//! guarantees. Flexible CG (Notay) replaces it with the Polak–Ribière form
+//! β = ⟨z₊, r₊ − r⟩/⟨r, z⟩, which re-orthogonalises the new direction
+//! against the *actual* previous step and degrades gracefully when `P`
+//! wobbles. With an exact fixed preconditioner the two coincide in exact
+//! arithmetic, so FCG tracks CG iterate-for-iterate there.
+//!
+//! The residual difference is never materialised: `r₊ − r = −α·Ap`, so the
+//! numerator is `−α·⟨z₊, Ap⟩` — one extra dot product per iteration on
+//! vectors already in cache, no extra n-vector. That reduction, the β
+//! formula and the label of the finiteness check are all that differs.
 
 use crate::precond::Preconditioner;
 use crate::solver::{
@@ -12,23 +28,46 @@ use mcmcmi_dense::{
 };
 use mcmcmi_sparse::KernelBackend;
 
-/// Reusable scratch for repeated scalar CG solves on same-size systems.
-/// After the first solve, subsequent [`cg_with`] calls allocate nothing
-/// beyond the returned solution vector.
+/// How the next search direction's β is formed — the one algorithmic
+/// difference between classical and flexible CG.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum BetaRule {
+    /// β = ⟨r₊, z₊⟩/⟨r, z⟩: classical CG.
+    FletcherReeves,
+    /// β = ⟨z₊, r₊ − r⟩/⟨r, z⟩ = −α·⟨z₊, Ap⟩/⟨r, z⟩: flexible CG.
+    PolakRibiere,
+}
+
+impl BetaRule {
+    /// β from one step's reductions, or the rule's non-finite failure.
+    /// `zap` = ⟨z₊, Ap⟩ is read (and need only be computed) under
+    /// Polak–Ribière.
+    fn beta(self, rz_new: f64, rz: f64, alpha: f64, zap: f64) -> Result<f64, SolveFailure> {
+        match self {
+            BetaRule::FletcherReeves if rz_new.is_finite() => Ok(rz_new / rz),
+            BetaRule::PolakRibiere if rz_new.is_finite() && zap.is_finite() => {
+                Ok(-alpha * zap / rz)
+            }
+            BetaRule::FletcherReeves => Err(SolveFailure::NonFinite {
+                what: "⟨r, z⟩".to_string(),
+            }),
+            BetaRule::PolakRibiere => Err(SolveFailure::NonFinite {
+                what: "⟨r, z⟩ / ⟨z, Ap⟩".to_string(),
+            }),
+        }
+    }
+}
+
+/// Reusable scratch for repeated scalar CG/FCG solves on same-size systems
+/// (empty until first use). After the first solve, subsequent [`cg_with`]
+/// calls allocate nothing beyond the returned solution vector.
 #[derive(Clone, Debug, Default)]
-pub struct CgWorkspace {
+pub(crate) struct CgWorkspace {
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
     fin: Vec<f64>,
-}
-
-impl CgWorkspace {
-    /// Empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Solve `Ax = b` for SPD `A` with preconditioned CG.
@@ -43,16 +82,33 @@ pub fn cg<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     precond: &P,
     opts: SolveOptions,
 ) -> SolveResult {
-    cg_with(a, b, precond, opts, &mut CgWorkspace::new())
+    let ws = &mut CgWorkspace::default();
+    cg_with(a, b, precond, opts, BetaRule::FletcherReeves, ws)
 }
 
-/// [`cg`] with caller-owned scratch ([`CgWorkspace`]) — identical results,
-/// zero per-call allocation of the iteration vectors.
-pub fn cg_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
+/// Solve `Ax = b` for SPD `A` with flexible preconditioned CG.
+///
+/// Unlike [`cg`], the preconditioner need not be applied exactly or
+/// symmetrically — compressed MCMC inverses can be passed raw, without the
+/// `symmetrized()` copy classical CG needs.
+pub fn fcg<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     a: &A,
     b: &[f64],
     precond: &P,
     opts: SolveOptions,
+) -> SolveResult {
+    let ws = &mut CgWorkspace::default();
+    cg_with(a, b, precond, opts, BetaRule::PolakRibiere, ws)
+}
+
+/// The scalar loop behind [`cg`] and [`fcg`], on caller-owned scratch
+/// ([`CgWorkspace`]) — zero per-call allocation of the iteration vectors.
+pub(crate) fn cg_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
+    a: &A,
+    b: &[f64],
+    precond: &P,
+    opts: SolveOptions,
+    rule: BetaRule,
     ws: &mut CgWorkspace,
 ) -> SolveResult {
     let n = b.len();
@@ -113,13 +169,18 @@ pub fn cg_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
         }
         precond.apply(&ws.r, &mut ws.z);
         let rz_new = dot(&ws.r, &ws.z);
-        if !rz_new.is_finite() {
-            failure = Some(SolveFailure::NonFinite {
-                what: "⟨r, z⟩".to_string(),
-            });
-            break;
-        }
-        let beta = rz_new / rz;
+        let zap = if rule == BetaRule::PolakRibiere {
+            dot(&ws.z, &ws.ap)
+        } else {
+            0.0
+        };
+        let beta = match rule.beta(rz_new, rz, alpha, zap) {
+            Ok(beta) => beta,
+            Err(f) => {
+                failure = Some(f);
+                break;
+            }
+        };
         rz = rz_new;
         // p = z + beta p
         for (pi, &zi) in ws.p.iter_mut().zip(&ws.z) {
@@ -140,9 +201,9 @@ pub fn cg_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
 }
 
 /// Block workspace for [`cg_batch`]: row-major `n×k` blocks reused across
-/// batches of the same (or smaller) width.
+/// batches of the same (or smaller) width (empty until first use).
 #[derive(Clone, Debug, Default)]
-pub struct CgBlockWorkspace {
+pub(crate) struct CgBlockWorkspace {
     bb: Vec<f64>,
     xb: Vec<f64>,
     rb: Vec<f64>,
@@ -152,28 +213,22 @@ pub struct CgBlockWorkspace {
     fin: Vec<f64>,
 }
 
-impl CgBlockWorkspace {
-    /// Empty workspace; blocks grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Lockstep batched CG: solve `A·x_c = b_c` for all columns at once,
+/// Lockstep batched CG/FCG: solve `A·x_c = b_c` for all columns at once,
 /// sharing every matrix traversal (SpMM) and preconditioner application
 /// (block apply) across the batch while each column performs exactly the
-/// scalar [`cg`] arithmetic. Results are bit-identical to sequential
-/// single-RHS solves at any thread count. Columns converge independently:
-/// a converged (or broken-down) column is masked out of further updates
-/// while the rest keep iterating.
+/// scalar [`cg_with`] arithmetic under the same `rule`. Results are
+/// bit-identical to sequential single-RHS solves at any thread count.
+/// Columns converge independently: a converged (or broken-down) column is
+/// masked out of further updates while the rest keep iterating.
 ///
 /// # Panics
 /// Panics if `A` is not square or any rhs has the wrong length.
-pub fn cg_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
+pub(crate) fn cg_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     a: &A,
     rhs: &[Vec<f64>],
     precond: &P,
     opts: SolveOptions,
+    rule: BetaRule,
     ws: &mut CgBlockWorkspace,
 ) -> Vec<SolveResult> {
     assert_eq!(a.nrows(), a.ncols(), "cg_batch: matrix must be square");
@@ -235,6 +290,7 @@ pub fn cg_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     let mut neg_alpha = vec![0.0f64; k];
     let mut rnorm = vec![0.0f64; k];
     let mut rz_new = vec![0.0f64; k];
+    let mut zap = vec![0.0f64; k];
     let mut beta = vec![0.0f64; k];
     let mut updating = vec![false; k];
     let mut continuing = vec![false; k];
@@ -313,20 +369,24 @@ pub fn cg_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
         // Z = P·R for the surviving columns (masked columns ride along).
         precond.apply_block(&ws.rb, k, &mut ws.zb);
         dot_cols_masked(&ws.rb, &ws.zb, k, &continuing, &mut rz_new);
+        if rule == BetaRule::PolakRibiere {
+            // The one extra reduction FCG costs over CG, fused over the block.
+            dot_cols_masked(&ws.zb, &ws.apb, k, &continuing, &mut zap);
+        }
         for c in 0..k {
             if !continuing[c] {
                 continue;
             }
-            if !rz_new[c].is_finite() {
-                outcome[c].failure = Some(SolveFailure::NonFinite {
-                    what: "⟨r, z⟩".to_string(),
-                });
-                outcome[c].iterations = iters[c];
-                active[c] = false;
-                continuing[c] = false;
-                continue;
+            match rule.beta(rz_new[c], rz[c], alpha[c], zap[c]) {
+                Ok(b) => beta[c] = b,
+                Err(f) => {
+                    outcome[c].failure = Some(f);
+                    outcome[c].iterations = iters[c];
+                    active[c] = false;
+                    continuing[c] = false;
+                    continue;
+                }
             }
-            beta[c] = rz_new[c] / rz[c];
             rz[c] = rz_new[c];
         }
         // p[:,c] = z[:,c] + beta[c]·p[:,c], one fused sweep (branch-free
@@ -357,6 +417,9 @@ mod tests {
     use crate::precond::{IdentityPrecond, JacobiPrecond};
     use mcmcmi_matgen::{fd_laplace_2d, laplace_1d, spd_random};
 
+    type Driver = fn(&mcmcmi_sparse::Csr, &[f64], &IdentityPrecond, SolveOptions) -> SolveResult;
+    const BOTH: [Driver; 2] = [cg, fcg];
+
     #[test]
     fn solves_1d_laplacian_exactly_in_n_steps() {
         // CG terminates in at most n steps in exact arithmetic.
@@ -364,11 +427,13 @@ mod tests {
         let a = laplace_1d(n);
         let xs: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let b = a.spmv_alloc(&xs);
-        let r = cg(&a, &b, &IdentityPrecond::new(n), SolveOptions::default());
-        assert!(r.converged);
-        assert!(r.iterations <= n + 2);
-        for (p, q) in r.x.iter().zip(&xs) {
-            assert!((p - q).abs() < 1e-6);
+        for driver in BOTH {
+            let r = driver(&a, &b, &IdentityPrecond::new(n), SolveOptions::default());
+            assert!(r.converged);
+            assert!(r.iterations <= n + 2);
+            for (p, q) in r.x.iter().zip(&xs) {
+                assert!((p - q).abs() < 1e-6);
+            }
         }
     }
 
@@ -411,16 +476,100 @@ mod tests {
     }
 
     #[test]
+    fn fcg_matches_cg_iterate_for_iterate_with_fixed_preconditioner() {
+        // With an exact fixed SPD preconditioner, the Polak–Ribière β
+        // equals the Fletcher–Reeves β in exact arithmetic; over a handful
+        // of iterations on a well-conditioned system the floating-point
+        // drift stays far below solver tolerances.
+        let a = spd_random(40, 50.0, 5);
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 3 + 1) as f64 * 0.17).sin()).collect();
+        let jac = JacobiPrecond::new(&a);
+        for cap in 1..=10usize {
+            let opts = SolveOptions {
+                max_iter: cap,
+                tol: 1e-30, // force exactly `cap` iterations on both
+                ..Default::default()
+            };
+            let rc = cg(&a, &b, &jac, opts);
+            let rf = fcg(&a, &b, &jac, opts);
+            assert_eq!(rc.iterations, rf.iterations, "cap {cap}");
+            let scale = mcmcmi_dense::norm2(&rc.x).max(1e-30);
+            for (p, q) in rf.x.iter().zip(&rc.x) {
+                assert!(
+                    (p - q).abs() <= 1e-10 * scale,
+                    "cap {cap}: iterate drift {p} vs {q}"
+                );
+            }
+        }
+        // Full solves agree on iteration count too.
+        let opts = SolveOptions::default();
+        let rc = cg(&a, &b, &jac, opts);
+        let rf = fcg(&a, &b, &jac, opts);
+        assert!(rc.converged && rf.converged);
+        assert_eq!(rc.iterations, rf.iterations);
+    }
+
+    #[test]
+    fn fcg_tolerates_a_nonsymmetric_preconditioner() {
+        // A deliberately skewed (nonsymmetric) approximate inverse: plain
+        // CG's convergence theory is void, FCG still drives the residual
+        // down. This is the compressed-f32 MCMC scenario in miniature.
+        let a = fd_laplace_2d(12);
+        let n = a.nrows();
+        let mut coo = mcmcmi_sparse::Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 0.25);
+            if i + 1 < n {
+                coo.push(i, i + 1, 0.03); // one-sided coupling
+            }
+        }
+        let p = crate::SparsePrecond::new(coo.to_csr());
+        let b = vec![1.0; n];
+        let r = fcg(&a, &b, &p, SolveOptions::default());
+        assert!(r.converged, "rel_residual = {}", r.rel_residual);
+    }
+
+    #[test]
+    fn batch_bit_identical_to_scalar() {
+        let a = fd_laplace_2d(9);
+        let n = a.nrows();
+        let jac = JacobiPrecond::new(&a);
+        let rhs: Vec<Vec<f64>> = (0..5)
+            .map(|c| {
+                (0..n)
+                    .map(|i| (i as f64 * (0.23 + 0.06 * c as f64)).sin())
+                    .collect()
+            })
+            .collect();
+        let opts = SolveOptions::default();
+        for rule in [BetaRule::FletcherReeves, BetaRule::PolakRibiere] {
+            let batch = cg_batch(&a, &rhs, &jac, opts, rule, &mut CgBlockWorkspace::default());
+            for (c, b) in rhs.iter().enumerate() {
+                let scalar = cg_with(&a, b, &jac, opts, rule, &mut CgWorkspace::default());
+                assert_eq!(batch[c].x, scalar.x, "{rule:?} col {c}");
+                assert_eq!(batch[c].iterations, scalar.iterations, "{rule:?} col {c}");
+                assert_eq!(
+                    batch[c].rel_residual, scalar.rel_residual,
+                    "{rule:?} col {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn zero_rhs() {
         let a = laplace_1d(6);
-        let r = cg(
-            &a,
-            &[0.0; 6],
-            &IdentityPrecond::new(6),
-            SolveOptions::default(),
-        );
-        assert!(r.converged);
-        assert_eq!(r.iterations, 0);
+        for driver in BOTH {
+            let r = driver(
+                &a,
+                &[0.0; 6],
+                &IdentityPrecond::new(6),
+                SolveOptions::default(),
+            );
+            assert!(r.converged);
+            assert_eq!(r.iterations, 0);
+        }
     }
 
     #[test]
@@ -431,8 +580,10 @@ mod tests {
             max_iter: 5,
             ..Default::default()
         };
-        let r = cg(&a, &vec![1.0; n], &IdentityPrecond::new(n), opts);
-        assert!(!r.converged);
-        assert_eq!(r.iterations, 5);
+        for driver in BOTH {
+            let r = driver(&a, &vec![1.0; n], &IdentityPrecond::new(n), opts);
+            assert!(!r.converged);
+            assert_eq!(r.iterations, 5);
+        }
     }
 }

@@ -4,39 +4,38 @@
 //! `PA x = Pb` with GMRES or BiCGStab (CG when `A` is SPD) and counts the
 //! iterations to a relative-residual tolerance — that count is the
 //! denominator/numerator of the preconditioning performance metric (Eq. 4).
-//! This crate provides those three solvers, the [`Preconditioner`]
-//! abstraction they share, and the classical baselines (Jacobi, ILU(0),
-//! IC(0)) that the paper's related-work section positions MCMC against.
-
+//! This crate provides those solvers, the [`Preconditioner`] abstraction
+//! they share, and the classical baselines (Jacobi, ILU(0), IC(0)) that the
+//! paper's related-work section positions MCMC against.
 //!
-//! Beyond the one-shot scalar entry points, the crate provides the batched
-//! multi-RHS machinery the serving workload needs: lockstep batched
-//! drivers sharing matrix traversals across right-hand sides
-//! ([`solve_batch`]), true block-CG with shared search directions
-//! ([`block_cg`]), and the reusable [`SolveSession`] that amortises the
-//! preconditioner and all solver workspaces over many solves.
+//! There are three loop families, one module each:
 //!
-//! Each driver keeps two loops — a scalar one and a lockstep one, the same
-//! bits per column, each the faster on some workload — and everything above
-//! them is written once, over columns: one dispatch in [`solver`] reads the
-//! batch width and picks the loop, and the warm start ([`warm`]), the
-//! recovery ladder ([`resilient`]) and [`SolveSession`] are thin layers on
-//! it. `solve(b)` is `solve_batch(&[b])`.
+//! - [`mod@cg`] — conjugate gradients. Its flexible form [`fcg`] (Notay) is
+//!   the same loop with the Polak–Ribière β in place of Fletcher–Reeves.
+//! - [`mod@gmres`] — restarted GMRES. Its flexible form [`fgmres`] (Saad) is
+//!   the same loop preconditioned on the right, keeping `Z = P·V`.
+//! - [`mod@bicgstab`] — BiCGStab (no flexible form; the recovery ladder
+//!   swaps it for FGMRES).
 //!
-//! For *inexact* preconditioners — the compressed, reduced-precision MCMC
-//! inverses produced by `mcmcmi_mcmc`'s `CompressionPolicy` — the flexible
-//! drivers [`fcg`] (Notay) and [`fgmres`] (Saad, right-preconditioned)
-//! keep their convergence theory where classical CG/GMRES would quietly
-//! assume a fixed exact operator; both come in scalar and lockstep batched
-//! forms on the same workspace/session design.
+//! The flexible forms are for *inexact* preconditioners — the compressed,
+//! reduced-precision MCMC inverses produced by `mcmcmi_mcmc`'s
+//! `CompressionPolicy` — where classical CG/GMRES would quietly assume a
+//! fixed exact operator. A flexible driver is a parameter of its family,
+//! not a second implementation: [`SolverType`] is the only selector.
+//!
+//! Each family keeps two loops — a scalar one and a lockstep one over a
+//! row-major block of right-hand sides, the same bits per column, each the
+//! faster on some workload — and everything above them is written once,
+//! over columns: one dispatch in [`solver`] reads the batch width and picks
+//! the loop, and the warm start ([`warm`]), the recovery ladder
+//! ([`resilient`]) and the reusable [`SolveSession`], which amortises the
+//! preconditioner and all solver workspaces over many solves, are thin
+//! layers on it. `solve(b)` is `solve_batch(&[b])`.
 
 pub mod auto;
 pub mod bicgstab;
-pub mod block_cg;
 pub mod cancel;
 pub mod cg;
-pub mod fcg;
-pub mod fgmres;
 pub mod gmres;
 pub mod ic0;
 pub mod ilu0;
@@ -49,13 +48,10 @@ pub mod warm;
 pub mod watchdog;
 
 pub use auto::{TuneBudget, TuneError};
-pub use bicgstab::{bicgstab, bicgstab_batch, bicgstab_with, BiCgStabWorkspace};
-pub use block_cg::block_cg;
+pub use bicgstab::bicgstab;
 pub use cancel::{with_cancel, CancelToken};
-pub use cg::{cg, cg_batch, cg_with, CgWorkspace};
-pub use fcg::{fcg, fcg_batch, fcg_with, FcgWorkspace};
-pub use fgmres::{fgmres, fgmres_batch, fgmres_with, FgmresWorkspace};
-pub use gmres::{gmres, gmres_batch, gmres_with, GmresWorkspace};
+pub use cg::{cg, fcg};
+pub use gmres::{fgmres, gmres};
 pub use ic0::Ic0;
 pub use ilu0::Ilu0;
 pub use precond::{

@@ -36,8 +36,7 @@
 
 use crate::precond::{IdentityPrecond, Preconditioner};
 use crate::solver::{
-    only, solve_batch, solve_columns, SolveFailure, SolveOptions, SolveResult, SolverType,
-    Workspaces,
+    only, solve_columns, SolveFailure, SolveOptions, SolveResult, SolverType, Workspaces,
 };
 use mcmcmi_sparse::KernelBackend;
 use serde::{Deserialize, Serialize};
@@ -183,7 +182,7 @@ pub struct ResilientResult {
     pub trail: RecoveryTrail,
 }
 
-/// Caller hook used by rung 3: produce a fresh preconditioner in response
+/// Caller hook used by rung 4: produce a fresh preconditioner in response
 /// to a failure. The mcmc crate's `SafeguardedRebuilder` implements this by
 /// re-running `build_safeguarded` with α backed off one geometric step.
 pub trait PrecondRebuild {
@@ -263,7 +262,9 @@ fn better(candidate: &SolveResult, best: &SolveResult) -> bool {
 /// a lone failing column — every scalar resilient solve — runs the scalar
 /// loop), keeps the better iterate per column, and leaves converged
 /// siblings untouched: recovery never perturbs a healthy column. A clean
-/// batch never gets past the first check.
+/// batch never gets past the first check. `ws` is the scratch the plain
+/// solve ran on, so a rung that stays in the family (the flexible swap)
+/// reuses the blocks already held.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn escalate<A: KernelBackend + ?Sized>(
     a: &A,
@@ -274,6 +275,7 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
     policy: &RecoveryPolicy,
     mut ctx: RecoveryContext<'_>,
     mut results: Vec<SolveResult>,
+    ws: &mut Workspaces,
 ) -> (Vec<SolveResult>, RecoveryTrail) {
     let mut trail = RecoveryTrail::default();
     // A cancelled column is out of deadline budget, not out of numerical
@@ -296,7 +298,6 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
     let identity = IdentityPrecond::new(a.nrows());
     let mut active = ActivePrecond::Borrowed(precond);
     let mut active_solver = solver;
-    let mut ws = Workspaces::default();
 
     for step in [
         RecoveryStepKind::FullPrecisionRetry,
@@ -350,7 +351,7 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
             }
         }
         let sub_rhs: Vec<Vec<f64>> = failing.iter().map(|&c| rhs[c].clone()).collect();
-        let sub = solve_columns(a, active.as_dyn(), active_solver, opts, &sub_rhs, &mut ws);
+        let sub = solve_columns(a, active.as_dyn(), active_solver, opts, &sub_rhs, ws);
         let iterations = sub.iter().map(|r| r.iterations).sum();
         let mut still_failing = Vec::new();
         let mut next_trigger = None;
@@ -400,8 +401,8 @@ pub fn solve_resilient<A: KernelBackend + ?Sized, P: Preconditioner>(
     }
 }
 
-/// Solve with automatic recovery: run the plain [`solve_batch`] first (the
-/// clean path is bit-identical to it), and on a structured failure escalate
+/// Solve with automatic recovery: run the plain [`crate::solve_batch`] first
+/// (the clean path is bit-identical to it), and on a structured failure escalate
 /// the failing columns through the [`RecoveryPolicy`] ladder. The returned
 /// [`RecoveryTrail`] records every rung executed; it is empty exactly when
 /// no column needed one.
@@ -417,15 +418,16 @@ pub fn solve_batch_resilient<A: KernelBackend + ?Sized, P: Preconditioner>(
     policy: &RecoveryPolicy,
     ctx: RecoveryContext<'_>,
 ) -> (Vec<SolveResult>, RecoveryTrail) {
-    let base = solve_batch(a, rhs, precond, solver, opts);
-    escalate(a, rhs, precond, solver, opts, policy, ctx, base)
+    let ws = &mut Workspaces::default();
+    let base = solve_columns(a, precond, solver, opts, rhs, ws);
+    escalate(a, rhs, precond, solver, opts, policy, ctx, base, ws)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::precond::JacobiPrecond;
-    use crate::solver::solve;
+    use crate::solver::{solve, solve_batch};
     use mcmcmi_matgen::fd_laplace_2d;
 
     #[test]

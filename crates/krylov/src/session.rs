@@ -179,6 +179,7 @@ impl<P: Preconditioner> SolveSession<P> {
             policy,
             ctx,
             base,
+            &mut self.ws,
         )
     }
 
@@ -358,6 +359,34 @@ mod tests {
         for (p, q) in r1.iter().zip(&r2) {
             assert_eq!(p.x, q.x);
         }
+    }
+
+    #[test]
+    fn flexible_swap_rung_reuses_the_sessions_gmres_basis() {
+        let a = fd_laplace_2d(8);
+        let n = a.nrows();
+        // Too few iterations for GMRES: the ladder's first applicable rung
+        // reruns the column as FGMRES, on the session's own scratch.
+        let opts = SolveOptions {
+            max_iter: 3,
+            ..Default::default()
+        };
+        let precond = JacobiPrecond::new(&a);
+        let mut sess = SolveSession::new(a, precond, SolverType::Gmres, opts);
+        let b = &rhs_set(n, 1)[0];
+        let plain = sess.solve(b);
+        assert!(!plain.converged);
+        let scratch = &sess.ws.gmres.scalar;
+        assert!(scratch.z.is_empty(), "classical GMRES holds no Z basis");
+        let held: Vec<*const f64> = scratch.v.iter().map(|v| v.as_ptr()).collect();
+
+        let policy = RecoveryPolicy::default();
+        let r = sess.solve_resilient(b, &policy, RecoveryContext::default());
+        assert_eq!(r.trail.steps[0].solver, SolverType::Fgmres);
+        let scratch = &sess.ws.gmres.scalar;
+        assert_eq!(scratch.z.len(), opts.restart);
+        let now: Vec<*const f64> = scratch.v.iter().map(|v| v.as_ptr()).collect();
+        assert_eq!(held, now);
     }
 
     /// Compile-time audit that sessions can be shared across the serving

@@ -2,10 +2,8 @@
 //! type-dispatched entry point.
 
 use crate::bicgstab::{bicgstab_batch, bicgstab_with, BiCgStabBlockWorkspace, BiCgStabWorkspace};
-use crate::cg::{cg_batch, cg_with, CgBlockWorkspace, CgWorkspace};
-use crate::fcg::{fcg_batch, fcg_with, FcgBlockWorkspace, FcgWorkspace};
-use crate::fgmres::{fgmres_batch, fgmres_with, FgmresBlockWorkspace, FgmresWorkspace};
-use crate::gmres::{gmres_batch, gmres_with, GmresBlockWorkspace, GmresWorkspace};
+use crate::cg::{cg_batch, cg_with, BetaRule, CgBlockWorkspace, CgWorkspace};
+use crate::gmres::{gmres_batch, gmres_with, GmresBlockWorkspace, GmresWorkspace, Side};
 use crate::precond::Preconditioner;
 use crate::watchdog::WatchdogConfig;
 use mcmcmi_sparse::KernelBackend;
@@ -260,8 +258,8 @@ pub(crate) struct ColOutcome {
 /// driver's structured failure (if any) into a [`SolveResult`]. This is the
 /// single place the `converged` flag and the
 /// [`SolveOutcome`]/[`ConvergedWithin`] fields are derived, for scalar and
-/// batched drivers alike — pure flag logic, no floating-point arithmetic,
-/// so clean solves stay bit-identical.
+/// batched drivers alike — flag logic and finiteness checks, no
+/// floating-point arithmetic, so clean solves stay bit-identical.
 pub(crate) fn classify(
     x: Vec<f64>,
     iterations: usize,
@@ -271,9 +269,20 @@ pub(crate) fn classify(
     end: ColEnd,
     initial_rel: f64,
 ) -> SolveResult {
-    if !rel.is_finite() && failure.is_none() {
-        failure = Some(SolveFailure::NonFinite {
-            what: "true residual".to_string(),
+    if failure.is_none() {
+        // The last line of defence against a wrong `Converged`: the norms
+        // propagate NaN, so a poisoned iterate normally shows in `rel`; the
+        // scan of `x` covers entries the residual cannot see (an empty
+        // column of `A`).
+        let what = if !rel.is_finite() {
+            Some("true residual")
+        } else if x.iter().any(|v| !v.is_finite()) {
+            Some("solution")
+        } else {
+            None
+        };
+        failure = what.map(|what| SolveFailure::NonFinite {
+            what: what.to_string(),
         });
     }
     let converged = match end {
@@ -389,11 +398,11 @@ pub(crate) fn finalize_columns<A: KernelBackend + ?Sized>(
     results
 }
 
-/// One driver's reusable scratch: the scalar loop's vectors, and one set of
-/// `n×k` blocks per batch width the lockstep loop has seen.
+/// One loop family's reusable scratch: the scalar loop's vectors, and one
+/// set of `n×k` blocks per batch width the lockstep loop has seen.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DriverScratch<S, B> {
-    scalar: S,
+    pub(crate) scalar: S,
     pub(crate) lockstep: BTreeMap<usize, B>,
 }
 
@@ -403,7 +412,9 @@ impl<S, B: Default> DriverScratch<S, B> {
     }
 }
 
-/// Scratch for every driver, empty until a driver first runs — what a
+/// Scratch for every loop family, empty until one first runs (a flexible
+/// driver shares its classical form's, so a session that swaps between the
+/// two keeps the blocks it holds) — what a
 /// [`crate::SolveSession`] keeps between solves so that repeated solves
 /// allocate only their solutions. The per-width maps are never evicted: a
 /// serving process that sees many distinct batch widths should normalise
@@ -413,9 +424,27 @@ impl<S, B: Default> DriverScratch<S, B> {
 pub(crate) struct Workspaces {
     pub(crate) cg: DriverScratch<CgWorkspace, CgBlockWorkspace>,
     bicgstab: DriverScratch<BiCgStabWorkspace, BiCgStabBlockWorkspace>,
-    gmres: DriverScratch<GmresWorkspace, GmresBlockWorkspace>,
-    fgmres: DriverScratch<FgmresWorkspace, FgmresBlockWorkspace>,
-    fcg: DriverScratch<FcgWorkspace, FcgBlockWorkspace>,
+    pub(crate) gmres: DriverScratch<GmresWorkspace, GmresBlockWorkspace>,
+}
+
+/// A driver as its loop family sees it: the family, and the one parameter
+/// that tells the classical form from the flexible one.
+enum Family {
+    Cg(BetaRule),
+    Gmres(Side),
+    BiCgStab,
+}
+
+impl SolverType {
+    fn family(self) -> Family {
+        match self {
+            SolverType::Cg => Family::Cg(BetaRule::FletcherReeves),
+            SolverType::FCg => Family::Cg(BetaRule::PolakRibiere),
+            SolverType::Gmres => Family::Gmres(Side::Left),
+            SolverType::Fgmres => Family::Gmres(Side::Right),
+            SolverType::BiCgStab => Family::BiCgStab,
+        }
+    }
 }
 
 /// Narrowest batch the lockstep loops run. Below it each column runs the
@@ -451,24 +480,21 @@ pub(crate) fn solve_columns<A: KernelBackend + ?Sized, P: Preconditioner + ?Size
         assert_eq!(a.nrows(), b.len(), "solve: rhs dimension mismatch");
     }
     let k = columns.len();
+    let family = solver.family();
     if k < LOCKSTEP_MIN_WIDTH {
         return columns
             .iter()
-            .map(|b| match solver {
-                SolverType::Cg => cg_with(a, b, precond, opts, &mut ws.cg.scalar),
-                SolverType::BiCgStab => bicgstab_with(a, b, precond, opts, &mut ws.bicgstab.scalar),
-                SolverType::Gmres => gmres_with(a, b, precond, opts, &mut ws.gmres.scalar),
-                SolverType::Fgmres => fgmres_with(a, b, precond, opts, &mut ws.fgmres.scalar),
-                SolverType::FCg => fcg_with(a, b, precond, opts, &mut ws.fcg.scalar),
+            .map(|b| match family {
+                Family::Cg(rule) => cg_with(a, b, precond, opts, rule, &mut ws.cg.scalar),
+                Family::Gmres(side) => gmres_with(a, b, precond, opts, side, &mut ws.gmres.scalar),
+                Family::BiCgStab => bicgstab_with(a, b, precond, opts, &mut ws.bicgstab.scalar),
             })
             .collect();
     }
-    match solver {
-        SolverType::Cg => cg_batch(a, columns, precond, opts, ws.cg.block(k)),
-        SolverType::BiCgStab => bicgstab_batch(a, columns, precond, opts, ws.bicgstab.block(k)),
-        SolverType::Gmres => gmres_batch(a, columns, precond, opts, ws.gmres.block(k)),
-        SolverType::Fgmres => fgmres_batch(a, columns, precond, opts, ws.fgmres.block(k)),
-        SolverType::FCg => fcg_batch(a, columns, precond, opts, ws.fcg.block(k)),
+    match family {
+        Family::Cg(rule) => cg_batch(a, columns, precond, opts, rule, ws.cg.block(k)),
+        Family::Gmres(side) => gmres_batch(a, columns, precond, opts, side, ws.gmres.block(k)),
+        Family::BiCgStab => bicgstab_batch(a, columns, precond, opts, ws.bicgstab.block(k)),
     }
 }
 
@@ -616,6 +642,13 @@ mod tests {
         assert!(matches!(
             r.failure(),
             Some(SolveFailure::NonFinite { what }) if what == "true residual"
+        ));
+        // …and so is a non-finite iterate whose residual happens to be finite.
+        let r = classify(vec![f64::NAN], 2, 0.0, None, tol, ColEnd::Wrapped, 1.0);
+        assert!(!r.converged);
+        assert!(matches!(
+            r.failure(),
+            Some(SolveFailure::NonFinite { what }) if what == "solution"
         ));
     }
 

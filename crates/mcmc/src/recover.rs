@@ -2,7 +2,7 @@
 //! re-runs the safeguarded build with α backed off one more geometric step
 //! each time the ladder asks.
 //!
-//! Rung 3 of `mcmcmi_krylov`'s [`RecoveryPolicy`] escalation is "rebuild
+//! Rung 4 of `mcmcmi_krylov`'s [`RecoveryPolicy`] escalation is "rebuild
 //! the preconditioner" — but the krylov crate cannot know *how* MCMC
 //! builds work. [`SafeguardedRebuilder`] closes the loop: it owns the
 //! matrix reference, the current [`McmcParams`], and a [`SafeguardConfig`],

@@ -12,7 +12,7 @@
 //! block preconditioner application serve every column — and is
 //! bit-identical to solving each rhs alone.
 
-use mcmcmi::krylov::{block_cg, SolveOptions, SolverType};
+use mcmcmi::krylov::{SolveOptions, SolverType};
 use mcmcmi::matgen::fd_laplace_2d;
 use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams};
 use std::time::Instant;
@@ -97,24 +97,5 @@ fn main() {
         "build amortisation: {:.1} batched solves repay the build (vs {:.1} sequential)",
         build_time.as_secs_f64() / (batch_total.as_secs_f64() / solved as f64),
         build_time.as_secs_f64() / (seq_total.as_secs_f64() / solved as f64)
-    );
-
-    // 3. For SPD systems there is a second gear: true block-CG shares
-    //    search directions, so the k rhs deflate each other's spectra and
-    //    the whole block converges in fewer steps than any scalar solve.
-    let rhs = request_batch(n, k, 99);
-    let t = Instant::now();
-    let block = block_cg(&a, &rhs, &precond, opts);
-    let block_time = t.elapsed();
-    let block_steps = block.iter().map(|r| r.iterations).max().unwrap();
-    let scalar_steps = rhs
-        .iter()
-        .map(|b| seq_sess.solve(b).iterations)
-        .max()
-        .unwrap();
-    assert!(block.iter().all(|r| r.converged));
-    println!(
-        "\nblock-CG: {k} rhs solved together in {block_steps} block steps ({block_time:.1?}) — \
-         scalar CG needs up to {scalar_steps} iterations per rhs"
     );
 }

@@ -1,10 +1,10 @@
 //! Batched multi-RHS solving, end to end: lockstep `solve_batch` parity
 //! with sequential scalar solves, per-column convergence masking on
-//! mixed-difficulty batches, block-CG agreement with scalar CG, and the
-//! `SolveSession` amortisation path with an MCMC preconditioner.
+//! mixed-difficulty batches, and the `SolveSession` amortisation path with
+//! an MCMC preconditioner.
 
 use mcmcmi::krylov::{
-    block_cg, cg, solve, solve_batch, IdentityPrecond, JacobiPrecond, SolveOptions, SolverType,
+    solve, solve_batch, IdentityPrecond, JacobiPrecond, SolveOptions, SolverType,
 };
 use mcmcmi::matgen::{convection_diffusion_2d, fd_laplace_2d, ConvectionDiffusionParams};
 use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams};
@@ -100,51 +100,6 @@ fn per_column_masking_on_mixed_difficulty_batch() {
             "{solver:?}: iteration counts not mixed: {iteration_counts:?}"
         );
     }
-}
-
-#[test]
-fn block_cg_agrees_with_scalar_cg_on_suite_matrices() {
-    for a in [fd_laplace_2d(10), mcmcmi::matgen::laplace_1d(60)] {
-        let n = a.nrows();
-        let rhs = rhs_set(n, 4);
-        let opts = SolveOptions {
-            tol: 1e-10,
-            ..Default::default()
-        };
-        let precond = JacobiPrecond::new(&a);
-        let block = block_cg(&a, &rhs, &precond, opts);
-        for (c, b) in rhs.iter().enumerate() {
-            let scalar = cg(&a, b, &precond, opts);
-            assert!(
-                block[c].converged,
-                "n={n} col {c}: {}",
-                block[c].rel_residual
-            );
-            assert!(scalar.converged);
-            for (p, q) in block[c].x.iter().zip(&scalar.x) {
-                assert!((p - q).abs() < 1e-6, "n={n} col {c}: {p} vs {q}");
-            }
-        }
-    }
-}
-
-/// Block CG on a mixed-difficulty batch: per-column deflation retires easy
-/// columns early (fewer block steps) while the block keeps iterating.
-#[test]
-fn block_cg_deflation_handles_mixed_difficulty() {
-    let a = fd_laplace_2d(12);
-    let n = a.nrows();
-    let mut rhs = rhs_set(n, 3);
-    rhs.insert(1, a.spmv_alloc(&vec![1.0; n])); // smooth, converges early
-    let opts = SolveOptions {
-        tol: 1e-9,
-        ..Default::default()
-    };
-    let results = block_cg(&a, &rhs, &IdentityPrecond::new(n), opts);
-    assert!(results.iter().all(|r| r.converged));
-    let easy = results[1].iterations;
-    let hard = results.iter().map(|r| r.iterations).max().unwrap();
-    assert!(easy < hard, "easy {easy} !< hard {hard}");
 }
 
 /// The amortisation story end to end: build one MCMC preconditioner, wrap

@@ -66,6 +66,46 @@ fn taxonomy_nonfinite_fires_on_injected_nan() {
     );
 }
 
+/// A NaN in the first Arnoldi matvec turns the whole Krylov vector NaN
+/// after one Gram–Schmidt sweep. `f64::max` skips NaN, so the norms used to
+/// fold such a vector to 0: the GMRES family read a happy breakdown, and the
+/// final residual check read 0 too — `Converged(Tol)` with every entry of
+/// `x` NaN. The norms now propagate NaN and the drivers report it.
+#[test]
+fn nan_iterate_never_reads_as_converged_in_the_gmres_family() {
+    let a = fd_laplace_2d(8);
+    let n = a.nrows();
+    let p = IdentityPrecond::new(n);
+    let opts = SolveOptions::default();
+    let nonfinite = |r: &mcmcmi::krylov::SolveResult| {
+        !r.converged && matches!(r.failure(), Some(SolveFailure::NonFinite { .. }))
+    };
+    for solver in [SolverType::Gmres, SolverType::Fgmres] {
+        let faulty = FaultyBackend::new(a.clone(), vec![FaultSpec::nan(1, 7)]);
+        let r = solve(&faulty, &rhs(n), &p, solver, opts);
+        assert!(nonfinite(&r), "{solver:?}: got {:?}", r.outcome);
+
+        // Width 3: element 7 of the row-major n×3 SpMM output is row 2 of
+        // column 1. Its siblings must not notice.
+        let cols: Vec<Vec<f64>> = (0..3)
+            .map(|c| rhs(n).iter().map(|v| v * (1.0 + c as f64)).collect())
+            .collect();
+        let faulty = FaultyBackend::new(a.clone(), vec![FaultSpec::nan(1, 7)]);
+        let batch = solve_batch(&faulty, &cols, &p, solver, opts);
+        assert!(
+            nonfinite(&batch[1]),
+            "{solver:?}: got {:?}",
+            batch[1].outcome
+        );
+        for c in [0, 2] {
+            let clean = solve(&a, &cols[c], &p, solver, opts);
+            assert!(batch[c].converged, "{solver:?} col {c}");
+            assert_eq!(batch[c].x, clean.x, "{solver:?} col {c}");
+            assert_eq!(batch[c].iterations, clean.iterations, "{solver:?} col {c}");
+        }
+    }
+}
+
 #[test]
 fn taxonomy_breakdown_zero_curvature() {
     let a = antidiag();
