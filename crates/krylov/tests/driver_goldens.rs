@@ -14,12 +14,15 @@
 //! change), the failing test prints the whole table as Rust source.
 
 use mcmcmi_krylov::{
-    solve_batch, IdentityPrecond, JacobiPrecond, Preconditioner, SolveOptions, SolveResult,
-    SolverType,
+    solve_batch, solve_batch_resilient, CompressedPrecond, IdentityPrecond, JacobiPrecond,
+    Preconditioner, RecoveryContext, RecoveryPolicy, RecoveryTrail, SolveOptions, SolveResult,
+    SolverType, SparsePrecond,
 };
 use mcmcmi_matgen::{fd_laplace_2d, pdd_real_sparse};
 use mcmcmi_mcmc::{BuildConfig, CompressionPolicy, McmcInverse, McmcParams};
-use mcmcmi_sparse::{csr_eye, Csr, FaultKind, FaultSpec, FaultyBackend, KernelBackend};
+use mcmcmi_sparse::{
+    corrupt_rows, csr_eye, Coo, Csr, FaultKind, FaultSpec, FaultyBackend, KernelBackend,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SOLVERS: [SolverType; 5] = [
@@ -254,6 +257,89 @@ fn driver_results_reproduce_the_recorded_bits() {
         );
     }
 }
+
+/// The recovery ladder as every shipped caller runs it — default policy, no
+/// context — plus the one context field a session owner can fill by itself
+/// and the disabled policy. One line per case: its name, the digest of every
+/// column's result (healthy siblings included, so a rung that touches a
+/// column it should not moves it) and the serialised `RecoveryTrail`.
+fn ladder_table() -> String {
+    let a = fd_laplace_2d(10);
+    let n = a.nrows();
+    let jacobi = JacobiPrecond::new(&a);
+    let (opts, policy) = (SolveOptions::default(), RecoveryPolicy::default());
+    let mut table = String::from("\n");
+    let mut row = |name: &str, (results, trail): (Vec<SolveResult>, RecoveryTrail)| {
+        let json = serde_json::to_string(&trail).expect("trail serialises");
+        table += &format!("{name} {:#018x} {json}\n", digest(&results));
+    };
+    // A NaN in the fifth matvec. At width three, element 7 of the row-major
+    // block is row 2 of column 1: one failing column between healthy ones.
+    for solver in [SolverType::Cg, SolverType::Gmres, SolverType::BiCgStab] {
+        for k in WIDTHS {
+            let faulty = FaultyBackend::new(a.clone(), vec![FaultSpec::nan(4, 7)]);
+            let (rhs, ctx) = (rhs_set(n, k), RecoveryContext::none());
+            let got = solve_batch_resilient(&faulty, &rhs, &jacobi, solver, opts, &policy, ctx);
+            row(&format!("nan-matvec/{solver:?}/w{k}"), got);
+        }
+    }
+    // pᵀAp = 0 on CG's first direction and on FCG's: the swap fails too, the
+    // unpreconditioned floor solves it.
+    let mut coo = Coo::new(2, 2);
+    coo.push(0, 1, 1.0);
+    coo.push(1, 0, 1.0);
+    let (antidiag, e0, id2) = (coo.to_csr(), [vec![1.0, 0.0]], IdentityPrecond::new(2));
+    for (name, policy) in [
+        ("default", policy),
+        ("disabled", RecoveryPolicy::disabled()),
+    ] {
+        let ctx = RecoveryContext::none();
+        let got = solve_batch_resilient(&antidiag, &e0, &id2, SolverType::Cg, opts, &policy, ctx);
+        row(&format!("antidiag/Cg/{name}"), got);
+    }
+    // An f32 preconditioner with a NaN row: rung 1 when its full-precision
+    // parent is at hand, the remaining rungs when it is not.
+    let mut p = csr_eye(n);
+    corrupt_rows(&mut p, &[n / 2], f64::NAN);
+    let compressed = CompressedPrecond::F32(SparsePrecond::new(p).to_f32());
+    let full = IdentityPrecond::new(n);
+    for (name, full_precision) in [("parent", Some(&full as _)), ("no-context", None)] {
+        for k in WIDTHS {
+            let (rhs, mut ctx) = (rhs_set(n, k), RecoveryContext::none());
+            ctx.full_precision = full_precision;
+            let got =
+                solve_batch_resilient(&a, &rhs, &compressed, SolverType::Cg, opts, &policy, ctx);
+            row(&format!("nan-row-f32/Cg/w{k}/{name}"), got);
+        }
+    }
+    table
+}
+
+#[test]
+fn ladder_trails_and_results_reproduce_the_recorded_bits() {
+    let got = ladder_table();
+    assert!(
+        got == LADDER_GOLDENS,
+        "the ladder moved; it now gives:{got}"
+    );
+}
+
+/// Recorded at the parent of the commit that took the two hook rungs out of
+/// the ladder; `case digest trail`, in run order.
+const LADDER_GOLDENS: &str = r#"
+nan-matvec/Cg/w1 0xe067b745218bc9a2 {"steps":[{"step":"FlexibleSwap","trigger":{"NonFinite":{"what":"pᵀAp"}},"solver":"FCg","iterations":27,"recovered":true}],"recovered":true}
+nan-matvec/Cg/w3 0x2b7b8d51a54fe84f {"steps":[{"step":"FlexibleSwap","trigger":{"NonFinite":{"what":"pᵀAp"}},"solver":"FCg","iterations":27,"recovered":true}],"recovered":true}
+nan-matvec/Gmres/w1 0x188dfe590fcdc956 {"steps":[{"step":"FlexibleSwap","trigger":{"NonFinite":{"what":"Hessenberg norm"}},"solver":"Fgmres","iterations":27,"recovered":true}],"recovered":true}
+nan-matvec/Gmres/w3 0x96d7b50439a15e97 {"steps":[{"step":"FlexibleSwap","trigger":{"NonFinite":{"what":"Hessenberg norm"}},"solver":"Fgmres","iterations":27,"recovered":true}],"recovered":true}
+nan-matvec/BiCgStab/w1 0x188dfe590fcdc956 {"steps":[{"step":"FlexibleSwap","trigger":{"NonFinite":{"what":"⟨r̂, v⟩"}},"solver":"Fgmres","iterations":27,"recovered":true}],"recovered":true}
+nan-matvec/BiCgStab/w3 0x51acc85b5dad92d8 {"steps":[{"step":"FlexibleSwap","trigger":{"NonFinite":{"what":"⟨r̂, v⟩"}},"solver":"Fgmres","iterations":27,"recovered":true}],"recovered":true}
+antidiag/Cg/default 0x7dae0faeedc7a1e4 {"steps":[{"step":"FlexibleSwap","trigger":{"Breakdown":{"kind":"ZeroCurvature","iteration":1}},"solver":"FCg","iterations":1,"recovered":false},{"step":"UnpreconditionedFallback","trigger":{"Breakdown":{"kind":"ZeroCurvature","iteration":1}},"solver":"Gmres","iterations":2,"recovered":true}],"recovered":true}
+antidiag/Cg/disabled 0x48c2f553f5aa113e {"steps":[],"recovered":false}
+nan-row-f32/Cg/w1/parent 0x58e740f087de7e0a {"steps":[{"step":"FullPrecisionRetry","trigger":{"NonFinite":{"what":"pᵀAp"}},"solver":"Cg","iterations":27,"recovered":true}],"recovered":true}
+nan-row-f32/Cg/w3/parent 0x8f68e5f4d7ca58b1 {"steps":[{"step":"FullPrecisionRetry","trigger":{"NonFinite":{"what":"pᵀAp"}},"solver":"Cg","iterations":81,"recovered":true}],"recovered":true}
+nan-row-f32/Cg/w1/no-context 0x188dfe590fcdc956 {"steps":[{"step":"FlexibleSwap","trigger":{"NonFinite":{"what":"pᵀAp"}},"solver":"FCg","iterations":1,"recovered":false},{"step":"UnpreconditionedFallback","trigger":{"NonFinite":{"what":"pᵀAp"}},"solver":"Gmres","iterations":27,"recovered":true}],"recovered":true}
+nan-row-f32/Cg/w3/no-context 0x96d7b50439a15e97 {"steps":[{"step":"FlexibleSwap","trigger":{"NonFinite":{"what":"pᵀAp"}},"solver":"FCg","iterations":3,"recovered":false},{"step":"UnpreconditionedFallback","trigger":{"NonFinite":{"what":"pᵀAp"}},"solver":"Gmres","iterations":81,"recovered":true}],"recovered":true}
+"#;
 
 /// Recorded at the parent of the loop merge; `(case, digest)` in run order.
 const GOLDENS: &[(&str, u64)] = &[

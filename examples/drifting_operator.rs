@@ -12,7 +12,9 @@ use mcmcmi::krylov::{SolveOptions, SolverType, StalenessConfig};
 use mcmcmi::matgen::{pdd_real_sparse, DiagonalShiftDrift};
 use mcmcmi::mcmc::{BuildConfig, McmcParams, SafeguardConfig};
 
-fn main() {
+/// The sequence itself, apart from the printing: `tests/drift.rs` includes
+/// this file and pins the trail it leaves.
+pub fn sixty_steps() -> (usize, DriftSession) {
     // The operator sequence: a strongly dominant random sparse system
     // whose row diagonals wander *down* toward weak dominance — the
     // problem gets harder over time, so the preconditioner built at step
@@ -53,7 +55,6 @@ fn main() {
         policy,
     );
 
-    println!("60 drift steps on pdd_real_sparse (n = {n}, diagonal drifting 3× → 1×):\n");
     for t in 0..60 {
         let step = drift.advance();
         // A time-dependent right-hand side: the previous solution is a
@@ -65,7 +66,12 @@ fn main() {
         let res = session.step(step.matrix, &b);
         assert!(res.converged, "step {t} failed to converge");
     }
+    (n, session)
+}
 
+fn main() {
+    let (n, session) = sixty_steps();
+    println!("60 drift steps on pdd_real_sparse (n = {n}, diagonal drifting 3× → 1×):\n");
     let trail = session.trail();
     println!("decision trail: {}", trail.summary());
     println!(

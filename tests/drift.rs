@@ -226,5 +226,35 @@ fn drift_burst_escalates_the_same_way_at_any_thread_count() {
             serde_json::to_string(sess.trail()).expect("trail serialises")
         })
     };
-    assert_eq!(run(8), run(1), "refresh trail at 8 threads vs 1");
+    let reference = run(1);
+    assert_eq!(run(8), reference, "refresh trail at 8 threads vs 1");
+    assert_eq!(
+        fnv1a(&reference),
+        BURST_TRAIL_FNV,
+        "trail moved: {reference}"
+    );
+}
+
+/// FNV-1a of a serialised trail: the comparison above only holds 1 thread
+/// against 8 inside one commit, the digests below hold across commits.
+/// Recorded from the commit before `DriftSession` became the only repair path.
+fn fnv1a(json: &str) -> u64 {
+    json.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+const BURST_TRAIL_FNV: u64 = 0x66b6_aa1d_efdd_e9e3;
+const EXAMPLE_TRAIL_FNV: u64 = 0x8248_3a59_4dab_e5cd;
+
+#[allow(dead_code)]
+#[path = "../examples/drifting_operator.rs"]
+mod drifting_operator;
+
+/// The example's sixty steps reach every rung short of a rescue (keep,
+/// partial rebuild, full rebuild); they must keep deciding the same way.
+#[test]
+fn drifting_operator_example_trail_reproduces_the_recorded_bytes() {
+    let (_, session) = drifting_operator::sixty_steps();
+    let json = serde_json::to_string(session.trail()).expect("trail serialises");
+    assert_eq!(fnv1a(&json), EXAMPLE_TRAIL_FNV, "trail moved: {json}");
 }
