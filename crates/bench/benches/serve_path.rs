@@ -76,7 +76,7 @@ fn bench_serve_path(c: &mut Criterion) {
         max_iter: opts.max_iter,
         restart: opts.restart,
     };
-    let mut session = entry.take_session(&key, opts);
+    let (mut session, _) = entry.take_session(&key, opts);
     let solved = session.solve(&rhs(n));
     let reply = SolveReply {
         x: solved.x,
@@ -99,7 +99,7 @@ fn bench_serve_path(c: &mut Criterion) {
     entry.put_session(key, session);
     group.bench_function("take_session/warm", |b| {
         b.iter(|| {
-            let session = entry.take_session(black_box(&key), opts);
+            let (session, _) = entry.take_session(black_box(&key), opts);
             entry.put_session(key, session);
         });
     });

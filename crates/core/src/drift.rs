@@ -15,7 +15,10 @@
 //!    ([`McmcInverse::rebuild_rows`]), a cost proportional to the drift,
 //!    not the operator.
 //! 3. **Safeguarded full rebuild** — `Stale`, the solve failed, or too much
-//!    of the operator is dirty for a partial refresh to be honest.
+//!    of the operator is dirty for a partial refresh to be honest. When
+//!    nothing changed since the inverse in hand was built, α first moves
+//!    one safeguard back-off step: the same seed on the same inputs would
+//!    only return the same inverse.
 //! 4. **Full retune** — repeated full rebuilds mean the operator has walked
 //!    out of the parameter regime it was tuned for; re-run the
 //!    [`AutoTuner`] and rebuild from the winning `(α, ε, δ)`.
@@ -30,7 +33,9 @@ use mcmcmi_krylov::{
     SolveOptions, SolveResult, SolveSession, SolverType, SparsePrecond, StalenessConfig,
     StalenessMonitor, StalenessVerdict, TuneBudget,
 };
-use mcmcmi_mcmc::{BuildConfig, BuildOutcome, McmcInverse, McmcParams, SafeguardConfig};
+use mcmcmi_mcmc::{
+    BuildConfig, BuildError, BuildOutcome, McmcInverse, McmcParams, SafeguardConfig,
+};
 use mcmcmi_sparse::Csr;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -162,7 +167,6 @@ pub struct DriftSession {
     guard: SafeguardConfig,
     params: McmcParams,
     solver: SolverType,
-    symmetrize: bool,
     pending_dirty: BTreeSet<usize>,
     full_rebuilds_since_tune: usize,
     prev_x: Option<Vec<f64>>,
@@ -170,10 +174,14 @@ pub struct DriftSession {
 }
 
 impl DriftSession {
-    /// Build the initial preconditioner for `a` and bind the session.
-    /// CG-family solvers get a symmetrized copy of the (generally
-    /// nonsymmetric) MCMC inverse; the raw build is kept for partial
-    /// rebuilds.
+    /// Build the initial preconditioner for `a` — behind the safeguard, like
+    /// every later rebuild — and bind the session to the form of it
+    /// `solver` wants ([`SparsePrecond::for_solver`]); the build as made is
+    /// kept for partial rebuilds.
+    ///
+    /// # Errors
+    /// The safeguard's [`BuildError`] when no α within its back-off budget
+    /// gives a contractive splitting.
     pub fn new(
         a: Csr,
         params: McmcParams,
@@ -182,32 +190,25 @@ impl DriftSession {
         solver: SolverType,
         opts: SolveOptions,
         policy: RefreshPolicy,
-    ) -> Self {
-        let builder = McmcInverse::new(build);
-        let outcome = builder.build(&a, params);
-        let symmetrize = matches!(solver, SolverType::Cg | SolverType::FCg);
-        let precond = if symmetrize {
-            outcome.precond.symmetrized()
-        } else {
-            outcome.precond.clone()
-        };
+    ) -> Result<Self, BuildError> {
+        let guarded = McmcInverse::new(build).build_safeguarded(&a, params, &guard)?;
+        let precond = guarded.outcome.precond.for_solver(solver).into_owned();
         let session = SolveSession::new(a.clone(), precond, solver, opts);
-        Self {
+        Ok(Self {
             a,
-            outcome,
+            outcome: guarded.outcome,
             session,
             monitor: StalenessMonitor::new(policy.staleness),
             policy,
             build,
             guard,
-            params,
+            params: guarded.params,
             solver,
-            symmetrize,
             pending_dirty: BTreeSet::new(),
             full_rebuilds_since_tune: 0,
             prev_x: None,
             trail: RefreshTrail::default(),
-        }
+        })
     }
 
     /// The decision trail so far.
@@ -215,7 +216,9 @@ impl DriftSession {
         &self.trail
     }
 
-    /// The current effective MCMC parameters (a retune replaces them).
+    /// The parameters of the inverse in hand (α reflects the safeguard's
+    /// back-off and the step a rebuild of unchanged inputs takes; a retune
+    /// replaces all three).
     pub fn params(&self) -> McmcParams {
         self.params
     }
@@ -225,40 +228,37 @@ impl DriftSession {
         self.pending_dirty.len()
     }
 
-    /// Push the preconditioner (re-symmetrized if needed) into the session.
+    /// Push the preconditioner, in the solver's form, into the session.
     fn sync_precond(&mut self) {
-        let precond = if self.symmetrize {
-            self.outcome.precond.symmetrized()
-        } else {
-            self.outcome.precond.clone()
-        };
-        self.session.replace_precond(precond);
+        let precond = self.outcome.precond.for_solver(self.solver);
+        self.session.replace_precond(precond.into_owned());
         self.monitor.recalibrate();
         self.pending_dirty.clear();
     }
 
-    /// Safeguarded full rebuild at the current parameters. Falls back to
-    /// the pre-backoff build if every attempt diverges (the guard can only
-    /// make α larger, so this keeps the session serving rather than
-    /// panicking mid-sequence).
-    fn full_rebuild(&mut self) {
-        let builder = McmcInverse::new(self.build);
-        match builder.build_safeguarded(&self.a, self.params, &self.guard) {
-            Ok(guarded) => {
-                self.params = guarded.params;
-                self.outcome = guarded.outcome;
-            }
-            Err(_) => {
-                self.outcome = builder.build(&self.a, self.params);
-            }
+    /// Safeguarded full rebuild at `params` (the current ones, or a
+    /// retune's). A build the safeguard rejects leaves the previous inverse,
+    /// its parameters and the pending dirty rows in place — the session
+    /// keeps serving on what it has — and still counts toward a retune.
+    fn full_rebuild(&mut self, mut params: McmcParams) {
+        // Nothing dirty and the parameters of the inverse in hand: the same
+        // seed on the same inputs would return that inverse bit for bit.
+        // Take one of the safeguard's back-off steps first.
+        if self.pending_dirty.is_empty() && params == self.params {
+            params.alpha = params.alpha.max(self.guard.alpha_floor) * self.guard.alpha_growth;
         }
         self.full_rebuilds_since_tune += 1;
-        self.sync_precond();
+        let built = McmcInverse::new(self.build).build_safeguarded(&self.a, params, &self.guard);
+        if let Ok(guarded) = built {
+            self.params = guarded.params;
+            self.outcome = guarded.outcome;
+            self.sync_precond();
+        }
     }
 
     /// Autotuner retune: joint search from scratch on the current operator,
-    /// then a safeguarded rebuild at the winning parameters. Falls back to
-    /// a plain full rebuild when the tuner cannot certify any candidate.
+    /// then a safeguarded rebuild at the winning parameters — at the current
+    /// ones when the tuner cannot certify any candidate.
     fn retune(&mut self) {
         let mut tuner = AutoTuner::new(AutotuneConfig {
             solver: self.solver,
@@ -269,10 +269,8 @@ impl DriftSession {
             probe_opts: self.session.opts(),
             ..Default::default()
         };
-        if let Ok((_, report)) = tuner.tune_parts(&self.a, &budget) {
-            self.params = report.params;
-        }
-        self.full_rebuild();
+        let tuned = tuner.tune_parts(&self.a, &budget);
+        self.full_rebuild(tuned.map_or(self.params, |(_, report)| report.params));
         self.full_rebuilds_since_tune = 0;
     }
 
@@ -316,7 +314,7 @@ impl DriftSession {
                 self.retune();
                 (RefreshAction::Retune, n)
             } else {
-                self.full_rebuild();
+                self.full_rebuild(self.params);
                 (RefreshAction::FullRebuild, n)
             };
             let second = self.session.solve_warm(b, self.prev_x.as_deref());
@@ -336,7 +334,7 @@ impl DriftSession {
                         self.retune();
                         (RefreshAction::Retune, n, first, None)
                     } else {
-                        self.full_rebuild();
+                        self.full_rebuild(self.params);
                         (RefreshAction::FullRebuild, n, first, None)
                     }
                 }
@@ -385,15 +383,24 @@ mod tests {
     }
 
     fn session_for(a: &Csr) -> DriftSession {
+        session_capped(a, SolveOptions::default().max_iter)
+    }
+
+    fn session_capped(a: &Csr, max_iter: usize) -> DriftSession {
+        let opts = SolveOptions {
+            max_iter,
+            ..Default::default()
+        };
         DriftSession::new(
             a.clone(),
             McmcParams::new(0.1, 0.0625, 0.0625),
             BuildConfig::default(),
             SafeguardConfig::default(),
             SolverType::Gmres,
-            SolveOptions::default(),
+            opts,
             RefreshPolicy::default(),
         )
+        .expect("laplacian builds")
     }
 
     #[test]
@@ -434,18 +441,7 @@ mod tests {
         let a = fd_laplace_2d(12);
         let n = a.nrows();
         let b = rhs(n);
-        let mut sess = DriftSession::new(
-            a.clone(),
-            McmcParams::new(0.1, 0.0625, 0.0625),
-            BuildConfig::default(),
-            SafeguardConfig::default(),
-            SolverType::Gmres,
-            SolveOptions {
-                max_iter: 40,
-                ..Default::default()
-            },
-            RefreshPolicy::default(),
-        );
+        let mut sess = session_capped(&a, 40);
         let _ = sess.step(a.clone(), &b);
         // A violent drift the stale inverse cannot handle in 40 iterations.
         let rows: Vec<usize> = (0..n).collect();
@@ -459,6 +455,55 @@ mod tests {
             ));
             assert!(res.converged, "rescue rebuild must recover this operator");
         }
+    }
+
+    #[test]
+    fn first_build_goes_through_the_safeguard() {
+        // The non-dominant ring of `safeguard.rs`'s tests: divergent at a
+        // tiny α, and one attempt is not enough to back off out of it.
+        let mut coo = mcmcmi_sparse::Coo::new(32, 32);
+        for i in 0..32 {
+            coo.push(i, i, 1.0);
+            coo.push(i, (i + 1) % 32, 2.5);
+            coo.push(i, (i + 5) % 32, -2.5);
+        }
+        let guard = SafeguardConfig {
+            max_attempts: 1,
+            ..Default::default()
+        };
+        let refused = DriftSession::new(
+            coo.to_csr(),
+            McmcParams::new(0.001, 0.125, 1e-3),
+            BuildConfig::default(),
+            guard,
+            SolverType::Gmres,
+            SolveOptions::default(),
+            RefreshPolicy::default(),
+        );
+        assert!(matches!(refused, Err(BuildError::Divergent { .. })));
+    }
+
+    #[test]
+    fn a_rescue_on_unchanged_inputs_moves_alpha_one_step_and_the_inverse() {
+        let a = fd_laplace_2d(12);
+        let b = rhs(a.nrows());
+        let mut sess = session_capped(&a, 3);
+        // Nothing dirty, same parameters, same seed: rebuilding as is would
+        // return the inverse that just failed, and the same residual again.
+        let first = sess.session.solve(&b);
+        let rescued = sess.step(a.clone(), &b);
+        assert_eq!(sess.trail().steps[0].action, RefreshAction::FullRebuild);
+        assert_eq!(sess.params().alpha, 0.2, "one max(α, floor) · growth step");
+        assert_ne!(rescued.rel_residual, first.rel_residual);
+
+        // Dirty rows pending: the inputs changed, α is left alone.
+        let rescued = sess.step(drift_some_rows(&a, &[3, 4, 5], 1.5), &b);
+        assert!(!rescued.converged);
+        assert_eq!(sess.trail().steps[1].action, RefreshAction::FullRebuild);
+        assert_eq!(sess.params().alpha, 0.2);
+        // New parameters (what a retune hands over): α is the caller's.
+        sess.full_rebuild(McmcParams::new(0.3, 0.0625, 0.0625));
+        assert_eq!(sess.params().alpha, 0.3);
     }
 
     #[test]

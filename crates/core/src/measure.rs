@@ -112,14 +112,10 @@ impl MeasurementRunner {
         };
         let outcome = McmcInverse::new(build_cfg).build(a, params);
         let b = self.rhs(a);
-        let result = if solver == SolverType::Cg {
-            // CG needs a symmetric operator: symmetrise the MCMC inverse,
-            // as the paper does for the SPD Laplace family.
-            let sym = outcome.precond.symmetrized();
-            solve(a, &b, &sym, solver, self.cfg.solve)
-        } else {
-            solve(a, &b, &outcome.precond, solver, self.cfg.solve)
-        };
+        // CG gets the symmetrised inverse, as the paper does for the SPD
+        // Laplace family.
+        let precond = outcome.precond.for_solver(solver);
+        let result = solve(a, &b, &*precond, solver, self.cfg.solve);
         let steps_with = if result.converged {
             result.iterations
         } else {

@@ -31,6 +31,12 @@
 //! ([`resilient`]) and the reusable [`SolveSession`], which amortises the
 //! preconditioner and all solver workspaces over many solves, are thin
 //! layers on it. `solve(b)` is `solve_batch(&[b])`.
+//!
+//! Two decisions about an MCMC inverse are made here, once each: which form
+//! of it a driver gets ([`SparsePrecond::for_solver`]), and what a failed
+//! solve can do with what it was handed (the ladder's three rungs). Making
+//! a better inverse belongs to whoever owns the operator and the build
+//! parameters; the ladder takes no hook to ask for one.
 
 pub mod auto;
 pub mod bicgstab;
@@ -58,8 +64,8 @@ pub use precond::{
     CompressedPrecond, IdentityPrecond, JacobiPrecond, Preconditioner, SparsePrecond,
 };
 pub use resilient::{
-    solve_batch_resilient, solve_resilient, PrecondRebuild, PrecondRefresh, RecoveryContext,
-    RecoveryPolicy, RecoveryStep, RecoveryStepKind, RecoveryTrail, ResilientResult,
+    solve_batch_resilient, solve_resilient, RecoveryContext, RecoveryPolicy, RecoveryStep,
+    RecoveryStepKind, RecoveryTrail, ResilientResult,
 };
 pub use session::SolveSession;
 pub use solver::{

@@ -1,6 +1,8 @@
 //! The preconditioner abstraction and the simplest implementations.
 
+use crate::solver::SolverType;
 use mcmcmi_sparse::{Csr, KernelBackend, Scalar, SpecializedBackend, Structure};
+use std::borrow::Cow;
 
 /// A left preconditioner: an operator `P ≈ A⁻¹` applied as `z ← P·r`.
 ///
@@ -54,21 +56,6 @@ pub trait Preconditioner: Sync {
 }
 
 impl<P: Preconditioner + ?Sized> Preconditioner for &P {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        (**self).apply(r, z)
-    }
-    fn dim(&self) -> usize {
-        (**self).dim()
-    }
-    fn apply_block(&self, r: &[f64], k: usize, z: &mut [f64]) {
-        (**self).apply_block(r, k, z)
-    }
-    fn is_compressed(&self) -> bool {
-        (**self).is_compressed()
-    }
-}
-
-impl<P: Preconditioner + ?Sized> Preconditioner for Box<P> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         (**self).apply(r, z)
     }
@@ -258,6 +245,19 @@ impl SparsePrecond<f64> {
     pub fn symmetrized(&self) -> Self {
         let sym = mcmcmi_sparse::csr_add(0.5, self.matrix(), 0.5, &self.matrix().transpose());
         Self::new(sym)
+    }
+
+    /// The form of this inverse a driver is handed: the symmetrised copy for
+    /// the CG family — classical CG needs a symmetric operator and an MCMC
+    /// inverse is generally not one; FCG rides the same copy, so the
+    /// ladder's flexible swap changes the driver and nothing else — and the
+    /// inverse as built for every other driver. Whoever binds an MCMC
+    /// inverse to a solver asks here, so the rule exists once.
+    pub fn for_solver(&self, solver: SolverType) -> Cow<'_, Self> {
+        match solver {
+            SolverType::Cg | SolverType::FCg => Cow::Owned(self.symmetrized()),
+            SolverType::Gmres | SolverType::Fgmres | SolverType::BiCgStab => Cow::Borrowed(self),
+        }
     }
 
     /// Demote the stored values to f32 ([`mcmcmi_sparse::Csr::to_precision`]);

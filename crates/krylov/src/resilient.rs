@@ -15,22 +15,20 @@
 //!    same Krylov family (FCG/FGMRES), which tolerates an inexact or
 //!    slightly nonsymmetric operator where the classical driver's theory
 //!    quietly assumed exactness.
-//! 3. **Stale refresh** — ask the caller's [`PrecondRefresh`] hook for a
-//!    *partially* refreshed preconditioner (the mcmc crate's refresher
-//!    re-estimates only the rows whose operator rows drifted, via
-//!    `rebuild_rows`) — the cheap answer when the failure is operator
-//!    drift rather than a bad build.
-//! 4. **Preconditioner rebuild** — ask the caller's [`PrecondRebuild`] hook
-//!    for a fresh operator (the mcmc crate's rebuilder re-runs
-//!    `build_safeguarded` with α backed off, reusing the PR-5 attempt
-//!    machinery) and solve with it.
-//! 5. **Unpreconditioned GMRES** — the always-available floor: no
+//! 3. **Unpreconditioned GMRES** — the always-available floor: no
 //!    preconditioner to distrust, the most robust general-purpose driver.
+//!
+//! These are the repairs a solve can make with what it was handed: change
+//! the precision, change the driver, drop the preconditioner. A *better*
+//! preconditioner takes the operator, the build parameters and the per-row
+//! walk statistics, and whoever owns those repairs it there
+//! (`mcmcmi_core::DriftSession`); the ladder takes no hook to ask for one,
+//! and a solve that only recovers at the floor says so in its trail.
 //!
 //! Every rung executed is appended to a [`RecoveryTrail`] — which rung, the
 //! failure that triggered it, the driver used, and the iteration cost — so
-//! callers (and the roadmap's serving daemon) can log and alert on degraded
-//! solves. A clean solve takes the exact same code path as
+//! callers (the serving daemon puts it on the wire) can log and alert on
+//! degraded solves. A clean solve takes the exact same code path as
 //! [`crate::solve`]/[`crate::solve_batch`] and returns an empty trail:
 //! resilience costs nothing until something fails.
 
@@ -49,14 +47,7 @@ pub struct RecoveryPolicy {
     pub full_precision_retry: bool,
     /// Rung 2: swap to the flexible driver of the same Krylov family.
     pub flexible_swap: bool,
-    /// Rung 3: partial refresh of a drift-stale preconditioner through the
-    /// caller's [`RecoveryContext::refresher`] hook — re-estimates only the
-    /// rows whose operator rows changed, far cheaper than a full rebuild.
-    pub stale_refresh: bool,
-    /// Rung 4: rebuild the preconditioner through the caller's
-    /// [`RecoveryContext::rebuilder`] hook.
-    pub rebuild: bool,
-    /// Rung 5: final fallback to unpreconditioned GMRES.
+    /// Rung 3: final fallback to unpreconditioned GMRES.
     pub unpreconditioned_fallback: bool,
 }
 
@@ -65,8 +56,6 @@ impl Default for RecoveryPolicy {
         Self {
             full_precision_retry: true,
             flexible_swap: true,
-            stale_refresh: true,
-            rebuild: true,
             unpreconditioned_fallback: true,
         }
     }
@@ -79,8 +68,6 @@ impl RecoveryPolicy {
         Self {
             full_precision_retry: false,
             flexible_swap: false,
-            stale_refresh: false,
-            rebuild: false,
             unpreconditioned_fallback: false,
         }
     }
@@ -93,12 +80,7 @@ pub enum RecoveryStepKind {
     FullPrecisionRetry,
     /// Rung 2: flexible driver (FCG/FGMRES), current preconditioner.
     FlexibleSwap,
-    /// Rung 3: partially refreshed (dirty rows re-estimated)
-    /// preconditioner.
-    StaleRefresh,
-    /// Rung 4: freshly rebuilt preconditioner.
-    Rebuild,
-    /// Rung 5: unpreconditioned GMRES.
+    /// Rung 3: unpreconditioned GMRES.
     UnpreconditionedFallback,
 }
 
@@ -108,8 +90,6 @@ impl RecoveryStepKind {
         match self {
             RecoveryStepKind::FullPrecisionRetry => "full-precision-retry",
             RecoveryStepKind::FlexibleSwap => "flexible-swap",
-            RecoveryStepKind::StaleRefresh => "stale-refresh",
-            RecoveryStepKind::Rebuild => "rebuild",
             RecoveryStepKind::UnpreconditionedFallback => "unpreconditioned-fallback",
         }
     }
@@ -182,60 +162,18 @@ pub struct ResilientResult {
     pub trail: RecoveryTrail,
 }
 
-/// Caller hook used by rung 4: produce a fresh preconditioner in response
-/// to a failure. The mcmc crate's `SafeguardedRebuilder` implements this by
-/// re-running `build_safeguarded` with α backed off one geometric step.
-pub trait PrecondRebuild {
-    /// Build a replacement preconditioner, or `None` if no (further)
-    /// rebuild is possible — the rung is then skipped.
-    fn rebuild(&mut self, trigger: &SolveFailure) -> Option<Box<dyn Preconditioner>>;
-}
-
-/// Caller hook used by the stale-refresh rung: cheaply *refresh* the
-/// current preconditioner in response to operator drift — typically by
-/// re-estimating only the rows whose operator rows changed (the mcmc
-/// crate's `PartialRefresher` wraps `rebuild_rows`). One refresh per
-/// escalation: implementations return `None` once out of refresh budget
-/// (or when no rows are dirty), and the ladder falls through to the full
-/// rebuild rung.
-pub trait PrecondRefresh {
-    /// Refresh the preconditioner, or `None` if no refresh is possible —
-    /// the rung is then skipped.
-    fn refresh(&mut self, trigger: &SolveFailure) -> Option<Box<dyn Preconditioner>>;
-}
-
-/// External resources the ladder may draw on. Every field is optional:
-/// without them, the corresponding rungs are skipped.
+/// What the ladder may draw on besides the solve's own inputs; without it
+/// the rung that needs it is skipped.
 #[derive(Default)]
 pub struct RecoveryContext<'a> {
     /// Full-precision parent of a compressed preconditioner, for rung 1.
     pub full_precision: Option<&'a dyn Preconditioner>,
-    /// Partial-refresh hook for the stale-refresh rung.
-    pub refresher: Option<&'a mut dyn PrecondRefresh>,
-    /// Rebuild hook for the rebuild rung.
-    pub rebuilder: Option<&'a mut dyn PrecondRebuild>,
 }
 
-impl<'a> RecoveryContext<'a> {
-    /// A context with no external resources (the hook-backed rungs are
-    /// skipped).
+impl RecoveryContext<'_> {
+    /// A context with nothing in it (rung 1 is skipped).
     pub fn none() -> Self {
         Self::default()
-    }
-}
-
-/// The preconditioner currently active as the ladder escalates.
-enum ActivePrecond<'a> {
-    Borrowed(&'a dyn Preconditioner),
-    Owned(Box<dyn Preconditioner>),
-}
-
-impl ActivePrecond<'_> {
-    fn as_dyn(&self) -> &dyn Preconditioner {
-        match self {
-            ActivePrecond::Borrowed(p) => *p,
-            ActivePrecond::Owned(p) => p.as_ref(),
-        }
     }
 }
 
@@ -273,7 +211,7 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
     solver: SolverType,
     opts: SolveOptions,
     policy: &RecoveryPolicy,
-    mut ctx: RecoveryContext<'_>,
+    ctx: RecoveryContext<'_>,
     mut results: Vec<SolveResult>,
     ws: &mut Workspaces,
 ) -> (Vec<SolveResult>, RecoveryTrail) {
@@ -296,14 +234,12 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
     let first = failing.first();
     let mut trigger = first.map_or(SolveFailure::BudgetExhausted, |&c| diagnosis(&results[c]));
     let identity = IdentityPrecond::new(a.nrows());
-    let mut active = ActivePrecond::Borrowed(precond);
+    let mut active = precond;
     let mut active_solver = solver;
 
     for step in [
         RecoveryStepKind::FullPrecisionRetry,
         RecoveryStepKind::FlexibleSwap,
-        RecoveryStepKind::StaleRefresh,
-        RecoveryStepKind::Rebuild,
         RecoveryStepKind::UnpreconditionedFallback,
     ] {
         if failing.is_empty() {
@@ -313,7 +249,7 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
         match step {
             RecoveryStepKind::FullPrecisionRetry => match ctx.full_precision {
                 Some(full) if policy.full_precision_retry && precond.is_compressed() => {
-                    active = ActivePrecond::Borrowed(full);
+                    active = full;
                 }
                 _ => continue,
             },
@@ -323,35 +259,18 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
                 }
                 active_solver = active_solver.flexible();
             }
-            RecoveryStepKind::StaleRefresh => {
-                let hook = ctx
-                    .refresher
-                    .as_deref_mut()
-                    .filter(|_| policy.stale_refresh);
-                match hook.and_then(|r| r.refresh(&trigger)) {
-                    Some(refreshed) => active = ActivePrecond::Owned(refreshed),
-                    None => continue,
-                }
-            }
-            RecoveryStepKind::Rebuild => {
-                let hook = ctx.rebuilder.as_deref_mut().filter(|_| policy.rebuild);
-                match hook.and_then(|r| r.rebuild(&trigger)) {
-                    Some(fresh) => active = ActivePrecond::Owned(fresh),
-                    None => continue,
-                }
-            }
             // Nothing left to distrust: no preconditioner, the most robust
             // general-purpose driver.
             RecoveryStepKind::UnpreconditionedFallback => {
                 if !policy.unpreconditioned_fallback {
                     continue;
                 }
-                active = ActivePrecond::Borrowed(&identity);
+                active = &identity;
                 active_solver = SolverType::Gmres;
             }
         }
         let sub_rhs: Vec<Vec<f64>> = failing.iter().map(|&c| rhs[c].clone()).collect();
-        let sub = solve_columns(a, active.as_dyn(), active_solver, opts, &sub_rhs, ws);
+        let sub = solve_columns(a, active, active_solver, opts, &sub_rhs, ws);
         let iterations = sub.iter().map(|r| r.iterations).sum();
         let mut still_failing = Vec::new();
         let mut next_trigger = None;

@@ -14,6 +14,7 @@ use mcmcmi_krylov::SparsePrecond;
 use mcmcmi_sparse::Csr;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// Per-worker reusable walk state: a dense tally vector plus the list of
 /// indices written, so the scratch can be reset sparsely after each row.
@@ -112,14 +113,21 @@ impl BuildOutcome {
     /// [`SolveSession`] — the consumption path the build cost is amortised
     /// over: many single solves (reused scalar workspace) and many-RHS
     /// batches (`solve_batch`, SpMM-shared traversals), all applying `P`
-    /// through the block-aware [`SparsePrecond`].
+    /// through the block-aware [`SparsePrecond`], in the form `solver`
+    /// wants ([`SparsePrecond::for_solver`]).
     pub fn into_session(
         self,
         a: &Csr,
         solver: mcmcmi_krylov::SolverType,
         opts: mcmcmi_krylov::SolveOptions,
     ) -> mcmcmi_krylov::SolveSession<SparsePrecond> {
-        mcmcmi_krylov::SolveSession::new(a.clone(), self.precond, solver, opts)
+        // As built, the inverse is moved in, not copied.
+        let other_form = match self.precond.for_solver(solver) {
+            Cow::Owned(form) => Some(form),
+            Cow::Borrowed(_) => None,
+        };
+        let precond = other_form.unwrap_or(self.precond);
+        mcmcmi_krylov::SolveSession::new(a.clone(), precond, solver, opts)
     }
 
     /// Apply a [`CompressionPolicy`] to the built preconditioner:
@@ -132,29 +140,6 @@ impl BuildOutcome {
         policy: &CompressionPolicy,
     ) -> (mcmcmi_krylov::CompressedPrecond, CompressionReport) {
         crate::compress::compress(self.precond.matrix(), policy)
-    }
-
-    /// Compress and bind in one step: the mixed-precision serving session.
-    /// Pair it with a *flexible* driver (`SolverType::Fgmres` /
-    /// `SolverType::FCg`) — a sparsified, rounded inverse is exactly the
-    /// inexact preconditioner those drivers exist for. (The classical
-    /// drivers still run and converge in practice at mild policies; they
-    /// just lose their exact-preconditioner theory.)
-    pub fn into_compressed_session(
-        self,
-        a: &Csr,
-        policy: &CompressionPolicy,
-        solver: mcmcmi_krylov::SolverType,
-        opts: mcmcmi_krylov::SolveOptions,
-    ) -> (
-        mcmcmi_krylov::SolveSession<mcmcmi_krylov::CompressedPrecond>,
-        CompressionReport,
-    ) {
-        let (precond, report) = self.compress(policy);
-        (
-            mcmcmi_krylov::SolveSession::new(a.clone(), precond, solver, opts),
-            report,
-        )
     }
 }
 
@@ -518,7 +503,7 @@ mod tests {
         let n = a.nrows();
         let out = McmcInverse::new(BuildConfig::default())
             .build(&a, McmcParams::new(0.1, 0.0625, 0.0625));
-        let mut session = out.into_session(
+        let mut session = out.clone().into_session(
             &a,
             mcmcmi_krylov::SolverType::Gmres,
             SolveOptions::default(),
@@ -530,6 +515,11 @@ mod tests {
                     .collect()
             })
             .collect();
+        assert_eq!(session.precond().matrix(), out.precond.matrix(), "as built");
+        let cg = mcmcmi_krylov::SolverType::Cg;
+        let for_cg = out.clone().into_session(&a, cg, SolveOptions::default());
+        assert!(!out.precond.matrix().is_symmetric(0.0));
+        assert!(for_cg.precond().matrix().is_symmetric(0.0));
         let batch = session.solve_batch(&rhs);
         for (c, b) in rhs.iter().enumerate() {
             let single = session.solve(b);

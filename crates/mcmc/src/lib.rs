@@ -18,11 +18,16 @@
 //! lockstep SoA lane batch (see [`walk`] for the engine contract).
 //! The regenerative single-budget variant (Ghosh et al., SIMAX'25) ships as
 //! an extension in [`regenerative`].
+//!
+//! The crate makes inverses and the pieces a repair is made of — the guarded
+//! build with its α back-off ([`safeguard`]), the dirty-row re-estimate
+//! ([`McmcInverse::rebuild_rows`]), compression ([`compress`]). *When* one
+//! is repaired is its owner's call (`mcmcmi_core::DriftSession`); nothing
+//! here is called back from inside a solve.
 
 pub mod builder;
 pub mod compress;
 pub mod params;
-pub mod recover;
 pub mod regenerative;
 pub mod safeguard;
 pub mod walk;
@@ -30,7 +35,6 @@ pub mod walk;
 pub use builder::{BuildConfig, BuildOutcome, McmcInverse};
 pub use compress::{compress, sparsify, CompressionPolicy, CompressionReport, StoragePrecision};
 pub use params::McmcParams;
-pub use recover::{PartialRefresher, SafeguardedRebuilder};
 pub use regenerative::{regenerative_inverse, RegenerativeConfig};
 pub use safeguard::{BuildAttempt, BuildError, SafeguardConfig, SafeguardedBuild};
 pub use walk::{RowWalkStats, SoaBatch, WalkEngine, WalkMatrix, MAX_LANES};

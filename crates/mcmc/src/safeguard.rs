@@ -172,23 +172,6 @@ impl SafeguardedBuild {
     ) -> (mcmcmi_krylov::CompressedPrecond, CompressionReport) {
         self.outcome.compress(policy)
     }
-
-    /// Compress and bind in one step (see
-    /// [`BuildOutcome::into_compressed_session`]) — the hook the
-    /// auto-tuner uses to hand callers a tuned, compressed session.
-    pub fn into_compressed_session(
-        self,
-        a: &Csr,
-        policy: &CompressionPolicy,
-        solver: mcmcmi_krylov::SolverType,
-        opts: mcmcmi_krylov::SolveOptions,
-    ) -> (
-        mcmcmi_krylov::SolveSession<mcmcmi_krylov::CompressedPrecond>,
-        CompressionReport,
-    ) {
-        self.outcome
-            .into_compressed_session(a, policy, solver, opts)
-    }
 }
 
 impl McmcInverse {

@@ -15,15 +15,18 @@
 //! preconditioner storage), so a long-lived daemon facing an unbounded
 //! stream of distinct operators stays inside a fixed footprint. An entry
 //! holds the one copy of its operator and preconditioner; the sessions it
-//! hands out share them, so the bytes charged are the bytes resident.
+//! hands out share them, so the bytes charged are the bytes resident (the
+//! symmetrised form a first CG-family request has made is charged then,
+//! through [`OperatorCache::charge`]).
 //! In-flight solves hold `Arc`s to both, so eviction never invalidates a
 //! running solve — the memory is reclaimed when the last user drops it.
 
 use crate::queue::GroupKey;
 use crate::sync::lock_unpoisoned;
-use mcmcmi_krylov::{SolveOptions, SolveSession, SparsePrecond};
+use mcmcmi_krylov::{SolveOptions, SolveSession, SolverType, SparsePrecond};
 use mcmcmi_mcmc::{BuildAttempt, BuildError, McmcParams};
 use mcmcmi_sparse::{Csr, SpecializedBackend};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -48,13 +51,17 @@ pub struct OperatorEntry {
     pub attempts: Vec<BuildAttempt>,
     /// `ρ(|C|)` estimate of the accepted splitting.
     pub rho_estimate: f64,
-    /// Bytes this entry is charged against the cache budget: the storage
-    /// of `operator` and `precond`, which every session shares.
+    /// Bytes this entry is charged against the cache budget on insertion:
+    /// the storage of `operator` and `precond`, which every session shares.
     pub bytes: usize,
     /// One warm session per solver-options key. Sessions are *taken* for
     /// the duration of a solve (so the entry mutex is never held across
     /// iteration work) and returned afterwards with their workspaces grown.
     sessions: Mutex<HashMap<GroupKey, PooledSession>>,
+    /// The form of `precond` each solver seen so far is bound to
+    /// ([`SparsePrecond::for_solver`], asked once per solver): `precond`
+    /// itself, or the one other copy made, which its sessions share.
+    forms: Mutex<HashMap<SolverType, Arc<SparsePrecond>>>,
 }
 
 impl OperatorEntry {
@@ -75,6 +82,7 @@ impl OperatorEntry {
             rho_estimate,
             bytes,
             sessions: Mutex::new(HashMap::new()),
+            forms: Mutex::new(HashMap::new()),
         }
     }
 
@@ -83,19 +91,44 @@ impl OperatorEntry {
     /// done; a concurrent taker for the same key simply gets a fresh
     /// session — results are bit-identical either way, only workspace
     /// reuse is lost. A fresh session copies nothing: it is bound to this
-    /// entry's operator and preconditioner.
-    pub fn take_session(&self, key: &GroupKey, opts: SolveOptions) -> PooledSession {
+    /// entry's operator and to the form of its preconditioner the solver
+    /// wants. The second value is the bytes the call made resident (a form
+    /// made just now; zero otherwise), owed to [`OperatorCache::charge`].
+    pub fn take_session(&self, key: &GroupKey, opts: SolveOptions) -> (PooledSession, usize) {
         // A panic mid-take/put leaves the pool map itself intact (at worst
         // a session is lost), so recover the lock rather than cascade.
-        let taken = lock_unpoisoned(&self.sessions).remove(key);
-        taken.unwrap_or_else(|| {
-            SolveSession::with_backend(
-                Arc::clone(&self.operator),
-                Arc::clone(&self.precond),
-                key.solver,
-                opts,
-            )
-        })
+        if let Some(session) = lock_unpoisoned(&self.sessions).remove(key) {
+            return (session, 0);
+        }
+        let (precond, made) = self.form_for(key.solver);
+        let operator = Arc::clone(&self.operator);
+        let session = SolveSession::with_backend(operator, precond, key.solver, opts);
+        (session, made)
+    }
+
+    /// The preconditioner `solver`'s sessions share, and the bytes newly
+    /// resident for it. The lock is held across the one copy an entry
+    /// makes, so concurrent first requests wait for it and share it.
+    fn form_for(&self, solver: SolverType) -> (Arc<SparsePrecond>, usize) {
+        let mut forms = lock_unpoisoned(&self.forms);
+        if let Some(form) = forms.get(&solver) {
+            return (Arc::clone(form), 0);
+        }
+        // The same matrix may be resident already: the inverse as built when
+        // that is symmetric, or a copy made for another solver of the family.
+        let mut resident = std::iter::once(&self.precond).chain(forms.values());
+        let (form, made) = match self.precond.for_solver(solver) {
+            Cow::Borrowed(_) => (Arc::clone(&self.precond), 0),
+            Cow::Owned(copy) => match resident.find(|f| f.matrix() == copy.matrix()) {
+                Some(shared) => (Arc::clone(shared), 0),
+                None => {
+                    let bytes = copy.matrix().storage_bytes();
+                    (Arc::new(copy), bytes)
+                }
+            },
+        };
+        forms.insert(solver, Arc::clone(&form));
+        (form, made)
     }
 
     /// Return a session to the pool for the next request with this key.
@@ -229,11 +262,33 @@ impl OperatorCache {
             inner.total_bytes -= old.bytes;
         }
         inner.total_bytes += bytes;
+        self.evict_to_budget(&mut inner, fingerprint);
+    }
+
+    /// Charge `entry` for `bytes` it made resident after it was inserted
+    /// ([`OperatorEntry::take_session`] reports them), evicting others if
+    /// that breaks the budget. An entry evicted meanwhile owes nothing: its
+    /// memory goes when its last user does.
+    pub fn charge(&self, fingerprint: u64, entry: &Arc<OperatorEntry>, bytes: usize) {
+        let mut inner = self.lock_inner();
+        match inner.slots.get_mut(&fingerprint) {
+            Some(cached) if matches!(&cached.slot, Slot::Ready(e) if Arc::ptr_eq(e, entry)) => {
+                cached.bytes += bytes;
+            }
+            _ => return,
+        }
+        inner.total_bytes += bytes;
+        self.evict_to_budget(&mut inner, fingerprint);
+    }
+
+    /// Evict least-recently-used entries other than `keep` until the byte
+    /// budget holds.
+    fn evict_to_budget(&self, inner: &mut CacheInner, keep: u64) {
         while inner.total_bytes > self.capacity_bytes && inner.slots.len() > 1 {
             let victim = inner
                 .slots
                 .iter()
-                .filter(|(fp, _)| **fp != fingerprint)
+                .filter(|(fp, _)| **fp != keep)
                 .min_by_key(|(_, s)| s.last_used)
                 .map(|(fp, _)| *fp);
             match victim {
@@ -286,9 +341,12 @@ mod tests {
     }
 
     fn entry(n: usize, salt: f64) -> (u64, Arc<OperatorEntry>) {
+        entry_at(n, salt, McmcParams::new(2.0, 0.5, 0.5))
+    }
+
+    fn entry_at(n: usize, salt: f64, params: McmcParams) -> (u64, Arc<OperatorEntry>) {
         let a = tiny_spd(n, salt);
         let fp = a.fingerprint();
-        let params = McmcParams::new(2.0, 0.5, 0.5);
         let build = McmcInverse::new(BuildConfig::default())
             .build_safeguarded(&a, params, &SafeguardConfig::default())
             .expect("tiny SPD operator must build");
@@ -374,18 +432,18 @@ mod tests {
         let (_fp, e) = entry(16, 0.0);
         let key = GroupKey {
             fingerprint: 1,
-            solver: mcmcmi_krylov::SolverType::Cg,
+            solver: SolverType::Cg,
             tol_bits: 1e-8f64.to_bits(),
             max_iter: 100,
             restart: 50,
         };
         let opts = SolveOptions::default();
-        let mut s = e.take_session(&key, opts);
+        let (mut s, _) = e.take_session(&key, opts);
         let b = vec![1.0; 16];
         let r1 = s.solve(&b);
         e.put_session(key, s);
         assert_eq!(e.pooled_sessions(), 1);
-        let mut s2 = e.take_session(&key, opts);
+        let (mut s2, _) = e.take_session(&key, opts);
         assert_eq!(e.pooled_sessions(), 0);
         let r2 = s2.solve(&b);
         assert_eq!(r1.x, r2.x, "reused session is bit-identical");
@@ -393,7 +451,9 @@ mod tests {
 
     #[test]
     fn sessions_share_the_entry_s_storage_and_bytes_counts_what_is_resident() {
-        let (_fp, e) = entry(24, 0.0);
+        // Enough chains that the inverse is not symmetric by accident.
+        let (_fp, e) = entry_at(24, 0.0, McmcParams::new(0.5, 0.125, 0.0625));
+        assert!(!e.precond.matrix().is_symmetric(0.0));
         let key = |solver| GroupKey {
             fingerprint: 1,
             solver,
@@ -401,9 +461,10 @@ mod tests {
             max_iter: 100,
             restart: 50,
         };
-        let (cg, gmres) = (
-            key(mcmcmi_krylov::SolverType::Cg),
-            key(mcmcmi_krylov::SolverType::Gmres),
+        let (cg, fcg, gmres) = (
+            key(SolverType::Cg),
+            key(SolverType::FCg),
+            key(SolverType::Gmres),
         );
         // Bytes of every distinct operator / preconditioner allocation the
         // entry and its pooled sessions hold between them.
@@ -431,21 +492,41 @@ mod tests {
         };
         assert_eq!(e.bytes, resident(&e), "empty pool");
 
+        // The inverse as built: nothing is made, whoever asks.
         let opts = SolveOptions::default();
-        let (s1, s2) = (e.take_session(&cg, opts), e.take_session(&gmres, opts));
-        assert!(std::ptr::eq(s1.backend(), s2.backend()), "one operator");
-        assert!(std::ptr::eq(s1.backend(), &*e.operator));
-        assert!(
-            Arc::ptr_eq(s1.precond(), s2.precond()),
-            "one preconditioner"
-        );
-        assert!(Arc::ptr_eq(s1.precond(), &e.precond));
+        let (s1, made1) = e.take_session(&gmres, opts);
+        assert!(std::ptr::eq(s1.backend(), &*e.operator), "one operator");
+        assert!(Arc::ptr_eq(s1.precond(), &e.precond), "one preconditioner");
+        e.put_session(gmres, s1);
+        assert_eq!((made1, e.bytes), (0, resident(&e)), "one pooled session");
 
-        e.put_session(cg, s1);
-        assert_eq!(e.bytes, resident(&e), "one pooled session");
-        e.put_session(gmres, s2);
-        assert_eq!(e.pooled_sessions(), 2);
-        assert_eq!(e.bytes, resident(&e), "two pooled sessions");
+        // The CG family's form is made once, reported once, and shared.
+        let (c1, made) = e.take_session(&cg, opts);
+        assert!(c1.precond().matrix().is_symmetric(0.0));
+        assert_eq!(made, c1.precond().matrix().storage_bytes());
+        let ((c2, again), (c3, flexible)) = (e.take_session(&cg, opts), e.take_session(&fcg, opts));
+        assert_eq!((again, flexible), (0, 0));
+        assert!(Arc::ptr_eq(c1.precond(), c2.precond()) && Arc::ptr_eq(c1.precond(), c3.precond()));
+        assert!(std::ptr::eq(c1.backend(), &*e.operator));
+        e.put_session(cg, c1);
+        e.put_session(fcg, c3);
+        assert_eq!(e.bytes + made, resident(&e), "both forms pooled");
+    }
+
+    #[test]
+    fn a_form_made_after_insertion_is_charged_to_its_entry_once() {
+        let (fp1, e1) = entry(32, 0.0);
+        let (fp2, e2) = entry(32, 1.0);
+        let cache = OperatorCache::new(e1.bytes + e2.bytes + 64);
+        cache.insert_ready(fp1, Arc::clone(&e1));
+        cache.insert_ready(fp2, Arc::clone(&e2));
+        // Charging the newer entry past the budget evicts the older one…
+        cache.charge(fp2, &e2, 128);
+        assert_eq!(cache.usage(), (1, e2.bytes + 128));
+        assert_eq!(cache.evictions(), 1);
+        // …and an entry that is no longer resident is on nobody's books.
+        cache.charge(fp1, &e1, 128);
+        assert_eq!(cache.usage(), (1, e2.bytes + 128));
     }
 
     #[test]
@@ -479,17 +560,17 @@ mod tests {
         let (_fp, e) = entry(16, 0.0);
         let key = GroupKey {
             fingerprint: 1,
-            solver: mcmcmi_krylov::SolverType::Cg,
+            solver: SolverType::Cg,
             tol_bits: 1e-8f64.to_bits(),
             max_iter: 100,
             restart: 50,
         };
         let opts = SolveOptions::default();
-        let s = e.take_session(&key, opts);
+        let (s, _) = e.take_session(&key, opts);
         e.put_session(key, s);
         crate::sync::poison_for_test(&e.sessions);
         // take/put/count all still work through the poisoned lock.
-        let mut s = e.take_session(&key, opts);
+        let (mut s, _) = e.take_session(&key, opts);
         assert_eq!(e.pooled_sessions(), 0);
         let r = s.solve(&[1.0; 16]);
         assert!(r.converged);

@@ -493,7 +493,10 @@ fn process_group(inner: &Arc<ServerInner>, worker_id: u64, jobs: &[Arc<Job>]) {
             token.cancel();
         }
 
-        let mut session = entry.take_session(&key, opts);
+        let (mut session, made) = entry.take_session(&key, opts);
+        if made > 0 {
+            inner.cache.charge(fingerprint, &entry, made);
+        }
         let rhs: Vec<Vec<f64>> = pending.iter().map(|j| j.request.b.clone()).collect();
         let (results, trail): (Vec<SolveResult>, RecoveryTrail) = with_cancel(&token, || {
             session.solve_batch_resilient(&rhs, &policy, RecoveryContext::none())
@@ -565,24 +568,22 @@ fn resolve_operator(
             job.respond(Err(err.clone()));
         }
     };
+    // A resident slot answers the whole group: a hit, or the poison
+    // operator's recorded error.
+    let count = |hits: &AtomicU64| hits.fetch_add(jobs.len() as u64, Ordering::Relaxed);
+    let resident = |slot: Slot| match slot {
+        Slot::Ready(entry) => {
+            count(&inner.stats.cache_hits);
+            Some((entry, true))
+        }
+        Slot::Poisoned(err) => {
+            count(&inner.stats.negative_hits);
+            respond_all(&ServeError::Build((*err).clone()));
+            None
+        }
+    };
     if let Some(slot) = inner.cache.lookup(fingerprint) {
-        return match slot {
-            Slot::Ready(entry) => {
-                inner
-                    .stats
-                    .cache_hits
-                    .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                Some((entry, true))
-            }
-            Slot::Poisoned(err) => {
-                inner
-                    .stats
-                    .negative_hits
-                    .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                respond_all(&ServeError::Build((*err).clone()));
-                None
-            }
-        };
+        return resident(slot);
     }
     // Miss: build at most once per fingerprint, even across uncoalesced
     // concurrent groups.
@@ -596,23 +597,7 @@ fn resolve_operator(
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(slot) = inner.cache.lookup(fingerprint) {
-        return match slot {
-            Slot::Ready(entry) => {
-                inner
-                    .stats
-                    .cache_hits
-                    .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                Some((entry, true))
-            }
-            Slot::Poisoned(err) => {
-                inner
-                    .stats
-                    .negative_hits
-                    .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-                respond_all(&ServeError::Build((*err).clone()));
-                None
-            }
-        };
+        return resident(slot);
     }
     // Test-only: die *while holding the build lock*, modelling a builder
     // panicking mid-build. The catch site answers this group; the next

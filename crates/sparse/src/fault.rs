@@ -13,7 +13,8 @@
 //! A build-side injector ([`corrupt_rows`]) covers the other half of the
 //! threat model: a structurally intact preconditioner whose *values* are
 //! garbage (the MCMC failure mode compression or a divergent build can
-//! produce), for driving the recovery ladder's rebuild rung.
+//! produce), for driving the recovery ladder past a preconditioner it has
+//! to give up on.
 
 use crate::backend::KernelBackend;
 use crate::csr::Csr;

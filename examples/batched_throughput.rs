@@ -45,7 +45,7 @@ fn main() {
         "MCMC build: {} transitions in {build_time:.1?} — paid once, amortised below",
         outcome.transitions
     );
-    let precond = outcome.precond.symmetrized();
+    let precond = outcome.precond.for_solver(SolverType::Cg).into_owned();
 
     // 2. Two sessions over the same (A, P): one serving batches, one
     //    serving the same requests one at a time, for an honest

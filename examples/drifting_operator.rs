@@ -53,7 +53,8 @@ pub fn sixty_steps() -> (usize, DriftSession) {
             ..Default::default()
         },
         policy,
-    );
+    )
+    .expect("the safeguard accepts this operator at α = 0.1");
 
     for t in 0..60 {
         let step = drift.advance();

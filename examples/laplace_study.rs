@@ -26,9 +26,10 @@ fn main() {
         for alpha in [0.1, 1.0, 5.0] {
             let outcome = McmcInverse::new(BuildConfig::default())
                 .build(&a, McmcParams::new(alpha, 0.0625, 0.03125));
-            // CG needs a symmetric preconditioner: symmetrise (paper §4.1).
-            let sym = outcome.precond.symmetrized();
-            let r = solve(&a, &b, &sym, SolverType::Cg, opts);
+            // CG needs a symmetric preconditioner (paper §4.1): `for_solver`
+            // hands it the symmetrised form.
+            let precond = outcome.precond.for_solver(SolverType::Cg);
+            let r = solve(&a, &b, &*precond, SolverType::Cg, opts);
             cols.push(if r.converged {
                 r.iterations.to_string()
             } else {

@@ -209,7 +209,8 @@ fn drift_burst_escalates_the_same_way_at_any_thread_count() {
                     ..Default::default()
                 },
                 RefreshPolicy::default(),
-            );
+            )
+            .expect("laplacian builds");
             // Calibrate on the unchanged operator, then rescale every row 6×.
             for _ in 0..4 {
                 let _ = sess.step(a.clone(), &b);

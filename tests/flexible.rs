@@ -11,7 +11,8 @@
 //!   without blowing up the iteration count.
 
 use mcmcmi::krylov::{
-    cg, fcg, fgmres, gmres, solve, solve_batch, Preconditioner, SolveOptions, SolverType,
+    cg, fcg, fgmres, gmres, solve, solve_batch, Preconditioner, SolveOptions, SolveSession,
+    SolverType,
 };
 use mcmcmi::matgen::{fd_laplace_2d, PaperMatrix};
 use mcmcmi::mcmc::{BuildConfig, CompressionPolicy, McmcInverse, McmcParams, StoragePrecision};
@@ -145,14 +146,10 @@ fn identity_policy_session_bit_identical_to_uncompressed_at_any_thread_count() {
             .num_threads(threads)
             .build()
             .unwrap();
-        let (mut sess, report) = pool.install(|| {
-            builder.build(&a, params).into_compressed_session(
-                &a,
-                &CompressionPolicy::default(),
-                SolverType::Gmres,
-                SolveOptions::default(),
-            )
-        });
+        let policy = CompressionPolicy::default();
+        let (precond, report) = pool.install(|| builder.build(&a, params).compress(&policy));
+        let opts = SolveOptions::default();
+        let mut sess = SolveSession::new(a.clone(), precond, SolverType::Gmres, opts);
         assert_eq!(report.nnz_kept, 1.0);
         assert_eq!(report.precision, StoragePrecision::F64);
         for (b, want) in rhs.iter().zip(&reference_single) {
@@ -227,9 +224,10 @@ fn flexible_session_solves_are_repeatable() {
     let n = a.nrows();
     let built =
         McmcInverse::new(BuildConfig::default()).build(&a, McmcParams::new(0.1, 0.125, 0.0625));
-    let (mut sess, _) = built.into_compressed_session(
-        &a,
-        &CompressionPolicy::f32(1e-3),
+    let (precond, _) = built.compress(&CompressionPolicy::f32(1e-3));
+    let mut sess = SolveSession::new(
+        a.clone(),
+        precond,
         SolverType::Fgmres,
         SolveOptions::default(),
     );

@@ -6,8 +6,8 @@
 
 use mcmcmi::krylov::{
     solve, solve_batch, solve_resilient, BreakdownKind, CompressedPrecond, IdentityPrecond,
-    PrecondRebuild, Preconditioner, RecoveryContext, RecoveryPolicy, RecoveryStepKind,
-    SolveFailure, SolveOptions, SolverType, SparsePrecond, WatchdogConfig,
+    RecoveryContext, RecoveryPolicy, RecoveryStepKind, SolveFailure, SolveOptions, SolverType,
+    SparsePrecond, WatchdogConfig,
 };
 use mcmcmi::matgen::fd_laplace_2d;
 use mcmcmi::sparse::{corrupt_rows, csr_eye, Coo, Csr, FaultSpec, FaultyBackend};
@@ -231,7 +231,7 @@ fn injected_nan_on_table1_matrix_recovers_via_ladder() {
         SolveFailure::NonFinite { .. }
     ));
     // The transient fault burned on the base solve, so the flexible-swap
-    // rung (first eligible without compression or a rebuilder) recovers.
+    // rung (first eligible without compression) recovers.
     assert_eq!(
         res.trail.steps.last().unwrap().step,
         RecoveryStepKind::FlexibleSwap
@@ -258,7 +258,6 @@ fn ladder_full_precision_retry_rung() {
         &RecoveryPolicy::default(),
         RecoveryContext {
             full_precision: Some(&full),
-            ..Default::default()
         },
     );
     assert!(res.result.converged, "{:?}", res.result.outcome);
@@ -270,51 +269,36 @@ fn ladder_full_precision_retry_rung() {
     assert_eq!(res.trail.steps.len(), 1, "first rung already recovered");
 }
 
-/// Minimal krylov-level rebuilder: hands out one replacement
-/// preconditioner, then reports exhaustion.
-struct OneShotRebuild {
-    replacement: Option<Box<dyn Preconditioner>>,
-}
-
-impl PrecondRebuild for OneShotRebuild {
-    fn rebuild(&mut self, _trigger: &SolveFailure) -> Option<Box<dyn Preconditioner>> {
-        self.replacement.take()
-    }
-}
-
+/// A preconditioner broken in full precision: the ladder has no better one
+/// to ask for (that is its owner's job), so the swap meets the same NaN and
+/// the floor, which drops the preconditioner, is what recovers.
 #[test]
-fn ladder_rebuild_rung() {
+fn ladder_drops_a_poisoned_preconditioner_it_cannot_replace() {
     let a = fd_laplace_2d(8);
     let n = a.nrows();
     let mut p = csr_eye(n);
     corrupt_rows(&mut p, &[1], f64::NAN);
-    let broken = SparsePrecond::new(p);
-    let mut rebuilder = OneShotRebuild {
-        replacement: Some(Box::new(IdentityPrecond::new(n))),
-    };
-    // Disable the earlier rungs so the ladder lands exactly on rebuild.
-    let policy = RecoveryPolicy {
-        full_precision_retry: false,
-        flexible_swap: false,
-        unpreconditioned_fallback: false,
-        ..Default::default()
-    };
     let res = solve_resilient(
         &a,
         &rhs(n),
-        &broken,
+        &SparsePrecond::new(p),
         SolverType::Cg,
         SolveOptions::default(),
-        &policy,
-        RecoveryContext {
-            rebuilder: Some(&mut rebuilder),
-            ..Default::default()
-        },
+        &RecoveryPolicy::default(),
+        RecoveryContext::none(),
     );
     assert!(res.result.converged, "{:?}", res.result.outcome);
-    assert_eq!(res.trail.steps.len(), 1);
-    assert_eq!(res.trail.steps[0].step, RecoveryStepKind::Rebuild);
-    assert!(res.trail.steps[0].recovered);
+    let [swap, floor] = &res.trail.steps[..] else {
+        panic!("want two rungs, got {}", res.trail.summary());
+    };
+    let (flexible, unpreconditioned) = (
+        RecoveryStepKind::FlexibleSwap,
+        RecoveryStepKind::UnpreconditionedFallback,
+    );
+    assert_eq!((swap.step, swap.recovered), (flexible, false));
+    assert_eq!((floor.step, floor.recovered), (unpreconditioned, true));
+    // The floor's trigger is the swap's failure.
+    assert!(matches!(floor.trigger, SolveFailure::NonFinite { .. }));
 }
 
 #[test]
