@@ -191,23 +191,13 @@ impl Preconditioner for JacobiPrecond {
 /// few hundred rows; *compressed* inverses can gain or lose structure, and
 /// re-wrapping after sparsification re-detects automatically) and every
 /// `apply`/`apply_block` dispatches to the matching kernel family. The
-/// backend also owns the cached nnz-balanced row partition, so repeated
-/// applications (the scalar session path as much as `solve_batch`)
-/// re-derive nothing and allocate nothing beyond rayon's per-call task
-/// handles.
-#[derive(Debug)]
+/// backend is plain data (matrix + detected structure): small operators
+/// apply serially, large ones are split by an nnz-balanced row partition
+/// computed for the call (a handful of binary searches), and sessions
+/// sharing one preconditioner behind an `Arc` share no lock.
+#[derive(Clone, Debug)]
 pub struct SparsePrecond<T: Scalar = f64> {
     op: SpecializedBackend<T>,
-}
-
-impl<T: Scalar> Clone for SparsePrecond<T> {
-    fn clone(&self) -> Self {
-        // Backend clone carries the detected structure over (a property of
-        // the matrix) and rebuilds the partition cache lazily.
-        Self {
-            op: self.op.clone(),
-        }
-    }
 }
 
 impl<T: Scalar> SparsePrecond<T> {
@@ -270,10 +260,9 @@ impl SparsePrecond<f64> {
 
 impl<T: Scalar> Preconditioner for SparsePrecond<T> {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        // The backend applies spmv_auto's dispatch rule (shared
-        // `par_pays_off` predicate) with the cached partition on the
-        // parallel arm and the structure-specialized row kernel on both
-        // arms; bit-identical every way.
+        // Serial or split by the one `par_pays_off` rule, the
+        // structure-specialized row kernel on both arms; bit-identical
+        // every way.
         self.op.spmv(r, z);
     }
     fn dim(&self) -> usize {
@@ -486,10 +475,6 @@ mod tests {
         assert_eq!(p32.matrix().value_bytes() * 2, p64.matrix().value_bytes());
     }
 
-    /// Serialises the two tests below, which read/write the process-global
-    /// parallel-threshold override.
-    static THRESHOLD_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     /// Restores the default threshold even if the test panics.
     struct RestoreThreshold;
     impl Drop for RestoreThreshold {
@@ -499,8 +484,7 @@ mod tests {
     }
 
     #[test]
-    fn cached_partition_path_is_bit_identical_to_auto() {
-        let _serial = THRESHOLD_LOCK.lock().unwrap();
+    fn parallel_apply_is_bit_identical_to_the_bare_csr_product() {
         let _restore = RestoreThreshold;
         let a = {
             let mut coo = Coo::new(64, 64);
@@ -516,14 +500,12 @@ mod tests {
         let r: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut want = vec![0.0; 64];
         a.spmv(&r, &mut want);
-        // Serial arm first: the partition cache stays cold.
+        // Serial arm first.
         let mut z1 = vec![0.0; 64];
         p.apply(&r, &mut z1);
         assert_eq!(z1, want);
-        assert_eq!(p.backend().cached_partition_threads(), None);
-        // Force the parallel arm and apply under two different pools: the
-        // cache follows the active thread count and every path stays
-        // bit-identical to the serial kernel.
+        // Force the parallel arm and apply under two different pools:
+        // every path stays bit-identical to the serial kernel.
         mcmcmi_sparse::set_par_threshold_for_tests(Some(1));
         for extra in [1usize, 4] {
             let pool = rayon::ThreadPoolBuilder::new()
@@ -534,24 +516,8 @@ mod tests {
                 let mut z = vec![0.0; 64];
                 p.apply(&r, &mut z);
                 assert_eq!(z, want);
-                assert_eq!(p.backend().cached_partition_threads(), Some(extra + 1));
-                // Repeated applies reuse the cache and stay identical.
-                let mut z2 = vec![0.0; 64];
-                p.apply(&r, &mut z2);
-                assert_eq!(z2, want);
             });
         }
-    }
-
-    #[test]
-    fn small_operator_apply_never_builds_the_partition_cache() {
-        let _serial = THRESHOLD_LOCK.lock().unwrap();
-        let p = SparsePrecond::new(csr_eye(8));
-        let mut z = vec![0.0; 8];
-        p.apply(&[1.0; 8], &mut z);
-        p.apply_block(&[1.0; 16], 2, &mut z.repeat(2));
-        // Below par_threshold the serial arm runs and the cache stays cold.
-        assert_eq!(p.backend().cached_partition_threads(), None);
     }
 
     #[test]

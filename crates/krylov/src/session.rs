@@ -391,9 +391,8 @@ mod tests {
 
     /// Compile-time audit that sessions can be shared across the serving
     /// daemon's worker threads: every concrete session type (and the
-    /// pieces it is built from — the `SpecializedBackend` with its
-    /// RwLock-cached partition, `SparsePrecond` with the same cache) is
-    /// `Send + Sync`.
+    /// pieces it is built from — the `SpecializedBackend`, `SparsePrecond`
+    /// around it) is `Send + Sync`.
     #[test]
     fn sessions_are_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}

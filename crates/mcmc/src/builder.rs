@@ -249,55 +249,74 @@ impl McmcInverse {
     /// `walk` must be `WalkMatrix::from_perturbed(a, params.alpha)`. The
     /// safeguard walks the very matrix it probed.
     pub(crate) fn build_on(&self, walk: &WalkMatrix, a: &Csr, params: McmcParams) -> BuildOutcome {
+        // A fresh build: every row dirty, nothing to keep.
+        let all: Vec<usize> = (0..a.nrows()).collect();
+        let (p, row_stats) = self.estimate_and_splice(walk, a, params, &all, None);
+        BuildOutcome {
+            precond: SparsePrecond::new(p),
+            transitions: row_stats.iter().map(|s| s.transitions).sum(),
+            capped_chains: row_stats.iter().map(|s| s.capped).sum(),
+            blown_up_chains: row_stats.iter().map(|s| s.blown_up).sum(),
+            noncontractive_fraction: walk.noncontractive_fraction(),
+            chains_per_row: params.chains_per_row(),
+            row_stats,
+        }
+    }
+
+    /// Estimate the rows `dirty` (sorted, distinct) of the inverse of `a` on
+    /// its splitting `walk`, and assemble the matrix they give: a dirty row
+    /// is its fresh estimate, every other row is copied from `keep`. Returns
+    /// that matrix and the dirty rows' walk statistics in `dirty` order.
+    /// The one estimate-then-splice under [`McmcInverse::build`] and
+    /// [`McmcInverse::rebuild_rows`], which is why an all-dirty rebuild *is*
+    /// a fresh build.
+    fn estimate_and_splice(
+        &self,
+        walk: &WalkMatrix,
+        a: &Csr,
+        params: McmcParams,
+        dirty: &[usize],
+        keep: Option<&Csr>,
+    ) -> (Csr, Vec<RowWalkStats>) {
         let n = a.nrows();
         let chains = params.chains_per_row();
         let cfg = self.config;
 
-        let budgets: Vec<usize> = a
-            .row_degrees()
-            .iter()
-            .map(|&d| row_budget(&cfg, d))
-            .collect();
-
-        let rows: Vec<RowOut> = (0..n)
+        let estimated: Vec<RowOut> = (0..dirty.len())
             .into_par_iter()
             .map_init(
                 // One workspace per worker: the O(n) scratch is allocated
                 // once per thread, not once per row.
                 || RowWorkspace::new(n),
-                |ws, i| estimate_row(walk, i, chains, params.delta, &cfg, budgets[i], ws),
+                |ws, d| {
+                    let i = dirty[d];
+                    let budget = row_budget(&cfg, a.row_indices(i).len());
+                    estimate_row(walk, i, chains, params.delta, &cfg, budget, ws)
+                },
             )
             .collect();
 
-        // Assemble CSR with exact-size preallocation from per-row lengths.
-        let nnz_total: usize = rows.iter().map(|r| r.cols.len()).sum();
+        // Assemble CSR in row order with exact-size preallocation.
+        let row = |i: usize| match dirty.binary_search(&i) {
+            Ok(d) => (&estimated[d].cols[..], &estimated[d].vals[..]),
+            Err(_) => {
+                let kept = keep.expect("a clean row needs an inverse to be kept from");
+                (kept.row_indices(i), kept.row_values(i))
+            }
+        };
+        let nnz_total: usize = (0..n).map(|i| row(i).0.len()).sum();
         let mut indptr = Vec::with_capacity(n + 1);
         let mut cols = Vec::with_capacity(nnz_total);
         let mut vals = Vec::with_capacity(nnz_total);
         indptr.push(0);
-        let mut transitions = 0;
-        let mut capped = 0;
-        let mut blown = 0;
-        let mut row_stats = Vec::with_capacity(n);
-        for r in &rows {
-            cols.extend_from_slice(&r.cols);
-            vals.extend_from_slice(&r.vals);
+        for i in 0..n {
+            let (row_cols, row_vals) = row(i);
+            cols.extend_from_slice(row_cols);
+            vals.extend_from_slice(row_vals);
             indptr.push(cols.len());
-            transitions += r.stats.transitions;
-            capped += r.stats.capped;
-            blown += r.stats.blown_up;
-            row_stats.push(r.stats);
         }
-        let p = Csr::from_raw(n, n, indptr, cols, vals);
-        BuildOutcome {
-            precond: SparsePrecond::new(p),
-            transitions,
-            capped_chains: capped,
-            blown_up_chains: blown,
-            noncontractive_fraction: walk.noncontractive_fraction(),
-            chains_per_row: chains,
-            row_stats,
-        }
+        let stats = estimated.iter().map(|r| r.stats).collect();
+        (Csr::from_raw(n, n, indptr, cols, vals), stats)
     }
 
     /// Re-estimate only `rows` of an existing build against the drifted
@@ -355,68 +374,20 @@ impl McmcInverse {
         }
 
         let walk = WalkMatrix::from_perturbed(a, params.alpha);
-        let chains = params.chains_per_row();
-        let cfg = self.config;
-        let degrees = a.row_degrees();
-
-        let rebuilt: Vec<RowOut> = (0..dirty.len())
-            .into_par_iter()
-            .map_init(
-                || RowWorkspace::new(n),
-                |ws, d| {
-                    let i = dirty[d];
-                    estimate_row(
-                        &walk,
-                        i,
-                        chains,
-                        params.delta,
-                        &cfg,
-                        row_budget(&cfg, degrees[i]),
-                        ws,
-                    )
-                },
-            )
-            .collect();
-
-        // Splice: clean rows copied from the old preconditioner, dirty rows
-        // replaced by their re-estimates, in row order.
-        let p_old = out.precond.matrix();
-        let nnz_total: usize = (0..n)
-            .map(|i| match dirty.binary_search(&i) {
-                Ok(d) => rebuilt[d].cols.len(),
-                Err(_) => p_old.row_indices(i).len(),
-            })
-            .sum();
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut cols = Vec::with_capacity(nnz_total);
-        let mut vals = Vec::with_capacity(nnz_total);
-        indptr.push(0);
-        for i in 0..n {
-            match dirty.binary_search(&i) {
-                Ok(d) => {
-                    cols.extend_from_slice(&rebuilt[d].cols);
-                    vals.extend_from_slice(&rebuilt[d].vals);
-                }
-                Err(_) => {
-                    cols.extend_from_slice(p_old.row_indices(i));
-                    vals.extend_from_slice(p_old.row_values(i));
-                }
-            }
-            indptr.push(cols.len());
-        }
-        let p = Csr::from_raw(n, n, indptr, cols, vals);
+        let (p, rebuilt) =
+            self.estimate_and_splice(&walk, a, params, &dirty, Some(out.precond.matrix()));
 
         // Exact aggregate update: subtract each dirty row's old stats, add
         // the new ones.
-        for (d, &i) in dirty.iter().enumerate() {
+        for (&i, &new) in dirty.iter().zip(&rebuilt) {
             let old = out.row_stats[i];
-            out.transitions = out.transitions - old.transitions + rebuilt[d].stats.transitions;
-            out.capped_chains = out.capped_chains - old.capped + rebuilt[d].stats.capped;
-            out.blown_up_chains = out.blown_up_chains - old.blown_up + rebuilt[d].stats.blown_up;
-            out.row_stats[i] = rebuilt[d].stats;
+            out.transitions = out.transitions - old.transitions + new.transitions;
+            out.capped_chains = out.capped_chains - old.capped + new.capped;
+            out.blown_up_chains = out.blown_up_chains - old.blown_up + new.blown_up;
+            out.row_stats[i] = new;
         }
         out.noncontractive_fraction = walk.noncontractive_fraction();
-        out.chains_per_row = chains;
+        out.chains_per_row = params.chains_per_row();
         // `SparsePrecond::new` re-runs structure detection on the spliced
         // matrix, so banded/stencil block applies keep dispatching right.
         out.precond = SparsePrecond::new(p);

@@ -346,7 +346,7 @@ impl WalkMatrix {
         );
         #[cfg(test)]
         CONSTRUCTIONS.with(|c| c.set(c.get() + 1));
-        let ranges = a.nnz_balanced_row_ranges(row_parts(a.nnz()));
+        let ranges = nnz_balanced_ranges(a.indptr(), row_parts(a.nnz()));
         let row_counts = || ranges.iter().map(Range::len);
 
         // Pass 1: perturbed diagonal and entry count of every row. A

@@ -3,15 +3,18 @@
 //! specialized, a future SoA-walk or GPU backend) is a construction-time
 //! choice instead of a call-site rewrite.
 //!
-//! Two implementations ship today:
-//! - every [`Csr`] *is* a backend (the extracted generic path — literally
-//!   [`Csr::spmv_auto`]/[`Csr::spmm_auto`], bit-identical to the
-//!   pre-seam call sites at any thread count);
+//! `KernelBackend::{spmv, spmm}` are the one way to ask for a product, and
+//! [`product`] below is the one place a product is split across threads:
+//! serial when the traversal is too small to pay for a fork/join
+//! ([`par_pays_off`]), otherwise one nnz-balanced row partition computed
+//! for the call. Two implementations ship, differing only in the row
+//! kernel they hand that driver:
+//! - every [`Csr`] *is* a backend (the generic row kernels of
+//!   [`Csr::spmv`] / [`Csr::spmm`], which stay as the serial reference);
 //! - [`SpecializedBackend`] runs [`crate::structure::detect_structure`]
-//!   once at construction and dispatches every subsequent apply to a
-//!   banded, stencil, or generic kernel, reusing one cached nnz-balanced
-//!   row partition for the parallel arm (the PR-4 cached-partition slot,
-//!   now also caching the detected form).
+//!   once at construction and runs a banded, stencil, or generic row
+//!   kernel from then on. It is plain data — the matrix and its detected
+//!   structure — so sessions share it behind an `Arc` with no lock.
 //!
 //! ## Bit-reproducibility contract
 //!
@@ -19,16 +22,15 @@
 //! [`Csr::spmv`]'s row kernel in exactly its order (4 lane accumulators
 //! combined `(a0+a1)+(a2+a3)`, then the in-order remainder) — only the
 //! *addressing* of `x` changes (streamed column indices, a contiguous band
-//! window, or a tiny offset table). Specialized results are therefore
-//! bit-identical to the generic path on any accepted matrix, serial or
-//! parallel, at every thread count.
+//! window, or a tiny offset table) — and the driver never splits a row.
+//! Every product is therefore bit-identical to the serial generic one on
+//! any matrix, at every thread count.
 
-use crate::csr::{partition_covers, Csr};
+use crate::csr::{nnz_balanced_ranges, par_pays_off, Csr};
 use crate::scalar::Scalar;
 use crate::structure::{detect_structure, Structure};
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::{Arc, RwLock};
 
 /// The single seam through which all matvec work flows. `spmv`/`spmm` are
 /// auto-dispatching (serial vs parallel by the shared
@@ -53,8 +55,55 @@ pub trait KernelBackend: Sync {
     }
 }
 
-/// The extracted generic-CSR backend: the exact `spmv_auto`/`spmm_auto`
-/// dispatch every call site used before the seam existed.
+/// The row-range driver under every backend: `Y ← A·X` for a row-major
+/// `ncols×k` operand (`k = 1` is an SpMV), where `rows(r, ys)` computes the
+/// output rows `r` into `ys` (`k` outputs per row, `ys[0]` belonging to
+/// row `r.start`). Runs `rows` once over `0..nrows` when the `nnz·k`
+/// multiply-adds do not pay for threads, otherwise once per range of an
+/// nnz-balanced partition. A row is never split and `rows` is the same
+/// function on both arms, so the arms agree bit for bit.
+///
+/// # Panics
+/// Panics on dimension mismatch or `k == 0`.
+fn product<T: Scalar>(
+    a: &Csr<T>,
+    x: &[f64],
+    k: usize,
+    y: &mut [f64],
+    rows: impl Fn(Range<usize>, &mut [f64]) + Sync,
+) {
+    assert!(k > 0, "product: block width must be positive");
+    assert_eq!(x.len(), a.ncols() * k, "product: x size mismatch");
+    assert_eq!(y.len(), a.nrows() * k, "product: y size mismatch");
+    if a.nrows() < 2 || !par_pays_off(a.nnz().saturating_mul(k)) {
+        return rows(0..a.nrows(), y);
+    }
+    let ranges = nnz_balanced_ranges(a.indptr(), rayon::current_num_threads());
+    in_ranges(&ranges, k, y, rows);
+}
+
+/// Carve `y` into one disjoint slice per range (`k` outputs per row) and
+/// run `rows` on each in parallel. `ranges` is an in-order disjoint cover
+/// of the output rows; *which* cover only decides who computes a row, not
+/// what is computed.
+fn in_ranges(
+    ranges: &[Range<usize>],
+    k: usize,
+    y: &mut [f64],
+    rows: impl Fn(Range<usize>, &mut [f64]) + Sync,
+) {
+    let mut tasks: Vec<(Range<usize>, &mut [f64])> = Vec::with_capacity(ranges.len());
+    let mut rest = y;
+    for r in ranges {
+        let (head, tail) = rest.split_at_mut(r.len() * k);
+        rest = tail;
+        tasks.push((r.clone(), head));
+    }
+    tasks.into_par_iter().for_each(|(r, ys)| rows(r, ys));
+}
+
+/// The generic-CSR backend: [`Csr::spmv`]'s and [`Csr::spmm`]'s row
+/// kernels under the shared driver.
 impl<T: Scalar> KernelBackend for Csr<T> {
     fn nrows(&self) -> usize {
         Csr::nrows(self)
@@ -66,68 +115,28 @@ impl<T: Scalar> KernelBackend for Csr<T> {
         Csr::nnz(self)
     }
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_auto(x, y);
+        product(self, x, 1, y, |rows, ys| self.spmv_rows(rows, x, ys));
     }
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        self.spmm_auto(x, k, y);
+        product(self, x, k, y, |rows, ys| self.spmm_rows(rows, x, k, ys));
     }
 }
 
-/// `(parts, partition)` cache slot: the row partition last used by the
-/// parallel apply path, keyed by the thread count it was built for.
-type RangeCache = RwLock<Option<(usize, Arc<Vec<Range<usize>>>)>>;
-
-/// A structure-specialized backend: owns the matrix, the detected
-/// [`Structure`], and the cached row partition, and dispatches every apply
-/// to the matching kernel family. Built once per session/preconditioner
-/// (detection is `O(nnz)` with early bail), applied many times.
-#[derive(Debug)]
+/// A structure-specialized backend: owns the matrix and the detected
+/// [`Structure`], and runs the matching row kernel family under every
+/// apply. Built once per session/preconditioner (detection is `O(nnz)`
+/// with early bail), applied many times.
+#[derive(Clone, Debug)]
 pub struct SpecializedBackend<T: Scalar = f64> {
     a: Csr<T>,
     structure: Structure,
-    /// Lazily computed `(parts, nnz_balanced_row_ranges(parts))` for the
-    /// thread count the parallel apply path last ran under — the PR-4
-    /// cached-partition slot, hoisted out of `SparsePrecond` so every
-    /// backend consumer shares it. Only populated when the parallel arm is
-    /// actually taken, rebuilt (not abandoned) on thread-count change; the
-    /// partition sits behind an `Arc` so readers detach it and drop the
-    /// lock before entering the kernel.
-    ranges: RangeCache,
-}
-
-impl<T: Scalar> Clone for SpecializedBackend<T> {
-    fn clone(&self) -> Self {
-        // The detected structure is a property of the matrix — carry it
-        // over rather than re-scanning; the partition cache is
-        // thread-count-derived state, so let the clone rebuild it lazily.
-        Self {
-            a: self.a.clone(),
-            structure: self.structure.clone(),
-            ranges: RwLock::new(None),
-        }
-    }
 }
 
 impl<T: Scalar> SpecializedBackend<T> {
     /// Detect the structure of `a` and build the matching backend.
     pub fn detect(a: Csr<T>) -> Self {
         let structure = detect_structure(&a);
-        Self {
-            a,
-            structure,
-            ranges: RwLock::new(None),
-        }
-    }
-
-    /// Force the generic-CSR kernels regardless of structure (the escape
-    /// hatch documented in the README; also the cheap constructor when the
-    /// caller knows the operator is unstructured).
-    pub fn generic(a: Csr<T>) -> Self {
-        Self {
-            a,
-            structure: Structure::General,
-            ranges: RwLock::new(None),
-        }
+        Self { a, structure }
     }
 
     /// Borrow the underlying matrix.
@@ -148,49 +157,6 @@ impl<T: Scalar> SpecializedBackend<T> {
     /// Is a specialized (non-generic) kernel family active?
     pub fn is_specialized(&self) -> bool {
         self.structure.is_specialized()
-    }
-
-    /// Diagnostics: the thread count the cached partition was built for,
-    /// or `None` while the cache is cold (the serial arm never builds it).
-    pub fn cached_partition_threads(&self) -> Option<usize> {
-        self.ranges
-            .read()
-            .unwrap()
-            .as_ref()
-            .map(|(parts, _)| *parts)
-    }
-
-    /// Run `f` with the cached row partition for the current thread count,
-    /// (re)building the cache on first use or after a thread-count change.
-    /// Any in-order disjoint cover yields bit-identical results, so the
-    /// cache is a pure perf artifact. No lock is held across the O(nnz)
-    /// kernel — readers detach the `Arc` and drop the guard; the rebuild
-    /// path runs on a local partition and takes the write lock only for
-    /// the O(parts) swap.
-    fn with_ranges<R>(&self, f: impl FnOnce(&[Range<usize>]) -> R) -> R {
-        let parts = rayon::current_num_threads();
-        let cached = {
-            let guard = self.ranges.read().unwrap();
-            guard.as_ref().and_then(|(cached_parts, ranges)| {
-                (*cached_parts == parts).then(|| Arc::clone(ranges))
-            })
-        };
-        if let Some(ranges) = cached {
-            return f(&ranges);
-        }
-        let ranges = self.a.nnz_balanced_row_ranges(parts);
-        let out = f(&ranges);
-        *self.ranges.write().unwrap() = Some((parts, Arc::new(ranges)));
-        out
-    }
-
-    /// Take the parallel arm for `work` weighted non-zeros? Mirrors
-    /// [`Csr::spmv_par`]'s `parts <= 1` short-circuit *before* touching
-    /// the partition cache or the Rayon scheduler: on a single-thread
-    /// pool the serial row loop is the same computation without the
-    /// per-call dispatch overhead. Bit-identical either way.
-    fn par_apply(&self, work: usize) -> bool {
-        self.a.par_pays_off(work) && self.a.nrows() >= 2 && rayon::current_num_threads() > 1
     }
 
     /// Serial apply over a contiguous row range, writing
@@ -261,43 +227,6 @@ impl<T: Scalar> SpecializedBackend<T> {
             Structure::General => self.a.spmm_rows(rows, x, k, y),
         }
     }
-
-    /// Parallel SpMV over a caller-provided partition (same contract as
-    /// [`Csr::spmv_in_ranges`]) through the dispatched row kernel.
-    fn spmv_in_ranges_dispatch(&self, ranges: &[Range<usize>], x: &[f64], y: &mut [f64]) {
-        assert!(
-            partition_covers(ranges, self.a.nrows()),
-            "SpecializedBackend: ranges must cover 0..nrows in order"
-        );
-        let mut tasks: Vec<(Range<usize>, &mut [f64])> = Vec::with_capacity(ranges.len());
-        let mut rest = y;
-        for r in ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            tasks.push((r.clone(), head));
-        }
-        tasks
-            .into_par_iter()
-            .for_each(|(r, ys)| self.spmv_rows_dispatch(r, x, ys));
-    }
-
-    /// Parallel SpMM over a caller-provided partition.
-    fn spmm_in_ranges_dispatch(&self, ranges: &[Range<usize>], x: &[f64], k: usize, y: &mut [f64]) {
-        assert!(
-            partition_covers(ranges, self.a.nrows()),
-            "SpecializedBackend: ranges must cover 0..nrows in order"
-        );
-        let mut tasks: Vec<(Range<usize>, &mut [f64])> = Vec::with_capacity(ranges.len());
-        let mut rest = y;
-        for r in ranges {
-            let (head, tail) = rest.split_at_mut(r.len() * k);
-            rest = tail;
-            tasks.push((r.clone(), head));
-        }
-        tasks
-            .into_par_iter()
-            .for_each(|(r, ys)| self.spmm_rows_dispatch(r, x, k, ys));
-    }
 }
 
 impl<T: Scalar> KernelBackend for SpecializedBackend<T> {
@@ -311,31 +240,14 @@ impl<T: Scalar> KernelBackend for SpecializedBackend<T> {
         self.a.nnz()
     }
     fn spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.a.ncols(), "backend spmv: x length mismatch");
-        assert_eq!(y.len(), self.a.nrows(), "backend spmv: y length mismatch");
-        if self.par_apply(self.a.nnz()) {
-            self.with_ranges(|ranges| self.spmv_in_ranges_dispatch(ranges, x, y));
-        } else {
-            self.spmv_rows_dispatch(0..self.a.nrows(), x, y);
-        }
+        product(&self.a, x, 1, y, |rows, ys| {
+            self.spmv_rows_dispatch(rows, x, ys)
+        });
     }
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        assert!(k > 0, "backend spmm: k must be positive");
-        assert_eq!(
-            x.len(),
-            self.a.ncols() * k,
-            "backend spmm: x block size mismatch"
-        );
-        assert_eq!(
-            y.len(),
-            self.a.nrows() * k,
-            "backend spmm: y block size mismatch"
-        );
-        if self.par_apply(self.a.nnz().saturating_mul(k)) {
-            self.with_ranges(|ranges| self.spmm_in_ranges_dispatch(ranges, x, k, y));
-        } else {
-            self.spmm_rows_dispatch(0..self.a.nrows(), x, k, y);
-        }
+        product(&self.a, x, k, y, |rows, ys| {
+            self.spmm_rows_dispatch(rows, x, k, ys)
+        });
     }
     fn kernel_name(&self) -> &'static str {
         self.structure.kernel_name()
@@ -805,6 +717,17 @@ mod tests {
         coo.to_csr()
     }
 
+    /// Five dense rows, then one to four scattered entries per row.
+    fn skewed_general(n: usize) -> Csr {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            for t in 0..if i < 5 { n } else { 1 + i % 4 } {
+                coo.push(i, (i + t * 7) % n, 0.3 + t as f64 * 0.01);
+            }
+        }
+        coo.to_csr()
+    }
+
     fn x_of(n: usize) -> Vec<f64> {
         (0..n).map(|i| (i as f64 * 0.37).sin() + 0.1).collect()
     }
@@ -877,14 +800,13 @@ mod tests {
     }
 
     #[test]
-    fn generic_constructor_forces_generic_on_structured_matrix() {
+    fn bare_csr_backend_runs_generic_kernels_on_structured_matrix() {
         let a = band(40, 1, 1);
-        let b = SpecializedBackend::generic(a.clone());
-        assert_eq!(b.kernel_name(), "generic-csr");
+        assert_eq!(KernelBackend::kernel_name(&a), "generic-csr");
         let x = x_of(40);
         let want = a.spmv_alloc(&x);
         let mut got = vec![0.0; 40];
-        b.spmv(&x, &mut got);
+        KernelBackend::spmv(&a, &x, &mut got);
         assert_eq!(got, want);
     }
 
@@ -893,7 +815,39 @@ mod tests {
         let b = SpecializedBackend::detect(band(30, 2, 1));
         let c = b.clone();
         assert_eq!(b.structure(), c.structure());
-        assert_eq!(c.cached_partition_threads(), None);
+        assert_eq!(b.csr(), c.csr());
+    }
+
+    #[test]
+    fn in_ranges_bit_identical_for_any_cover() {
+        // Which in-order cover of the rows the driver is handed decides who
+        // computes a row, never what is computed — for every kernel family.
+        let n = 150usize;
+        let covers: [&[Range<usize>]; 4] = [
+            &[0..75, 75..150],
+            &[0..1, 1..149, 149..150],
+            &[0..40, 40..40, 40..150],
+            &[0..17, 17..60, 60..61, 61..110, 110..150],
+        ];
+        let x = x_of(n);
+        let k = 3usize;
+        let xb: Vec<f64> = (0..n * k).map(|t| (t as f64 * 0.013).sin()).collect();
+        for m in [band(n, 2, 3), spread(n, 5), skewed_general(n)] {
+            let b = SpecializedBackend::detect(m.clone());
+            let want = m.spmv_alloc(&x);
+            let mut wantb = vec![0.0; n * k];
+            m.spmm(&xb, k, &mut wantb);
+            for cover in covers {
+                let mut y = vec![0.0; n];
+                in_ranges(cover, 1, &mut y, |r, ys| b.spmv_rows_dispatch(r, &x, ys));
+                assert_eq!(y, want, "{} spmv {cover:?}", b.kernel_name());
+                let mut yb = vec![0.0; n * k];
+                in_ranges(cover, k, &mut yb, |r, ys| {
+                    b.spmm_rows_dispatch(r, &xb, k, ys)
+                });
+                assert_eq!(yb, wantb, "{} spmm {cover:?}", b.kernel_name());
+            }
+        }
     }
 
     #[test]
@@ -909,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_arm_bit_identical_and_caches_partition() {
+    fn parallel_arm_bit_identical_for_every_kernel_family() {
         let _guard = crate::csr::THRESHOLD_TEST_LOCK.lock().unwrap();
         crate::csr::set_par_threshold_for_tests(Some(1));
         struct Restore;
@@ -922,12 +876,10 @@ mod tests {
         for (m, label) in [
             (band(140, 2, 3), "banded"),
             (spread(140, 5), "stencil"),
-            (
-                SpecializedBackend::generic(band(140, 1, 1)).into_csr(),
-                "any",
-            ),
+            (skewed_general(140), "generic-csr"),
         ] {
             let b = SpecializedBackend::detect(m.clone());
+            assert_eq!(b.kernel_name(), label);
             let x = x_of(140);
             let want = m.spmv_alloc(&x);
             let k = 5usize;
@@ -942,7 +894,6 @@ mod tests {
                 let mut got = vec![0.0; 140];
                 pool.install(|| b.spmv(&x, &mut got));
                 assert_eq!(got, want, "{label} spmv threads={threads}");
-                assert_eq!(b.cached_partition_threads(), Some(threads));
                 let mut gotb = vec![0.0; 140 * k];
                 pool.install(|| b.spmm(&xb, k, &mut gotb));
                 assert_eq!(gotb, wantb, "{label} spmm threads={threads}");

@@ -7,10 +7,16 @@
 //! error than an f32 mantissa. All SpMV/SpMM kernels take f64 vectors and
 //! accumulate in f64 regardless of the storage scalar; on `Csr<f64>` they
 //! are bit-for-bit the pre-generic kernels.
+//!
+//! The products defined here — [`Csr::spmv`], [`Csr::spmm`] — are serial:
+//! they are the reference. The product a solve asks for is
+//! [`crate::KernelBackend`]'s, which runs these same row kernels and is the
+//! one place that decides ([`par_pays_off`]) and performs the split across
+//! threads; the partition it splits by ([`nnz_balanced_ranges`]) and the
+//! constant it decides against ([`DEFAULT_PAR_THRESHOLD`]) live here.
 
 use crate::scalar::Scalar;
 use mcmcmi_dense::{LinearOp, Mat};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Compressed-sparse-row matrix with values stored as `T`.
@@ -294,8 +300,11 @@ impl<T: Scalar> Csr<T> {
             .collect()
     }
 
-    /// `y ← A·x`, serial, through the 4-wide unrolled row kernel.
-    /// `x`/`y` are always f64; stored values widen on load.
+    /// `y ← A·x`, serial, through the 4-wide unrolled row kernel — the
+    /// reference every other way of computing the product is tested against
+    /// ([`crate::KernelBackend::spmv`] is the one a solve calls: same bits,
+    /// split across threads when that pays). `x`/`y` are always f64; stored
+    /// values widen on load.
     pub fn spmv(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "spmv: x length mismatch");
         assert_eq!(y.len(), self.nrows, "spmv: y length mismatch");
@@ -303,10 +312,9 @@ impl<T: Scalar> Csr<T> {
     }
 
     /// Serial SpMV over a contiguous row range, writing `y[i - rows.start]`.
-    /// The single row kernel shared by [`Csr::spmv`] and [`Csr::spmv_par`] —
-    /// sharing it is what makes the two bit-identical. Crate-visible so the
-    /// structure-specialized backend's generic fallback runs the very same
-    /// kernel (`crate::backend`).
+    /// The single row kernel under [`Csr::spmv`] and under every range the
+    /// seam in `crate::backend` hands to a thread — sharing it is what makes
+    /// the serial and the split product bit-identical.
     #[inline]
     pub(crate) fn spmv_rows(&self, rows: std::ops::Range<usize>, x: &[f64], y: &mut [f64]) {
         let base = rows.start;
@@ -314,91 +322,6 @@ impl<T: Scalar> Csr<T> {
             let cols = &self.indices[self.indptr[i]..self.indptr[i + 1]];
             let vals = &self.data[self.indptr[i]..self.indptr[i + 1]];
             y[i - base] = row_dot(cols, vals, x);
-        }
-    }
-
-    /// Partition `0..nrows` into at most `parts` contiguous ranges balanced
-    /// by *non-zero count* rather than row count. With skewed degree
-    /// distributions (the climate operator averages ~91 nnz/row against
-    /// 5-point Laplacian rows) row-count chunking leaves threads idle; this
-    /// greedily cuts at the nearest row boundary to each ideal nnz share.
-    pub fn nnz_balanced_row_ranges(&self, parts: usize) -> Vec<std::ops::Range<usize>> {
-        nnz_balanced_ranges(&self.indptr, parts)
-    }
-
-    /// `y ← A·x` with Rayon parallelism over nnz-balanced contiguous row
-    /// blocks. Bit-identical to [`Csr::spmv`]: each output element is the
-    /// same serial reduction, only the assignment of rows to threads
-    /// changes, and that assignment never splits a row.
-    pub fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "spmv_par: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv_par: y length mismatch");
-        let parts = rayon::current_num_threads();
-        if parts <= 1 || self.nrows < 2 {
-            self.spmv_rows(0..self.nrows, x, y);
-            return;
-        }
-        let ranges = self.nnz_balanced_row_ranges(parts);
-        self.spmv_in_ranges(&ranges, x, y);
-    }
-
-    /// Parallel SpMV over a caller-provided row partition — the zero-repartition
-    /// path for operators applied many times (preconditioners cache their
-    /// [`Csr::nnz_balanced_row_ranges`] once and reuse it per apply instead of
-    /// re-deriving it per call). `ranges` must be an in-order disjoint cover of
-    /// `0..nrows`, as produced by [`Csr::nnz_balanced_row_ranges`]; results are
-    /// bit-identical to [`Csr::spmv`] for *any* such partition.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or if `ranges` is not an in-order
-    /// disjoint cover of `0..nrows` (the check is O(parts) — noise next to
-    /// the O(nnz) kernel — and a bad partition would otherwise silently
-    /// leave stale rows in `y`).
-    pub fn spmv_in_ranges(&self, ranges: &[std::ops::Range<usize>], x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "spmv_in_ranges: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "spmv_in_ranges: y length mismatch");
-        assert!(
-            partition_covers(ranges, self.nrows),
-            "spmv_in_ranges: ranges must cover 0..nrows in order"
-        );
-        // Carve y into one disjoint output slice per range.
-        let mut tasks: Vec<(std::ops::Range<usize>, &mut [f64])> = Vec::with_capacity(ranges.len());
-        let mut rest = y;
-        for r in ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            rest = tail;
-            tasks.push((r.clone(), head));
-        }
-        tasks
-            .into_par_iter()
-            .for_each(|(r, ys)| self.spmv_rows(r, x, ys));
-    }
-
-    /// The auto-dispatch rule shared by every `_auto` entry point and the
-    /// cached-partition variants: parallelise when the traversal performs
-    /// at least [`par_threshold`] multiply-adds (`work` — `nnz` for SpMV,
-    /// `nnz·k` for SpMM) and threads are available. One definition, public
-    /// so callers that manage their own partitions (preconditioners caching
-    /// [`Csr::nnz_balanced_row_ranges`]) take the *same* serial-vs-parallel
-    /// decision as the `_auto` entry points — the paths can never disagree.
-    #[inline]
-    pub fn par_pays_off(&self, work: usize) -> bool {
-        par_pays_off(work)
-    }
-
-    /// `y ← A·x`, dispatching to [`Csr::spmv_par`] when the matrix is large
-    /// enough for threading to pay for itself and threads are available.
-    /// Results are bit-identical whichever path runs, so callers (the Krylov
-    /// solvers route every matvec through this) keep full determinism.
-    ///
-    /// The dispatch threshold is [`par_threshold`] (work units = nnz touched
-    /// per traversal), overridable via the `MCMCMI_PAR_THRESHOLD` env var.
-    #[inline]
-    pub fn spmv_auto(&self, x: &[f64], y: &mut [f64]) {
-        if self.par_pays_off(self.nnz()) {
-            self.spmv_par(x, y);
-        } else {
-            self.spmv(x, y);
         }
     }
 
@@ -419,7 +342,8 @@ impl<T: Scalar> Csr<T> {
     /// Column `c` of the result is *bit-identical* to
     /// `self.spmv(column c of X)`: the block row kernels keep exactly the
     /// 4-wide accumulator association of [`Csr::spmv`]'s row kernel per
-    /// column.
+    /// column. Serial, like [`Csr::spmv`], and the reference for
+    /// [`crate::KernelBackend::spmm`] in the same way.
     ///
     /// # Panics
     /// Panics on dimension mismatch or `k == 0`.
@@ -431,10 +355,8 @@ impl<T: Scalar> Csr<T> {
     }
 
     /// Serial SpMM over a contiguous row range, writing block row
-    /// `i - rows.start` of `y`. The single block row kernel shared by
-    /// [`Csr::spmm`] and [`Csr::spmm_par`] — sharing it is what makes the
-    /// two bit-identical. Crate-visible for the same reason as
-    /// [`Csr::spmv_rows`].
+    /// `i - rows.start` of `y`. The single block row kernel, shared the
+    /// way [`Csr::spmv_rows`] is.
     #[inline]
     pub(crate) fn spmm_rows(
         &self,
@@ -466,95 +388,6 @@ impl<T: Scalar> Csr<T> {
                 c += 1;
             }
         }
-    }
-
-    /// `Y ← A·X` with Rayon parallelism over nnz-balanced contiguous row
-    /// blocks (the same [`Csr::nnz_balanced_row_ranges`] partitioning as
-    /// [`Csr::spmv_par`]). Bit-identical to [`Csr::spmm`]: only the
-    /// assignment of rows to threads changes, and it never splits a row.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or `k == 0`.
-    pub fn spmm_par(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        assert!(k > 0, "spmm_par: k must be positive");
-        assert_eq!(x.len(), self.ncols * k, "spmm_par: x block size mismatch");
-        assert_eq!(y.len(), self.nrows * k, "spmm_par: y block size mismatch");
-        let parts = rayon::current_num_threads();
-        if parts <= 1 || self.nrows < 2 {
-            self.spmm_rows(0..self.nrows, x, k, y);
-            return;
-        }
-        let ranges = self.nnz_balanced_row_ranges(parts);
-        self.spmm_in_ranges(&ranges, x, k, y);
-    }
-
-    /// Parallel SpMM over a caller-provided row partition — the block
-    /// counterpart of [`Csr::spmv_in_ranges`], with the same contract:
-    /// `ranges` is an in-order disjoint cover of `0..nrows`, and the result
-    /// is bit-identical to [`Csr::spmm`] for any such partition.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch, `k == 0`, or a `ranges` that is not an
-    /// in-order disjoint cover of `0..nrows` (see [`Csr::spmv_in_ranges`]).
-    pub fn spmm_in_ranges(
-        &self,
-        ranges: &[std::ops::Range<usize>],
-        x: &[f64],
-        k: usize,
-        y: &mut [f64],
-    ) {
-        assert!(k > 0, "spmm_in_ranges: k must be positive");
-        assert_eq!(
-            x.len(),
-            self.ncols * k,
-            "spmm_in_ranges: x block size mismatch"
-        );
-        assert_eq!(
-            y.len(),
-            self.nrows * k,
-            "spmm_in_ranges: y block size mismatch"
-        );
-        assert!(
-            partition_covers(ranges, self.nrows),
-            "spmm_in_ranges: ranges must cover 0..nrows in order"
-        );
-        // Carve y into one disjoint output slice per range.
-        let mut tasks: Vec<(std::ops::Range<usize>, &mut [f64])> = Vec::with_capacity(ranges.len());
-        let mut rest = y;
-        for r in ranges {
-            let (head, tail) = rest.split_at_mut(r.len() * k);
-            rest = tail;
-            tasks.push((r.clone(), head));
-        }
-        tasks
-            .into_par_iter()
-            .for_each(|(r, ys)| self.spmm_rows(r, x, k, ys));
-    }
-
-    /// `Y ← A·X`, dispatching to [`Csr::spmm_par`] when the traversal is
-    /// large enough for threading to pay for itself. The work measure is
-    /// `nnz·k` (each stored entry feeds `k` multiply-adds), compared
-    /// against the same [`par_threshold`] as [`Csr::spmv_auto`] — so a
-    /// matrix too small to parallelise one vector at a time can still
-    /// cross the threshold at block width `k`. Results are bit-identical
-    /// whichever path runs.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch or `k == 0`.
-    #[inline]
-    pub fn spmm_auto(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        if self.par_pays_off(self.nnz().saturating_mul(k)) {
-            self.spmm_par(x, k, y);
-        } else {
-            self.spmm(x, k, y);
-        }
-    }
-
-    /// Allocating SpMM: returns the row-major `nrows×k` product block.
-    pub fn spmm_alloc(&self, x: &[f64], k: usize) -> Vec<f64> {
-        let mut y = vec![0.0; self.nrows * k];
-        self.spmm(x, k, &mut y);
-        y
     }
 
     /// `y ← Aᵀ·x` (scatter form; serial).
@@ -780,10 +613,14 @@ impl Csr<f64> {
     }
 }
 
-/// [`Csr::nnz_balanced_row_ranges`] over a bare CSR row-pointer array
-/// (`indptr.len() == nrows + 1`), for row-major structures that are not a
-/// [`Csr`] — the MCMC walk matrix partitions its table set-up and spectral
-/// sweeps with it.
+/// Partition the rows of a CSR row-pointer array (`indptr.len() ==
+/// nrows + 1`) into at most `parts` contiguous ranges balanced by *non-zero
+/// count* rather than row count. With skewed degree distributions (the
+/// climate operator averages ~91 nnz/row against 5-point Laplacian rows)
+/// row-count chunking leaves threads idle; this cuts at the row boundary
+/// nearest each ideal nnz share — `parts` binary searches, ~0.1 µs, so the
+/// matvec seam recomputes it per call. Takes the bare array so row-major
+/// structures that are not a [`Csr`] (the MCMC walk matrix) share it.
 pub fn nnz_balanced_ranges(indptr: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
     let parts = parts.max(1);
     let n = indptr.len().saturating_sub(1);
@@ -817,23 +654,13 @@ pub fn nnz_balanced_ranges(indptr: &[usize], parts: usize) -> Vec<std::ops::Rang
     ranges
 }
 
-/// The rule behind [`Csr::par_pays_off`], for callers whose work is not a
-/// traversal of a [`Csr`].
+/// The serial-or-parallel rule: split `work` multiply-adds (`nnz` for an
+/// SpMV, `nnz·k` for an SpMM, expected transitions for a walk build) across
+/// threads when there are at least [`par_threshold`] of them and the
+/// current pool has a second thread.
 #[inline]
 pub fn par_pays_off(work: usize) -> bool {
     work >= par_threshold() && rayon::current_num_threads() > 1
-}
-
-/// Does `ranges` cover `0..n` exactly, in order, with no overlap?
-pub(crate) fn partition_covers(ranges: &[std::ops::Range<usize>], n: usize) -> bool {
-    let mut next = 0usize;
-    for r in ranges {
-        if r.start != next || r.end < r.start {
-            return false;
-        }
-        next = r.end;
-    }
-    next == n
 }
 
 // Hand-written serde impls: the vendored serde_derive rejects generic types,
@@ -871,61 +698,39 @@ impl<T: Scalar> Deserialize for Csr<T> {
     }
 }
 
-/// Default parallel-dispatch work threshold for [`Csr::spmv_auto`] /
-/// [`Csr::spmm_auto`], in units of multiply-adds per traversal (`nnz` for
-/// SpMV, `nnz·k` for SpMM).
+/// Parallel-dispatch work threshold of [`par_pays_off`], in multiply-adds
+/// per traversal (`nnz` for SpMV, `nnz·k` for SpMM).
 ///
 /// Rationale: the serial kernel moves ~1 nnz/ns, and the rayon shim spawns
 /// *fresh scoped threads per call* (no persistent pool), costing on the
 /// order of 100 µs to fork/join a full complement of workers — so the
 /// parallel path must have several hundred µs of serial work to amortise.
 /// 2¹⁹ work units ≈ 0.5 ms serial. With a persistent-pool rayon (swapping
-/// the shim for the real crate) this could drop by an order of magnitude —
-/// which is exactly what the `MCMCMI_PAR_THRESHOLD` override is for.
+/// the shim for the real crate) this could drop by an order of magnitude:
+/// re-decide the constant from a thread-scaling run, not a knob.
 pub const DEFAULT_PAR_THRESHOLD: usize = 1 << 19;
 
-/// Process-wide override slot for [`par_threshold`]; `0` means "no
-/// override, use the env-latched value". A relaxed atomic rather than the
-/// `OnceLock` so tests can change the dispatch threshold *after* the env
-/// value has been latched — one relaxed load on the hot path.
+/// Process-wide test override for [`par_threshold`]; `0` means none. One
+/// relaxed load on the hot path.
 static PAR_THRESHOLD_OVERRIDE: std::sync::atomic::AtomicUsize =
     std::sync::atomic::AtomicUsize::new(0);
 
-/// The parallel-dispatch work threshold: the test override when one is set
-/// (see [`set_par_threshold_for_tests`]), else the `MCMCMI_PAR_THRESHOLD`
-/// env var when set to a positive integer, else [`DEFAULT_PAR_THRESHOLD`].
-/// The env read is cached in a `OnceLock` because the env scan is far too
-/// slow for per-matvec hot paths.
+/// The parallel-dispatch work threshold: [`DEFAULT_PAR_THRESHOLD`], unless a
+/// test has installed an override ([`set_par_threshold_for_tests`]).
 pub fn par_threshold() -> usize {
     match PAR_THRESHOLD_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => par_threshold_env(),
+        0 => DEFAULT_PAR_THRESHOLD,
         t => t,
     }
 }
 
-/// The env-latched (no-override) threshold value; split out so tests can
-/// assert the documented default without racing a concurrently-installed
-/// override.
-fn par_threshold_env() -> usize {
-    static THRESHOLD: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("MCMCMI_PAR_THRESHOLD")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or(DEFAULT_PAR_THRESHOLD)
-    })
-}
-
 /// **Test-only.** Override (or with `None`, clear) the parallel-dispatch
-/// threshold for this process, bypassing the `OnceLock`-latched env value.
-/// Exists so threshold-sensitive tests can force the serial or parallel arm
-/// deterministically instead of depending on env-var ordering; it cannot be
+/// threshold for this process, so threshold-sensitive tests can force the
+/// serial or parallel arm on a small operator; it cannot be
 /// `#[cfg(test)]`-gated because downstream crates' test binaries compile
-/// this crate with `cfg(test)` off. Not for production dispatch tuning —
-/// that is what `MCMCMI_PAR_THRESHOLD` is for. The override is process-wide
-/// and visible to every thread; tests that set it must restore `None` (use
-/// a drop guard) and serialize with other threshold-reading tests in the
+/// this crate with `cfg(test)` off. The override is process-wide and
+/// visible to every thread; tests that set it must restore `None` (use a
+/// drop guard) and serialize with other threshold-reading tests in the
 /// same binary.
 #[doc(hidden)]
 pub fn set_par_threshold_for_tests(threshold: Option<usize>) {
@@ -1128,17 +933,6 @@ mod tests {
         assert_eq!(a.spmv_alloc(&x), dense.matvec_alloc(&x));
     }
 
-    #[test]
-    fn spmv_par_matches_serial() {
-        let a = sample();
-        let x = [0.5, -1.0, 2.0];
-        let mut y1 = vec![0.0; 3];
-        let mut y2 = vec![0.0; 3];
-        a.spmv(&x, &mut y1);
-        a.spmv_par(&x, &mut y2);
-        assert_eq!(y1, y2);
-    }
-
     /// A matrix with a deliberately skewed degree distribution: a few dense
     /// rows up front, sparse diagonal rows after — the case nnz-balanced
     /// partitioning exists for.
@@ -1163,7 +957,7 @@ mod tests {
     fn nnz_balanced_ranges_cover_rows_exactly_and_balance_work() {
         let a = skewed(200, 8);
         for parts in [1usize, 2, 3, 7, 16] {
-            let ranges = a.nnz_balanced_row_ranges(parts);
+            let ranges = nnz_balanced_ranges(a.indptr(), parts);
             assert!(!ranges.is_empty() && ranges.len() <= parts);
             // Exact disjoint cover in order.
             let mut next = 0usize;
@@ -1187,53 +981,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn spmv_par_bit_identical_across_thread_counts_on_skewed_matrix() {
-        let a = skewed(300, 12);
-        let x: Vec<f64> = (0..300).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut reference = vec![0.0; 300];
-        a.spmv(&x, &mut reference);
-        for threads in [1usize, 2, 5, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut y = vec![0.0; 300];
-            pool.install(|| a.spmv_par(&x, &mut y));
-            assert_eq!(y, reference, "threads = {threads}");
-            let mut z = vec![0.0; 300];
-            pool.install(|| a.spmv_auto(&x, &mut z));
-            assert_eq!(z, reference, "auto, threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn spmv_in_ranges_bit_identical_for_any_partition() {
-        // The cached-partition path preconditioners use: any in-order
-        // disjoint cover must reproduce `spmv` exactly.
-        let a = skewed(150, 5);
-        let x: Vec<f64> = (0..150).map(|i| (i as f64 * 0.21).cos()).collect();
-        let reference = a.spmv_alloc(&x);
-        for parts in [1usize, 2, 4, 9] {
-            let ranges = a.nnz_balanced_row_ranges(parts);
-            let mut y = vec![0.0; 150];
-            a.spmv_in_ranges(&ranges, &x, &mut y);
-            assert_eq!(y, reference, "parts = {parts}");
-        }
-        // An uneven hand-rolled partition is just as valid.
-        let mut y = vec![0.0; 150];
-        a.spmv_in_ranges(&[0..1, 1..149, 149..150], &x, &mut y);
-        assert_eq!(y, reference);
-        // Block form agrees column-for-column too.
-        let k = 3usize;
-        let xb: Vec<f64> = (0..150 * k).map(|t| (t as f64 * 0.013).sin()).collect();
-        let mut want = vec![0.0; 150 * k];
-        a.spmm(&xb, k, &mut want);
-        let mut got = vec![0.0; 150 * k];
-        a.spmm_in_ranges(&a.nnz_balanced_row_ranges(4), &xb, k, &mut got);
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -1280,22 +1027,6 @@ mod tests {
         let mut brt = vec![0.0; 120 * k];
         roundtrip.spmm(&xb, k, &mut brt);
         assert_eq!(b32, brt);
-    }
-
-    #[test]
-    fn f32_parallel_paths_bit_identical_to_serial() {
-        let a32: Csr<f32> = skewed(250, 10).to_precision();
-        let x: Vec<f64> = (0..250).map(|i| (i as f64 * 0.11).sin()).collect();
-        let reference = a32.spmv_alloc(&x);
-        for threads in [1usize, 2, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut y = vec![0.0; 250];
-            pool.install(|| a32.spmv_par(&x, &mut y));
-            assert_eq!(y, reference, "threads = {threads}");
-        }
     }
 
     #[test]
@@ -1351,28 +1082,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_par_and_auto_bit_identical_across_thread_counts() {
-        let a = skewed(250, 10);
-        let n = a.nrows();
-        let k = 6usize;
-        let xb: Vec<f64> = (0..n * k).map(|t| (t as f64 * 0.017).cos()).collect();
-        let mut reference = vec![0.0; n * k];
-        a.spmm(&xb, k, &mut reference);
-        for threads in [1usize, 2, 5, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let mut y = vec![0.0; n * k];
-            pool.install(|| a.spmm_par(&xb, k, &mut y));
-            assert_eq!(y, reference, "spmm_par, threads = {threads}");
-            let mut z = vec![0.0; n * k];
-            pool.install(|| a.spmm_auto(&xb, k, &mut z));
-            assert_eq!(z, reference, "spmm_auto, threads = {threads}");
-        }
-    }
-
-    #[test]
     fn spmm_matches_dense_matmul_on_rectangular_matrix() {
         // Rectangular: 3×4 times a 4×2 block.
         let mut coo = Coo::new(3, 4);
@@ -1387,7 +1096,8 @@ mod tests {
         }
         let a = coo.to_csr();
         let x = [1.0, -1.0, 2.0, 0.5, 0.0, 3.0, 1.5, -2.0]; // 4×2 row-major
-        let y = a.spmm_alloc(&x, 2);
+        let mut y = [0.0; 6];
+        a.spmm(&x, 2, &mut y);
         // Row 0: 1·x[0,:] − 2·x[3,:]; row 1: 3·x[1,:]; row 2: 4·x[0,:] + 0.5·x[2,:]
         let expect = [
             1.0 - 2.0 * 1.5,
@@ -1406,32 +1116,15 @@ mod tests {
     fn spmm_k1_equals_spmv() {
         let a = sample();
         let x = [0.3, -1.2, 2.5];
-        assert_eq!(a.spmm_alloc(&x, 1), a.spmv_alloc(&x));
-    }
-
-    #[test]
-    fn par_threshold_default_documented() {
-        let _guard = THRESHOLD_TEST_LOCK.lock().unwrap();
-        // The OnceLock reads the env at most once per process. Only assert
-        // the default when no override is present — the README explicitly
-        // invites setting MCMCMI_PAR_THRESHOLD, and that must not turn
-        // this test into a spurious failure.
-        match std::env::var("MCMCMI_PAR_THRESHOLD") {
-            Err(_) => assert_eq!(par_threshold(), DEFAULT_PAR_THRESHOLD),
-            Ok(v) => {
-                if let Ok(t) = v.trim().parse::<usize>() {
-                    if t > 0 {
-                        assert_eq!(par_threshold(), t);
-                    }
-                }
-            }
-        }
+        let mut y = vec![0.0; 3];
+        a.spmm(&x, 1, &mut y);
+        assert_eq!(y, a.spmv_alloc(&x));
     }
 
     #[test]
     fn par_threshold_override_takes_effect_and_clears() {
         let _guard = THRESHOLD_TEST_LOCK.lock().unwrap();
-        let latched = par_threshold();
+        assert_eq!(par_threshold(), DEFAULT_PAR_THRESHOLD);
         struct Restore;
         impl Drop for Restore {
             fn drop(&mut self) {
@@ -1451,12 +1144,16 @@ mod tests {
             .num_threads(4)
             .build()
             .unwrap();
-        assert!(pool.install(|| a.par_pays_off(a.nnz())));
+        assert!(pool.install(|| par_pays_off(a.nnz())));
         let mut y = vec![0.0; 40];
-        pool.install(|| a.spmv_auto(&x, &mut y));
+        pool.install(|| crate::KernelBackend::spmv(&a, &x, &mut y));
         assert_eq!(y, reference);
         set_par_threshold_for_tests(None);
-        assert_eq!(par_threshold(), latched, "override must clear");
+        assert_eq!(
+            par_threshold(),
+            DEFAULT_PAR_THRESHOLD,
+            "override must clear"
+        );
     }
 
     #[test]

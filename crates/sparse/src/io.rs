@@ -36,11 +36,17 @@ impl From<std::io::Error> for MmError {
     }
 }
 
+/// Entries reserved up front at most, whatever the size line declares: the
+/// header is a claim by the file, and only entries that actually arrive may
+/// grow the buffers past this.
+const MAX_RESERVED_ENTRIES: usize = 1 << 20;
+
 /// Parse a Matrix Market *coordinate real* matrix from a reader.
 ///
 /// Supports `general` and `symmetric` symmetry classes ( `symmetric` entries
 /// are mirrored, diagonals kept once). Pattern/complex/array inputs are
-/// rejected with a parse error.
+/// rejected with a parse error, as are a declared entry count larger than
+/// `nrows·ncols` and non-finite values.
 pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, MmError> {
     let mut lines = reader.lines();
     let header = lines
@@ -93,7 +99,13 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, MmError> {
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| MmError::Parse("bad nnz count".into()))?;
 
-    let mut coo = Coo::with_capacity(nrows, ncols, if symmetric { 2 * nnz } else { nnz });
+    if nrows.checked_mul(ncols).is_some_and(|cells| nnz > cells) {
+        return Err(MmError::Parse(format!(
+            "{nnz} entries declared for a {nrows}x{ncols} matrix"
+        )));
+    }
+    let reserve = nnz.min(MAX_RESERVED_ENTRIES) * if symmetric { 2 } else { 1 };
+    let mut coo = Coo::with_capacity(nrows, ncols, reserve);
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -116,6 +128,9 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr, MmError> {
             .ok_or_else(|| MmError::Parse(format!("bad value: {t}")))?;
         if i == 0 || j == 0 || i > nrows || j > ncols {
             return Err(MmError::Parse(format!("index out of range: {t}")));
+        }
+        if !v.is_finite() {
+            return Err(MmError::Parse(format!("non-finite value: {t}")));
         }
         coo.push(i - 1, j - 1, v);
         if symmetric && i != j {
@@ -211,6 +226,49 @@ mod tests {
     fn rejects_out_of_range_index() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 7.0\n";
         assert!(read_matrix_market(std::io::Cursor::new(text)).is_err());
+    }
+
+    #[test]
+    fn rejects_a_size_line_the_matrix_cannot_hold() {
+        // Used to panic in `Coo::with_capacity` (capacity overflow).
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n2 2 9223372036854775807\n1 1 1.0\n";
+        let err = read_matrix_market(std::io::Cursor::new(text)).unwrap_err();
+        assert!(matches!(err, MmError::Parse(_)), "{err}");
+        // `2 * nnz` for the mirrored entries must not wrap either.
+        let text =
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 18446744073709551615\n1 1 1.0\n";
+        assert!(read_matrix_market(std::io::Cursor::new(text)).is_err());
+    }
+
+    #[test]
+    fn rejects_more_entries_than_the_matrix_has_cells() {
+        // Five (duplicate) entries for four cells: used to be summed and
+        // admitted.
+        let text = format!(
+            "%%MatrixMarket matrix coordinate real general\n2 2 5\n{}",
+            "1 1 1.0\n".repeat(5)
+        );
+        let err = read_matrix_market(std::io::Cursor::new(text)).unwrap_err();
+        assert!(err.to_string().contains("5 entries declared"), "{err}");
+    }
+
+    #[test]
+    fn reserves_a_bounded_amount_for_a_plausible_but_false_count() {
+        // 10¹² entries fit a 10⁶ × 10⁶ matrix, so the count is admitted —
+        // and used to be allocated before the first entry was read.
+        let text = "%%MatrixMarket matrix coordinate real general\n1000000 1000000 1000000000000\n1 1 1.0\n";
+        let err = read_matrix_market(std::io::Cursor::new(text)).unwrap_err();
+        assert!(err.to_string().contains("found 1"), "{err}");
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        for v in ["nan", "inf", "-inf", "NaN"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 {v}\n");
+            let err = read_matrix_market(std::io::Cursor::new(text)).unwrap_err();
+            assert!(err.to_string().contains("non-finite"), "{v}: {err}");
+        }
     }
 
     #[test]

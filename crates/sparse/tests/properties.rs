@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse substrate.
 
-use mcmcmi_sparse::{csr_add, Coo, Csc, Csr};
+use mcmcmi_sparse::{csr_add, Coo, Csr};
 use proptest::prelude::*;
 
 /// Strategy: a random sparse matrix as (nrows, ncols, triplets).
@@ -44,18 +44,6 @@ proptest! {
         }
     }
 
-    /// Parallel SpMV is bit-identical to serial SpMV.
-    #[test]
-    fn spmv_par_identical((m, n, ts) in arb_matrix()) {
-        let a = build(m, n, &ts);
-        let x: Vec<f64> = (0..n).map(|k| (k as f64).sin()).collect();
-        let mut y1 = vec![0.0; m];
-        let mut y2 = vec![0.0; m];
-        a.spmv(&x, &mut y1);
-        a.spmv_par(&x, &mut y2);
-        prop_assert_eq!(y1, y2);
-    }
-
     /// Adjointness: ⟨Ax, y⟩ = ⟨x, Aᵀy⟩.
     #[test]
     fn transpose_adjointness((m, n, ts) in arb_matrix()) {
@@ -75,13 +63,6 @@ proptest! {
     fn transpose_involution((m, n, ts) in arb_matrix()) {
         let a = build(m, n, &ts);
         prop_assert_eq!(a.transpose().transpose(), a);
-    }
-
-    /// CSC round-trips through CSR without loss.
-    #[test]
-    fn csc_roundtrip((m, n, ts) in arb_matrix()) {
-        let a = build(m, n, &ts);
-        prop_assert_eq!(Csc::from_csr(&a).to_csr(), a);
     }
 
     /// Matrix Market write→read is lossless.

@@ -218,14 +218,14 @@ proptest! {
     }
 }
 
-/// The generic-forced backend and the detected backend agree bitwise even
-/// on an operator that detects as specialized (spot check, not a property:
-/// one deterministic instance keeps the suite fast).
+/// The bare `Csr` backend (generic kernels) and the detected backend agree
+/// bitwise on an operator that detects as specialized (spot check, not a
+/// property: one deterministic instance keeps the suite fast).
 #[test]
-fn forced_generic_agrees_with_detected() {
+fn bare_csr_agrees_with_detected() {
     let a = stencil_matrix(40, &[-3, 0, 1, 3], 99);
     let det = SpecializedBackend::detect(a.clone());
-    let gen = SpecializedBackend::generic(a.clone());
+    let gen: &dyn KernelBackend = &a;
     assert!(det.is_specialized());
     assert_eq!(gen.kernel_name(), "generic-csr");
     let x: Vec<f64> = (0..40).map(|i| val(i, 3, 5)).collect();

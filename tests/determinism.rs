@@ -20,14 +20,26 @@ fn mcmc_build_identical_across_thread_counts() {
     }
 }
 
+/// Wide-stencil operator with ~93 entries per row and more than 2¹⁹ in all:
+/// past `DEFAULT_PAR_THRESHOLD`, so the production rule — no override —
+/// splits every product of it wherever the pool has a second thread.
+fn climate_past_the_threshold() -> mcmcmi::sparse::Csr {
+    let a = mcmcmi::matgen::stretched_climate_operator(64, 92, 44, 1.0);
+    assert!(a.nnz() >= mcmcmi::sparse::DEFAULT_PAR_THRESHOLD);
+    a
+}
+
 /// CI runs this file under `RAYON_NUM_THREADS=1` and `=8`; together with
 /// the in-process pool sweep below, that covers the nnz-balanced parallel
-/// SpMV the Krylov solvers route through.
+/// SpMV the Krylov solvers route through (`KernelBackend::spmv`), on the
+/// bare CSR backend and on the structure-detecting one.
 #[test]
-fn spmv_par_identical_across_thread_counts() {
-    // Wide-stencil operator: skewed degrees exercise the nnz-balanced
-    // partitioning (row-count chunking would split this very differently).
-    let a = mcmcmi::matgen::stretched_climate_operator(13, 46, 22, 1.0);
+fn spmv_identical_across_thread_counts() {
+    use mcmcmi::sparse::{KernelBackend, SpecializedBackend};
+    // Skewed degrees exercise the nnz-balanced partitioning (row-count
+    // chunking would split this very differently).
+    let a = climate_past_the_threshold();
+    let detected = SpecializedBackend::detect(a.clone());
     let n = a.nrows();
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin()).collect();
     let mut reference = vec![0.0; n];
@@ -37,22 +49,23 @@ fn spmv_par_identical_across_thread_counts() {
             .num_threads(threads)
             .build()
             .unwrap();
-        let mut y = vec![0.0; n];
-        pool.install(|| a.spmv_par(&x, &mut y));
-        assert_eq!(y, reference, "spmv_par, thread count {threads}");
-        let mut z = vec![0.0; n];
-        pool.install(|| a.spmv_auto(&x, &mut z));
-        assert_eq!(z, reference, "spmv_auto, thread count {threads}");
+        let backends: [&dyn KernelBackend; 2] = [&a, &detected];
+        for op in backends {
+            let mut y = vec![0.0; n];
+            pool.install(|| op.spmv(&x, &mut y));
+            let name = op.kernel_name();
+            assert_eq!(y, reference, "{name} spmv, thread count {threads}");
+        }
     }
 }
 
-/// The SpMM block kernels share `nnz_balanced_row_ranges` and the per-row
-/// block kernel with the serial path: bit-identical at any thread count,
-/// and bit-identical per column to k independent SpMVs.
+/// The SpMM block kernels share the row partition and the per-row block
+/// kernel with the serial path: bit-identical at any thread count, and
+/// bit-identical per column to k independent SpMVs.
 #[test]
 fn spmm_identical_across_thread_counts_and_to_spmv_columns() {
-    let climate = mcmcmi::matgen::stretched_climate_operator(13, 46, 22, 1.0);
-    for (a, k) in [climate, fd_laplace_2d(12)]
+    use mcmcmi::sparse::KernelBackend;
+    for (a, k) in [climate_past_the_threshold(), fd_laplace_2d(12)]
         .iter()
         .flat_map(|a| [1usize, 3, 4, 6, 8].map(|k| (a, k)))
     {
@@ -78,11 +91,8 @@ fn spmm_identical_across_thread_counts_and_to_spmv_columns() {
                 .build()
                 .unwrap();
             let mut y = vec![0.0; n * k];
-            pool.install(|| a.spmm_par(&xb, k, &mut y));
-            assert_eq!(y, reference, "spmm_par, k={k}, thread count {threads}");
-            let mut z = vec![0.0; n * k];
-            pool.install(|| a.spmm_auto(&xb, k, &mut z));
-            assert_eq!(z, reference, "spmm_auto, k={k}, thread count {threads}");
+            pool.install(|| KernelBackend::spmm(a, &xb, k, &mut y));
+            assert_eq!(y, reference, "spmm, k={k}, thread count {threads}");
         }
     }
 }
@@ -272,8 +282,8 @@ fn autotune_recommendation_and_tuned_solve_identical_across_thread_counts() {
 }
 
 /// The mixed-precision apply path: a compressed f32 preconditioner applied
-/// through the cached-partition SpMV/SpMM kernels is bit-identical at any
-/// thread count, both per vector and per block column.
+/// through the SpMV/SpMM seam is bit-identical at any thread count, both
+/// per vector and per block column.
 #[test]
 fn compressed_f32_apply_identical_across_thread_counts() {
     use mcmcmi::krylov::Preconditioner;
@@ -295,8 +305,7 @@ fn compressed_f32_apply_identical_across_thread_counts() {
             .num_threads(threads)
             .build()
             .unwrap();
-        // A fresh clone re-derives its partition cache under this pool's
-        // thread count — results must not move.
+        // A clone is the same plain data — results must not move.
         let cp2 = cp.clone();
         let mut v = vec![0.0; n];
         pool.install(|| cp2.apply(&r, &mut v));
