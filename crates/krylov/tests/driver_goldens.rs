@@ -33,6 +33,9 @@ const SOLVERS: [SolverType; 5] = [
     SolverType::BiCgStab,
 ];
 const WIDTHS: [usize; 2] = [1, 3];
+/// Widths that exactly fill one lockstep column tile of each size the fused
+/// block sweeps use (2, 4, 8).
+const TILE_WIDTHS: [usize; 3] = [2, 4, 8];
 
 /// FNV-1a over the observable fields of every column's result, in order.
 fn digest(results: &[SolveResult]) -> u64 {
@@ -107,7 +110,7 @@ impl Preconditioner for NanOnThirdApply<'_> {
 }
 
 /// Every solver × width × preconditioner on one operator, default options.
-fn grid(name: &str, a: &Csr, out: &mut Vec<(String, u64)>) {
+fn grid(name: &str, a: &Csr, widths: &[usize], out: &mut Vec<(String, u64)>) {
     let n = a.nrows();
     let built = McmcInverse::new(BuildConfig {
         seed: 16,
@@ -131,7 +134,7 @@ fn grid(name: &str, a: &Csr, out: &mut Vec<(String, u64)>) {
             ("mcmc", mcmc),
             ("mcmc-f32", &compressed),
         ];
-        for k in WIDTHS {
+        for &k in widths {
             let rhs = rhs_set(n, k);
             for (pname, p) in preconds {
                 out.push((
@@ -144,11 +147,11 @@ fn grid(name: &str, a: &Csr, out: &mut Vec<(String, u64)>) {
 }
 
 /// Per driver: the exits a default solve does not reach.
-fn edges(a: &Csr, out: &mut Vec<(String, u64)>) {
+fn edges(a: &Csr, widths: &[usize], out: &mut Vec<(String, u64)>) {
     let n = a.nrows();
     let jacobi = JacobiPrecond::new(a);
     for solver in SOLVERS {
-        for k in WIDTHS {
+        for &k in widths {
             let rhs = rhs_set(n, k);
             // Budget runs out mid-cycle (after one restart for the GMRES family).
             let capped = SolveOptions {
@@ -232,30 +235,77 @@ fn edges(a: &Csr, out: &mut Vec<(String, u64)>) {
     }
 }
 
-#[test]
-fn driver_results_reproduce_the_recorded_bits() {
-    let mut got = Vec::new();
-    let laplace = fd_laplace_2d(12);
-    grid("laplace", &laplace, &mut got);
-    grid("pdd", &pdd_real_sparse(128, 7), &mut got);
-    edges(&laplace, &mut got);
+/// Per driver and width, on `fd_laplace_2d(mesh)`: column 0 is an
+/// eigenvector of the operator (and of its Jacobi-preconditioned form), so it
+/// converges in the first round and rides out the rest of the solve masked
+/// out beside columns that keep iterating.
+fn early_retire(mesh: usize, widths: &[usize], out: &mut Vec<(String, u64)>) {
+    let a = fd_laplace_2d(mesh);
+    let (m, n) = (mesh - 1, a.nrows());
+    let h = std::f64::consts::PI / mesh as f64;
+    let eigenvector: Vec<f64> = (0..n)
+        .map(|r| (h * (r / m + 1) as f64).sin() * (2.0 * h * (r % m + 1) as f64).sin())
+        .collect();
+    let jacobi = JacobiPrecond::new(&a);
+    for solver in SOLVERS {
+        for &k in widths {
+            let mut rhs = rhs_set(n, k);
+            rhs[0].clone_from(&eigenvector);
+            let results = solve_batch(&a, &rhs, &jacobi, solver, SolveOptions::default());
+            assert_eq!(
+                results[0].iterations, 1,
+                "{solver:?} w{k}: column 0 retires first"
+            );
+            out.push((
+                format!("early/{solver:?}/w{k}/eigenvector"),
+                digest(&results),
+            ));
+        }
+    }
+}
 
+/// Compare `got` with `goldens` case by case; on any difference print the
+/// whole new table as Rust source and fail.
+fn assert_reproduces(got: &[(String, u64)], goldens: &[(&str, u64)]) {
     let moved: Vec<&str> = got
         .iter()
-        .zip(GOLDENS)
+        .zip(goldens)
         .filter(|((name, d), (gname, gd))| name != gname || d != gd)
         .map(|((name, _), _)| name.as_str())
         .collect();
-    if got.len() != GOLDENS.len() || !moved.is_empty() {
-        for (name, d) in &got {
+    if got.len() != goldens.len() || !moved.is_empty() {
+        for (name, d) in got {
             println!("    (\"{name}\", {d:#018x}),");
         }
         panic!(
             "{} of {} digests moved (table above): {moved:?}",
-            moved.len().max(got.len().abs_diff(GOLDENS.len())),
-            GOLDENS.len()
+            moved.len().max(got.len().abs_diff(goldens.len())),
+            goldens.len()
         );
     }
+}
+
+#[test]
+fn driver_results_reproduce_the_recorded_bits() {
+    let mut got = Vec::new();
+    let laplace = fd_laplace_2d(12);
+    grid("laplace", &laplace, &WIDTHS, &mut got);
+    grid("pdd", &pdd_real_sparse(128, 7), &WIDTHS, &mut got);
+    edges(&laplace, &WIDTHS, &mut got);
+    assert_reproduces(&got, GOLDENS);
+}
+
+/// The same cases at the widths that fill one column tile of each size the
+/// fused block sweeps use, plus a column that retires in the first round.
+#[test]
+fn tile_width_results_reproduce_the_recorded_bits() {
+    let mut got = Vec::new();
+    let laplace = fd_laplace_2d(12);
+    grid("laplace", &laplace, &TILE_WIDTHS, &mut got);
+    grid("pdd", &pdd_real_sparse(128, 7), &TILE_WIDTHS, &mut got);
+    edges(&laplace, &TILE_WIDTHS, &mut got);
+    early_retire(12, &TILE_WIDTHS, &mut got);
+    assert_reproduces(&got, TILE_GOLDENS);
 }
 
 /// The recovery ladder as every shipped caller runs it — default policy, no
@@ -485,4 +535,237 @@ const GOLDENS: &[(&str, u64)] = &[
     ("edge/BiCgStab/w3/inf-matvec", 0x25f942a26b73a38b),
     ("edge/BiCgStab/w3/nan-precond", 0xb009b063cbd07b89),
     ("edge/BiCgStab/w3/one-step", 0x8fac61762a7441d8),
+];
+
+/// Recorded at the parent of the commit that tiled the fused block sweeps;
+/// `(case, digest)` in run order.
+const TILE_GOLDENS: &[(&str, u64)] = &[
+    ("laplace/Cg/w2/identity", 0x33f36d6cab364b8d),
+    ("laplace/Cg/w2/jacobi", 0x33f36d6cab364b8d),
+    ("laplace/Cg/w2/mcmc", 0x4cc602a19c12c575),
+    ("laplace/Cg/w2/mcmc-f32", 0xd112e7551a596c0a),
+    ("laplace/Cg/w4/identity", 0xaef61f3567968d6a),
+    ("laplace/Cg/w4/jacobi", 0xaef61f3567968d6a),
+    ("laplace/Cg/w4/mcmc", 0x96883fa437a37aff),
+    ("laplace/Cg/w4/mcmc-f32", 0xea710d4aec632d99),
+    ("laplace/Cg/w8/identity", 0xebed6ef32ac78455),
+    ("laplace/Cg/w8/jacobi", 0xebed6ef32ac78455),
+    ("laplace/Cg/w8/mcmc", 0x87dddb9517dc7dd3),
+    ("laplace/Cg/w8/mcmc-f32", 0x579ecb27b1d95c78),
+    ("laplace/FCg/w2/identity", 0x721adb273bc996a2),
+    ("laplace/FCg/w2/jacobi", 0x721adb273bc996a2),
+    ("laplace/FCg/w2/mcmc", 0xf2262ee2b65f2e01),
+    ("laplace/FCg/w2/mcmc-f32", 0x71efe85825d10ab0),
+    ("laplace/FCg/w4/identity", 0x7797750b1803e420),
+    ("laplace/FCg/w4/jacobi", 0x7797750b1803e420),
+    ("laplace/FCg/w4/mcmc", 0xfdcd41cf19fccf9b),
+    ("laplace/FCg/w4/mcmc-f32", 0x0361b219b9ea8593),
+    ("laplace/FCg/w8/identity", 0xc3d0eb0ea0476537),
+    ("laplace/FCg/w8/jacobi", 0xc3d0eb0ea0476537),
+    ("laplace/FCg/w8/mcmc", 0xc1e07a36b94b6cb2),
+    ("laplace/FCg/w8/mcmc-f32", 0xbe17584a0dd27222),
+    ("laplace/Gmres/w2/identity", 0xe22e64c45748f2e8),
+    ("laplace/Gmres/w2/jacobi", 0xe22e64c45748f2e8),
+    ("laplace/Gmres/w2/mcmc", 0x80b6b28a77dac387),
+    ("laplace/Gmres/w2/mcmc-f32", 0xdf0c9f980c0c9538),
+    ("laplace/Gmres/w4/identity", 0x32c9f2cb915936e9),
+    ("laplace/Gmres/w4/jacobi", 0x32c9f2cb915936e9),
+    ("laplace/Gmres/w4/mcmc", 0x9e7b0e3daddbe474),
+    ("laplace/Gmres/w4/mcmc-f32", 0x0fdc63ef136d5ab1),
+    ("laplace/Gmres/w8/identity", 0xcb9fde67d0d02200),
+    ("laplace/Gmres/w8/jacobi", 0xcb9fde67d0d02200),
+    ("laplace/Gmres/w8/mcmc", 0x82e97ff1ac569376),
+    ("laplace/Gmres/w8/mcmc-f32", 0x5f1cc6e6184f959e),
+    ("laplace/Fgmres/w2/identity", 0xe22e64c45748f2e8),
+    ("laplace/Fgmres/w2/jacobi", 0xe22e64c45748f2e8),
+    ("laplace/Fgmres/w2/mcmc", 0x4908386b057b70a2),
+    ("laplace/Fgmres/w2/mcmc-f32", 0xd4d2abde2efda540),
+    ("laplace/Fgmres/w4/identity", 0x32c9f2cb915936e9),
+    ("laplace/Fgmres/w4/jacobi", 0x32c9f2cb915936e9),
+    ("laplace/Fgmres/w4/mcmc", 0x6a7f11f685311302),
+    ("laplace/Fgmres/w4/mcmc-f32", 0x3a50b5c81caf5719),
+    ("laplace/Fgmres/w8/identity", 0xcb9fde67d0d02200),
+    ("laplace/Fgmres/w8/jacobi", 0xcb9fde67d0d02200),
+    ("laplace/Fgmres/w8/mcmc", 0x4a34fea2174a55d7),
+    ("laplace/Fgmres/w8/mcmc-f32", 0x14dcdd02dd357747),
+    ("laplace/BiCgStab/w2/identity", 0xe351c076a0b995b3),
+    ("laplace/BiCgStab/w2/jacobi", 0xe351c076a0b995b3),
+    ("laplace/BiCgStab/w2/mcmc", 0x21f52765f10dc8c0),
+    ("laplace/BiCgStab/w2/mcmc-f32", 0x95d0ec728cf89312),
+    ("laplace/BiCgStab/w4/identity", 0x2cf8ba2f515cb6f1),
+    ("laplace/BiCgStab/w4/jacobi", 0x2cf8ba2f515cb6f1),
+    ("laplace/BiCgStab/w4/mcmc", 0x795b41c7f332b57b),
+    ("laplace/BiCgStab/w4/mcmc-f32", 0x6fb18ba305a01017),
+    ("laplace/BiCgStab/w8/identity", 0x60fc930e69d1fb67),
+    ("laplace/BiCgStab/w8/jacobi", 0x60fc930e69d1fb67),
+    ("laplace/BiCgStab/w8/mcmc", 0x3478f68c9bf1dc2e),
+    ("laplace/BiCgStab/w8/mcmc-f32", 0x2646b64277c2d3be),
+    ("pdd/Cg/w2/identity", 0xcf36541d5bde15e6),
+    ("pdd/Cg/w2/jacobi", 0x4594c0b444b13b82),
+    ("pdd/Cg/w2/mcmc", 0x785614923dbe300f),
+    ("pdd/Cg/w2/mcmc-f32", 0x375b60c78c31c47e),
+    ("pdd/Cg/w4/identity", 0x0f01fb20a7a77082),
+    ("pdd/Cg/w4/jacobi", 0xf6f9f36049c2496f),
+    ("pdd/Cg/w4/mcmc", 0x224c17002455f464),
+    ("pdd/Cg/w4/mcmc-f32", 0x4363173beefaaad4),
+    ("pdd/Cg/w8/identity", 0xadf0d8de133e3a49),
+    ("pdd/Cg/w8/jacobi", 0x03fa9b6d44746acb),
+    ("pdd/Cg/w8/mcmc", 0x7c75a709b4cf2428),
+    ("pdd/Cg/w8/mcmc-f32", 0x3aa802902a4797b2),
+    ("pdd/FCg/w2/identity", 0x1e8b8bb35b966e7b),
+    ("pdd/FCg/w2/jacobi", 0xd78c1e3b52dc6142),
+    ("pdd/FCg/w2/mcmc", 0x2aefbb8bb6457adc),
+    ("pdd/FCg/w2/mcmc-f32", 0x63031b13e70aa35f),
+    ("pdd/FCg/w4/identity", 0x861c4b2329d57ea0),
+    ("pdd/FCg/w4/jacobi", 0xe72688e980eef169),
+    ("pdd/FCg/w4/mcmc", 0x254704f276fbdce9),
+    ("pdd/FCg/w4/mcmc-f32", 0xce8577a89e7b8a62),
+    ("pdd/FCg/w8/identity", 0x5e105153ff94eb65),
+    ("pdd/FCg/w8/jacobi", 0x01a11e10344f9616),
+    ("pdd/FCg/w8/mcmc", 0xe0bb113650ccefc9),
+    ("pdd/FCg/w8/mcmc-f32", 0x29500deea40e4459),
+    ("pdd/Gmres/w2/identity", 0x0795d3e666856ae2),
+    ("pdd/Gmres/w2/jacobi", 0xeada495422ff7770),
+    ("pdd/Gmres/w2/mcmc", 0xb0b9db6d624af0d8),
+    ("pdd/Gmres/w2/mcmc-f32", 0xd1b7d006d89ee44e),
+    ("pdd/Gmres/w4/identity", 0x473e75621b22fc4c),
+    ("pdd/Gmres/w4/jacobi", 0x58f86dcf6ad49824),
+    ("pdd/Gmres/w4/mcmc", 0xa49860c1f9044359),
+    ("pdd/Gmres/w4/mcmc-f32", 0x61075a471edee68a),
+    ("pdd/Gmres/w8/identity", 0x0870e17f888c6caf),
+    ("pdd/Gmres/w8/jacobi", 0xca3ef866808b97fb),
+    ("pdd/Gmres/w8/mcmc", 0x8cd6d9fc986a136a),
+    ("pdd/Gmres/w8/mcmc-f32", 0x921364cc316c08ce),
+    ("pdd/Fgmres/w2/identity", 0x0795d3e666856ae2),
+    ("pdd/Fgmres/w2/jacobi", 0xf6454b058b35048f),
+    ("pdd/Fgmres/w2/mcmc", 0x5b0aeed4592ffc8e),
+    ("pdd/Fgmres/w2/mcmc-f32", 0xeb19acc3073ad0e0),
+    ("pdd/Fgmres/w4/identity", 0x473e75621b22fc4c),
+    ("pdd/Fgmres/w4/jacobi", 0x8bca1024cd63c3b0),
+    ("pdd/Fgmres/w4/mcmc", 0x4b313ab98daff567),
+    ("pdd/Fgmres/w4/mcmc-f32", 0x5aa7d2548e80b4ed),
+    ("pdd/Fgmres/w8/identity", 0x0870e17f888c6caf),
+    ("pdd/Fgmres/w8/jacobi", 0x943d8da7dc539da9),
+    ("pdd/Fgmres/w8/mcmc", 0x460f23611bf63c81),
+    ("pdd/Fgmres/w8/mcmc-f32", 0x12ddd3a5e7e31428),
+    ("pdd/BiCgStab/w2/identity", 0x6462ddb050cee5f3),
+    ("pdd/BiCgStab/w2/jacobi", 0xd8eab6d9330a653e),
+    ("pdd/BiCgStab/w2/mcmc", 0x2bb02d61c95a5dfe),
+    ("pdd/BiCgStab/w2/mcmc-f32", 0x4542c360ad69a9ab),
+    ("pdd/BiCgStab/w4/identity", 0x99f3b19458d3e245),
+    ("pdd/BiCgStab/w4/jacobi", 0x989eb0e38f259e97),
+    ("pdd/BiCgStab/w4/mcmc", 0xdcefe6634edeebae),
+    ("pdd/BiCgStab/w4/mcmc-f32", 0x41017f53dfd8e6ae),
+    ("pdd/BiCgStab/w8/identity", 0x84be16bc417243a0),
+    ("pdd/BiCgStab/w8/jacobi", 0x4d4cbada04590066),
+    ("pdd/BiCgStab/w8/mcmc", 0x191d8a2c8cfea7ea),
+    ("pdd/BiCgStab/w8/mcmc-f32", 0xc77cc4cf50a9c2ea),
+    ("edge/Cg/w2/max-iter", 0x91cdb15b1aaf96b0),
+    ("edge/Cg/w2/restart-5", 0x33f36d6cab364b8d),
+    ("edge/Cg/w2/zero-rhs", 0x47202565ab866ce2),
+    ("edge/Cg/w2/spike", 0x39b239a630986f66),
+    ("edge/Cg/w2/inf-matvec", 0x4529ef2f76e10c51),
+    ("edge/Cg/w2/nan-precond", 0x04bcbcb14498793a),
+    ("edge/Cg/w2/one-step", 0xbcabc1bb0116aff4),
+    ("edge/Cg/w4/max-iter", 0xf10fa9e4d0d6d888),
+    ("edge/Cg/w4/restart-5", 0xaef61f3567968d6a),
+    ("edge/Cg/w4/zero-rhs", 0xbad38e9e7ee1a4f1),
+    ("edge/Cg/w4/spike", 0x0dd5e0b550e43969),
+    ("edge/Cg/w4/inf-matvec", 0x84bd0fbfec0cf696),
+    ("edge/Cg/w4/nan-precond", 0x4911f1300e2b6ab5),
+    ("edge/Cg/w4/one-step", 0x10e6df5cb43915f5),
+    ("edge/Cg/w8/max-iter", 0x34d7516ede005488),
+    ("edge/Cg/w8/restart-5", 0xebed6ef32ac78455),
+    ("edge/Cg/w8/zero-rhs", 0xbbda878c85661959),
+    ("edge/Cg/w8/spike", 0x89732395b5ba1e44),
+    ("edge/Cg/w8/inf-matvec", 0x4dd8f287630e5b9a),
+    ("edge/Cg/w8/nan-precond", 0xb46c1bf0ae09538d),
+    ("edge/Cg/w8/one-step", 0x67f3e5ee405c1734),
+    ("edge/FCg/w2/max-iter", 0x255288f181a550b4),
+    ("edge/FCg/w2/restart-5", 0x721adb273bc996a2),
+    ("edge/FCg/w2/zero-rhs", 0x85b4461490cc735c),
+    ("edge/FCg/w2/spike", 0x3cd5433725743b55),
+    ("edge/FCg/w2/inf-matvec", 0xb92db8f382a4339a),
+    ("edge/FCg/w2/nan-precond", 0x359f08b09e3fb512),
+    ("edge/FCg/w2/one-step", 0xbcabc1bb0116aff4),
+    ("edge/FCg/w4/max-iter", 0x688fa282dd221517),
+    ("edge/FCg/w4/restart-5", 0x7797750b1803e420),
+    ("edge/FCg/w4/zero-rhs", 0x6b4236326fb3a2e3),
+    ("edge/FCg/w4/spike", 0x109d631133b34698),
+    ("edge/FCg/w4/inf-matvec", 0x8d385b0bcdd26fd8),
+    ("edge/FCg/w4/nan-precond", 0x9188a3919e2722b0),
+    ("edge/FCg/w4/one-step", 0x10e6df5cb43915f5),
+    ("edge/FCg/w8/max-iter", 0xf15e99c6b7291190),
+    ("edge/FCg/w8/restart-5", 0xc3d0eb0ea0476537),
+    ("edge/FCg/w8/zero-rhs", 0x1eb6c1d64557be3e),
+    ("edge/FCg/w8/spike", 0x1f55dae45b70be4f),
+    ("edge/FCg/w8/inf-matvec", 0x1f77ee8902053d94),
+    ("edge/FCg/w8/nan-precond", 0x6ce0d29a9add0bf4),
+    ("edge/FCg/w8/one-step", 0x67f3e5ee405c1734),
+    ("edge/Gmres/w2/max-iter", 0x32f21ac89e0a39ad),
+    ("edge/Gmres/w2/restart-5", 0x47ab9b2ed098c0ba),
+    ("edge/Gmres/w2/zero-rhs", 0x2bb64087e3b0f199),
+    ("edge/Gmres/w2/spike", 0x27e73895518eff9a),
+    ("edge/Gmres/w2/one-step", 0xc5f413e7438cce3d),
+    ("edge/Gmres/w4/max-iter", 0x569e6f97eb9c4640),
+    ("edge/Gmres/w4/restart-5", 0xeb1cbed7845935bd),
+    ("edge/Gmres/w4/zero-rhs", 0x36398b5ed204cc57),
+    ("edge/Gmres/w4/spike", 0x28241f936bddc610),
+    ("edge/Gmres/w4/one-step", 0xb496d7d44ad4c6cf),
+    ("edge/Gmres/w8/max-iter", 0xcb959ba2f0c77ff6),
+    ("edge/Gmres/w8/restart-5", 0x2907a4cb39aee90f),
+    ("edge/Gmres/w8/zero-rhs", 0x95f9ffd43e40a064),
+    ("edge/Gmres/w8/spike", 0xf707bf97e395ca56),
+    ("edge/Gmres/w8/one-step", 0x1baad892e0fb5f1b),
+    ("edge/Fgmres/w2/max-iter", 0x32f21ac89e0a39ad),
+    ("edge/Fgmres/w2/restart-5", 0x47ab9b2ed098c0ba),
+    ("edge/Fgmres/w2/zero-rhs", 0x2bb64087e3b0f199),
+    ("edge/Fgmres/w2/spike", 0x27e73895518eff9a),
+    ("edge/Fgmres/w2/one-step", 0xc5f413e7438cce3d),
+    ("edge/Fgmres/w4/max-iter", 0x569e6f97eb9c4640),
+    ("edge/Fgmres/w4/restart-5", 0xeb1cbed7845935bd),
+    ("edge/Fgmres/w4/zero-rhs", 0x36398b5ed204cc57),
+    ("edge/Fgmres/w4/spike", 0x28241f936bddc610),
+    ("edge/Fgmres/w4/one-step", 0xb496d7d44ad4c6cf),
+    ("edge/Fgmres/w8/max-iter", 0xcb959ba2f0c77ff6),
+    ("edge/Fgmres/w8/restart-5", 0x2907a4cb39aee90f),
+    ("edge/Fgmres/w8/zero-rhs", 0x95f9ffd43e40a064),
+    ("edge/Fgmres/w8/spike", 0xf707bf97e395ca56),
+    ("edge/Fgmres/w8/one-step", 0x1baad892e0fb5f1b),
+    ("edge/BiCgStab/w2/max-iter", 0x32b721aabbbd2c93),
+    ("edge/BiCgStab/w2/restart-5", 0xe351c076a0b995b3),
+    ("edge/BiCgStab/w2/zero-rhs", 0x99bc2c4ba0e653ca),
+    ("edge/BiCgStab/w2/spike", 0x804492ae92a21bcb),
+    ("edge/BiCgStab/w2/inf-matvec", 0x8579d4751193536c),
+    ("edge/BiCgStab/w2/nan-precond", 0x37cf6b8f374dbde7),
+    ("edge/BiCgStab/w2/one-step", 0xbcabc1bb0116aff4),
+    ("edge/BiCgStab/w4/max-iter", 0xa49e1904db59949b),
+    ("edge/BiCgStab/w4/restart-5", 0x2cf8ba2f515cb6f1),
+    ("edge/BiCgStab/w4/zero-rhs", 0x07fd84cc010332dc),
+    ("edge/BiCgStab/w4/spike", 0x1914fa9ef8324418),
+    ("edge/BiCgStab/w4/inf-matvec", 0xdad3917b720c0a8e),
+    ("edge/BiCgStab/w4/nan-precond", 0x28ed6f33a9647bf5),
+    ("edge/BiCgStab/w4/one-step", 0x10e6df5cb43915f5),
+    ("edge/BiCgStab/w8/max-iter", 0xa5444834f12bc6f1),
+    ("edge/BiCgStab/w8/restart-5", 0x60fc930e69d1fb67),
+    ("edge/BiCgStab/w8/zero-rhs", 0xa7e48620414c16b5),
+    ("edge/BiCgStab/w8/spike", 0x9abdcdeab10d4242),
+    ("edge/BiCgStab/w8/inf-matvec", 0x4241c199b50ef371),
+    ("edge/BiCgStab/w8/nan-precond", 0xddbf7e363e682a49),
+    ("edge/BiCgStab/w8/one-step", 0x67f3e5ee405c1734),
+    ("early/Cg/w2/eigenvector", 0x2e28658d34fba90c),
+    ("early/Cg/w4/eigenvector", 0x9ba1429d0f4788e7),
+    ("early/Cg/w8/eigenvector", 0x2da330d693f32e68),
+    ("early/FCg/w2/eigenvector", 0xd26778f45a70224d),
+    ("early/FCg/w4/eigenvector", 0xc404524d7d0c0feb),
+    ("early/FCg/w8/eigenvector", 0xd0e428c232e22d00),
+    ("early/Gmres/w2/eigenvector", 0x290ab933c65758e9),
+    ("early/Gmres/w4/eigenvector", 0xfe1f21f71e6045d0),
+    ("early/Gmres/w8/eigenvector", 0x10e58b99979297d5),
+    ("early/Fgmres/w2/eigenvector", 0x290ab933c65758e9),
+    ("early/Fgmres/w4/eigenvector", 0xfe1f21f71e6045d0),
+    ("early/Fgmres/w8/eigenvector", 0x10e58b99979297d5),
+    ("early/BiCgStab/w2/eigenvector", 0xf8f98635233fee56),
+    ("early/BiCgStab/w4/eigenvector", 0x01288dffab4e923c),
+    ("early/BiCgStab/w8/eigenvector", 0xe6979d257b6b7ede),
 ];
