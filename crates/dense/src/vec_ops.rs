@@ -169,14 +169,50 @@ pub fn scale_col(a: f64, x: &mut [f64], k: usize, c: usize) {
 
 // Fused whole-block kernels: one contiguous row-order sweep serves every
 // (unmasked) column at once. The strided per-column kernels above touch one
-// element per cache line; these touch every line once for all k columns,
-// and the all-columns-active inner loops vectorize. Per column they perform
-// the identical operation sequence, so results are bit-identical to the
+// element per cache line; these touch every line once for all k columns.
+//
+// The columns are split into tiles of 8, 4, 2 and 1 (widest first, the
+// split `Csr::spmm_rows` uses), and each tile is one sweep whose per-column
+// accumulators, coefficients and mask are fixed-size arrays: registers, not
+// memory, across the whole sweep. Batch widths 2, 4 and 8 are one tile each.
+// A tile computes its masked-out columns too and discards them — it never
+// writes them — so the inner loops have no branch. Per column every kernel
+// performs the identical operation sequence of its scalar counterpart (start
+// value, row order, norm passes), so results are bit-identical to the
 // per-column kernels — the batched Krylov drivers rely on that.
 
+/// Call `$tile::<W>(c, args..)` for each column tile `c..c + W` of a
+/// width-`$k` block, widest first.
+macro_rules! for_each_tile {
+    ($k:expr, $tile:ident($($arg:expr),*)) => {{
+        let k: usize = $k;
+        let mut c = 0;
+        while c + 8 <= k {
+            $tile::<8>(c, $($arg),*);
+            c += 8;
+        }
+        if c + 4 <= k {
+            $tile::<4>(c, $($arg),*);
+            c += 4;
+        }
+        if c + 2 <= k {
+            $tile::<2>(c, $($arg),*);
+            c += 2;
+        }
+        if c < k {
+            $tile::<1>(c, $($arg),*);
+        }
+    }};
+}
+
+/// The mask of columns `c..c + W`.
+fn tile_mask<const W: usize>(mask: &[bool], c: usize) -> [bool; W] {
+    std::array::from_fn(|t| mask[c + t])
+}
+
 /// Fused dot products: `out[c] = Σ_i x[i,c]·y[i,c]` for every column with
-/// `mask[c]` set (masked-out entries of `out` are reset to 0). Bit-identical
-/// per column to [`dot`] / [`dot_col`].
+/// `mask[c]` set (masked-out entries of `out` are set to 0). Bit-identical
+/// per column to [`dot`] / [`dot_col`], signed zero included.
 ///
 /// # Panics
 /// Panics if the blocks differ in length or `mask`/`out` lengths ≠ `k`.
@@ -184,24 +220,34 @@ pub fn dot_cols_masked(x: &[f64], y: &[f64], k: usize, mask: &[bool], out: &mut 
     assert_eq!(x.len(), y.len(), "dot_cols_masked: length mismatch");
     assert_eq!(mask.len(), k, "dot_cols_masked: mask length mismatch");
     assert_eq!(out.len(), k, "dot_cols_masked: out length mismatch");
-    for o in out.iter_mut() {
-        *o = 0.0;
+    for_each_tile!(k, dot_tile(x, y, k, mask, out));
+}
+
+fn dot_tile<const W: usize>(
+    c: usize,
+    x: &[f64],
+    y: &[f64],
+    k: usize,
+    mask: &[bool],
+    out: &mut [f64],
+) {
+    let live = tile_mask::<W>(mask, c);
+    let out = &mut out[c..c + W];
+    if !live.contains(&true) {
+        out.fill(0.0);
+        return;
     }
-    if mask.iter().all(|&m| m) {
-        // Hot path: no branch in the inner loop, vectorizes across columns.
-        for (xr, yr) in x.chunks_exact(k).zip(y.chunks_exact(k)) {
-            for ((o, &xi), &yi) in out.iter_mut().zip(xr).zip(yr) {
-                *o += xi * yi;
-            }
+    // −0.0 is the start value of `Iterator::sum`, which [`dot`] uses: an
+    // all-(−0.0) column sums to −0.0 in both.
+    let mut acc = [-0.0f64; W];
+    for (xr, yr) in x.chunks_exact(k).zip(y.chunks_exact(k)) {
+        let (xt, yt) = (&xr[c..c + W], &yr[c..c + W]);
+        for t in 0..W {
+            acc[t] += xt[t] * yt[t];
         }
-    } else {
-        for (xr, yr) in x.chunks_exact(k).zip(y.chunks_exact(k)) {
-            for c in 0..k {
-                if mask[c] {
-                    out[c] += xr[c] * yr[c];
-                }
-            }
-        }
+    }
+    for t in 0..W {
+        out[t] = if live[t] { acc[t] } else { 0.0 };
     }
 }
 
@@ -213,41 +259,40 @@ pub fn dot_cols_masked(x: &[f64], y: &[f64], k: usize, mask: &[bool], out: &mut 
 pub fn norm2_cols_masked(x: &[f64], k: usize, mask: &[bool], out: &mut [f64]) {
     assert_eq!(mask.len(), k, "norm2_cols_masked: mask length mismatch");
     assert_eq!(out.len(), k, "norm2_cols_masked: out length mismatch");
-    let mut amax = vec![0.0f64; k];
+    for_each_tile!(k, norm2_tile(x, k, mask, out));
+}
+
+fn norm2_tile<const W: usize>(c: usize, x: &[f64], k: usize, mask: &[bool], out: &mut [f64]) {
+    let live = tile_mask::<W>(mask, c);
+    if !live.contains(&true) {
+        return;
+    }
+    let mut amax = [0.0f64; W];
     for xr in x.chunks_exact(k) {
-        for (m, &xi) in amax.iter_mut().zip(xr) {
-            *m = m.max(xi.abs());
+        let xt = &xr[c..c + W];
+        for t in 0..W {
+            amax[t] = amax[t].max(xt[t].abs());
         }
     }
-    let mut sums = vec![0.0f64; k];
-    let plain = mask.iter().all(|&m| m) && amax.iter().all(|&m| m != 0.0 && m.is_finite());
-    if plain {
-        // Hot path: no branch in the inner loop.
+    let scaled: [bool; W] = std::array::from_fn(|t| amax[t] != 0.0 && amax[t].is_finite());
+    let mut sums = [0.0f64; W];
+    if (0..W).any(|t| live[t] && scaled[t]) {
         for xr in x.chunks_exact(k) {
-            for ((s, &xi), &mc) in sums.iter_mut().zip(xr).zip(&amax) {
-                let t = xi / mc;
-                *s += t * t;
-            }
-        }
-    } else {
-        for xr in x.chunks_exact(k) {
-            for c in 0..k {
-                if mask[c] && amax[c] != 0.0 && amax[c].is_finite() {
-                    let t = xr[c] / amax[c];
-                    sums[c] += t * t;
-                }
+            let xt = &xr[c..c + W];
+            for t in 0..W {
+                let s = xt[t] / amax[t];
+                sums[t] += s * s;
             }
         }
     }
-    for c in 0..k {
-        if !mask[c] {
-            continue;
+    for t in 0..W {
+        if live[t] {
+            out[c + t] = if scaled[t] {
+                amax[t] * sums[t].sqrt()
+            } else {
+                unscaled_norm(amax[t], x[c + t..].iter().step_by(k))
+            };
         }
-        out[c] = if amax[c] == 0.0 || !amax[c].is_finite() {
-            unscaled_norm(amax[c], x[c..].iter().step_by(k))
-        } else {
-            amax[c] * sums[c].sqrt()
-        };
     }
 }
 
@@ -260,18 +305,37 @@ pub fn axpy_cols_masked(a: &[f64], x: &[f64], y: &mut [f64], k: usize, mask: &[b
     assert_eq!(x.len(), y.len(), "axpy_cols_masked: length mismatch");
     assert_eq!(a.len(), k, "axpy_cols_masked: coefficient length mismatch");
     assert_eq!(mask.len(), k, "axpy_cols_masked: mask length mismatch");
-    if mask.iter().all(|&m| m) {
-        for (yr, xr) in y.chunks_exact_mut(k).zip(x.chunks_exact(k)) {
-            for ((yi, &xi), &ac) in yr.iter_mut().zip(xr).zip(a) {
-                *yi += ac * xi;
+    for_each_tile!(k, axpy_tile(a, x, y, k, mask));
+}
+
+fn axpy_tile<const W: usize>(
+    c: usize,
+    a: &[f64],
+    x: &[f64],
+    y: &mut [f64],
+    k: usize,
+    mask: &[bool],
+) {
+    let live = tile_mask::<W>(mask, c);
+    if !live.contains(&true) {
+        return;
+    }
+    let coef: [f64; W] = std::array::from_fn(|t| a[c + t]);
+    let rows = y.chunks_exact_mut(k).zip(x.chunks_exact(k));
+    if live.contains(&false) {
+        for (yr, xr) in rows {
+            let (yt, xt) = (&mut yr[c..c + W], &xr[c..c + W]);
+            for t in 0..W {
+                let updated = yt[t] + coef[t] * xt[t];
+                yt[t] = if live[t] { updated } else { yt[t] };
             }
         }
     } else {
-        for (yr, xr) in y.chunks_exact_mut(k).zip(x.chunks_exact(k)) {
-            for c in 0..k {
-                if mask[c] {
-                    yr[c] += a[c] * xr[c];
-                }
+        // Without a select the compiler keeps the tile in one vector.
+        for (yr, xr) in rows {
+            let (yt, xt) = (&mut yr[c..c + W], &xr[c..c + W]);
+            for t in 0..W {
+                yt[t] += coef[t] * xt[t];
             }
         }
     }
@@ -450,43 +514,71 @@ mod tests {
         }
     }
 
+    fn col_of(block: &[f64], k: usize, c: usize) -> Vec<f64> {
+        let mut col = vec![0.0; block.len() / k];
+        gather_col(block, k, c, &mut col);
+        col
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every width through the widest tile and one past it, every tile mix
+    /// (8 + 1 at k = 9, 4 + 2 + 1 at k = 7, …), compared bit for bit — so
+    /// −0.0 ≠ 0.0 and NaN entries compare too.
     #[test]
     fn fused_masked_kernels_bit_identical_to_per_column() {
-        for &(n, k) in &[(1usize, 1usize), (9, 3), (16, 8), (31, 5)] {
-            let (bx, cx) = block_and_cols(n, k);
-            let (by, cy) = block_and_cols(n, k);
-            // Alternating mask plus the all-active fast path.
-            for mask in [
-                vec![true; k],
-                (0..k).map(|c| c % 2 == 0).collect::<Vec<_>>(),
-            ] {
-                let mut dots = vec![f64::NAN; k];
-                dot_cols_masked(&bx, &by, k, &mask, &mut dots);
-                let mut norms = vec![f64::NAN; k];
-                norm2_cols_masked(&bx, k, &mask, &mut norms);
-                let a: Vec<f64> = (0..k).map(|c| 0.3 + c as f64).collect();
-                let mut yb = by.clone();
-                axpy_cols_masked(&a, &bx, &mut yb, k, &mask);
-                for c in 0..k {
-                    if !mask[c] {
-                        continue;
+        const SPECIAL: [f64; 4] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+        let n = 11;
+        for k in 1..=9 {
+            let mut masks = vec![vec![true; k], (0..k).map(|c| c % 2 == 0).collect()];
+            masks.extend((0..k).map(|live| (0..k).map(|c| c == live).collect()));
+            // Column k − 1 of x is zero and of y negative, in one of the two
+            // data sets: its dot is −0.0, as `Iterator::sum` makes [`dot`]'s.
+            for signed_zero in [false, true] {
+                for mask in &masks {
+                    let (mut bx, _) = block_and_cols(n, k);
+                    let mut by: Vec<f64> = bx.iter().map(|v| 0.5 - v).collect();
+                    for i in 0..n {
+                        if signed_zero {
+                            bx[i * k + k - 1] = 0.0;
+                            by[i * k + k - 1] = -1.0 - i as f64;
+                        }
+                        // Masked-out columns hold what a retired column may:
+                        // anything.
+                        for c in (0..k).filter(|&c| !mask[c]) {
+                            bx[i * k + c] = SPECIAL[(i + c) % 4];
+                            by[i * k + c] = SPECIAL[(i + c + 1) % 4];
+                        }
                     }
-                    assert_eq!(dots[c], dot(&cx[c], &cy[c]), "dot col {c}");
-                    assert_eq!(norms[c], norm2(&cx[c]), "norm col {c}");
-                    let mut want = cy[c].clone();
-                    axpy(a[c], &cx[c], &mut want);
-                    let mut got = vec![0.0; n];
-                    gather_col(&yb, k, c, &mut got);
-                    assert_eq!(got, want, "axpy col {c}");
-                }
-                // Masked-out columns of y are untouched.
-                for c in 0..k {
-                    if mask[c] {
-                        continue;
+                    let seeded: Vec<f64> = (0..k).map(|c| SPECIAL[c % 4]).collect();
+                    let mut dots = seeded.clone();
+                    dot_cols_masked(&bx, &by, k, mask, &mut dots);
+                    let mut norms = seeded.clone();
+                    norm2_cols_masked(&bx, k, mask, &mut norms);
+                    let a: Vec<f64> = (0..k).map(|c| 0.3 + c as f64).collect();
+                    let mut yb = by.clone();
+                    axpy_cols_masked(&a, &bx, &mut yb, k, mask);
+                    for c in 0..k {
+                        let (xc, yc) = (col_of(&bx, k, c), col_of(&by, k, c));
+                        if !mask[c] {
+                            assert_eq!(dots[c].to_bits(), 0.0f64.to_bits(), "k {k} dot {c}");
+                            assert_eq!(norms[c].to_bits(), seeded[c].to_bits(), "k {k} norm {c}");
+                            assert_eq!(bits(&col_of(&yb, k, c)), bits(&yc), "k {k} axpy {c}");
+                            continue;
+                        }
+                        let want = dot(&xc, &yc);
+                        if signed_zero && c == k - 1 {
+                            assert_eq!(want.to_bits(), (-0.0f64).to_bits());
+                        }
+                        assert_eq!(dots[c].to_bits(), want.to_bits(), "k {k} {mask:?} dot {c}");
+                        assert_eq!(dot_col(&bx, &by, k, c).to_bits(), want.to_bits());
+                        assert_eq!(norms[c].to_bits(), norm2(&xc).to_bits(), "k {k} norm {c}");
+                        let mut want = yc;
+                        axpy(a[c], &xc, &mut want);
+                        assert_eq!(bits(&col_of(&yb, k, c)), bits(&want), "k {k} axpy {c}");
                     }
-                    let mut got = vec![0.0; n];
-                    gather_col(&yb, k, c, &mut got);
-                    assert_eq!(got, cy[c], "masked col {c} modified");
                 }
             }
         }

@@ -439,7 +439,10 @@ enum GmresMode {
 /// the same `side` — the strided column kernels and the fused block sweeps
 /// are bit-identical to their contiguous counterparts — so results match
 /// sequential single-RHS solves bit for bit at any thread count, with
-/// per-column convergence masking.
+/// per-column convergence masking. The one exception is the watchdog:
+/// `arnoldi_tail` ends a full cycle without showing it the cycle's last
+/// residual, which [`gmres_with`] does show it, so the watchdog can stop a
+/// column at a different iteration, or in one loop only.
 ///
 /// # Panics
 /// Panics if `A` is not square or any rhs has the wrong length.

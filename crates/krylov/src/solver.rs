@@ -451,7 +451,11 @@ impl SolverType {
 /// scalar loop: at one column the lockstep form costs 1.5–3.2× the scalar
 /// one (strided single-column blocks, per-column masks), from two columns
 /// up it shares every matrix traversal. Both loops produce the same bits
-/// per column, so this constant moves time, never results.
+/// per column, so this constant moves time and not results — with one
+/// exception, restarted GMRES / FGMRES under a watchdog: the scalar loop
+/// shows the watchdog the residual of each cycle's last Arnoldi step, the
+/// lockstep loop ends the cycle first, so the watchdog can stop a column at
+/// a different iteration, or in one loop only.
 const LOCKSTEP_MIN_WIDTH: usize = 2;
 
 /// The one place a Krylov loop is chosen: solve `A·x_c = b_c` for every
@@ -527,7 +531,11 @@ pub fn solve<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
 /// apply), while each column runs exactly the scalar algorithm's arithmetic
 /// and converges independently (per-column masking). A single column runs
 /// the scalar loop itself. Either way the results are bit-identical to
-/// calling [`solve`] once per rhs, at any thread count.
+/// calling [`solve`] once per rhs, at any thread count — except for
+/// restarted GMRES / FGMRES under a watchdog: the scalar loop also shows it
+/// the residual of each cycle's last Arnoldi step and the lockstep loop does
+/// not, so the watchdog can stop a column at a different iteration, or in
+/// one loop only.
 ///
 /// One-shot convenience over [`crate::SolveSession`], which additionally
 /// reuses the workspaces across repeated solves.

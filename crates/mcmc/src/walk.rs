@@ -19,8 +19,7 @@
 //! the slot's cutoff, replacing the O(log nnz_row) binary search of
 //! inverse-CDF sampling. Slots are packed to 12 bytes (cutoff, donor,
 //! column+sign) so a transition resolves in one or two cache-line touches
-//! with no floating-point arithmetic. (The inverse-CDF sampler it replaced
-//! lives on in the bench crate as a timing baseline.)
+//! with no floating-point arithmetic.
 //!
 //! Alias construction (Vose's stable variant): scale the row's MAO
 //! probabilities by the row length `m` so they average 1, split the entries
