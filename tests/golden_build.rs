@@ -7,7 +7,10 @@
 //! moves every path by the same bit is still caught.
 
 use mcmcmi::matgen::{fd_laplace_2d, pdd_real_sparse, unsteady_adv_diff, AdvDiffOrder};
-use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams, SafeguardConfig, WalkEngine};
+use mcmcmi::mcmc::{
+    regenerative_inverse, BuildConfig, McmcInverse, McmcParams, RegenerativeConfig,
+    SafeguardConfig, WalkEngine,
+};
 use mcmcmi::sparse::{Coo, Csr};
 
 /// Strongly non-dominant ring: the probe rejects the requested α and the
@@ -198,11 +201,58 @@ fn guarded_builds_reproduce_parent_commit_bits_on_both_engines() {
     assert!(expected.next().is_none(), "unused golden rows");
 }
 
-/// Prints the table above in source form: how the golden rows were captured
-/// (`cargo test --test golden_build -- --ignored --nocapture` at `d65ec6d`).
+/// Transition budget per row of the regenerative goldens.
+const REGEN_BUDGET: usize = 500;
+
+/// Fingerprint of the regenerative preconditioner of `a` at the case's α.
+fn observe_regenerative(a: &Csr, alpha: f64, seed: u64) -> u64 {
+    let cfg = RegenerativeConfig {
+        alpha,
+        budget: REGEN_BUDGET,
+        seed,
+        engine: WalkEngine::Scalar,
+        ..RegenerativeConfig::default()
+    };
+    regenerative_inverse(a, cfg).matrix().fingerprint()
+}
+
+/// The regenerative scheme's scalar loop, pinned before its rows moved onto
+/// the builder's harvest and CSR assembly.
+#[test]
+fn regenerative_builds_reproduce_scalar_loop_bits() {
+    let expected: [(&str, u64, u64); 8] = [
+        ("fd_laplace_2d(16)", 0, 0xdc06aacbc9ae54ab),
+        ("fd_laplace_2d(16)", 7, 0x3c72a9b18af64063),
+        ("pdd_real_sparse(96, 3)", 0, 0x69dcd4e29b195d1b),
+        ("pdd_real_sparse(96, 3)", 7, 0x29ce20ad88ab20d0),
+        ("unsteady_adv_diff(8, One)", 0, 0x9c909d884863b165),
+        ("unsteady_adv_diff(8, One)", 7, 0x60327938da68097b),
+        ("nondominant_ring(32)", 0, 0x1167ee991cff58bc),
+        ("nondominant_ring(32)", 7, 0xf652fbf1bb572c92),
+    ];
+    let mut expected = expected.into_iter();
+    for (case, a, params) in cases() {
+        for seed in [0u64, 7] {
+            let want = expected.next().expect("one golden row per (case, seed)");
+            let got = (case, seed, observe_regenerative(&a, params.alpha, seed));
+            assert_eq!(got, want);
+        }
+    }
+    assert!(expected.next().is_none(), "unused golden rows");
+}
+
+/// Prints the tables above in source form: how the golden rows were captured
+/// (`cargo test --test golden_build -- --ignored --nocapture`; the guarded
+/// rows at `d65ec6d`, the regenerative ones before their loop moved).
 #[test]
 #[ignore]
 fn print_golden_rows() {
+    for (case, a, params) in cases() {
+        for seed in [0u64, 7] {
+            let fingerprint = observe_regenerative(&a, params.alpha, seed);
+            println!("({case:?}, {seed}, {fingerprint:#018x}),");
+        }
+    }
     for (case, a, params) in cases() {
         for seed in [0u64, 7] {
             let g = observe(case, &a, params, seed, WalkEngine::Scalar);
