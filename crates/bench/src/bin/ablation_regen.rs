@@ -4,7 +4,7 @@
 use mcmcmi_bench::{parse_profile, write_csv, RunDir};
 use mcmcmi_krylov::{solve, IdentityPrecond, SolveOptions, SolverType};
 use mcmcmi_matgen::PaperMatrix;
-use mcmcmi_mcmc::{regenerative_inverse, BuildConfig, McmcInverse, McmcParams, RegenerativeConfig};
+use mcmcmi_mcmc::{BuildConfig, McmcInverse, McmcParams};
 
 fn main() {
     let profile = parse_profile();
@@ -33,20 +33,14 @@ fn main() {
         let baseline = solve(&a, &b, &IdentityPrecond::new(n), SolverType::Gmres, opts);
 
         let params = McmcParams::new(0.5, 0.0625, 0.03125);
-        let classic = McmcInverse::new(BuildConfig::default()).build(&a, params);
+        let builder = McmcInverse::new(BuildConfig::default());
+        let classic = builder.build(&a, params);
         let it_classic = solve(&a, &b, &classic.precond, SolverType::Gmres, opts);
 
         // Match the regenerative budget to the classic scheme's realised
         // transitions per row.
         let budget = (classic.transitions / n).max(1);
-        let regen = regenerative_inverse(
-            &a,
-            RegenerativeConfig {
-                alpha: 0.5,
-                budget,
-                ..Default::default()
-            },
-        );
+        let regen = builder.build_regenerative(&a, params.alpha, budget);
         let it_regen = solve(&a, &b, &regen, SolverType::Gmres, opts);
 
         println!(

@@ -18,17 +18,17 @@ use std::borrow::Cow;
 
 /// Per-worker reusable walk state: a dense tally vector plus the list of
 /// indices written, so the scratch can be reset sparsely after each row.
-pub(crate) struct RowWorkspace {
-    pub scratch: Vec<f64>,
-    pub touched: Vec<usize>,
+struct RowWorkspace {
+    scratch: Vec<f64>,
+    touched: Vec<usize>,
     /// Lockstep lane batch for the SoA engine (unused by the scalar one);
     /// lives in the workspace so its lane arrays and journals are likewise
     /// allocated once per worker.
-    pub batch: SoaBatch,
+    batch: SoaBatch,
 }
 
 impl RowWorkspace {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self {
             scratch: vec![0.0; n],
             touched: Vec::with_capacity(64),
@@ -40,7 +40,7 @@ impl RowWorkspace {
     /// `touched` covers every written index (the walk loop records an index
     /// on its first write, and again if cancellation zeroed it in between),
     /// so the scratch is all-zero again afterwards.
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         for &j in &self.touched {
             self.scratch[j] = 0.0;
         }
@@ -144,61 +144,35 @@ impl BuildOutcome {
 }
 
 /// One estimated preconditioner row: the harvested sparse entries plus the
-/// walk statistics. Produced by [`estimate_row`] for both the full build
-/// and the partial rebuild — sharing the estimator is what makes an
-/// all-dirty [`McmcInverse::rebuild_rows`] bit-identical to a fresh
-/// [`McmcInverse::build`] *by construction*.
+/// walk statistics. Every build harvests through [`harvest_row`] — sharing
+/// the harvest is what makes an all-dirty [`McmcInverse::rebuild_rows`]
+/// bit-identical to a fresh [`McmcInverse::build`] *by construction*.
 struct RowOut {
     cols: Vec<usize>,
     vals: Vec<f64>,
     stats: RowWalkStats,
 }
 
-/// Walk and harvest one preconditioner row: run the chains, tally into the
-/// workspace scratch, scale by the walk's inverse diagonal, drop tiny or
-/// non-finite entries, budget-select the strongest, and sort by column.
-/// Deterministic per `(seed, row)` — independent of which other rows are
-/// being estimated around it.
-fn estimate_row(
+/// Harvest the row a walk left in the workspace scratch: divide each tally
+/// by `divisor` (chains, or regeneration cycles) and scale it by the walk's
+/// inverse diagonal, drop tiny or non-finite entries, budget-select the
+/// strongest, and sort by column. Resets the workspace.
+fn harvest_row(
     walk: &WalkMatrix,
-    i: usize,
-    chains: usize,
-    delta: f64,
     cfg: &BuildConfig,
     budget: usize,
+    divisor: usize,
     ws: &mut RowWorkspace,
-) -> RowOut {
-    let stats = match cfg.engine {
-        WalkEngine::Scalar => walk.walk_row(
-            i,
-            chains,
-            delta,
-            cfg.max_walk_len,
-            cfg.seed,
-            &mut ws.scratch,
-            &mut ws.touched,
-        ),
-        WalkEngine::Soa => walk.walk_row_soa(
-            i,
-            chains,
-            delta,
-            cfg.max_walk_len,
-            cfg.seed,
-            &mut ws.batch,
-            &mut ws.scratch,
-            &mut ws.touched,
-        ),
-    };
-    // Harvest: P row = (tally/chains) scaled by the inverse diagonal
-    // (column scaling). `touched` may contain duplicates when weight
-    // cancellation zeroes an entry that is later revisited — dedup first.
+) -> (Vec<usize>, Vec<f64>) {
+    // `touched` may contain duplicates when weight cancellation zeroes an
+    // entry that is later revisited — dedup first.
     ws.touched.sort_unstable();
     ws.touched.dedup();
     let inv_diag = walk.inv_diag();
     let mut entries: Vec<(usize, f64)> = ws
         .touched
         .iter()
-        .map(|&j| (j, ws.scratch[j] / chains as f64 * inv_diag[j]))
+        .map(|&j| (j, ws.scratch[j] / divisor as f64 * inv_diag[j]))
         .filter(|&(_, v)| v.abs() >= cfg.trunc_threshold && v.is_finite())
         .collect();
     ws.reset();
@@ -210,11 +184,7 @@ fn estimate_row(
         entries.truncate(budget);
     }
     entries.sort_unstable_by_key(|&(j, _)| j);
-    RowOut {
-        cols: entries.iter().map(|&(j, _)| j).collect(),
-        vals: entries.iter().map(|&(_, v)| v).collect(),
-        stats,
-    }
+    entries.into_iter().unzip()
 }
 
 /// Per-row fill budget: `filling_factor ×` the row's own degree (so the
@@ -251,7 +221,9 @@ impl McmcInverse {
     pub(crate) fn build_on(&self, walk: &WalkMatrix, a: &Csr, params: McmcParams) -> BuildOutcome {
         // A fresh build: every row dirty, nothing to keep.
         let all: Vec<usize> = (0..a.nrows()).collect();
-        let (p, row_stats) = self.estimate_and_splice(walk, a, params, &all, None);
+        let (p, row_stats) = self.estimate_and_splice(walk, a, &all, None, |i, ws| {
+            self.walk_row(walk, i, params, ws)
+        });
         BuildOutcome {
             precond: SparsePrecond::new(p),
             transitions: row_stats.iter().map(|s| s.transitions).sum(),
@@ -263,23 +235,71 @@ impl McmcInverse {
         }
     }
 
+    /// Build `P ≈ (A + α·diag)⁻¹` with the regenerative single-budget
+    /// scheme (*Regenerative Ulam–von Neumann*, Ghosh et al.): every row
+    /// spends `budget` transitions on regeneration cycles, truncated at a
+    /// fixed tight δ, each capped at `max_walk_len` steps, and divides its
+    /// tally by the cycles it ran. Fill budget, truncation threshold and
+    /// seed are the builder's, and so are the harvest and the assembly, so
+    /// a classic and a regenerative build from one builder differ only in
+    /// their walks. Identical for any thread count.
+    pub fn build_regenerative(&self, a: &Csr, alpha: f64, budget: usize) -> SparsePrecond {
+        let walk = WalkMatrix::from_perturbed(a, alpha);
+        let all: Vec<usize> = (0..a.nrows()).collect();
+        let cfg = self.config;
+        let (p, _) = self.estimate_and_splice(&walk, a, &all, None, |i, ws| {
+            let (scratch, touched) = (&mut ws.scratch, &mut ws.touched);
+            walk.walk_row_regen(i, budget, cfg.max_walk_len, cfg.seed, scratch, touched)
+        });
+        SparsePrecond::new(p)
+    }
+
+    /// Walk one row of the classic (α, ε, δ) estimator on the configured
+    /// engine. Returns its statistics and its chain count, the divisor of
+    /// the tally.
+    fn walk_row(
+        &self,
+        walk: &WalkMatrix,
+        i: usize,
+        params: McmcParams,
+        ws: &mut RowWorkspace,
+    ) -> (RowWalkStats, usize) {
+        let cfg = &self.config;
+        let chains = params.chains_per_row();
+        let (delta, max_len, seed) = (params.delta, cfg.max_walk_len, cfg.seed);
+        let (scratch, touched) = (&mut ws.scratch, &mut ws.touched);
+        let stats = match cfg.engine {
+            WalkEngine::Scalar => walk.walk_row(i, chains, delta, max_len, seed, scratch, touched),
+            WalkEngine::Soa => walk.walk_row_soa(
+                i,
+                chains,
+                delta,
+                max_len,
+                seed,
+                &mut ws.batch,
+                scratch,
+                touched,
+            ),
+        };
+        (stats, chains)
+    }
+
     /// Estimate the rows `dirty` (sorted, distinct) of the inverse of `a` on
     /// its splitting `walk`, and assemble the matrix they give: a dirty row
-    /// is its fresh estimate, every other row is copied from `keep`. Returns
-    /// that matrix and the dirty rows' walk statistics in `dirty` order.
-    /// The one estimate-then-splice under [`McmcInverse::build`] and
-    /// [`McmcInverse::rebuild_rows`], which is why an all-dirty rebuild *is*
-    /// a fresh build.
+    /// is `walk_row`'s tally (which returns the row's statistics and the
+    /// tally's divisor) through [`harvest_row`], every other row is copied
+    /// from `keep`. Returns that matrix and the dirty rows' walk statistics
+    /// in `dirty` order. The one estimate-then-splice under every build, so
+    /// an all-dirty rebuild *is* a fresh build.
     fn estimate_and_splice(
         &self,
         walk: &WalkMatrix,
         a: &Csr,
-        params: McmcParams,
         dirty: &[usize],
         keep: Option<&Csr>,
+        walk_row: impl Fn(usize, &mut RowWorkspace) -> (RowWalkStats, usize) + Sync,
     ) -> (Csr, Vec<RowWalkStats>) {
         let n = a.nrows();
-        let chains = params.chains_per_row();
         let cfg = self.config;
 
         let estimated: Vec<RowOut> = (0..dirty.len())
@@ -290,8 +310,10 @@ impl McmcInverse {
                 || RowWorkspace::new(n),
                 |ws, d| {
                     let i = dirty[d];
+                    let (stats, divisor) = walk_row(i, ws);
                     let budget = row_budget(&cfg, a.row_indices(i).len());
-                    estimate_row(walk, i, chains, params.delta, &cfg, budget, ws)
+                    let (cols, vals) = harvest_row(walk, &cfg, budget, divisor, ws);
+                    RowOut { cols, vals, stats }
                 },
             )
             .collect();
@@ -374,8 +396,10 @@ impl McmcInverse {
         }
 
         let walk = WalkMatrix::from_perturbed(a, params.alpha);
-        let (p, rebuilt) =
-            self.estimate_and_splice(&walk, a, params, &dirty, Some(out.precond.matrix()));
+        let keep = Some(out.precond.matrix());
+        let (p, rebuilt) = self.estimate_and_splice(&walk, a, &dirty, keep, |i, ws| {
+            self.walk_row(&walk, i, params, ws)
+        });
 
         // Exact aggregate update: subtract each dirty row's old stats, add
         // the new ones.
@@ -721,6 +745,107 @@ mod tests {
         let mut out = builder.build(&a, params);
         let smaller = pdd_real_sparse(16, 1);
         builder.rebuild_rows(&mut out, &smaller, &[0], params);
+    }
+
+    #[test]
+    fn regenerative_build_is_deterministic() {
+        let a = pdd_real_sparse(48, 5);
+        let builder = McmcInverse::new(BuildConfig::default());
+        let p1 = builder.build_regenerative(&a, 1.0, 2_000);
+        let p2 = builder.build_regenerative(&a, 1.0, 2_000);
+        assert_eq!(p1.matrix(), p2.matrix());
+    }
+
+    #[test]
+    fn fully_absorbing_matrix_yields_scaled_identity() {
+        // Diagonal-only A: every walk row is absorbing, so every start row
+        // hits the absorbing-start special case. The loop must terminate
+        // and produce P = D̂⁻¹ exactly.
+        let n = 6;
+        let mut coo = mcmcmi_sparse::Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 2.0 + i as f64);
+        }
+        let alpha = 0.5;
+        let p = McmcInverse::new(BuildConfig::default()).build_regenerative(
+            &coo.to_csr(),
+            alpha,
+            1_000,
+        );
+        let m = p.matrix();
+        assert_eq!(m.nnz(), n, "expected a diagonal result");
+        for i in 0..n {
+            let expect = 1.0 / ((2.0 + i as f64) * (1.0 + alpha));
+            assert_eq!(m.row_indices(i), &[i], "row {i} pattern");
+            let got = m.row_values(i)[0];
+            assert!(
+                (got - expect).abs() < 1e-15,
+                "row {i} value {got} vs {expect}"
+            );
+        }
+    }
+
+    #[test]
+    fn regenerative_cycle_trapped_off_its_row_is_capped() {
+        // Â at α = 0.5 has c_01 = 0.5 and c_12 = c_21 = 1: row 0's cycle
+        // enters the 1 ↔ 2 loop at weight 0.5 and never truncates, blows
+        // up or returns to row 0. Only the step cap ends it.
+        let mut coo = mcmcmi_sparse::Coo::new(3, 3);
+        for (i, j, v) in [(0, 0, 1.0), (0, 1, -0.75), (1, 1, 1.0)] {
+            coo.push(i, j, v);
+        }
+        for (i, j, v) in [(1, 2, -1.5), (2, 1, -1.5), (2, 2, 1.0)] {
+            coo.push(i, j, v);
+        }
+        let p =
+            McmcInverse::new(BuildConfig::default()).build_regenerative(&coo.to_csr(), 0.5, 2_000);
+        assert!(p.matrix().values().iter().all(|v| v.is_finite()));
+        assert_eq!(p.matrix().row_indices(0), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn regenerative_preconditioner_helps() {
+        let a = fd_laplace_2d(16);
+        let n = a.nrows();
+        let b = vec![1.0; n];
+        let plain = gmres(&a, &b, &IdentityPrecond::new(n), SolveOptions::default());
+        let p = McmcInverse::new(BuildConfig::default()).build_regenerative(&a, 0.1, 30_000);
+        let pre = gmres(&a, &b, &p, SolveOptions::default());
+        assert!(pre.converged);
+        assert!(
+            pre.iterations < plain.iterations,
+            "{} !< {}",
+            pre.iterations,
+            plain.iterations
+        );
+    }
+
+    #[test]
+    fn regenerative_matches_exact_inverse_on_small_system() {
+        let a = laplace_1d(8);
+        let alpha = 0.5;
+        let p = McmcInverse::new(BuildConfig::default()).build_regenerative(&a, alpha, 400_000);
+        let mut dense = a.to_dense();
+        for i in 0..8 {
+            let v = dense.get(i, i) * (1.0 + alpha);
+            dense.set(i, i, v);
+        }
+        let exact = Lu::new(&dense).inverse().unwrap();
+        let diff = p.matrix().to_dense().max_abs_diff(&exact);
+        assert!(diff < 0.05, "max diff {diff}");
+    }
+
+    #[test]
+    fn bigger_budget_improves_quality() {
+        let a = fd_laplace_2d(10);
+        let n = a.nrows();
+        let b = vec![1.0; n];
+        let builder = McmcInverse::new(BuildConfig::default());
+        let small = builder.build_regenerative(&a, 0.1, 30);
+        let large = builder.build_regenerative(&a, 0.1, 20_000);
+        let it_small = gmres(&a, &b, &small, SolveOptions::default()).iterations;
+        let it_large = gmres(&a, &b, &large, SolveOptions::default()).iterations;
+        assert!(it_large <= it_small, "{it_large} > {it_small}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! (ScalA'18) and Sahin et al. (ScalA'21), governed by three continuous
 //! parameters `x_M = (α, ε, δ)`:
 //!
-//! * **α** — diagonal perturbation scaling; `Â = A + α·diag(|a_ii|)` makes
-//!   the Neumann series of the Jacobi splitting converge,
+//! * **α** — diagonal perturbation scaling; `â_ii = (1+α)·a_ii` makes the
+//!   Neumann series of the Jacobi splitting converge,
 //! * **ε** — stochastic error; sets the number of independent Markov chains
 //!   per row through the probable-error rule `N = ⌈(0.6745/ε)²⌉`,
 //! * **δ** — truncation error; a chain stops once its weight drops below δ.
@@ -16,8 +16,8 @@
 //! any thread count. Within a row, chains execute on either of two
 //! bit-identical engines ([`WalkEngine`]): the default scalar loop or the
 //! lockstep SoA lane batch (see [`walk`] for the engine contract).
-//! The regenerative single-budget variant (Ghosh et al., SIMAX'25) ships as
-//! an extension in [`regenerative`].
+//! The regenerative single-budget variant (Ghosh et al., SIMAX'25) is one
+//! scalar loop on the same harvest: [`McmcInverse::build_regenerative`].
 //!
 //! The crate makes inverses and the pieces a repair is made of — the guarded
 //! build with its α back-off ([`safeguard`]), the dirty-row re-estimate
@@ -28,13 +28,11 @@
 pub mod builder;
 pub mod compress;
 pub mod params;
-pub mod regenerative;
 pub mod safeguard;
 pub mod walk;
 
 pub use builder::{BuildConfig, BuildOutcome, McmcInverse};
 pub use compress::{compress, sparsify, CompressionPolicy, CompressionReport, StoragePrecision};
 pub use params::McmcParams;
-pub use regenerative::{regenerative_inverse, RegenerativeConfig};
 pub use safeguard::{BuildAttempt, BuildError, SafeguardConfig, SafeguardedBuild};
 pub use walk::{RowWalkStats, SoaBatch, WalkEngine, WalkMatrix, MAX_LANES};

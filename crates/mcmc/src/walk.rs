@@ -13,7 +13,7 @@
 //! Every transition draws from the *fixed* discrete distribution of its
 //! current row, so the classic repeated-sampling optimisation applies:
 //! [`WalkMatrix::from_perturbed`] precomputes a Walker/Vose **alias table**
-//! per row (O(nnz) once), and [`WalkMatrix::sample_transition`] then costs
+//! per row (O(nnz) once), and each transition then costs
 //! O(1) — a single 64-bit draw is split into a slot index (high bits,
 //! multiply-shift) and a 32-bit fixed-point coin flip (low bits) against
 //! the slot's cutoff, replacing the O(log nnz_row) binary search of
@@ -81,6 +81,15 @@
 //! flush order — not just the set of contributions — must match). Rows,
 //! not lanes, are sharded across rayon workers, so `rebuild_rows` and
 //! `build_safeguarded` ride on either engine unchanged.
+//!
+//! # The regenerative loop
+//!
+//! `walk_row_regen`, beside [`WalkMatrix::walk_row`], is the single-budget
+//! variant (*Regenerative Ulam–von Neumann*, Ghosh et al.): a row spends a
+//! transition budget on cycles that restart at the row from one per-row
+//! stream, with a fixed tight truncation, and its tally is divided by the
+//! cycle count instead of the chain count. It is scalar only, and reaches
+//! the builder's harvest through [`crate::McmcInverse::build_regenerative`].
 
 use mcmcmi_sparse::{nnz_balanced_ranges, par_pays_off, Csr};
 use rand::{Rng, RngCore, SeedableRng};
@@ -112,6 +121,16 @@ pub enum WalkEngine {
 /// keeping hundreds of independent alias-table fetches in flight per
 /// round.
 pub const MAX_LANES: usize = 256;
+
+/// Weight magnitude past which a chain (or cycle) counts as blown up.
+const BLOWUP: f64 = 1e12;
+
+/// Fixed tight truncation of the regenerative loop: the budget, not δ,
+/// limits its work.
+const REGEN_DELTA: f64 = 1e-10;
+
+/// Salt folded into the seed for the regenerative loop's per-row stream.
+const REGEN_SALT: u64 = 0xd1b54a32d192ed03;
 
 /// Deterministic stream for chain `chain` of row `row`: both engines draw
 /// every transition of that chain from this exact stream, so the estimate
@@ -547,24 +566,6 @@ impl WalkMatrix {
             .map(|(&j, &c)| (j as usize, c))
     }
 
-    /// Entry range of row `k` in the flat arrays (empty ⇒ absorbing row).
-    /// Exposed for the regenerative variant's custom walk loop.
-    #[inline]
-    pub fn row_range(&self, k: usize) -> (usize, usize) {
-        (self.indptr[k], self.indptr[k + 1])
-    }
-
-    /// Sample one transition from a non-absorbing row `k` with the O(1)
-    /// alias method; returns `(next_state, signed weight multiplier)`.
-    ///
-    /// # Panics
-    /// Panics (in debug builds) if the row is absorbing — check
-    /// [`WalkMatrix::row_range`] first.
-    #[inline]
-    pub fn sample_transition<R: Rng>(&self, k: usize, rng: &mut R) -> (usize, f64) {
-        self.step(k, rng).expect("sample_transition: absorbing row")
-    }
-
     /// Sample the next state from row `k` via the alias table; returns
     /// `(next_state, signed weight multiplier)` or `None` on absorption.
     /// One `u64` draw, split into disjoint bit ranges: the high 32 bits
@@ -581,9 +582,9 @@ impl WalkMatrix {
     }
 
     /// Map one raw 64-bit draw to a transition out of non-absorbing row
-    /// `k`: `(next_state, signed weight multiplier)`. Shared by the scalar
-    /// sampler and the SoA gather pass, so both engines turn identical
-    /// draws into identical transitions.
+    /// `k`: `(next_state, signed weight multiplier)`. The SoA round inlines
+    /// the same mapping with a branchless coin, so both engines turn
+    /// identical draws into identical transitions.
     #[inline]
     pub(crate) fn resolve_draw(&self, k: usize, r: u64) -> (usize, f64) {
         let (rs, re) = (self.indptr[k], self.indptr[k + 1]);
@@ -625,7 +626,6 @@ impl WalkMatrix {
     ) -> RowWalkStats {
         debug_assert_eq!(scratch.len(), self.n);
         let mut stats = RowWalkStats::default();
-        const BLOWUP: f64 = 1e12;
         for chain in 0..n_chains {
             // Per-chain deterministic stream: independent of scheduling,
             // and of how the SoA engine maps chains onto lanes.
@@ -666,6 +666,74 @@ impl WalkMatrix {
             }
         }
         stats
+    }
+
+    /// Regenerative twin of [`WalkMatrix::walk_row`]: cycles restart at row
+    /// `i`, all drawing from one per-`(seed, row)` stream, until `budget`
+    /// transitions are spent. The cycle running out the budget still ends
+    /// only at its next return to `i` (so the estimator stays nearly
+    /// unbiased across cycles), or on truncation at [`REGEN_DELTA`],
+    /// absorption, blow-up or the `max_len` step cap.
+    ///
+    /// Returns the row's statistics (`capped` and `blown_up` count cycles)
+    /// and the number of cycles run, the divisor of the tally.
+    pub(crate) fn walk_row_regen(
+        &self,
+        i: usize,
+        budget: usize,
+        max_len: usize,
+        seed: u64,
+        scratch: &mut [f64],
+        touched: &mut Vec<usize>,
+    ) -> (RowWalkStats, usize) {
+        debug_assert_eq!(scratch.len(), self.n);
+        let mut stats = RowWalkStats::default();
+        // Absorbing start row or zero step cap: no cycle could spend budget,
+        // and one cycle's estimate, e_i, is every cycle's.
+        if self.indptr[i] == self.indptr[i + 1] || max_len == 0 {
+            touched.push(i);
+            scratch[i] = 1.0;
+            stats.capped = usize::from(max_len == 0);
+            return (stats, 1);
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ REGEN_SALT.wrapping_mul(i as u64 + 1));
+        let mut cycles = 0;
+        while stats.transitions < budget {
+            cycles += 1;
+            let mut k = i;
+            let mut w = 1.0f64;
+            if scratch[k] == 0.0 {
+                touched.push(k);
+            }
+            scratch[k] += w;
+            for steps in 0.. {
+                if steps >= max_len {
+                    stats.capped += 1;
+                    break;
+                }
+                let Some((j, mult)) = self.step(k, &mut rng) else {
+                    break; // absorbed
+                };
+                w *= mult;
+                k = j;
+                stats.transitions += 1;
+                if w.abs() < REGEN_DELTA {
+                    break;
+                }
+                if w.abs() > BLOWUP || !w.is_finite() {
+                    stats.blown_up += 1;
+                    break;
+                }
+                if scratch[k] == 0.0 {
+                    touched.push(k);
+                }
+                scratch[k] += w;
+                if stats.transitions >= budget && k == i {
+                    break; // regeneration point with the budget spent
+                }
+            }
+        }
+        (stats, cycles)
     }
 
     /// Lockstep SoA twin of [`WalkMatrix::walk_row`]: identical signature
@@ -709,7 +777,6 @@ impl WalkMatrix {
     ) -> RowWalkStats {
         debug_assert_eq!(scratch.len(), self.n);
         let mut stats = RowWalkStats::default();
-        const BLOWUP: f64 = 1e12;
         if n_chains == 0 {
             return stats;
         }
@@ -846,28 +913,19 @@ impl WalkMatrix {
 
 /// Reusable lockstep lane-batch state for [`WalkMatrix::walk_row_soa`] —
 /// one per worker (like the dense scratch in the builder), so the lane
-/// arrays, the per-round draw block, and the per-chain contribution
-/// journals are allocated once and recycled across rows.
+/// arrays and the per-chain contribution journals are allocated once and
+/// recycled across rows.
 #[derive(Default)]
 pub struct SoaBatch {
-    /// Current state (row of `C`) per lane.
-    pub(crate) state: Vec<u32>,
     /// Current chain weight per lane.
     pub(crate) weight: Vec<f64>,
     /// Steps taken by the lane's chain so far.
     pub(crate) steps: Vec<u32>,
-    /// Chain id owning each lane (indexes `logs`; in the regenerative
-    /// engine, the lane's RNG *slot*).
+    /// Chain id owning each lane (indexes `logs`).
     pub(crate) chain: Vec<u32>,
-    /// RNG streams (`chain_rng`), positioned mid-stream. The walk engine
-    /// keeps one per *lane*, re-seeded in place on regeneration, so the
-    /// draw pass streams sequentially; the regenerative engine sizes this
-    /// per chain-slot and indexes it through `chain`.
+    /// One RNG stream (`chain_rng`) per lane, positioned mid-stream and
+    /// re-seeded in place on regeneration, so the draws stream sequentially.
     pub(crate) rng: Vec<ChaCha8Rng>,
-    /// The contiguous per-round draw block, one `u64` per active lane
-    /// (regenerative engine only; the walk engine consumes each draw
-    /// in-register).
-    pub(crate) draws: Vec<u64>,
     /// Row constants of the lane's current state, carried across rounds
     /// so each transition gathers them one round early: flat-array start
     /// of the row...
@@ -889,16 +947,12 @@ impl SoaBatch {
     /// Size the lane arrays for a row of `n_chains` chains run on `lanes`
     /// lanes, clearing the journals while keeping their capacity.
     pub(crate) fn reset(&mut self, n_chains: usize, lanes: usize) {
-        self.state.clear();
-        self.state.resize(lanes, 0);
         self.weight.clear();
         self.weight.resize(lanes, 0.0);
         self.steps.clear();
         self.steps.resize(lanes, 0);
         self.chain.clear();
         self.chain.resize(lanes, 0);
-        self.draws.clear();
-        self.draws.resize(lanes, 0);
         self.rs.clear();
         self.rs.resize(lanes, 0);
         self.width.clear();
@@ -917,26 +971,15 @@ impl SoaBatch {
         }
     }
 
-    /// Swap two lanes across the regenerative engine's parallel arrays
-    /// (`draws` included: the retire passes pull the yet-unprocessed tail
-    /// lane — and its draw — into the freed slot). The RNG array is *not*
-    /// swapped: that engine addresses it through the `chain` slot ids,
-    /// which travel with the lanes.
+    /// Retire lane `a` by pulling in tail lane `b`: everything the round
+    /// still reads for the pulled-in lane must travel — its chain, weight
+    /// and step count, the carried row constants and the per-lane RNG
+    /// stream.
     #[inline]
-    pub(crate) fn swap_lanes(&mut self, a: usize, b: usize) {
-        self.state.swap(a, b);
+    pub(crate) fn retire_lane(&mut self, a: usize, b: usize) {
         self.weight.swap(a, b);
         self.steps.swap(a, b);
         self.chain.swap(a, b);
-        self.draws.swap(a, b);
-    }
-
-    /// Retire lane `a` in the walk engine by pulling in tail lane `b`:
-    /// everything the round still reads for the pulled-in lane must
-    /// travel — the carried row constants and the per-lane RNG stream.
-    #[inline]
-    pub(crate) fn retire_lane(&mut self, a: usize, b: usize) {
-        self.swap_lanes(a, b);
         self.rng.swap(a, b);
         self.rs.swap(a, b);
         self.width.swap(a, b);
@@ -1125,7 +1168,7 @@ mod tests {
     /// table: own-slot mass plus donated mass from every slot aliasing to it.
     fn alias_implied_prob(w: &WalkMatrix, k: usize, e: usize) -> f64 {
         const FIX: f64 = 4294967296.0; // 2³², the fixed-point scale
-        let (rs, re) = w.row_range(k);
+        let (rs, re) = (w.indptr[k], w.indptr[k + 1]);
         let m = (re - rs) as f64;
         let mut p = w.alias[rs + e].prob as f64 / FIX;
         for t in 0..(re - rs) {
@@ -1150,7 +1193,7 @@ mod tests {
         for a in &mats {
             let w = WalkMatrix::from_perturbed(a, 0.5);
             for k in 0..w.dim() {
-                let (rs, re) = w.row_range(k);
+                let (rs, re) = (w.indptr[k], w.indptr[k + 1]);
                 let s = w.rowsum(k);
                 for e in 0..(re - rs) {
                     let expect = w.vals[rs + e].abs() / s;
@@ -1189,7 +1232,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(12345);
         let mut counts = vec![0usize; n];
         for _ in 0..draws {
-            let (j, mult) = w.sample_transition(0, &mut rng);
+            let (j, mult) = w.step(0, &mut rng).expect("row 0 is not absorbing");
             assert!((mult.abs() - s).abs() < 1e-15);
             counts[j] += 1;
         }
@@ -1334,9 +1377,9 @@ mod tests {
 
     #[test]
     fn gathered_lane_sampling_passes_chi_square() {
-        // Drive the SoA pass-2/pass-3 mechanics directly — a contiguous
-        // block of draws from per-lane chain streams, resolved through the
-        // gathered alias lookup — and χ²-test the pooled transition counts
+        // Drive lane-batch sampling directly — a contiguous block of draws
+        // from per-lane chain streams, resolved through the gathered alias
+        // lookup — and χ²-test the pooled transition counts
         // against the MAO distribution. Catches any bias introduced by the
         // block-draw/gather restructuring (e.g. reusing a draw across
         // lanes, or misindexing the draw block). χ²₀.₉₉₉(9 dof) = 27.88.

@@ -226,12 +226,15 @@ impl OperatorCache {
     /// this before building, re-checks the cache under it, and thereby
     /// guarantees at most one build per operator even when several
     /// uncoalesced groups miss at once.
+    ///
+    /// Locks that only the map still holds guard no build and are dropped
+    /// here, so the map holds the builds in flight rather than every
+    /// fingerprint that ever missed. A clone is only ever made under the map
+    /// lock, so a count of one cannot race with a new holder.
     pub fn build_lock(&self, fingerprint: u64) -> Arc<Mutex<()>> {
-        Arc::clone(
-            lock_unpoisoned(&self.build_locks)
-                .entry(fingerprint)
-                .or_default(),
-        )
+        let mut locks = lock_unpoisoned(&self.build_locks);
+        locks.retain(|_, lock| Arc::strong_count(lock) > 1);
+        Arc::clone(locks.entry(fingerprint).or_default())
     }
 
     /// Insert a built operator, evicting least-recently-used entries until
@@ -595,5 +598,15 @@ mod tests {
         let l2 = cache.build_lock(2);
         assert!(Arc::ptr_eq(&l1, &l1b));
         assert!(!Arc::ptr_eq(&l1, &l2));
+    }
+
+    #[test]
+    fn released_build_locks_are_pruned() {
+        let cache = OperatorCache::new(usize::MAX);
+        for fingerprint in 0..1_000u64 {
+            let lock = cache.build_lock(fingerprint);
+            drop(lock_unpoisoned(&lock));
+        }
+        assert!(lock_unpoisoned(&cache.build_locks).len() <= 1);
     }
 }

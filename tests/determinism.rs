@@ -140,19 +140,15 @@ fn solve_batch_identical_across_thread_counts_and_to_sequential() {
 /// the classic builder; its output must also be schedule-independent.
 #[test]
 fn regenerative_build_identical_across_thread_counts() {
-    use mcmcmi::mcmc::{regenerative_inverse, RegenerativeConfig};
     let a = mcmcmi::matgen::pdd_real_sparse(80, 4);
-    let cfg = RegenerativeConfig {
-        budget: 500,
-        ..Default::default()
-    };
-    let reference = regenerative_inverse(&a, cfg).matrix().clone();
+    let builder = McmcInverse::new(BuildConfig::default());
+    let reference = builder.build_regenerative(&a, 1.0, 500).matrix().clone();
     for threads in [1usize, 3, 8] {
         let pool = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build()
             .unwrap();
-        let got = pool.install(|| regenerative_inverse(&a, cfg));
+        let got = pool.install(|| builder.build_regenerative(&a, 1.0, 500));
         assert_eq!(got.matrix(), &reference, "thread count {threads}");
     }
 }

@@ -7,10 +7,7 @@
 //! moves every path by the same bit is still caught.
 
 use mcmcmi::matgen::{fd_laplace_2d, pdd_real_sparse, unsteady_adv_diff, AdvDiffOrder};
-use mcmcmi::mcmc::{
-    regenerative_inverse, BuildConfig, McmcInverse, McmcParams, RegenerativeConfig,
-    SafeguardConfig, WalkEngine,
-};
+use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams, SafeguardConfig, WalkEngine};
 use mcmcmi::sparse::{Coo, Csr};
 
 /// Strongly non-dominant ring: the probe rejects the requested α and the
@@ -206,14 +203,14 @@ const REGEN_BUDGET: usize = 500;
 
 /// Fingerprint of the regenerative preconditioner of `a` at the case's α.
 fn observe_regenerative(a: &Csr, alpha: f64, seed: u64) -> u64 {
-    let cfg = RegenerativeConfig {
-        alpha,
-        budget: REGEN_BUDGET,
+    let builder = McmcInverse::new(BuildConfig {
         seed,
-        engine: WalkEngine::Scalar,
-        ..RegenerativeConfig::default()
-    };
-    regenerative_inverse(a, cfg).matrix().fingerprint()
+        ..BuildConfig::default()
+    });
+    builder
+        .build_regenerative(a, alpha, REGEN_BUDGET)
+        .matrix()
+        .fingerprint()
 }
 
 /// The regenerative scheme's scalar loop, pinned before its rows moved onto
