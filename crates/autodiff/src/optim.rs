@@ -5,17 +5,21 @@
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Adam hyperparameters.
+/// First-moment decay.
+const BETA1: f64 = 0.9;
+
+/// Second-moment decay.
+const BETA2: f64 = 0.999;
+
+/// Numerical floor.
+const EPS: f64 = 1e-8;
+
+/// Adam hyperparameters (the moment decays and the floor are the standard
+/// 0.9, 0.999 and 1e-8).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct AdamConfig {
     /// Learning rate (paper's HPO selected 1.848e-3).
     pub lr: f64,
-    /// First-moment decay.
-    pub beta1: f64,
-    /// Second-moment decay.
-    pub beta2: f64,
-    /// Numerical floor.
-    pub eps: f64,
     /// Decoupled (AdamW-style) weight decay coefficient.
     pub weight_decay: f64,
 }
@@ -24,9 +28,6 @@ impl Default for AdamConfig {
     fn default() -> Self {
         Self {
             lr: 1.848e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
             weight_decay: 0.0,
         }
     }
@@ -69,8 +70,8 @@ impl Adam {
         assert_eq!(params.len(), self.m.len(), "Adam: parameter count changed");
         assert_eq!(params.len(), grads.len(), "Adam: gradient count mismatch");
         self.t += 1;
-        let b1t = 1.0 - self.cfg.beta1.powi(self.t as i32);
-        let b2t = 1.0 - self.cfg.beta2.powi(self.t as i32);
+        let b1t = 1.0 - BETA1.powi(self.t as i32);
+        let b2t = 1.0 - BETA2.powi(self.t as i32);
         for (i, (p, g)) in params.iter_mut().zip(grads).enumerate() {
             assert_eq!(p.len(), g.len(), "Adam: shape mismatch at tensor {i}");
             let decay = match decay_mask {
@@ -91,12 +92,12 @@ impl Adam {
                 .zip(g.data())
                 .zip(m.data_mut().iter_mut().zip(v.data_mut()))
             {
-                *mj = self.cfg.beta1 * *mj + (1.0 - self.cfg.beta1) * gj;
-                *vj = self.cfg.beta2 * *vj + (1.0 - self.cfg.beta2) * gj * gj;
+                *mj = BETA1 * *mj + (1.0 - BETA1) * gj;
+                *vj = BETA2 * *vj + (1.0 - BETA2) * gj * gj;
                 let mhat = *mj / b1t;
                 let vhat = *vj / b2t;
                 // Decoupled weight decay: applied directly to the parameter.
-                *pj -= self.cfg.lr * (mhat / (vhat.sqrt() + self.cfg.eps) + decay * *pj);
+                *pj -= self.cfg.lr * (mhat / (vhat.sqrt() + EPS) + decay * *pj);
             }
         }
     }
@@ -162,7 +163,6 @@ mod tests {
             AdamConfig {
                 lr: 0.01,
                 weight_decay: 0.5,
-                ..Default::default()
             },
             &params,
         );
@@ -181,7 +181,6 @@ mod tests {
             AdamConfig {
                 lr: 0.01,
                 weight_decay: 0.5,
-                ..Default::default()
             },
             &params,
         );

@@ -6,32 +6,17 @@
 //! behaviour of the full Byrd–Lu–Nocedal–Zhu algorithm at a fraction of the
 //! complexity; the projection handles the active bounds.
 
-/// Options for [`lbfgsb_minimize`].
-#[derive(Clone, Copy, Debug)]
-pub struct LbfgsbOptions {
-    /// Maximum outer iterations.
-    pub max_iter: usize,
-    /// History length (pairs kept for the two-loop recursion).
-    pub history: usize,
-    /// Convergence threshold on the projected gradient ∞-norm.
-    pub pg_tol: f64,
-    /// Armijo slope parameter.
-    pub c1: f64,
-    /// Maximum halvings in the line search.
-    pub max_backtracks: usize,
-}
+/// History length (pairs kept for the two-loop recursion).
+const HISTORY: usize = 6;
 
-impl Default for LbfgsbOptions {
-    fn default() -> Self {
-        Self {
-            max_iter: 100,
-            history: 6,
-            pg_tol: 1e-8,
-            c1: 1e-4,
-            max_backtracks: 40,
-        }
-    }
-}
+/// Convergence threshold on the projected gradient ∞-norm.
+const PG_TOL: f64 = 1e-8;
+
+/// Armijo slope parameter.
+const C1: f64 = 1e-4;
+
+/// Maximum halvings in the line search.
+const MAX_BACKTRACKS: usize = 40;
 
 /// Result of a minimisation run.
 #[derive(Clone, Debug)]
@@ -67,7 +52,8 @@ fn projected_gradient(x: &[f64], g: &[f64], lo: &[f64], hi: &[f64]) -> Vec<f64> 
         .collect()
 }
 
-/// Minimise `f` over the box `[lo, hi]` starting from `x0`.
+/// Minimise `f` over the box `[lo, hi]` starting from `x0`, in at most
+/// `max_iter` outer iterations.
 ///
 /// `f_and_grad(x) -> (f, ∇f)` must be well-defined everywhere in the box.
 ///
@@ -78,7 +64,7 @@ pub fn lbfgsb_minimize<F>(
     x0: &[f64],
     lo: &[f64],
     hi: &[f64],
-    opts: LbfgsbOptions,
+    max_iter: usize,
 ) -> LbfgsbResult
 where
     F: FnMut(&[f64]) -> (f64, Vec<f64>),
@@ -100,11 +86,11 @@ where
 
     let mut converged = false;
     let mut iter = 0;
-    while iter < opts.max_iter {
+    while iter < max_iter {
         iter += 1;
         let pg = projected_gradient(&x, &g, lo, hi);
         let pg_norm = pg.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if pg_norm <= opts.pg_tol {
+        if pg_norm <= PG_TOL {
             converged = true;
             break;
         }
@@ -155,7 +141,7 @@ where
         let mut t = 1.0;
         let mut accepted = false;
         let mut fallback: Option<(Vec<f64>, f64, Vec<f64>)> = None;
-        for _ in 0..opts.max_backtracks {
+        for _ in 0..MAX_BACKTRACKS {
             let mut xt: Vec<f64> = x.iter().zip(&d).map(|(xi, di)| xi + t * di).collect();
             clamp_to_box(&mut xt, lo, hi);
             // If projection erased the step entirely, shrink.
@@ -164,7 +150,7 @@ where
                 continue;
             }
             let (ft, gt) = f_and_grad(&xt);
-            if ft <= fx + opts.c1 * t * slope {
+            if ft <= fx + C1 * t * slope {
                 accept_step(
                     &mut x,
                     &mut fx,
@@ -175,7 +161,7 @@ where
                     &mut s_hist,
                     &mut y_hist,
                     &mut rho,
-                    opts.history,
+                    HISTORY,
                 );
                 accepted = true;
                 break;
@@ -197,7 +183,7 @@ where
                     &mut s_hist,
                     &mut y_hist,
                     &mut rho,
-                    opts.history,
+                    HISTORY,
                 );
                 accepted = true;
             }
@@ -272,13 +258,7 @@ mod tests {
             let fx = (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2);
             (fx, vec![2.0 * (x[0] - 1.0), 2.0 * (x[1] + 2.0)])
         };
-        let r = lbfgsb_minimize(
-            f,
-            &[5.0, 5.0],
-            &[-10.0, -10.0],
-            &[10.0, 10.0],
-            Default::default(),
-        );
+        let r = lbfgsb_minimize(f, &[5.0, 5.0], &[-10.0, -10.0], &[10.0, 10.0], 100);
         assert!(r.converged);
         assert!((r.x[0] - 1.0).abs() < 1e-6);
         assert!((r.x[1] + 2.0).abs() < 1e-6);
@@ -288,7 +268,7 @@ mod tests {
     fn active_bound_is_respected() {
         // Minimum at x = −3 but box is [0, 10]: optimum pinned at 0.
         let f = |x: &[f64]| ((x[0] + 3.0).powi(2), vec![2.0 * (x[0] + 3.0)]);
-        let r = lbfgsb_minimize(f, &[5.0], &[0.0], &[10.0], Default::default());
+        let r = lbfgsb_minimize(f, &[5.0], &[0.0], &[10.0], 100);
         assert!(r.x[0].abs() < 1e-9, "x = {}", r.x[0]);
         assert!(r.converged);
     }
@@ -312,7 +292,7 @@ mod tests {
                 ],
             )
         };
-        let r = lbfgsb_minimize(f, &[1.9, 1.9], &lo, &hi, Default::default());
+        let r = lbfgsb_minimize(f, &[1.9, 1.9], &lo, &hi, 100);
         violated |= r.x.iter().zip(&lo).any(|(v, l)| v < l);
         violated |= r.x.iter().zip(&hi).any(|(v, h)| v > h);
         assert!(!violated);
@@ -332,16 +312,7 @@ mod tests {
         };
         // Backtracking-only line search needs more iterations than a Wolfe
         // search on Rosenbrock's banana valley, but it gets there.
-        let r = lbfgsb_minimize(
-            f,
-            &[-1.2, 1.0],
-            &[-2.0, -2.0],
-            &[2.0, 2.0],
-            LbfgsbOptions {
-                max_iter: 2000,
-                ..Default::default()
-            },
-        );
+        let r = lbfgsb_minimize(f, &[-1.2, 1.0], &[-2.0, -2.0], &[2.0, 2.0], 2000);
         assert!(r.converged);
         assert!((r.x[0] - 1.0).abs() < 1e-4, "x = {:?}", r.x);
         assert!((r.x[1] - 1.0).abs() < 1e-4);
@@ -350,7 +321,7 @@ mod tests {
     #[test]
     fn start_outside_box_is_clamped() {
         let f = |x: &[f64]| (x[0] * x[0], vec![2.0 * x[0]]);
-        let r = lbfgsb_minimize(f, &[100.0], &[-1.0], &[1.0], Default::default());
+        let r = lbfgsb_minimize(f, &[100.0], &[-1.0], &[1.0], 100);
         assert!(r.x[0].abs() < 1e-8);
     }
 
@@ -360,16 +331,7 @@ mod tests {
             let fx = (x[0] - 1.0).powi(2) + (x[1] + 2.0).powi(2);
             (fx, vec![2.0 * (x[0] - 1.0), 2.0 * (x[1] + 2.0)])
         };
-        let r = lbfgsb_minimize(
-            f,
-            &[9.0, -9.0],
-            &[-10.0, -10.0],
-            &[10.0, 10.0],
-            LbfgsbOptions {
-                max_iter: 2,
-                ..Default::default()
-            },
-        );
+        let r = lbfgsb_minimize(f, &[9.0, -9.0], &[-10.0, -10.0], &[10.0, 10.0], 2);
         assert!(r.iterations <= 2);
     }
 }

@@ -3,17 +3,15 @@
 //!
 //! The pieces: the closed-form Expected Improvement acquisition (Eq. 3) and
 //! its exact input gradient, a box-constrained L-BFGS-B maximiser driven by
-//! those gradients, multi-start candidate proposal, and the grid/random
-//! search baselines the paper compares against. The crate is generic over a
-//! [`SurrogateModel`] trait so it never depends on the GNN crate — the core
-//! crate adapts the graph neural surrogate to it.
+//! those gradients, and multi-start candidate proposal. The paper's grid
+//! baseline is `McmcParams::paper_grid` in the MCMC crate. The crate is
+//! generic over a [`SurrogateModel`] trait so it never depends on the GNN
+//! crate — the core crate adapts the graph neural surrogate to it.
 
 pub mod acquisition;
 pub mod lbfgsb;
 pub mod propose;
-pub mod search;
 
 pub use acquisition::{expected_improvement, expected_improvement_grad, SurrogateModel};
-pub use lbfgsb::{lbfgsb_minimize, LbfgsbOptions, LbfgsbResult};
+pub use lbfgsb::{lbfgsb_minimize, LbfgsbResult};
 pub use propose::{propose_batch, propose_best, ProposeConfig};
-pub use search::{grid_search_candidates, random_search_candidates};

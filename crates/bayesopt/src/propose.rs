@@ -5,28 +5,25 @@
 //! `draw x⁽ʲ·ⁱⁿⁱᵗ⁾; x⁽ʲ⁾ ← L-BFGS-B maximise EI` step.
 
 use crate::acquisition::{expected_improvement_grad, SurrogateModel};
-use crate::lbfgsb::{lbfgsb_minimize, LbfgsbOptions};
+use crate::lbfgsb::lbfgsb_minimize;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+
+/// L-BFGS-B iterations per polish.
+const POLISH_ITERS: usize = 100;
 
 /// Settings for the proposal step.
 #[derive(Clone, Copy, Debug)]
 pub struct ProposeConfig {
     /// Exploration parameter ξ of Eq. 3 (0.05 balanced, 1.0 exploration).
     pub xi: f64,
-    /// L-BFGS-B settings for each polish.
-    pub lbfgsb: LbfgsbOptions,
     /// RNG seed for the random initialisations.
     pub seed: u64,
 }
 
 impl Default for ProposeConfig {
     fn default() -> Self {
-        Self {
-            xi: 0.05,
-            lbfgsb: LbfgsbOptions::default(),
-            seed: 0,
-        }
+        Self { xi: 0.05, seed: 0 }
     }
 }
 
@@ -104,7 +101,7 @@ fn maximize_ei<S: SurrogateModel>(
         x0,
         lo,
         hi,
-        cfg.lbfgsb,
+        POLISH_ITERS,
     );
     let (mu, sigma) = surrogate.predict(&result.x);
     let ei = crate::acquisition::expected_improvement(mu, sigma, y_min, cfg.xi);

@@ -85,7 +85,6 @@ fn main() {
             adam: AdamConfig {
                 lr,
                 weight_decay: wd,
-                ..Default::default()
             },
             ..profile.train
         };

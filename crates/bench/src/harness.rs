@@ -138,7 +138,6 @@ pub fn fit_models(profile: &Profile) -> FittedModels {
             reps: profile.eval_reps,
             bo_batch: profile.bo_batch,
             xi: 0.05,
-            train: profile.train,
             seed: profile.seed,
         },
     );
@@ -153,7 +152,6 @@ pub fn fit_models(profile: &Profile) -> FittedModels {
             reps: profile.eval_reps,
             bo_batch: profile.bo_batch,
             xi: 1.0,
-            train: profile.train,
             seed: profile.seed ^ 0x5a5a,
         },
     );

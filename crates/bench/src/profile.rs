@@ -59,7 +59,6 @@ impl Profile {
                     restart: 300,
                     ..Default::default()
                 },
-                ..Default::default()
             },
             divergence_rows: 4,
             seed: 20_260_611,
@@ -100,7 +99,6 @@ impl Profile {
                     restart: 300,
                     ..Default::default()
                 },
-                ..Default::default()
             },
             divergence_rows: 6,
             seed: 20_260_611,

@@ -43,6 +43,7 @@
 //! drivers (`FGMRES`/`FCG`) — a sparsified, rounded inverse is exactly
 //! the inexact preconditioner they exist for.
 
+use crate::measure::manufactured_rhs;
 use crate::pipeline::Recommender;
 use mcmcmi_hpo::{ParamKind, SearchSpace, TpeConfig, TpeSampler};
 use mcmcmi_krylov::{
@@ -263,24 +264,6 @@ impl AutoTuner {
         ]
     }
 
-    /// Deterministic probe right-hand sides `b_c = A·x*_c` for oscillatory
-    /// manufactured solutions (same rationale as the measurement runner:
-    /// trivial right-hand sides make differential operators look easy).
-    fn probe_rhs(a: &Csr, k: usize) -> Vec<Vec<f64>> {
-        let n = a.nrows();
-        (0..k)
-            .map(|c| {
-                let xstar: Vec<f64> = (0..n)
-                    .map(|i| {
-                        ((0.7 + 0.13 * c as f64) * i as f64).sin()
-                            + 0.3 * (2.3 * i as f64 + c as f64).cos()
-                    })
-                    .collect();
-                a.spmv_alloc(&xstar)
-            })
-            .collect()
-    }
-
     /// Bytes one Krylov iteration streams: the matrix CSR (indptr +
     /// indices + values) plus the compressed preconditioner CSR. The
     /// deterministic stand-in for apply wall-time.
@@ -306,7 +289,9 @@ impl AutoTuner {
         // one-time scan amortises across the whole budget and each matvec
         // dispatches straight to the banded/stencil/generic kernel family.
         let a_op = SpecializedBackend::detect(a.clone());
-        let rhs = Self::probe_rhs(a, budget.probe_rhs.max(1));
+        let rhs: Vec<Vec<f64>> = (0..budget.probe_rhs.max(1))
+            .map(|c| manufactured_rhs(a, c))
+            .collect();
         // Ranking fidelity: two orders of magnitude looser and a quarter
         // of the depth — losing candidates must fail cheaply. The 1e-3
         // cap keeps ranking meaningful at tight budgets, but must never
@@ -337,7 +322,6 @@ impl AutoTuner {
                 // short random phase keeps small budgets exploratory.
                 n_startup: 4,
                 seed: budget.seed,
-                ..Default::default()
             },
         );
 

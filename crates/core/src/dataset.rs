@@ -190,7 +190,6 @@ mod tests {
                 restart: 30,
                 ..Default::default()
             },
-            ..Default::default()
         })
     }
 

@@ -30,8 +30,8 @@
 
 use crate::autotune::{AutoTuner, AutotuneConfig};
 use mcmcmi_krylov::{
-    SolveOptions, SolveResult, SolveSession, SolverType, SparsePrecond, StalenessConfig,
-    StalenessMonitor, StalenessVerdict, TuneBudget,
+    SolveOptions, SolveResult, SolveSession, SolverType, SparsePrecond, StalenessMonitor,
+    StalenessVerdict, TuneBudget,
 };
 use mcmcmi_mcmc::{
     BuildConfig, BuildError, BuildOutcome, McmcInverse, McmcParams, SafeguardConfig,
@@ -40,27 +40,28 @@ use mcmcmi_sparse::Csr;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
+/// Full rebuilds tolerated since the last (re)tune before the ladder
+/// escalates to a full [`AutoTuner`] retune.
+const RETUNE_AFTER_FULL_REBUILDS: usize = 3;
+
 /// Thresholds governing the refresh ladder.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct RefreshPolicy {
-    /// Iteration-drift thresholds fed to the [`StalenessMonitor`].
-    pub staleness: StalenessConfig,
+    /// `iterations / baseline` at which the [`StalenessMonitor`] reports
+    /// [`StalenessVerdict::Degrading`].
+    pub degrading_ratio: f64,
     /// Largest fraction of rows a *partial* rebuild may cover; past it a
     /// full rebuild is cheaper and honest (the splice would redo most of
     /// the walk work anyway, and clean-row entries grow stale against the
     /// re-derived splitting).
     pub max_partial_fraction: f64,
-    /// Full rebuilds tolerated since the last (re)tune before the ladder
-    /// escalates to a full [`AutoTuner`] retune.
-    pub retune_after_full_rebuilds: usize,
 }
 
 impl Default for RefreshPolicy {
     fn default() -> Self {
         Self {
-            staleness: StalenessConfig::default(),
+            degrading_ratio: 1.5,
             max_partial_fraction: 0.3,
-            retune_after_full_rebuilds: 3,
         }
     }
 }
@@ -198,7 +199,7 @@ impl DriftSession {
             a,
             outcome: guarded.outcome,
             session,
-            monitor: StalenessMonitor::new(policy.staleness),
+            monitor: StalenessMonitor::new(policy.degrading_ratio),
             policy,
             build,
             guard,
@@ -245,7 +246,7 @@ impl DriftSession {
         // seed on the same inputs would return that inverse bit for bit.
         // Take one of the safeguard's back-off steps first.
         if self.pending_dirty.is_empty() && params == self.params {
-            params.alpha = params.alpha.max(self.guard.alpha_floor) * self.guard.alpha_growth;
+            params.alpha = self.guard.next_alpha(params.alpha);
         }
         self.full_rebuilds_since_tune += 1;
         let built = McmcInverse::new(self.build).build_safeguarded(&self.a, params, &self.guard);
@@ -306,7 +307,7 @@ impl DriftSession {
         let dirty_pending = self.pending_dirty.len();
         let partial_ok = dirty_pending > 0
             && (dirty_pending as f64) <= self.policy.max_partial_fraction * n as f64;
-        let retune_due = self.full_rebuilds_since_tune >= self.policy.retune_after_full_rebuilds;
+        let retune_due = self.full_rebuilds_since_tune >= RETUNE_AFTER_FULL_REBUILDS;
 
         let (action, rows_rebuilt, result, resolve_iterations) = if !first.converged {
             // Rescue: refresh *now* and re-solve the same system.

@@ -6,16 +6,16 @@ use mcmcmi_mcmc::{BuildConfig, McmcInverse, McmcParams};
 use mcmcmi_sparse::Csr;
 use serde::{Deserialize, Serialize};
 
-/// Measurement settings.
+/// Cap applied to the metric so divergent preconditioners produce a
+/// large-but-finite training signal (the paper's near-zero-α rows).
+const Y_CAP: f64 = 5.0;
+
+/// Measurement settings. Every replicate builds with the default
+/// [`BuildConfig`] at its own seed.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct MeasureConfig {
     /// Krylov solver settings (tolerance, caps, restart).
     pub solve: SolveOptions,
-    /// MCMC build settings (filling factor 2φ(A), truncation 1e−9, …).
-    pub build: BuildConfig,
-    /// Cap applied to the metric so divergent preconditioners produce a
-    /// large-but-finite training signal (the paper's near-zero-α rows).
-    pub y_cap: f64,
 }
 
 impl Default for MeasureConfig {
@@ -27,8 +27,6 @@ impl Default for MeasureConfig {
                 restart: 50,
                 ..Default::default()
             },
-            build: BuildConfig::default(),
-            y_cap: 5.0,
         }
     }
 }
@@ -36,7 +34,7 @@ impl Default for MeasureConfig {
 /// One measured replicate.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Measurement {
-    /// Metric y (Eq. 4), capped at `y_cap`.
+    /// Metric y (Eq. 4), capped at 5.
     pub y: f64,
     /// Steps with the preconditioner.
     pub steps_with: usize,
@@ -68,18 +66,10 @@ impl MeasurementRunner {
     }
 
     /// Deterministic right-hand side `b = A·x*` with the oscillatory
-    /// manufactured solution `x*_i = sin(0.7i) + 0.3·cos(2.3i)`.
-    ///
-    /// A non-trivial `x*` matters: differential operators annihilate
-    /// constants, so the naive `b = A·1` is an (almost) exact eigenvector
-    /// and Krylov methods converge in O(1) steps — a degenerate baseline
-    /// that would make Eq. 4 meaningless on exactly the matrices the paper
-    /// cares about.
+    /// manufactured solution `x*_i = sin(0.7i) + 0.3·cos(2.3i)` — the
+    /// first of the auto-tuner's probe right-hand sides, bit for bit.
     pub fn rhs(&self, a: &Csr) -> Vec<f64> {
-        let xstar: Vec<f64> = (0..a.ncols())
-            .map(|i| (0.7 * i as f64).sin() + 0.3 * (2.3 * i as f64).cos())
-            .collect();
-        a.spmv_alloc(&xstar)
+        manufactured_rhs(a, 0)
     }
 
     /// Unpreconditioned step count — the denominator of Eq. 4, computed
@@ -108,7 +98,7 @@ impl MeasurementRunner {
     ) -> Measurement {
         let build_cfg = BuildConfig {
             seed,
-            ..self.cfg.build
+            ..BuildConfig::default()
         };
         let outcome = McmcInverse::new(build_cfg).build(a, params);
         let b = self.rhs(a);
@@ -121,7 +111,7 @@ impl MeasurementRunner {
         } else {
             self.cfg.solve.max_iter
         };
-        let y = (steps_with as f64 / baseline as f64).min(self.cfg.y_cap);
+        let y = (steps_with as f64 / baseline as f64).min(Y_CAP);
         Measurement {
             y,
             steps_with,
@@ -165,6 +155,23 @@ impl MeasurementRunner {
         let ys: Vec<f64> = ms.iter().map(|m| m.y).collect();
         (mcmcmi_stats::mean(&ys), mcmcmi_stats::sample_std(&ys), ms)
     }
+}
+
+/// Manufactured right-hand side number `c`: `b = A·x*` for the oscillatory
+/// solution `x*_i = sin((0.7 + 0.13c)·i) + 0.3·cos(2.3i + c)`. Column 0 is
+/// the measurement runner's `sin(0.7i) + 0.3·cos(2.3i)` bit for bit.
+///
+/// A non-trivial `x*` matters: differential operators annihilate
+/// constants, so the naive `b = A·1` is an (almost) exact eigenvector and
+/// Krylov methods converge in O(1) steps — a degenerate baseline that would
+/// make Eq. 4 meaningless on exactly the matrices the paper cares about.
+pub(crate) fn manufactured_rhs(a: &Csr, c: usize) -> Vec<f64> {
+    let xstar: Vec<f64> = (0..a.ncols())
+        .map(|i| {
+            ((0.7 + 0.13 * c as f64) * i as f64).sin() + 0.3 * (2.3 * i as f64 + c as f64).cos()
+        })
+        .collect();
+    a.spmv_alloc(&xstar)
 }
 
 #[cfg(test)]
@@ -222,7 +229,7 @@ mod tests {
             1,
         );
         assert!(m.y >= 1.0, "divergent build should not help: y = {}", m.y);
-        assert!(m.y <= MeasureConfig::default().y_cap);
+        assert!(m.y <= Y_CAP);
     }
 
     #[test]
@@ -286,7 +293,6 @@ mod tests {
                 restart: 200,
                 ..Default::default()
             },
-            ..Default::default()
         });
         assert!(r.baseline_steps(&a, SolverType::Gmres) > 10);
     }

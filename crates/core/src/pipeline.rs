@@ -29,8 +29,6 @@ pub struct PipelineConfig {
     pub bo_batch: usize,
     /// EI exploration parameter ξ.
     pub xi: f64,
-    /// Surrogate training settings.
-    pub train: TrainConfig,
     /// RNG seed.
     pub seed: u64,
 }
@@ -41,7 +39,6 @@ impl Default for PipelineConfig {
             reps: 10,
             bo_batch: 32,
             xi: 0.05,
-            train: TrainConfig::default(),
             seed: 0,
         }
     }
@@ -199,7 +196,6 @@ impl Recommender {
             ProposeConfig {
                 xi: cfg.xi,
                 seed: cfg.seed,
-                ..Default::default()
             },
         );
         let mut records = Vec::with_capacity(candidates.len());
@@ -290,7 +286,7 @@ impl OperatorContext {
                 &x0,
                 &lo,
                 &hi,
-                Default::default(),
+                100,
             );
             best = best.min(r.f);
         }
@@ -316,7 +312,6 @@ impl OperatorContext {
             ProposeConfig {
                 xi,
                 seed,
-                ..Default::default()
             },
         );
         (McmcParams::from_clamped(&x), ei)
@@ -381,7 +376,6 @@ mod tests {
                 restart: 30,
                 ..Default::default()
             },
-            ..Default::default()
         })
     }
 
@@ -438,7 +432,6 @@ mod tests {
             reps: 2,
             bo_batch: 3,
             xi: 0.05,
-            train: fast_train_cfg(),
             seed: 1,
         };
         let round = rec.bo_round(&runner, &target, "target", SolverType::Gmres, 1.0, cfg);

@@ -23,7 +23,6 @@ fn small_recommender(matrices: &[(String, Csr, bool)]) -> Recommender {
             restart: 25,
             ..Default::default()
         },
-        ..Default::default()
     });
     let ds = PaperDataset::build(&runner, matrices, 1, 0, 0);
     let scfg = SurrogateConfig {

@@ -72,6 +72,12 @@ impl SurrogateDataset {
     }
 }
 
+/// Global-norm gradient clip.
+const CLIP: f64 = 5.0;
+
+/// Validation fraction (paper: 20%).
+const VAL_FRACTION: f64 = 0.2;
+
 /// Training configuration (paper §4.3/4.4 settings are the defaults).
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct TrainConfig {
@@ -81,10 +87,6 @@ pub struct TrainConfig {
     pub batch_size: usize,
     /// Adam settings (paper lr: 1.848e-3).
     pub adam: AdamConfig,
-    /// Global-norm gradient clip (0 disables).
-    pub clip: f64,
-    /// Validation fraction (paper: 20%).
-    pub val_fraction: f64,
     /// Early-stopping patience in epochs (0 disables).
     pub patience: usize,
     /// Shuffling/split seed.
@@ -99,10 +101,7 @@ impl Default for TrainConfig {
             adam: AdamConfig {
                 lr: 1.848e-3,
                 weight_decay: 1e-4,
-                ..Default::default()
             },
-            clip: 5.0,
-            val_fraction: 0.2,
             patience: 12,
             seed: 7,
         }
@@ -158,15 +157,9 @@ pub fn train_surrogate(
     cfg: TrainConfig,
 ) -> TrainReport {
     assert!(!ds.is_empty(), "train_surrogate: empty dataset");
-    let (train_idx, val_idx) = ds.split(cfg.val_fraction, cfg.seed);
+    let (train_idx, val_idx) = ds.split(VAL_FRACTION, cfg.seed);
     let mut adam = Adam::new(cfg.adam, surrogate.params().tensors());
-    let clip = GradClip {
-        max_norm: if cfg.clip > 0.0 {
-            cfg.clip
-        } else {
-            f64::INFINITY
-        },
-    };
+    let clip = GradClip { max_norm: CLIP };
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xabcd);
 
     let mut report = TrainReport {
@@ -308,7 +301,6 @@ mod tests {
             adam: AdamConfig {
                 lr: 5e-3,
                 weight_decay: 0.0,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -332,7 +324,6 @@ mod tests {
             adam: AdamConfig {
                 lr: 5e-3,
                 weight_decay: 0.0,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -359,7 +350,7 @@ mod tests {
         };
         let report = train_surrogate(&mut s, &ds, cfg);
         // Validation loss of the restored model equals the recorded best.
-        let (_, val_idx) = ds.split(cfg.val_fraction, cfg.seed);
+        let (_, val_idx) = ds.split(VAL_FRACTION, cfg.seed);
         let vl = evaluate_loss(&mut s, &ds, &val_idx);
         assert!(
             (vl - report.best_val_loss).abs() < 1e-9,

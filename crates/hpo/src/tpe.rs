@@ -10,13 +10,15 @@ use crate::space::{ParamKind, SearchSpace};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+/// Fraction of observations considered "good" (γ).
+const GAMMA: f64 = 0.25;
+
+/// Candidates drawn from the good density per suggestion.
+const N_CANDIDATES: usize = 24;
+
 /// TPE settings.
 #[derive(Clone, Copy, Debug)]
 pub struct TpeConfig {
-    /// Fraction of observations considered "good" (γ, default 0.25).
-    pub gamma: f64,
-    /// Candidates drawn per suggestion (default 24).
-    pub n_candidates: usize,
     /// Random configurations before TPE kicks in (default 10).
     pub n_startup: usize,
     /// RNG seed.
@@ -26,8 +28,6 @@ pub struct TpeConfig {
 impl Default for TpeConfig {
     fn default() -> Self {
         Self {
-            gamma: 0.25,
-            n_candidates: 24,
             n_startup: 10,
             seed: 0,
         }
@@ -86,8 +86,7 @@ impl TpeSampler {
                 .partial_cmp(&self.observations[b].1)
                 .unwrap()
         });
-        let n_good =
-            ((self.cfg.gamma * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len() - 1);
+        let n_good = ((GAMMA * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len() - 1);
         // Owned copies keep the borrow checker happy while the RNG mutates.
         let good: Vec<Vec<f64>> = sorted[..n_good]
             .iter()
@@ -100,7 +99,7 @@ impl TpeSampler {
 
         // Draw candidates from the good density, keep the best ratio.
         let mut best: Option<(Vec<f64>, f64)> = None;
-        for _ in 0..self.cfg.n_candidates {
+        for _ in 0..N_CANDIDATES {
             let cand = self.sample_from_good(&good);
             let score = self.log_density(&cand, &good) - self.log_density(&cand, &bad);
             if best.as_ref().is_none_or(|(_, s)| score > *s) {

@@ -34,7 +34,6 @@ fn suggestion_bits(seed: u64) -> Vec<[u64; 3]> {
         TpeConfig {
             n_startup: 4,
             seed,
-            ..TpeConfig::default()
         },
     );
     for _ in 0..12 {

@@ -72,6 +72,6 @@ pub use solver::{
     solve, solve_batch, BreakdownKind, ConvergedWithin, SolveFailure, SolveOptions, SolveOutcome,
     SolveResult, SolverType, CONVERGENCE_SLACK,
 };
-pub use staleness::{StalenessConfig, StalenessMonitor, StalenessVerdict};
+pub use staleness::{StalenessMonitor, StalenessVerdict};
 pub use warm::solve_warm;
 pub use watchdog::{Watchdog, WatchdogConfig};

@@ -307,14 +307,6 @@ impl CompressedPrecond {
         }
     }
 
-    /// Storage scalar name (delegates to [`Scalar::NAME`]).
-    pub fn precision_name(&self) -> &'static str {
-        match self {
-            CompressedPrecond::F64(_) => <f64 as Scalar>::NAME,
-            CompressedPrecond::F32(_) => <f32 as Scalar>::NAME,
-        }
-    }
-
     /// Kernel family the compressed operator's applies dispatch to
     /// (`"banded"`, `"stencil"`, or `"generic-csr"`). Structure is
     /// re-detected on the *sparsified* pattern when the precond is built,

@@ -250,13 +250,6 @@ impl<P: Preconditioner> SolveSession<P> {
         );
         self.precond = precond;
     }
-
-    /// Tear the session apart, recovering the matrix and preconditioner.
-    pub fn into_parts(self) -> (Csr, P) {
-        let a =
-            Arc::try_unwrap(self.a).map_or_else(|shared| shared.csr().clone(), |a| a.into_csr());
-        (a, self.precond)
-    }
 }
 
 #[cfg(test)]

@@ -80,9 +80,8 @@ pub struct SolveOptions {
     /// GMRES restart length (ignored by CG/BiCGStab).
     pub restart: usize,
     /// Mid-solve stagnation/divergence/non-finite monitor (see
-    /// [`crate::watchdog::Watchdog`]). The defaults are conservative enough
-    /// that healthy solves never trip; disable entirely with
-    /// [`WatchdogConfig::disabled`].
+    /// [`crate::watchdog::Watchdog`]). It is always on; the defaults are
+    /// conservative enough that healthy solves never trip.
     pub watchdog: WatchdogConfig,
 }
 
@@ -597,7 +596,6 @@ mod tests {
         assert_eq!(o.tol, 1e-8);
         assert_eq!(o.max_iter, 5000);
         assert_eq!(o.restart, 50);
-        assert!(o.watchdog.enabled);
     }
 
     #[test]

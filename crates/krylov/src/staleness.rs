@@ -18,30 +18,14 @@
 use crate::solver::SolveResult;
 use serde::{Deserialize, Serialize};
 
-/// Thresholds for the iteration-drift monitor.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StalenessConfig {
-    /// Converged solves averaged into the baseline before verdicts start
-    /// (everything during calibration reports `Fresh`).
-    pub calibration_window: usize,
-    /// `iterations / baseline` at which the verdict becomes
-    /// [`StalenessVerdict::Degrading`].
-    pub degrading_ratio: f64,
-    /// `iterations / baseline` at which the verdict becomes
-    /// [`StalenessVerdict::Stale`]. A non-converged solve is `Stale`
-    /// regardless of ratio.
-    pub stale_ratio: f64,
-}
+/// Converged solves averaged into the baseline before verdicts start
+/// (everything during calibration reports `Fresh`).
+const CALIBRATION_WINDOW: usize = 3;
 
-impl Default for StalenessConfig {
-    fn default() -> Self {
-        Self {
-            calibration_window: 3,
-            degrading_ratio: 1.5,
-            stale_ratio: 3.0,
-        }
-    }
-}
+/// `iterations / baseline` at which the verdict becomes
+/// [`StalenessVerdict::Stale`]. A non-converged solve is `Stale` regardless
+/// of ratio.
+const STALE_RATIO: f64 = 3.0;
 
 /// How stale the preconditioner looks after one observed solve.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -49,15 +33,14 @@ pub enum StalenessVerdict {
     /// Iteration count within the degrading threshold of the baseline (or
     /// still calibrating).
     Fresh,
-    /// Iteration count has drifted past
-    /// [`StalenessConfig::degrading_ratio`] but not yet
-    /// [`StalenessConfig::stale_ratio`]: the preconditioner still works,
-    /// a cheap partial refresh is warranted.
+    /// Iteration count has drifted past the monitor's degrading ratio but
+    /// not yet three times the baseline: the preconditioner still works, a
+    /// cheap partial refresh is warranted.
     Degrading {
         /// `iterations / baseline` of the observed solve.
         ratio: f64,
     },
-    /// Iteration count past [`StalenessConfig::stale_ratio`], or the solve
+    /// Iteration count at three times the baseline or more, or the solve
     /// failed outright: the preconditioner no longer matches the operator.
     Stale,
 }
@@ -78,17 +61,18 @@ impl StalenessVerdict {
 /// the preconditioner so the baseline re-learns from the refreshed state.
 #[derive(Clone, Debug)]
 pub struct StalenessMonitor {
-    cfg: StalenessConfig,
+    degrading_ratio: f64,
     baseline_sum: f64,
     baseline_count: usize,
 }
 
 impl StalenessMonitor {
-    /// A monitor with no baseline yet (first
-    /// [`StalenessConfig::calibration_window`] converged solves calibrate).
-    pub fn new(cfg: StalenessConfig) -> Self {
+    /// A monitor with no baseline yet (the first three converged solves
+    /// calibrate) that reports [`StalenessVerdict::Degrading`] from
+    /// `iterations / baseline ≥ degrading_ratio`.
+    pub fn new(degrading_ratio: f64) -> Self {
         Self {
-            cfg,
+            degrading_ratio,
             baseline_sum: 0.0,
             baseline_count: 0,
         }
@@ -99,7 +83,7 @@ impl StalenessMonitor {
     /// calibrated on instantly-converging warm starts still measures
     /// ratios sanely.
     pub fn baseline(&self) -> Option<f64> {
-        (self.baseline_count >= self.cfg.calibration_window)
+        (self.baseline_count >= CALIBRATION_WINDOW)
             .then(|| (self.baseline_sum / self.baseline_count as f64).max(1.0))
     }
 
@@ -120,9 +104,9 @@ impl StalenessMonitor {
             }
             Some(baseline) => {
                 let ratio = result.iterations as f64 / baseline;
-                if ratio >= self.cfg.stale_ratio {
+                if ratio >= STALE_RATIO {
                     StalenessVerdict::Stale
-                } else if ratio >= self.cfg.degrading_ratio {
+                } else if ratio >= self.degrading_ratio {
                     StalenessVerdict::Degrading { ratio }
                 } else {
                     StalenessVerdict::Fresh
@@ -165,7 +149,7 @@ mod tests {
 
     #[test]
     fn calibrates_then_classifies_by_ratio() {
-        let mut m = StalenessMonitor::new(StalenessConfig::default());
+        let mut m = StalenessMonitor::new(1.5);
         for _ in 0..3 {
             assert_eq!(m.observe(&converged(100)), StalenessVerdict::Fresh);
         }
@@ -180,7 +164,7 @@ mod tests {
 
     #[test]
     fn failure_is_stale_and_never_pollutes_the_baseline() {
-        let mut m = StalenessMonitor::new(StalenessConfig::default());
+        let mut m = StalenessMonitor::new(1.5);
         assert_eq!(m.observe(&failed()), StalenessVerdict::Stale);
         assert_eq!(m.baseline(), None);
         for _ in 0..3 {
@@ -193,7 +177,7 @@ mod tests {
 
     #[test]
     fn recalibrate_relearns_the_baseline() {
-        let mut m = StalenessMonitor::new(StalenessConfig::default());
+        let mut m = StalenessMonitor::new(1.5);
         for _ in 0..3 {
             m.observe(&converged(100));
         }
@@ -208,7 +192,7 @@ mod tests {
 
     #[test]
     fn zero_iteration_calibration_floors_the_baseline() {
-        let mut m = StalenessMonitor::new(StalenessConfig::default());
+        let mut m = StalenessMonitor::new(1.5);
         for _ in 0..3 {
             m.observe(&converged(0));
         }

@@ -28,8 +28,6 @@ use serde::{Deserialize, Serialize};
 /// [`crate::SolveOptions`].
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WatchdogConfig {
-    /// Master switch; `false` turns every check off.
-    pub enabled: bool,
     /// Consecutive iterations without meaningful progress before
     /// [`SolveFailure::Stagnated`] trips.
     pub stall_window: usize,
@@ -44,21 +42,9 @@ pub struct WatchdogConfig {
 impl Default for WatchdogConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             stall_window: 400,
             stall_improvement: 1e-3,
             divergence_growth: 1e8,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    /// A fully disabled monitor (clean-path behaviour identical to the
-    /// pre-watchdog drivers even in the bookkeeping).
-    pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
         }
     }
 }
@@ -97,15 +83,12 @@ impl Watchdog {
     /// point: if the current thread has a [`crate::CancelToken`] registered
     /// ([`crate::with_cancel`]) and it is cancelled (flag or deadline),
     /// [`SolveFailure::Cancelled`] is returned before any monitor
-    /// bookkeeping — even with the watchdog disabled. Without a registered
+    /// bookkeeping. Without a registered
     /// token the poll is a thread-local read; no floating-point work is
     /// added either way, so clean solves stay bit-identical.
     pub fn observe(&mut self, residual: f64) -> Option<SolveFailure> {
         if let Some(cancelled) = crate::cancel::poll() {
             return Some(cancelled);
-        }
-        if !self.cfg.enabled {
-            return None;
         }
         if !residual.is_finite() {
             return Some(SolveFailure::NonFinite {
@@ -145,15 +128,6 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn disabled_watchdog_never_trips() {
-        let mut wd = Watchdog::new(WatchdogConfig::disabled());
-        assert_eq!(wd.observe(f64::NAN), None);
-        for _ in 0..10_000 {
-            assert_eq!(wd.observe(1.0), None);
-        }
-    }
 
     #[test]
     fn non_finite_residual_trips_immediately() {

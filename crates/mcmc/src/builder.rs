@@ -48,17 +48,22 @@ impl RowWorkspace {
     }
 }
 
-/// Matrix-independent build settings (the paper fixes these across the whole
-/// study: filling factor 2·φ(A), truncation threshold 1e−9).
+/// Preconditioner fill budget as a multiple of nnz(A). The paper fixes the
+/// filling factor at 2·φ(A) across the whole study.
+const FILLING_FACTOR: f64 = 2.0;
+
+/// Absolute entry magnitude below which preconditioner entries are dropped.
+/// The paper fixes it at 1e−9 across the whole study, "to avoid introducing
+/// truncation".
+const TRUNC_THRESHOLD: f64 = 1e-9;
+
+/// Hard cap on walk length (guards non-contractive splittings).
+const MAX_WALK_LEN: usize = 10_000;
+
+/// Matrix-independent build settings. Fill budget, truncation threshold and
+/// walk-length cap are fixed by the paper and are constants of the builder.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct BuildConfig {
-    /// Preconditioner fill budget as a multiple of nnz(A) (paper: 2.0).
-    pub filling_factor: f64,
-    /// Absolute entry magnitude below which preconditioner entries are
-    /// dropped (paper: 1e−9, "to avoid introducing truncation").
-    pub trunc_threshold: f64,
-    /// Hard cap on walk length (guards non-contractive splittings).
-    pub max_walk_len: usize,
     /// RNG seed; each chain derives an independent `(seed, row, chain)`
     /// stream from it.
     pub seed: u64,
@@ -71,9 +76,6 @@ pub struct BuildConfig {
 impl Default for BuildConfig {
     fn default() -> Self {
         Self {
-            filling_factor: 2.0,
-            trunc_threshold: 1e-9,
-            max_walk_len: 10_000,
             seed: 0,
             engine: WalkEngine::Scalar,
         }
@@ -159,7 +161,6 @@ struct RowOut {
 /// strongest, and sort by column. Resets the workspace.
 fn harvest_row(
     walk: &WalkMatrix,
-    cfg: &BuildConfig,
     budget: usize,
     divisor: usize,
     ws: &mut RowWorkspace,
@@ -173,7 +174,7 @@ fn harvest_row(
         .touched
         .iter()
         .map(|&j| (j, ws.scratch[j] / divisor as f64 * inv_diag[j]))
-        .filter(|&(_, v)| v.abs() >= cfg.trunc_threshold && v.is_finite())
+        .filter(|&(_, v)| v.abs() >= TRUNC_THRESHOLD && v.is_finite())
         .collect();
     ws.reset();
     // Keep the largest |entries| within the row budget.
@@ -187,11 +188,11 @@ fn harvest_row(
     entries.into_iter().unzip()
 }
 
-/// Per-row fill budget: `filling_factor ×` the row's own degree (so the
-/// global nnz(P) tracks filling_factor times nnz(A)), minimum 1 so every
-/// row keeps its strongest entry.
-fn row_budget(cfg: &BuildConfig, degree: usize) -> usize {
-    ((cfg.filling_factor * degree as f64).ceil() as usize).max(1)
+/// Per-row fill budget: [`FILLING_FACTOR`] × the row's own degree (so the
+/// global nnz(P) tracks that multiple of nnz(A)), minimum 1 so every row
+/// keeps its strongest entry.
+fn row_budget(degree: usize) -> usize {
+    ((FILLING_FACTOR * degree as f64).ceil() as usize).max(1)
 }
 
 /// The MCMC matrix-inversion preconditioner builder.
@@ -238,7 +239,7 @@ impl McmcInverse {
     /// Build `P ≈ (A + α·diag)⁻¹` with the regenerative single-budget
     /// scheme (*Regenerative Ulam–von Neumann*, Ghosh et al.): every row
     /// spends `budget` transitions on regeneration cycles, truncated at a
-    /// fixed tight δ, each capped at `max_walk_len` steps, and divides its
+    /// fixed tight δ, each capped at 10 000 steps, and divides its
     /// tally by the cycles it ran. Fill budget, truncation threshold and
     /// seed are the builder's, and so are the harvest and the assembly, so
     /// a classic and a regenerative build from one builder differ only in
@@ -246,10 +247,10 @@ impl McmcInverse {
     pub fn build_regenerative(&self, a: &Csr, alpha: f64, budget: usize) -> SparsePrecond {
         let walk = WalkMatrix::from_perturbed(a, alpha);
         let all: Vec<usize> = (0..a.nrows()).collect();
-        let cfg = self.config;
+        let seed = self.config.seed;
         let (p, _) = self.estimate_and_splice(&walk, a, &all, None, |i, ws| {
             let (scratch, touched) = (&mut ws.scratch, &mut ws.touched);
-            walk.walk_row_regen(i, budget, cfg.max_walk_len, cfg.seed, scratch, touched)
+            walk.walk_row_regen(i, budget, MAX_WALK_LEN, seed, scratch, touched)
         });
         SparsePrecond::new(p)
     }
@@ -266,7 +267,7 @@ impl McmcInverse {
     ) -> (RowWalkStats, usize) {
         let cfg = &self.config;
         let chains = params.chains_per_row();
-        let (delta, max_len, seed) = (params.delta, cfg.max_walk_len, cfg.seed);
+        let (delta, max_len, seed) = (params.delta, MAX_WALK_LEN, cfg.seed);
         let (scratch, touched) = (&mut ws.scratch, &mut ws.touched);
         let stats = match cfg.engine {
             WalkEngine::Scalar => walk.walk_row(i, chains, delta, max_len, seed, scratch, touched),
@@ -300,8 +301,6 @@ impl McmcInverse {
         walk_row: impl Fn(usize, &mut RowWorkspace) -> (RowWalkStats, usize) + Sync,
     ) -> (Csr, Vec<RowWalkStats>) {
         let n = a.nrows();
-        let cfg = self.config;
-
         let estimated: Vec<RowOut> = (0..dirty.len())
             .into_par_iter()
             .map_init(
@@ -311,8 +310,8 @@ impl McmcInverse {
                 |ws, d| {
                     let i = dirty[d];
                     let (stats, divisor) = walk_row(i, ws);
-                    let budget = row_budget(&cfg, a.row_indices(i).len());
-                    let (cols, vals) = harvest_row(walk, &cfg, budget, divisor, ws);
+                    let budget = row_budget(a.row_indices(i).len());
+                    let (cols, vals) = harvest_row(walk, budget, divisor, ws);
                     RowOut { cols, vals, stats }
                 },
             )

@@ -23,8 +23,8 @@
 //!    recorded.
 //! 3. **Post-build blow-up audit.** The probe is an estimate, so the
 //!    safeguard also checks the built outcome's blown-chain count; a
-//!    build whose blown fraction exceeds the configured limit is treated
-//!    exactly like a probe rejection (backoff or error).
+//!    build whose blown fraction exceeds a fixed limit is treated exactly
+//!    like a probe rejection (backoff or error).
 //!
 //! On success the caller gets a [`SafeguardedBuild`] carrying the outcome,
 //! the *effective* parameters (α may have been backed off), and the full
@@ -38,14 +38,19 @@ use crate::walk::WalkMatrix;
 use mcmcmi_sparse::Csr;
 use serde::{Deserialize, Serialize};
 
+/// Reject a build when the estimated `ρ(|C|)` is at or above this value.
+/// 1.0 is the exact contraction boundary; the limit leaves a small margin
+/// because a barely-subcritical splitting still produces very long walks
+/// and a noisy inverse.
+const RHO_LIMIT: f64 = 0.995;
+
+/// A completed build is rejected when more than this fraction of its chains
+/// tripped the weight blow-up guard.
+const BLOWN_FRACTION_LIMIT: f64 = 1e-3;
+
 /// Divergence-detection and backoff settings.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SafeguardConfig {
-    /// Reject a build when the estimated `ρ(|C|)` is at or above this
-    /// value. 1.0 is the exact contraction boundary; the default leaves a
-    /// small margin because a barely-subcritical splitting still produces
-    /// very long walks and a noisy inverse.
-    pub rho_limit: f64,
     /// Power iterations for the spectral probe (each costs one sweep over
     /// nnz(C); 32 resolves ρ to well under the margin the limit leaves).
     pub probe_iters: usize,
@@ -58,15 +63,11 @@ pub struct SafeguardConfig {
     /// anything below the floor) backs off to `alpha_floor · alpha_growth`
     /// first instead of multiplying a near-zero value forever.
     pub alpha_floor: f64,
-    /// A completed build is rejected when more than this fraction of its
-    /// chains tripped the weight blow-up guard.
-    pub blown_fraction_limit: f64,
 }
 
 impl Default for SafeguardConfig {
     fn default() -> Self {
         Self {
-            rho_limit: 0.995,
             probe_iters: 32,
             // Rejected attempts are cheap (probe only, no walks), so the
             // budget is sized to escape even a severely non-contractive
@@ -74,8 +75,14 @@ impl Default for SafeguardConfig {
             max_attempts: 8,
             alpha_growth: 2.0,
             alpha_floor: 0.05,
-            blown_fraction_limit: 1e-3,
         }
+    }
+}
+
+impl SafeguardConfig {
+    /// One geometric back-off step: `max(α, alpha_floor) · alpha_growth`.
+    pub fn next_alpha(&self, alpha: f64) -> f64 {
+        alpha.max(self.alpha_floor) * self.alpha_growth
     }
 }
 
@@ -202,7 +209,7 @@ impl McmcInverse {
             let walk = WalkMatrix::from_perturbed(a, alpha);
             let rho = walk.abs_spectral_radius_estimate(guard.probe_iters);
             let ncf = walk.noncontractive_fraction();
-            if rho.is_nan() || rho >= guard.rho_limit {
+            if rho.is_nan() || rho >= RHO_LIMIT {
                 // Probe rejection (also catches a NaN/∞ estimate): no
                 // walks were run, so this attempt cost O(probe_iters·nnz).
                 attempts.push(BuildAttempt {
@@ -211,7 +218,7 @@ impl McmcInverse {
                     noncontractive_fraction: ncf,
                     blown_up_chains: None,
                 });
-                alpha = next_alpha(alpha, guard);
+                alpha = guard.next_alpha(alpha);
                 continue;
             }
             let attempt_params = McmcParams::new(alpha, params.eps, params.delta);
@@ -228,8 +235,8 @@ impl McmcInverse {
                 noncontractive_fraction: ncf,
                 blown_up_chains: Some(outcome.blown_up_chains),
             });
-            if blown_fraction > guard.blown_fraction_limit || outcome.likely_divergent() {
-                alpha = next_alpha(alpha, guard);
+            if blown_fraction > BLOWN_FRACTION_LIMIT || outcome.likely_divergent() {
+                alpha = guard.next_alpha(alpha);
                 continue;
             }
             return Ok(SafeguardedBuild {
@@ -241,11 +248,6 @@ impl McmcInverse {
         }
         Err(BuildError::Divergent { attempts })
     }
-}
-
-/// Geometric backoff step with the configured floor.
-fn next_alpha(alpha: f64, guard: &SafeguardConfig) -> f64 {
-    alpha.max(guard.alpha_floor) * guard.alpha_growth
 }
 
 #[cfg(test)]
@@ -326,7 +328,7 @@ mod tests {
             .expect("backoff must reach a contractive α");
         assert!(guarded.backed_off());
         assert!(guarded.params.alpha > 0.001);
-        assert!(guarded.rho_estimate < SafeguardConfig::default().rho_limit);
+        assert!(guarded.rho_estimate < RHO_LIMIT);
         assert_eq!(guarded.outcome.blown_up_chains, 0);
         // ε and δ are untouched by the backoff.
         assert_eq!(guarded.params.eps, 0.25);

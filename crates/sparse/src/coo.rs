@@ -48,11 +48,6 @@ impl Coo {
         self.ncols
     }
 
-    /// Number of stored (possibly duplicated) entries.
-    pub fn nnz_stored(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Add `v` at `(i, j)`. Zero values are kept (they may cancel duplicates
     /// or be structurally meaningful); exact-zero results are dropped at CSR
     /// conversion time.

@@ -110,12 +110,6 @@ impl StencilMap {
         &self.pat_offsets[self.pat_ptr[p]..self.pat_ptr[p + 1]]
     }
 
-    /// Offsets of row `i`'s pattern.
-    #[inline]
-    pub fn offsets_of_row(&self, i: usize) -> &[i64] {
-        self.offsets_of(self.row_pattern[i] as usize)
-    }
-
     /// Pattern id of row `i` (index into the pattern pool). Kernels use
     /// this to batch maximal runs of equal-pattern rows, hoisting the
     /// offset table out of the row loop — on structured grids the whole

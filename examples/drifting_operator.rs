@@ -8,7 +8,7 @@
 //! ```
 
 use mcmcmi::core::{DriftSession, RefreshAction, RefreshPolicy};
-use mcmcmi::krylov::{SolveOptions, SolverType, StalenessConfig};
+use mcmcmi::krylov::{SolveOptions, SolverType};
 use mcmcmi::matgen::{pdd_real_sparse, DiagonalShiftDrift};
 use mcmcmi::mcmc::{BuildConfig, McmcParams, SafeguardConfig};
 
@@ -34,12 +34,8 @@ pub fn sixty_steps() -> (usize, DriftSession) {
     // calibrated iteration baseline and allows partial rebuilds up to
     // half the rows.
     let policy = RefreshPolicy {
-        staleness: StalenessConfig {
-            degrading_ratio: 1.3,
-            ..Default::default()
-        },
+        degrading_ratio: 1.3,
         max_partial_fraction: 0.5,
-        ..Default::default()
     };
     let mut session = DriftSession::new(
         a0,

@@ -89,7 +89,6 @@ fn main() {
             reps: 3,
             bo_batch: 8,
             xi: 0.05,
-            train: TrainConfig::default(),
             seed: 42,
         },
     );

@@ -192,7 +192,6 @@ fn recommendation_step_reproduces_parent_commit_bits() {
             restart: 30,
             ..Default::default()
         },
-        ..Default::default()
     });
     let ds = PaperDataset::build(&runner, &matrices, 1, 0, 0);
     let snapshot = Recommender::fit(

@@ -16,7 +16,6 @@ fn runner() -> MeasurementRunner {
             restart: 30,
             ..Default::default()
         },
-        ..Default::default()
     })
 }
 
@@ -76,7 +75,6 @@ fn pipeline_produces_useful_recommendation() {
             reps: 2,
             bo_batch: 4,
             xi: 0.05,
-            train: tcfg,
             seed: 7,
         },
     );
@@ -116,7 +114,6 @@ fn enhanced_model_changes_predictions_on_target() {
             reps: 2,
             bo_batch: 3,
             xi: 1.0,
-            train: tcfg,
             seed: 3,
         },
     );

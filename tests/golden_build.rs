@@ -83,7 +83,6 @@ fn observe(
     let built = McmcInverse::new(BuildConfig {
         seed,
         engine,
-        ..BuildConfig::default()
     })
     .build_safeguarded(a, params, &SafeguardConfig::default())
     .expect("every golden case builds");

@@ -30,7 +30,6 @@ fn dataset_json_roundtrip_preserves_everything() {
             restart: 25,
             ..Default::default()
         },
-        ..Default::default()
     });
     let ds = PaperDataset::build(&runner, &matrices, 2, 1, 0);
     let path = tmpdir().join("ds.json");
@@ -56,7 +55,6 @@ fn recommender_snapshot_roundtrip_preserves_predictions() {
             restart: 25,
             ..Default::default()
         },
-        ..Default::default()
     });
     let ds = PaperDataset::build(&runner, &matrices, 1, 0, 0);
     let scfg = SurrogateConfig {
