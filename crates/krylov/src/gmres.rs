@@ -346,6 +346,11 @@ pub(crate) fn gmres_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
             if residual <= opts.tol * stop_norm {
                 break;
             }
+            // A full basis ends the cycle unobserved: the restart's β is the
+            // next thing the watchdog sees, in this loop as in the lockstep one.
+            if k + 1 == m {
+                break;
+            }
             if let Some(f) = wd.observe(residual) {
                 failure = Some(f);
                 break 'outer;
@@ -439,10 +444,7 @@ enum GmresMode {
 /// the same `side` — the strided column kernels and the fused block sweeps
 /// are bit-identical to their contiguous counterparts — so results match
 /// sequential single-RHS solves bit for bit at any thread count, with
-/// per-column convergence masking. The one exception is the watchdog:
-/// `arnoldi_tail` ends a full cycle without showing it the cycle's last
-/// residual, which [`gmres_with`] does show it, so the watchdog can stop a
-/// column at a different iteration, or in one loop only.
+/// per-column convergence masking.
 ///
 /// # Panics
 /// Panics if `A` is not square or any rhs has the wrong length.
@@ -1129,6 +1131,53 @@ mod tests {
                 assert_eq!(batch[c].converged, scalar.converged, "{side:?} col {c}");
                 assert_eq!(
                     batch[c].rel_residual, scalar.rel_residual,
+                    "{side:?} col {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_watchdog_sees_the_same_residuals_in_both_loops() {
+        // The cyclic shift: every Krylov space short of n misses e₀, so
+        // GMRES(4) from b = e₀ (or e₁) never moves off residual 1 and only
+        // the stall window stops it. Which observation trips it depends on
+        // whether a full cycle's last Arnoldi residual is observed — the
+        // loops used to disagree on that.
+        let n = 12;
+        let mut coo = mcmcmi_sparse::Coo::new(n, n);
+        for i in 0..n {
+            coo.push((i + 1) % n, i, 1.0);
+        }
+        let a = coo.to_csr();
+        let unit = |j: usize| (0..n).map(|i| f64::from(u8::from(i == j))).collect();
+        let rhs: Vec<Vec<f64>> = vec![unit(0), unit(1)];
+        let id = IdentityPrecond::new(n);
+        let opts = SolveOptions {
+            restart: 4,
+            watchdog: crate::WatchdogConfig {
+                stall_window: 6,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        for side in [Side::Left, Side::Right] {
+            let batch = gmres_batch(&a, &rhs, &id, opts, side, &mut Default::default());
+            for (c, b) in rhs.iter().enumerate() {
+                let scalar = gmres_with(&a, b, &id, opts, side, &mut Default::default());
+                assert!(
+                    matches!(scalar.failure(), Some(SolveFailure::Stagnated { .. })),
+                    "{side:?} col {c}: {:?}",
+                    scalar.outcome
+                );
+                assert_eq!(batch[c].iterations, scalar.iterations, "{side:?} col {c}");
+                assert_eq!(batch[c].outcome, scalar.outcome, "{side:?} col {c}");
+                let bits =
+                    |r: &SolveResult| -> Vec<u64> { r.x.iter().map(|v| v.to_bits()).collect() };
+                assert_eq!(bits(&batch[c]), bits(&scalar), "{side:?} col {c}");
+                assert_eq!(
+                    batch[c].rel_residual.to_bits(),
+                    scalar.rel_residual.to_bits(),
                     "{side:?} col {c}"
                 );
             }
