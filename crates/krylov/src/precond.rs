@@ -53,6 +53,15 @@ pub trait Preconditioner: Sync {
     fn is_compressed(&self) -> bool {
         false
     }
+
+    /// Do results depend on the order of calls? `false` for every operator
+    /// whose application is a pure function of its input; `true` for one
+    /// whose state advances per call (a fault injector counting
+    /// applications). A solver keeps the calls of such an operator in one
+    /// sequence, on one thread, so their order is the same on every run.
+    fn order_dependent(&self) -> bool {
+        false
+    }
 }
 
 impl<P: Preconditioner + ?Sized> Preconditioner for &P {
@@ -67,6 +76,9 @@ impl<P: Preconditioner + ?Sized> Preconditioner for &P {
     }
     fn is_compressed(&self) -> bool {
         (**self).is_compressed()
+    }
+    fn order_dependent(&self) -> bool {
+        (**self).order_dependent()
     }
 }
 
@@ -84,6 +96,9 @@ impl<P: Preconditioner + Send + ?Sized> Preconditioner for std::sync::Arc<P> {
     }
     fn is_compressed(&self) -> bool {
         (**self).is_compressed()
+    }
+    fn order_dependent(&self) -> bool {
+        (**self).order_dependent()
     }
 }
 

@@ -107,6 +107,9 @@ impl Preconditioner for NanOnThirdApply<'_> {
         self.inner.apply_block(r, k, z);
         self.poison(z);
     }
+    fn order_dependent(&self) -> bool {
+        true
+    }
 }
 
 /// Every solver × width × preconditioner on one operator, default options.

@@ -68,6 +68,9 @@ impl<B: KernelBackend> KernelBackend for Counting<B> {
         self.wide.fetch_add(1, Ordering::Relaxed);
         self.inner.spmm(x, k, y);
     }
+    fn order_dependent(&self) -> bool {
+        self.inner.order_dependent()
+    }
 }
 
 impl<P: Preconditioner> Preconditioner for Counting<P> {
@@ -81,6 +84,9 @@ impl<P: Preconditioner> Preconditioner for Counting<P> {
     fn apply_block(&self, r: &[f64], k: usize, z: &mut [f64]) {
         self.wide.fetch_add(1, Ordering::Relaxed);
         self.inner.apply_block(r, k, z);
+    }
+    fn order_dependent(&self) -> bool {
+        self.inner.order_dependent()
     }
 }
 

@@ -53,6 +53,14 @@ pub trait KernelBackend: Sync {
     fn kernel_name(&self) -> &'static str {
         "generic-csr"
     }
+    /// Do results depend on the order of calls? `false` for every product
+    /// that is a pure function of its inputs; `true` for a backend whose
+    /// state advances per call ([`crate::FaultyBackend`]'s call counter).
+    /// A solver keeps the calls of such a backend in one sequence, on one
+    /// thread, so their order is the same on every run.
+    fn order_dependent(&self) -> bool {
+        false
+    }
 }
 
 /// The row-range driver under every backend: `Y ← A·X` for a row-major

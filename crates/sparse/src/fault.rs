@@ -6,9 +6,11 @@
 //! count, every run. [`FaultyBackend`] wraps any backend and corrupts
 //! selected SpMV/SpMM outputs by **call count** — no wall clock, no
 //! global RNG — so a fault-injected solve is exactly as bit-reproducible
-//! as a clean one. The Krylov drivers issue their matvecs sequentially
-//! (parallelism lives *inside* each kernel, never across kernel calls),
-//! so the call counter is a deterministic clock of solver progress.
+//! as a clean one. [`FaultyBackend`] declares itself order dependent
+//! ([`KernelBackend::order_dependent`]), and a solver issues the matvecs of
+//! such a backend sequentially, from one thread (parallelism lives *inside*
+//! each kernel, never across kernel calls), so for a backend that declares
+//! it the call counter is a deterministic clock of solver progress.
 //!
 //! A build-side injector ([`corrupt_rows`]) covers the other half of the
 //! threat model: a structurally intact preconditioner whose *values* are
@@ -131,6 +133,10 @@ impl<B: KernelBackend> KernelBackend for FaultyBackend<B> {
     }
     fn kernel_name(&self) -> &'static str {
         "fault-injected"
+    }
+    /// The call counter decides which output is corrupted.
+    fn order_dependent(&self) -> bool {
+        true
     }
 }
 
