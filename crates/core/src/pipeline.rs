@@ -309,10 +309,7 @@ impl OperatorContext {
             &lo,
             &hi,
             16,
-            ProposeConfig {
-                xi,
-                seed,
-            },
+            ProposeConfig { xi, seed },
         );
         (McmcParams::from_clamped(&x), ei)
     }

@@ -29,13 +29,7 @@ fn loss(p: &[f64]) -> f64 {
 fn suggestion_bits(seed: u64) -> Vec<[u64; 3]> {
     let space = space();
     let mut draws = ChaCha8Rng::seed_from_u64(1000 + seed);
-    let mut tpe = TpeSampler::new(
-        space.clone(),
-        TpeConfig {
-            n_startup: 4,
-            seed,
-        },
-    );
+    let mut tpe = TpeSampler::new(space.clone(), TpeConfig { n_startup: 4, seed });
     for _ in 0..12 {
         let p = space.sample(&mut draws);
         let l = loss(&p);

@@ -80,12 +80,9 @@ fn observe(
     seed: u64,
     engine: WalkEngine,
 ) -> Golden {
-    let built = McmcInverse::new(BuildConfig {
-        seed,
-        engine,
-    })
-    .build_safeguarded(a, params, &SafeguardConfig::default())
-    .expect("every golden case builds");
+    let built = McmcInverse::new(BuildConfig { seed, engine })
+        .build_safeguarded(a, params, &SafeguardConfig::default())
+        .expect("every golden case builds");
     Golden {
         case,
         seed,
