@@ -92,6 +92,12 @@ pub fn with_cancel<R>(token: &CancelToken, f: impl FnOnce() -> R) -> R {
     f()
 }
 
+/// The token the current thread's solve polls, if any — for a solve that
+/// hands its columns to other threads, which register it again there.
+pub(crate) fn current() -> Option<CancelToken> {
+    ACTIVE.with(|a| a.borrow().clone())
+}
+
 /// Driver-side poll: the structured failure to abort with if the current
 /// thread's token (if any) is cancelled. Called from
 /// [`crate::Watchdog::observe`] so every observation point in the six

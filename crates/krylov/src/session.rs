@@ -333,24 +333,40 @@ mod tests {
         }
     }
 
+    /// Lockstep blocks held in `ws` and in every column group's scratch.
+    fn blocks_held(ws: &Workspaces) -> usize {
+        ws.cg.lockstep.len() + ws.groups.iter().map(blocks_held).sum::<usize>()
+    }
+
     #[test]
     fn repeated_batches_reuse_the_width_workspace() {
         let a = fd_laplace_2d(8);
         let n = a.nrows();
-        let mut sess = SolveSession::new(
-            a.clone(),
-            JacobiPrecond::new(&a),
-            SolverType::Cg,
-            SolveOptions::default(),
-        );
-        let r1 = sess.solve_batch(&rhs_set(n, 4));
-        let r2 = sess.solve_batch(&rhs_set(n, 4));
-        assert_eq!(sess.ws.cg.lockstep.len(), 1);
-        let _ = sess.solve_batch(&rhs_set(n, 2));
-        assert_eq!(sess.ws.cg.lockstep.len(), 2);
-        // Same inputs through a reused workspace ⇒ same bits out.
-        for (p, q) in r1.iter().zip(&r2) {
-            assert_eq!(p.x, q.x);
+        // One thread runs the batch as one lockstep loop; two split it into
+        // two column groups, each with its own blocks.
+        for (threads, blocks) in [(1, 1), (2, 2)] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut sess = SolveSession::new(
+                    a.clone(),
+                    JacobiPrecond::new(&a),
+                    SolverType::Cg,
+                    SolveOptions::default(),
+                );
+                let r1 = sess.solve_batch(&rhs_set(n, 4));
+                assert_eq!(blocks_held(&sess.ws), blocks, "{threads} threads");
+                let r2 = sess.solve_batch(&rhs_set(n, 4));
+                assert_eq!(blocks_held(&sess.ws), blocks, "{threads} threads");
+                let _ = sess.solve_batch(&rhs_set(n, 6));
+                assert_eq!(blocks_held(&sess.ws), 2 * blocks, "{threads} threads");
+                // Same inputs through a reused workspace ⇒ same bits out.
+                for (p, q) in r1.iter().zip(&r2) {
+                    assert_eq!(p.x, q.x);
+                }
+            });
         }
     }
 

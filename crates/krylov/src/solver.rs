@@ -6,7 +6,8 @@ use crate::cg::{cg_batch, cg_with, BetaRule, CgBlockWorkspace, CgWorkspace};
 use crate::gmres::{gmres_batch, gmres_with, GmresBlockWorkspace, GmresWorkspace, Side};
 use crate::precond::Preconditioner;
 use crate::watchdog::WatchdogConfig;
-use mcmcmi_sparse::KernelBackend;
+use mcmcmi_sparse::{par_pays_off, KernelBackend};
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -415,15 +416,17 @@ impl<S, B: Default> DriverScratch<S, B> {
 /// driver shares its classical form's, so a session that swaps between the
 /// two keeps the blocks it holds) — what a
 /// [`crate::SolveSession`] keeps between solves so that repeated solves
-/// allocate only their solutions. The per-width maps are never evicted: a
-/// serving process that sees many distinct batch widths should normalise
-/// requests to a few fixed widths (padding with zero columns is cheap —
-/// they retire in round one).
+/// allocate only their solutions. A batch split across the pool keeps one
+/// set per column group in `groups`, group `g` always in slot `g`. The
+/// per-width maps are never evicted: a serving process that sees many
+/// distinct batch widths should normalise requests to a few fixed widths
+/// (padding with zero columns is cheap — they retire in round one).
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Workspaces {
     pub(crate) cg: DriverScratch<CgWorkspace, CgBlockWorkspace>,
     bicgstab: DriverScratch<BiCgStabWorkspace, BiCgStabBlockWorkspace>,
     pub(crate) gmres: DriverScratch<GmresWorkspace, GmresBlockWorkspace>,
+    pub(crate) groups: Vec<Workspaces>,
 }
 
 /// A driver as its loop family sees it: the family, and the one parameter
@@ -453,11 +456,24 @@ impl SolverType {
 /// per column, so this constant moves time and not results.
 const LOCKSTEP_MIN_WIDTH: usize = 2;
 
-/// The one place a Krylov loop is chosen: solve `A·x_c = b_c` for every
-/// column with `solver`, through the scalar loop when the batch is narrower
-/// than [`LOCKSTEP_MIN_WIDTH`] and through the lockstep loop otherwise.
-/// Every solve entry point of the crate — plain, warm-started, resilient,
-/// free function or session method — ends here.
+/// The one place a batch is laid out on the pool and a Krylov loop is
+/// chosen: solve `A·x_c = b_c` for every column with `solver`. Every solve
+/// entry point of the crate — plain, warm-started, resilient, free function
+/// or session method — ends here.
+///
+/// One threshold decides how a batch uses the pool, [`par_pays_off`] on the
+/// `nnz(A)·k` multiply-adds of its width-`k` product
+/// ([`mcmcmi_sparse::DEFAULT_PAR_THRESHOLD`]). When that pays, every product
+/// is split by rows inside the [`KernelBackend`]. When it does not and there
+/// are two or more columns, the batch is split by columns instead:
+/// `min(k, threads)` contiguous groups, each solved on its own worker whose
+/// pool is pinned to one thread, the results concatenated in column order.
+/// A batch whose operators declare order-dependent results
+/// ([`KernelBackend::order_dependent`], [`Preconditioner::order_dependent`])
+/// is never split. Each group (or the unsplit batch) then runs the scalar
+/// loop when it is narrower than [`LOCKSTEP_MIN_WIDTH`] and the lockstep
+/// loop otherwise. Both loops give every column the bits of its scalar
+/// solve, so neither choice moves a result.
 ///
 /// # Panics
 /// Panics if dimensions disagree.
@@ -478,6 +494,55 @@ pub(crate) fn solve_columns<A: KernelBackend + ?Sized, P: Preconditioner + ?Size
     for b in columns {
         assert_eq!(a.nrows(), b.len(), "solve: rhs dimension mismatch");
     }
+    let k = columns.len();
+    let threads = rayon::current_num_threads();
+    let split = k >= 2
+        && threads > 1
+        && !par_pays_off(a.nnz().saturating_mul(k))
+        && !a.order_dependent()
+        && !precond.order_dependent();
+    if !split {
+        return solve_width(a, precond, solver, opts, columns, ws);
+    }
+    let groups = k.min(threads);
+    if ws.groups.len() < groups {
+        ws.groups.resize_with(groups, Workspaces::default);
+    }
+    let mut tasks = Vec::with_capacity(groups);
+    let mut rest = columns;
+    for (g, group_ws) in ws.groups.iter_mut().take(groups).enumerate() {
+        let (head, tail) = rest.split_at(k / groups + usize::from(g < k % groups));
+        tasks.push((head, group_ws));
+        rest = tail;
+    }
+    let one = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread pool");
+    let cancel = crate::cancel::current();
+    let parts: Vec<Vec<SolveResult>> = tasks
+        .into_par_iter()
+        .map(|(group, group_ws)| {
+            let mut run = || solve_width(a, precond, solver, opts, group, group_ws);
+            one.install(|| match &cancel {
+                Some(token) => crate::cancel::with_cancel(token, run),
+                None => run(),
+            })
+        })
+        .collect();
+    parts.into_iter().flatten().collect()
+}
+
+/// The width rule on one set of columns: the scalar loop per column below
+/// [`LOCKSTEP_MIN_WIDTH`], one lockstep loop over all of them otherwise.
+fn solve_width<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
+    a: &A,
+    precond: &P,
+    solver: SolverType,
+    opts: SolveOptions,
+    columns: &[Vec<f64>],
+    ws: &mut Workspaces,
+) -> Vec<SolveResult> {
     let k = columns.len();
     let family = solver.family();
     if k < LOCKSTEP_MIN_WIDTH {

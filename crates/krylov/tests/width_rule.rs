@@ -1,7 +1,9 @@
 //! The batch width picks the Krylov loop, in one place, for every entry
 //! point: a one-column call runs the scalar loop (no SpMM, no block apply),
 //! a wider one runs the lockstep loop — and at width one every entry point
-//! returns the bits of the scalar driver called directly. (The scalar entry
+//! returns the bits of the scalar driver called directly. The two tests
+//! that watch the lockstep loop run in a one-thread pool, where no batch is
+//! split across workers. (The scalar entry
 //! points are the column ones at width one, so comparing those two would
 //! compare a function with itself; the reference here is `cg` … `fgmres`.)
 
@@ -90,6 +92,14 @@ impl<P: Preconditioner> Preconditioner for Counting<P> {
     }
 }
 
+/// Run `f` in a one-thread pool: the batch then reaches the width rule
+/// whole. With more threads a small batch is first split by columns, and
+/// each group's width picks its loop (`column_split.rs`).
+fn on_one_thread<R>(f: impl FnOnce() -> R) -> R {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build();
+    pool.expect("a one-thread pool").install(f)
+}
+
 fn system() -> (Csr, Vec<Vec<f64>>) {
     let a = fd_laplace_2d(8);
     let n = a.nrows();
@@ -135,88 +145,92 @@ fn bits(r: &SolveResult) -> (Vec<u64>, u64, u64, usize, bool, String) {
 
 #[test]
 fn free_solve_batch_reads_the_width() {
-    let (a, rhs) = system();
-    let p = JacobiPrecond::new(&a);
-    let opts = SolveOptions::default();
-    let probe = Counting::new(a.clone());
-    for solver in ALL {
-        let one = solve_batch(&probe, &rhs[..1], &p, solver, opts);
-        assert_eq!(probe.take().1, 0, "{solver:?}: width 1 ran a lockstep loop");
-        let reference = scalar_loop(&a, &rhs[0], &p, solver, opts);
-        assert_eq!(bits(&one[0]), bits(&reference), "{solver:?}");
-        assert_eq!(
-            bits(&solve(&a, &rhs[0], &p, solver, opts)),
-            bits(&reference)
-        );
+    on_one_thread(|| {
+        let (a, rhs) = system();
+        let p = JacobiPrecond::new(&a);
+        let opts = SolveOptions::default();
+        let probe = Counting::new(a.clone());
+        for solver in ALL {
+            let one = solve_batch(&probe, &rhs[..1], &p, solver, opts);
+            assert_eq!(probe.take().1, 0, "{solver:?}: width 1 ran a lockstep loop");
+            let reference = scalar_loop(&a, &rhs[0], &p, solver, opts);
+            assert_eq!(bits(&one[0]), bits(&reference), "{solver:?}");
+            assert_eq!(
+                bits(&solve(&a, &rhs[0], &p, solver, opts)),
+                bits(&reference)
+            );
 
-        let three = solve_batch(&probe, &rhs, &p, solver, opts);
-        assert!(probe.take().1 > 0, "{solver:?}: width 3 ran scalar loops");
-        for (got, b) in three.iter().zip(&rhs) {
-            assert_eq!(bits(got), bits(&scalar_loop(&a, b, &p, solver, opts)));
+            let three = solve_batch(&probe, &rhs, &p, solver, opts);
+            assert!(probe.take().1 > 0, "{solver:?}: width 3 ran scalar loops");
+            for (got, b) in three.iter().zip(&rhs) {
+                assert_eq!(bits(got), bits(&scalar_loop(&a, b, &p, solver, opts)));
+            }
         }
-    }
+    });
 }
 
 #[test]
 fn session_and_warm_harness_read_the_width() {
-    let (a, rhs) = system();
-    let jacobi = JacobiPrecond::new(&a);
-    let opts = SolveOptions::default();
-    for solver in ALL {
-        let probe = Counting::new(JacobiPrecond::new(&a));
-        let mut sess = SolveSession::new(a.clone(), probe, solver, opts);
+    on_one_thread(|| {
+        let (a, rhs) = system();
+        let jacobi = JacobiPrecond::new(&a);
+        let opts = SolveOptions::default();
+        for solver in ALL {
+            let probe = Counting::new(JacobiPrecond::new(&a));
+            let mut sess = SolveSession::new(a.clone(), probe, solver, opts);
 
-        let reference = scalar_loop(&a, &rhs[0], &jacobi, solver, opts);
-        let scalar = sess.solve(&rhs[0]);
-        let one = sess.solve_batch(&rhs[..1]);
-        assert_eq!(sess.precond().take().1, 0, "{solver:?}: width 1, plain");
-        assert_eq!(bits(&scalar), bits(&reference), "{solver:?}");
-        assert_eq!(bits(&one[0]), bits(&reference), "{solver:?}");
-        let cold = sess.solve_batch(&rhs);
-        assert!(sess.precond().take().1 > 0, "{solver:?}: width 3, plain");
-        for (got, b) in cold.iter().zip(&rhs) {
-            let reference = scalar_loop(&a, b, &jacobi, solver, opts);
-            assert_eq!(bits(got), bits(&reference), "{solver:?}");
-        }
+            let reference = scalar_loop(&a, &rhs[0], &jacobi, solver, opts);
+            let scalar = sess.solve(&rhs[0]);
+            let one = sess.solve_batch(&rhs[..1]);
+            assert_eq!(sess.precond().take().1, 0, "{solver:?}: width 1, plain");
+            assert_eq!(bits(&scalar), bits(&reference), "{solver:?}");
+            assert_eq!(bits(&one[0]), bits(&reference), "{solver:?}");
+            let cold = sess.solve_batch(&rhs);
+            assert!(sess.precond().take().1 > 0, "{solver:?}: width 3, plain");
+            for (got, b) in cold.iter().zip(&rhs) {
+                let reference = scalar_loop(&a, b, &jacobi, solver, opts);
+                assert_eq!(bits(got), bits(&reference), "{solver:?}");
+            }
 
-        // A drift-quality guess per column: the correction systems reach
-        // the driver, at the width of the batch.
-        let guesses: Vec<Vec<f64>> = cold
-            .iter()
-            .map(|r| r.x.iter().map(|v| v * (1.0 + 1e-3)).collect())
-            .collect();
-        // The correction split of the module docs, by hand, through the
-        // scalar loop: r₀ = b − A·x₀, A·e = r₀ at tol / (‖r₀‖/‖b‖), x₀ + e.
-        let (b, g) = (&rhs[0], &guesses[0]);
-        let mut r0 = vec![0.0; b.len()];
-        a.spmv(g, &mut r0);
-        for (ri, &bi) in r0.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        let init_rel = norm2(&r0) / norm2(b);
-        let inner = SolveOptions {
-            tol: opts.tol / init_rel,
-            ..opts
-        };
-        let e = scalar_loop(&a, &r0, &jacobi, solver, inner);
-        assert!(e.iterations > 0 && e.iterations < cold[0].iterations);
-        let by_hand: Vec<u64> = e.x.iter().zip(g).map(|(e, g)| (e + g).to_bits()).collect();
+            // A drift-quality guess per column: the correction systems reach
+            // the driver, at the width of the batch.
+            let guesses: Vec<Vec<f64>> = cold
+                .iter()
+                .map(|r| r.x.iter().map(|v| v * (1.0 + 1e-3)).collect())
+                .collect();
+            // The correction split of the module docs, by hand, through the
+            // scalar loop: r₀ = b − A·x₀, A·e = r₀ at tol / (‖r₀‖/‖b‖), x₀ + e.
+            let (b, g) = (&rhs[0], &guesses[0]);
+            let mut r0 = vec![0.0; b.len()];
+            a.spmv(g, &mut r0);
+            for (ri, &bi) in r0.iter_mut().zip(b) {
+                *ri = bi - *ri;
+            }
+            let init_rel = norm2(&r0) / norm2(b);
+            let inner = SolveOptions {
+                tol: opts.tol / init_rel,
+                ..opts
+            };
+            let e = scalar_loop(&a, &r0, &jacobi, solver, inner);
+            assert!(e.iterations > 0 && e.iterations < cold[0].iterations);
+            let by_hand: Vec<u64> = e.x.iter().zip(g).map(|(e, g)| (e + g).to_bits()).collect();
 
-        let scalar = sess.solve_warm(b, Some(g));
-        let one = sess.solve_batch_warm(&rhs[..1], Some(&guesses[..1]));
-        assert_eq!(sess.precond().take().1, 0, "{solver:?}: width 1, warm");
-        let free = solve_warm(&a, b, Some(g), &jacobi, solver, opts);
-        for warm in [&scalar, &one[0], &free] {
-            assert_eq!(bits(warm).0, by_hand, "{solver:?}");
-            assert_eq!(warm.iterations, e.iterations, "{solver:?}");
-            assert_eq!(warm.initial_rel_residual.to_bits(), init_rel.to_bits());
-            assert!(warm.converged, "{solver:?}");
+            let scalar = sess.solve_warm(b, Some(g));
+            let one = sess.solve_batch_warm(&rhs[..1], Some(&guesses[..1]));
+            assert_eq!(sess.precond().take().1, 0, "{solver:?}: width 1, warm");
+            let free = solve_warm(&a, b, Some(g), &jacobi, solver, opts);
+            for warm in [&scalar, &one[0], &free] {
+                assert_eq!(bits(warm).0, by_hand, "{solver:?}");
+                assert_eq!(warm.iterations, e.iterations, "{solver:?}");
+                assert_eq!(warm.initial_rel_residual.to_bits(), init_rel.to_bits());
+                assert!(warm.converged, "{solver:?}");
+            }
+            assert_eq!(bits(&one[0]), bits(&scalar), "{solver:?}");
+            let three = sess.solve_batch_warm(&rhs, Some(&guesses));
+            assert!(sess.precond().take().1 > 0, "{solver:?}: width 3, warm");
+            assert!(three.iter().all(|r| r.converged));
         }
-        assert_eq!(bits(&one[0]), bits(&scalar), "{solver:?}");
-        let three = sess.solve_batch_warm(&rhs, Some(&guesses));
-        assert!(sess.precond().take().1 > 0, "{solver:?}: width 3, warm");
-        assert!(three.iter().all(|r| r.converged));
-    }
+    });
 }
 
 /// The two inputs the scalar and batch warm harnesses used to treat
