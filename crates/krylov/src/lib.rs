@@ -26,8 +26,10 @@
 //! Each family keeps two loops — a scalar one and a lockstep one over a
 //! row-major block of right-hand sides, the same bits per column, each the
 //! faster on some workload — and everything above them is written once,
-//! over columns: one dispatch in [`solver`] reads the batch width and picks
-//! the loop, and the warm start ([`warm`]), the recovery ladder
+//! over columns: one dispatch in [`solver`] reads the batch width, lays the
+//! batch out on the pool (by rows inside each product, or by columns when
+//! the products are too small to split) and picks the loop, and the warm
+//! start ([`warm`]), the recovery ladder
 //! ([`resilient`]) and the reusable [`SolveSession`], which amortises the
 //! preconditioner and all solver workspaces over many solves, are thin
 //! layers on it. `solve(b)` is `solve_batch(&[b])`.

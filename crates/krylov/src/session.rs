@@ -118,11 +118,13 @@ impl<P: Preconditioner> SolveSession<P> {
     /// Solve a batch of systems. Two or more columns run in lockstep,
     /// sharing every matrix traversal (SpMM) and preconditioner
     /// application across the batch with per-column convergence masking;
-    /// a single column runs the scalar loop. Results are bit-identical to
-    /// calling [`SolveSession::solve`] once per rhs, in order, and to the
-    /// free [`crate::solve_batch`]. The workspace for this batch width
-    /// persists on the session, so repeated same-width batches reuse every
-    /// O(n·k) buffer.
+    /// a single column runs the scalar loop. A batch whose products are too
+    /// small to split by rows is split by columns across the pool, one
+    /// group per thread. Results are bit-identical to calling
+    /// [`SolveSession::solve`] once per rhs, in order, and to the free
+    /// [`crate::solve_batch`]. The workspace for this batch width (or for
+    /// each column group's) persists on the session, so repeated same-width
+    /// batches reuse every O(n·k) buffer.
     ///
     /// # Panics
     /// Panics if any rhs has the wrong length.

@@ -501,9 +501,13 @@ pub(crate) fn solve_columns<A: KernelBackend + ?Sized, P: Preconditioner + ?Size
         && !par_pays_off(a.nnz().saturating_mul(k))
         && !a.order_dependent()
         && !precond.order_dependent();
-    if !split {
+    // Each group's products run on a one-thread pool, so they never fork.
+    let one = split
+        .then(|| rayon::ThreadPoolBuilder::new().num_threads(1).build().ok())
+        .flatten();
+    let Some(one) = one else {
         return solve_width(a, precond, solver, opts, columns, ws);
-    }
+    };
     let groups = k.min(threads);
     if ws.groups.len() < groups {
         ws.groups.resize_with(groups, Workspaces::default);
@@ -515,10 +519,6 @@ pub(crate) fn solve_columns<A: KernelBackend + ?Sized, P: Preconditioner + ?Size
         tasks.push((head, group_ws));
         rest = tail;
     }
-    let one = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("a one-thread pool");
     let cancel = crate::cancel::current();
     let parts: Vec<Vec<SolveResult>> = tasks
         .into_par_iter()
@@ -590,7 +590,9 @@ pub fn solve<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
 /// preconditioner applications are shared across all columns (SpMM / block
 /// apply), while each column runs exactly the scalar algorithm's arithmetic
 /// and converges independently (per-column masking). A single column runs
-/// the scalar loop itself. Either way the results are bit-identical to
+/// the scalar loop itself. A batch too small to split its products by rows
+/// is split by columns across the pool first, each group running that same
+/// rule on its own thread. Either way the results are bit-identical to
 /// calling [`solve`] once per rhs, at any thread count.
 ///
 /// One-shot convenience over [`crate::SolveSession`], which additionally

@@ -701,6 +701,12 @@ impl<T: Scalar> Deserialize for Csr<T> {
 /// Parallel-dispatch work threshold of [`par_pays_off`], in multiply-adds
 /// per traversal (`nnz` for SpMV, `nnz·k` for SpMM).
 ///
+/// It is the one threshold that decides how a Krylov batch uses the pool,
+/// by rows or by columns: a width-`k` product at or above it is split by
+/// rows (in [`crate::KernelBackend`]); below it a batch of two or more
+/// right-hand sides is split by columns instead, one group per thread
+/// (`solve_columns` in `mcmcmi_krylov`).
+///
 /// Rationale: the serial kernel moves ~1 nnz/ns, and the rayon shim spawns
 /// *fresh scoped threads per call* (no persistent pool), costing on the
 /// order of 100 µs to fork/join a full complement of workers — so the
