@@ -14,4 +14,6 @@ pub mod propose;
 
 pub use acquisition::{expected_improvement, expected_improvement_grad, SurrogateModel};
 pub use lbfgsb::{lbfgsb_minimize, LbfgsbResult};
-pub use propose::{propose_batch, propose_best, ProposeConfig};
+pub use propose::{
+    best_starts, first_best, maximize_ei, propose_batch, propose_best, random_starts, ProposeConfig,
+};

@@ -27,11 +27,40 @@ impl Default for ProposeConfig {
     }
 }
 
-fn random_point(lo: &[f64], hi: &[f64], rng: &mut ChaCha8Rng) -> Vec<f64> {
-    lo.iter()
-        .zip(hi)
-        .map(|(&l, &h)| rng.gen_range(l..=h))
+/// `n` points drawn uniformly from the box `[lo, hi]`, in order, from one
+/// ChaCha8 stream seeded with `seed` — the random starts every multi-start
+/// search here polishes.
+pub fn random_starts(lo: &[f64], hi: &[f64], n: usize, seed: u64) -> Vec<Vec<f64>> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            lo.iter()
+                .zip(hi)
+                .map(|(&l, &h)| rng.gen_range(l..=h))
+                .collect()
+        })
         .collect()
+}
+
+/// The `n_starts` start points [`propose_best`] polishes, in the order it
+/// polishes them.
+pub fn best_starts(lo: &[f64], hi: &[f64], n_starts: usize, cfg: ProposeConfig) -> Vec<Vec<f64>> {
+    random_starts(lo, hi, n_starts, cfg.seed ^ 0xbead)
+}
+
+/// The first candidate whose EI is strictly the best, folding in the
+/// order given — how [`propose_best`] picks among its polished starts.
+///
+/// # Panics
+/// Panics if there are no candidates.
+pub fn first_best(candidates: impl IntoIterator<Item = (Vec<f64>, f64)>) -> (Vec<f64>, f64) {
+    let mut best: Option<(Vec<f64>, f64)> = None;
+    for (x, ei) in candidates {
+        if best.as_ref().is_none_or(|(_, b)| ei > *b) {
+            best = Some((x, ei));
+        }
+    }
+    best.expect("first_best: no candidates")
 }
 
 /// Propose a batch of `k` candidate parameter vectors by independent
@@ -44,17 +73,17 @@ pub fn propose_batch<S: SurrogateModel>(
     k: usize,
     cfg: ProposeConfig,
 ) -> Vec<Vec<f64>> {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    (0..k)
-        .map(|_| {
-            let x0 = random_point(lo, hi, &mut rng);
-            maximize_ei(surrogate, y_min, &x0, lo, hi, cfg).0
-        })
+    random_starts(lo, hi, k, cfg.seed)
+        .iter()
+        .map(|x0| maximize_ei(surrogate, y_min, x0, lo, hi, cfg).0)
         .collect()
 }
 
 /// Multi-start EI maximisation returning the single best candidate and its
-/// EI value — the paper's final `x*_M(A) = argmax EI` recommendation step.
+/// EI value — the paper's final `x*_M(A) = argmax EI` recommendation step:
+/// [`maximize_ei`] from each of [`best_starts`], then [`first_best`]. The
+/// starts run one after another on `surrogate`; a caller whose surrogate
+/// can be cloned may run them anywhere and fold the same way.
 pub fn propose_best<S: SurrogateModel>(
     surrogate: &mut S,
     y_min: f64,
@@ -64,25 +93,21 @@ pub fn propose_best<S: SurrogateModel>(
     cfg: ProposeConfig,
 ) -> (Vec<f64>, f64) {
     assert!(n_starts >= 1, "propose_best: need at least one start");
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed ^ 0xbead);
-    let mut best: Option<(Vec<f64>, f64)> = None;
-    for _ in 0..n_starts {
-        let x0 = random_point(lo, hi, &mut rng);
-        let (x, ei) = maximize_ei(surrogate, y_min, &x0, lo, hi, cfg);
-        if best.as_ref().is_none_or(|(_, b)| ei > *b) {
-            best = Some((x, ei));
-        }
-    }
-    best.expect("propose_best: at least one start ran")
+    first_best(
+        best_starts(lo, hi, n_starts, cfg)
+            .iter()
+            .map(|x0| maximize_ei(surrogate, y_min, x0, lo, hi, cfg)),
+    )
 }
 
-/// Maximise EI from one starting point.
+/// Maximise EI from one starting point; returns the polished point and its
+/// EI.
 ///
 /// Internally minimises `−log(EI)`: far from promising regions EI underflows
 /// towards zero and its raw gradient vanishes (the classic EI plateau); the
 /// log transform rescales the gradient by `1/EI`, restoring a usable descent
 /// signal while preserving the argmax.
-fn maximize_ei<S: SurrogateModel>(
+pub fn maximize_ei<S: SurrogateModel>(
     surrogate: &mut S,
     y_min: f64,
     x0: &[f64],

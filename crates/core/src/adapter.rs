@@ -85,7 +85,7 @@ mod tests {
     use mcmcmi_matgen::laplace_1d;
 
     fn setup() -> (InferenceHead, Standardizer) {
-        let mut s = Surrogate::new(SurrogateConfig {
+        let s = Surrogate::new(SurrogateConfig {
             gnn_hidden: 8,
             xa_hidden: 4,
             xm_hidden: 4,

@@ -113,7 +113,7 @@ impl PaperDataset {
 
     /// Raw (unstandardised) `x_M` vector for a record:
     /// `[α, ε, δ, onehot(solver)]`.
-    pub fn raw_xm(record: &DatasetRecord) -> Vec<f64> {
+    fn raw_xm(record: &DatasetRecord) -> Vec<f64> {
         let mut v = record.params.as_vec().to_vec();
         v.extend_from_slice(&record.solver.one_hot());
         v

@@ -6,7 +6,8 @@ use crate::dataset::{DatasetRecord, PaperDataset};
 use crate::features::matrix_features;
 use crate::measure::MeasurementRunner;
 use mcmcmi_bayesopt::{
-    lbfgsb_minimize, propose_batch, propose_best, ProposeConfig, SurrogateModel,
+    best_starts, first_best, lbfgsb_minimize, maximize_ei, propose_batch, random_starts,
+    ProposeConfig, SurrogateModel,
 };
 use mcmcmi_gnn::{
     train_surrogate, InferenceHead, MatrixGraph, Surrogate, SurrogateConfig, TrainConfig,
@@ -16,8 +17,7 @@ use mcmcmi_krylov::SolverType;
 use mcmcmi_mcmc::McmcParams;
 use mcmcmi_sparse::Csr;
 use mcmcmi_stats::Standardizer;
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Pipeline settings.
@@ -136,6 +136,7 @@ impl Recommender {
         OperatorContext {
             head: self.surrogate.compile_head(&h_g, &xa),
             xm_std: self.xm_std.clone(),
+            worker_evals: 0,
         }
     }
 
@@ -159,18 +160,6 @@ impl Recommender {
         seed: u64,
     ) -> (McmcParams, f64) {
         self.context(a).recommend(solver, y_min, xi, seed)
-    }
-
-    /// [`OperatorContext::recommend_with_solver`] on a fresh context for
-    /// `a`.
-    pub fn recommend_with_solver(
-        &mut self,
-        a: &Csr,
-        allow_cg: bool,
-        xi: f64,
-        seed: u64,
-    ) -> (SolverType, McmcParams, f64) {
-        self.context(a).recommend_with_solver(allow_cg, xi, seed)
     }
 
     /// One BO round (Algorithm 1 inner loop) on a target matrix: propose
@@ -237,9 +226,18 @@ impl Recommender {
 /// only `x_M` (parameters and the solver one-hot). A snapshot of the
 /// weights it was compiled from: refitting the recommender does not reach
 /// it.
+///
+/// The multi-start searches ([`OperatorContext::predicted_min`],
+/// [`OperatorContext::recommend`]) draw their start points in order from
+/// one seeded stream, polish the starts across the rayon pool — each
+/// worker on its own clone of the compiled head, which answers with the
+/// same bits — and fold the results in start order, so what they return
+/// is the same at any thread count.
 pub struct OperatorContext {
     head: InferenceHead,
     xm_std: Standardizer,
+    /// Gradient evaluations spent by the pool workers' head clones.
+    worker_evals: usize,
 }
 
 impl OperatorContext {
@@ -247,13 +245,41 @@ impl OperatorContext {
         GnnSurrogateAdapter::new(&mut self.head, &self.xm_std, solver)
     }
 
+    /// Polish every start with `polish` across the pool, each worker on
+    /// its own clone of the head, and return the results in start order.
+    /// The workers' gradient evaluations are added to this context's count.
+    fn across_pool<T: Send>(
+        &mut self,
+        solver: SolverType,
+        starts: &[Vec<f64>],
+        polish: impl Fn(&mut GnnSurrogateAdapter<'_>, &[f64]) -> T + Sync,
+    ) -> Vec<T> {
+        let (head, xm_std) = (&self.head, &self.xm_std);
+        let polished: Vec<(T, usize)> = (0..starts.len())
+            .into_par_iter()
+            .map_init(
+                || head.clone(),
+                |worker, i| {
+                    let before = worker.grad_evals();
+                    let out = polish(
+                        &mut GnnSurrogateAdapter::new(worker, xm_std, solver),
+                        &starts[i],
+                    );
+                    (out, worker.grad_evals() - before)
+                },
+            )
+            .collect();
+        self.worker_evals += polished.iter().map(|(_, evals)| evals).sum::<usize>();
+        polished.into_iter().map(|(out, _)| out).collect()
+    }
+
     /// Surrogate gradient evaluations spent on this context so far — one
     /// per objective evaluation of the L-BFGS-B runs behind
     /// [`OperatorContext::predicted_min`] and
-    /// [`OperatorContext::recommend`]. A count, not a time: it repeats
-    /// exactly at a given seed.
+    /// [`OperatorContext::recommend`], whichever worker ran them. A count,
+    /// not a time: it repeats exactly at a given seed and any thread count.
     pub fn surrogate_evals(&self) -> usize {
-        self.head.grad_evals()
+        self.head.grad_evals() + self.worker_evals
     }
 
     /// Predict `(μ̂, σ̂)` for given physical parameters.
@@ -267,30 +293,17 @@ impl OperatorContext {
     /// term with other matrices' easier baselines).
     pub fn predicted_min(&mut self, solver: SolverType, seed: u64) -> f64 {
         let (lo, hi) = McmcParams::search_box();
-        let mut adapter = self.adapter(solver);
         // Multi-start minimisation of μ̂ (EI with y_min → −∞ reduces to
         // exploitation; here we just descend μ̂ directly).
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut best = f64::INFINITY;
-        for _ in 0..12 {
-            let x0: Vec<f64> = lo
-                .iter()
-                .zip(&hi)
-                .map(|(&l, &h)| rng.gen_range(l..=h))
-                .collect();
-            let r = lbfgsb_minimize(
-                |x| {
-                    let (mu, _s, dmu, _ds) = adapter.predict_grad(x);
-                    (mu, dmu)
-                },
-                &x0,
-                &lo,
-                &hi,
-                100,
-            );
-            best = best.min(r.f);
-        }
-        best
+        let starts = random_starts(&lo, &hi, 12, seed);
+        let minima = self.across_pool(solver, &starts, |adapter, x0| {
+            let objective = |x: &[f64]| {
+                let (mu, _s, dmu, _ds) = adapter.predict_grad(x);
+                (mu, dmu)
+            };
+            lbfgsb_minimize(objective, x0, &lo, &hi, 100).f
+        });
+        minima.into_iter().fold(f64::INFINITY, f64::min)
     }
 
     /// Recommend parameters: multi-start EI maximisation against the best
@@ -303,44 +316,12 @@ impl OperatorContext {
         seed: u64,
     ) -> (McmcParams, f64) {
         let (lo, hi) = McmcParams::search_box();
-        let (x, ei) = propose_best(
-            &mut self.adapter(solver),
-            y_min,
-            &lo,
-            &hi,
-            16,
-            ProposeConfig { xi, seed },
-        );
+        let cfg = ProposeConfig { xi, seed };
+        let starts = best_starts(&lo, &hi, 16, cfg);
+        let (x, ei) = first_best(self.across_pool(solver, &starts, |adapter, x0| {
+            maximize_ei(adapter, y_min, x0, &lo, &hi, cfg)
+        }));
         (McmcParams::from_clamped(&x), ei)
-    }
-
-    /// Paper §5 (future work, implemented here as an extension): recommend
-    /// the *solver type along with* its optimal `(α, ε, δ)` — runs the EI
-    /// recommendation once per candidate solver and picks the pair with the
-    /// lowest predicted metric at the recommended parameters.
-    ///
-    /// `allow_cg` should only be set for SPD systems (CG diverges
-    /// otherwise), mirroring the paper's dataset construction.
-    pub fn recommend_with_solver(
-        &mut self,
-        allow_cg: bool,
-        xi: f64,
-        seed: u64,
-    ) -> (SolverType, McmcParams, f64) {
-        let mut candidates = vec![SolverType::Gmres, SolverType::BiCgStab];
-        if allow_cg {
-            candidates.push(SolverType::Cg);
-        }
-        let mut best: Option<(SolverType, McmcParams, f64)> = None;
-        for solver in candidates {
-            let y_min = self.predicted_min(solver, seed);
-            let (params, _ei) = self.recommend(solver, y_min, xi, seed);
-            let (mu, _sigma) = self.predict(solver, params);
-            if best.as_ref().is_none_or(|(_, _, b)| mu < *b) {
-                best = Some((solver, params, mu));
-            }
-        }
-        best.expect("recommend_with_solver: candidate list is never empty")
     }
 }
 
@@ -449,29 +430,6 @@ mod tests {
         let (mu2, sigma2) =
             enhanced.predict(&target, SolverType::Gmres, McmcParams::new(1.0, 0.25, 0.25));
         assert!(mu2 >= 0.0 && sigma2 > 0.0);
-    }
-
-    #[test]
-    fn solver_recommendation_extension() {
-        let runner = fast_runner();
-        let matrices: Vec<(String, Csr, bool)> = vec![
-            ("lap".into(), laplace_1d(24), true),
-            ("pdd".into(), pdd_real_sparse(32, 2), false),
-        ];
-        let ds = PaperDataset::build(&runner, &matrices, 1, 0, 0);
-        let mut rec = Recommender::fit(&ds, &matrices, tiny_surrogate_cfg(), fast_train_cfg());
-        // Non-SPD target: CG must not be offered.
-        let target = pdd_real_sparse(28, 5);
-        let (solver, params, mu) = rec.recommend_with_solver(&target, false, 0.05, 1);
-        assert_ne!(solver, SolverType::Cg);
-        assert!(mu.is_finite() && mu >= 0.0);
-        let (lo, hi) = McmcParams::search_box();
-        assert!(params.alpha >= lo[0] && params.alpha <= hi[0]);
-        assert!(params.delta >= lo[2] && params.delta <= hi[2]);
-        // SPD target: CG is in the candidate set (may or may not win).
-        let spd = laplace_1d(20);
-        let (_s2, p2, _m2) = rec.recommend_with_solver(&spd, true, 0.05, 2);
-        assert!(p2.eps >= lo[1] && p2.eps <= hi[1]);
     }
 
     #[test]

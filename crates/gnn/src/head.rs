@@ -20,9 +20,11 @@
 use crate::layers::{Mlp, LAYER_NORM_EPS};
 use crate::params::ParamSet;
 
-/// One `Linear → [LayerNorm] → ReLU` block.
-#[derive(Debug)]
-struct Dense {
+/// One `Linear → [LayerNorm] → ReLU` block — of the head, and the per-edge
+/// message of the tape-free EdgeConv
+/// ([`crate::EdgeConvLayer::forward_values`]).
+#[derive(Clone, Debug)]
+pub(crate) struct Dense {
     d_in: usize,
     d_out: usize,
     /// `Wᵀ`, `d_in × d_out` row-major.
@@ -37,17 +39,17 @@ struct Dense {
 }
 
 /// What one block's forward pass leaves behind for its backward pass.
-#[derive(Debug)]
-struct Act {
+#[derive(Clone, Debug)]
+pub(crate) struct Act {
     /// The ReLU's input (layer-normed when the block normalises).
     z: Vec<f64>,
     inv_std: f64,
-    out: Vec<f64>,
+    pub(crate) out: Vec<f64>,
 }
 
 impl Dense {
     /// The blocks of an MLP whose every layer is activated.
-    fn stack(ps: &ParamSet, mlp: &Mlp) -> Vec<Dense> {
+    pub(crate) fn stack(ps: &ParamSet, mlp: &Mlp) -> Vec<Dense> {
         assert!(mlp.activate_last, "InferenceHead: linear last layer");
         mlp.weights
             .iter()
@@ -83,7 +85,16 @@ impl Dense {
         self.d_in -= c;
     }
 
-    fn forward(&self, x: &[f64], act: &mut Act) {
+    /// Scratch for one forward pass of this block.
+    pub(crate) fn act(&self) -> Act {
+        Act {
+            z: vec![0.0; self.d_out],
+            inv_std: 0.0,
+            out: vec![0.0; self.d_out],
+        }
+    }
+
+    pub(crate) fn forward(&self, x: &[f64], act: &mut Act) {
         let z = &mut act.z;
         z.copy_from_slice(&self.init);
         accumulate_rows(z, x, &self.wt);
@@ -142,8 +153,9 @@ fn accumulate_rows(acc: &mut [f64], coef: &[f64], rows: &[f64]) {
 /// The compiled `x_M → (μ̂, σ̂)` map of a surrogate on one operator — see
 /// the module docs. A snapshot of the weights it was compiled from: the
 /// only state that changes after [`crate::Surrogate::compile_head`] is
-/// scratch and the evaluation counter.
-#[derive(Debug)]
+/// scratch and the evaluation counter, so a clone answers every query
+/// with the same bits as the original.
+#[derive(Clone, Debug)]
 pub struct InferenceHead {
     /// The `x_M` stack followed by the fused stack, whose first block sees
     /// only the `h_m` columns.
@@ -169,16 +181,11 @@ impl InferenceHead {
         h_g: &[f64],
         xa: &[f64],
     ) -> Self {
-        let new_act = |b: &Dense| Act {
-            z: vec![0.0; b.d_out],
-            inv_std: 0.0,
-            out: vec![0.0; b.d_out],
-        };
         // The x_A branch does not depend on x_M: run it now.
         let mut consts = h_g.to_vec();
         let mut ha = xa.to_vec();
         for block in Dense::stack(ps, xa_mlp) {
-            let mut act = new_act(&block);
+            let mut act = block.act();
             block.forward(&ha, &mut act);
             ha = act.out;
         }
@@ -191,7 +198,7 @@ impl InferenceHead {
         let widest = blocks.iter().map(|b| b.d_in.max(b.d_out)).max();
         let grad = vec![0.0; widest.expect("Mlp has at least one layer")];
         Self {
-            acts: blocks.iter().map(new_act).collect(),
+            acts: blocks.iter().map(Dense::act).collect(),
             blocks,
             w_mu: ps.get(head_mu.0).data().to_vec(),
             b_mu: ps.get(head_mu.1).scalar(),

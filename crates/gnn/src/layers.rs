@@ -3,8 +3,9 @@
 //! GATv2 attention, and PNA multi-aggregation).
 
 use crate::graph_data::MatrixGraph;
+use crate::head::Dense;
 use crate::params::{BoundParams, ParamSet};
-use mcmcmi_autodiff::{xavier_uniform, AggKind, Graph, Var};
+use mcmcmi_autodiff::{xavier_uniform, AggKind, Graph, Tensor, Var};
 use serde::{Deserialize, Serialize};
 
 /// Message-passing layer family (the paper's §4.3 sweep covered six; the
@@ -86,16 +87,6 @@ impl Mlp {
         }
     }
 
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        *self.dims.last().unwrap()
-    }
-
-    /// Input dimensionality.
-    pub fn in_dim(&self) -> usize {
-        self.dims[0]
-    }
-
     /// Forward pass over a batch (rows = samples).
     pub fn forward(&self, g: &mut Graph, bound: &BoundParams, mut x: Var) -> Var {
         let n_layers = self.weights.len();
@@ -137,11 +128,6 @@ impl EdgeConvLayer {
         Self { mlp, agg }
     }
 
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.mlp.out_dim()
-    }
-
     /// One round of message passing over the matrix graph.
     pub fn forward(&self, g: &mut Graph, bound: &BoundParams, data: &MatrixGraph, x: Var) -> Var {
         // Receiver and sender features per edge.
@@ -151,6 +137,75 @@ impl EdgeConvLayer {
         let msg_in = g.concat_cols(xi, diff);
         let msg = self.mlp.forward(g, bound, msg_in);
         g.scatter_agg(msg, &data.edge_dst, data.n_nodes, self.agg)
+    }
+
+    /// [`EdgeConvLayer::forward`] on plain values, without the tape: each
+    /// edge's message is computed in scratch and added straight into its
+    /// receiver's bucket, in edge order, so no `E × d` tensor is ever
+    /// built. Bit-identical to the tape: `x_j − x_i` equals the tape's
+    /// `x_j + (−1)·x_i`, the message block is the inference head's
+    /// [`Dense`] (the tape's product, bias, layer norm and ReLU), and the
+    /// buckets reduce as `Graph::scatter_agg` reduces them.
+    pub(crate) fn forward_values(&self, ps: &ParamSet, data: &MatrixGraph, x: &Tensor) -> Tensor {
+        let [block] = &Dense::stack(ps, &self.mlp)[..] else {
+            unreachable!("EdgeConv's message MLP is a single block")
+        };
+        let mut act = block.act();
+        let (d_in, d_out) = (x.cols(), act.out.len());
+        let mut out = match self.agg {
+            AggKind::Max => Tensor::full(data.n_nodes, d_out, f64::NEG_INFINITY),
+            AggKind::Sum | AggKind::Mean => Tensor::zeros(data.n_nodes, d_out),
+        };
+        let mut counts = vec![0usize; data.n_nodes];
+        let mut msg_in = vec![0.0; 2 * d_in];
+        for (&i, &j) in data.edge_dst.iter().zip(&data.edge_src) {
+            let (xi, xj) = (x.row(i), x.row(j));
+            let (recv, diff) = msg_in.split_at_mut(d_in);
+            recv.copy_from_slice(xi);
+            for ((d, &a), &b) in diff.iter_mut().zip(xj).zip(xi) {
+                // The tape's `a + (−1)·b`: negation is exact, and IEEE
+                // defines `a − b` as `a + (−b)`.
+                *d = a - b;
+            }
+            block.forward(&msg_in, &mut act);
+            counts[i] += 1;
+            let bucket = out.row_mut(i);
+            match self.agg {
+                AggKind::Sum | AggKind::Mean => {
+                    for (o, &m) in bucket.iter_mut().zip(&act.out) {
+                        *o += m;
+                    }
+                }
+                AggKind::Max => {
+                    for (o, &m) in bucket.iter_mut().zip(&act.out) {
+                        if m > *o {
+                            *o = m;
+                        }
+                    }
+                }
+            }
+        }
+        match self.agg {
+            AggKind::Mean => {
+                for (b, &c) in counts.iter().enumerate() {
+                    if c > 0 {
+                        let inv = 1.0 / c as f64;
+                        for v in out.row_mut(b) {
+                            *v *= inv;
+                        }
+                    }
+                }
+            }
+            AggKind::Max => {
+                for v in out.data_mut() {
+                    if *v == f64::NEG_INFINITY {
+                        *v = 0.0;
+                    }
+                }
+            }
+            AggKind::Sum => {}
+        }
+        out
     }
 }
 
@@ -188,11 +243,6 @@ impl GineLayer {
         }
     }
 
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.mlp.out_dim()
-    }
-
     /// Forward: `MLP((1+ε)·x_i + Σ_j ReLU(x_j + W_e·w_ij + b_e))`.
     pub fn forward(&self, g: &mut Graph, bound: &BoundParams, data: &MatrixGraph, x: Var) -> Var {
         let xj = g.row_gather(x, &data.edge_src);
@@ -216,7 +266,6 @@ impl GineLayer {
 pub struct GcnLayer {
     w: usize,
     b: usize,
-    d_out: usize,
 }
 
 impl GcnLayer {
@@ -228,12 +277,7 @@ impl GcnLayer {
             mcmcmi_autodiff::Tensor::zeros(1, d_out),
             false,
         );
-        Self { w, b, d_out }
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.d_out
+        Self { w, b }
     }
 
     /// Forward pass.
@@ -276,7 +320,6 @@ pub struct GatV2Layer {
     a_bias: usize,
     w_proj: usize,
     b_proj: usize,
-    d_out: usize,
 }
 
 impl GatV2Layer {
@@ -320,13 +363,7 @@ impl GatV2Layer {
             a_bias,
             w_proj,
             b_proj,
-            d_out,
         }
-    }
-
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.d_out
     }
 
     /// Forward pass.
@@ -409,11 +446,6 @@ impl PnaLayer {
         Self { msg, tower }
     }
 
-    /// Output dimensionality.
-    pub fn out_dim(&self) -> usize {
-        self.tower.out_dim()
-    }
-
     /// Forward pass.
     pub fn forward(&self, g: &mut Graph, bound: &BoundParams, data: &MatrixGraph, x: Var) -> Var {
         let xi = g.row_gather(x, &data.edge_dst);
@@ -433,7 +465,6 @@ impl PnaLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcmcmi_autodiff::Tensor;
     use mcmcmi_matgen::laplace_1d;
 
     fn toy_graph() -> MatrixGraph {
@@ -444,8 +475,6 @@ mod tests {
     fn mlp_shapes_flow() {
         let mut ps = ParamSet::new();
         let mlp = Mlp::new(&mut ps, "t", &[4, 8, 3], true, false, 1);
-        assert_eq!(mlp.in_dim(), 4);
-        assert_eq!(mlp.out_dim(), 3);
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
         let x = g.leaf(Tensor::zeros(5, 4));
@@ -581,7 +610,6 @@ mod tests {
         let data = toy_graph();
         let mut ps = ParamSet::new();
         let layer = PnaLayer::new(&mut ps, "pna", 1, 5, 17);
-        assert_eq!(layer.out_dim(), 5);
         let mut g = Graph::new();
         let bound = ps.bind(&mut g);
         let x = g.leaf(data.node_feat.clone());

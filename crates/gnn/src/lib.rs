@@ -16,6 +16,13 @@
 //! [`SurrogateConfig::lite`] preset keeps CPU wall-clock down. EdgeConv,
 //! GINE (edge-weight aware) and a weighted-GCN layer are all implemented —
 //! the trio the ablation bench sweeps.
+//!
+//! Answering the recommender records no tape: [`Surrogate::embed_graph`]
+//! runs the EdgeConv stack edge by edge into per-node buckets, and
+//! [`InferenceHead`] runs the `x_M`-dependent rest with its input
+//! gradient, both bit-identical to the tape. The autodiff tape is for
+//! training, for the oracle tests of those two, and for the conv kinds
+//! only the ablation and HPO sweeps build (GINE, GCN, GATv2, PNA).
 
 pub mod graph_data;
 pub mod head;

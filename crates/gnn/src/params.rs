@@ -46,11 +46,6 @@ impl ParamSet {
         self.tensors.is_empty()
     }
 
-    /// Total scalar parameter count.
-    pub fn num_scalars(&self) -> usize {
-        self.tensors.iter().map(Tensor::len).sum()
-    }
-
     /// Tensor accessor.
     pub fn get(&self, idx: usize) -> &Tensor {
         &self.tensors[idx]
@@ -111,7 +106,7 @@ mod tests {
         let w = ps.register("w", Tensor::full(2, 3, 1.5), true);
         let b = ps.register("b", Tensor::zeros(1, 2), false);
         assert_eq!(ps.len(), 2);
-        assert_eq!(ps.num_scalars(), 8);
+        assert_eq!(ps.tensors().iter().map(Tensor::len).sum::<usize>(), 8);
         assert_eq!(ps.decay_mask(), &[true, false]);
 
         let mut g = Graph::new();

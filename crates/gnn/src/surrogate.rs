@@ -354,12 +354,34 @@ impl Surrogate {
         (mu, sigma)
     }
 
-    /// Compute the graph embedding `h_g` as a plain tensor (no grads).
-    pub fn embed_graph(&mut self, data: &MatrixGraph) -> Tensor {
-        let mut g = Graph::new();
-        let bound = self.params.bind(&mut g);
-        let hg = self.graph_forward(&mut g, &bound, data);
-        g.value(hg).clone()
+    /// Compute the graph embedding `h_g` as a plain tensor (no grads), the
+    /// same bits as the tape's graph side. EdgeConv — every depth and
+    /// aggregation — runs without the tape, edge by edge into per-node
+    /// buckets, and pools as `Graph::mean_rows` does; the other conv kinds,
+    /// which only the ablation and HPO sweeps build, record a tape and drop
+    /// it.
+    pub fn embed_graph(&self, data: &MatrixGraph) -> Tensor {
+        let ConvStack::Edge(layers) = &self.conv else {
+            let mut g = Graph::new();
+            let bound = self.params.bind(&mut g);
+            let hg = self.graph_forward(&mut g, &bound, data);
+            return g.value(hg).clone();
+        };
+        let mut x = data.node_feat.clone();
+        for l in layers {
+            x = l.forward_values(&self.params, data, &x);
+        }
+        assert!(x.rows() > 0, "embed_graph: empty graph");
+        let mut pooled = Tensor::zeros(1, x.cols());
+        for r in 0..x.rows() {
+            for (o, &v) in pooled.row_mut(0).iter_mut().zip(x.row(r)) {
+                *o += v;
+            }
+        }
+        for v in pooled.data_mut() {
+            *v /= x.rows() as f64;
+        }
+        pooled
     }
 
     /// Compile the inference head for one operator: everything that does
@@ -465,6 +487,125 @@ mod tests {
         assert_eq!(g.value(sigma).scalar().to_bits(), sg_fast.to_bits());
     }
 
+    /// The tape's graph side: what [`Surrogate::embed_graph`] must equal.
+    fn tape_embedding(s: &Surrogate, data: &MatrixGraph) -> Tensor {
+        let mut g = Graph::new();
+        let bound = s.params.bind(&mut g);
+        let hg = s.graph_forward(&mut g, &bound, data);
+        g.value(hg).clone()
+    }
+
+    /// Graphs the tape-free EdgeConv must reduce exactly as the tape does:
+    /// uneven in-degrees (the mean's `1/count` is inexact), constant
+    /// features (every product takes `matmul`'s zero skip), receivers with
+    /// no incoming edge, and an operator with no edge at all.
+    fn oracle_graphs() -> Vec<(&'static str, MatrixGraph)> {
+        let mut upper = mcmcmi_sparse::Coo::new(7, 7);
+        for i in 0..7usize {
+            upper.push(i, i, 4.0);
+            if i % 3 != 2 && i + 1 < 7 {
+                upper.push(i, i + 1, -1.5);
+            }
+            if i < 3 {
+                upper.push(i, 6, 0.5);
+            }
+        }
+        let mut diagonal = mcmcmi_sparse::Coo::new(5, 5);
+        for i in 0..5usize {
+            diagonal.push(i, i, 1.0 + i as f64);
+        }
+        vec![
+            ("lap1d", MatrixGraph::from_csr(&laplace_1d(9))),
+            (
+                "lap2d",
+                MatrixGraph::from_csr(&mcmcmi_matgen::fd_laplace_2d(4)),
+            ),
+            (
+                "pdd",
+                MatrixGraph::from_csr(&mcmcmi_matgen::pdd_real_sparse(12, 3)),
+            ),
+            ("ring", {
+                let mut ring = mcmcmi_sparse::Coo::new(6, 6);
+                for i in 0..6usize {
+                    ring.push(i, i, 2.0);
+                    ring.push(i, (i + 1) % 6, -1.0);
+                    ring.push(i, (i + 5) % 6, -1.0);
+                }
+                MatrixGraph::from_csr(&ring.to_csr())
+            }),
+            ("sources", MatrixGraph::from_csr(&upper.to_csr())),
+            ("diagonal", MatrixGraph::from_csr(&diagonal.to_csr())),
+        ]
+    }
+
+    /// A few Adam steps on two of the oracle graphs, so biases are non-zero
+    /// and weights are no longer Xavier draws.
+    fn train_briefly(s: &mut Surrogate) {
+        let mut ds = crate::train::SurrogateDataset::default();
+        let graphs = oracle_graphs();
+        let m0 = ds.add_matrix(graphs[0].1.clone(), vec![0.3, -1.2, 0.0, 0.7, 2.0]);
+        let m1 = ds.add_matrix(graphs[2].1.clone(), vec![-0.5, 0.4, 1.0, 0.0, -1.0]);
+        for k in 0..12 {
+            let t = k as f64 / 11.0;
+            ds.push_sample(crate::train::GraphSample {
+                matrix_idx: if k % 2 == 0 { m0 } else { m1 },
+                xm: vec![t, 1.0 - t, 0.5 - t, 1.0, 0.0, 0.0],
+                y_mean: 0.3 + 0.6 * t,
+                y_std: 0.05 + 0.1 * t,
+            });
+        }
+        crate::train::train_surrogate(
+            s,
+            &ds,
+            crate::train::TrainConfig {
+                epochs: 2,
+                batch_size: 4,
+                patience: 0,
+                ..Default::default()
+            },
+        );
+    }
+
+    #[test]
+    fn tape_free_embedding_equals_tape_bit_for_bit() {
+        let one_unit = SurrogateConfig {
+            gnn_hidden: 1,
+            ..small_cfg()
+        };
+        let presets = [
+            ("lite", SurrogateConfig::lite(5, 6)),
+            ("paper", SurrogateConfig::paper(5, 6)),
+            ("hidden1", one_unit),
+        ];
+        let graphs = oracle_graphs();
+        for (name, preset) in presets {
+            for gnn_layers in [1, 2] {
+                for agg in [AggKind::Mean, AggKind::Sum, AggKind::Max] {
+                    for trained in [false, true] {
+                        let mut s = Surrogate::new(SurrogateConfig {
+                            gnn_layers,
+                            agg,
+                            ..preset
+                        });
+                        if trained {
+                            train_briefly(&mut s);
+                        }
+                        for (graph, data) in &graphs {
+                            let bits = |t: Tensor| -> Vec<u64> {
+                                t.data().iter().map(|v| v.to_bits()).collect()
+                            };
+                            assert_eq!(
+                                bits(s.embed_graph(data)),
+                                bits(tape_embedding(&s, data)),
+                                "{name} × {gnn_layers} layers, {agg:?}, trained {trained}, {graph}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn input_gradients_match_finite_differences() {
         let mut s = Surrogate::new(small_cfg());
@@ -510,7 +651,7 @@ mod tests {
 
     #[test]
     fn different_graphs_give_different_embeddings() {
-        let mut s = Surrogate::new(small_cfg());
+        let s = Surrogate::new(small_cfg());
         let d1 = MatrixGraph::from_csr(&laplace_1d(6));
         let d2 = MatrixGraph::from_csr(&mcmcmi_matgen::fd_laplace_2d(4));
         let h1 = s.embed_graph(&d1);
@@ -531,7 +672,7 @@ mod tests {
                 conv,
                 ..small_cfg()
             };
-            let mut s = Surrogate::new(cfg);
+            let s = Surrogate::new(cfg);
             let data = toy_data();
             let h = s.embed_graph(&data);
             assert_eq!(h.cols(), 8, "{conv:?}");

@@ -122,7 +122,7 @@ pub struct TrainReport {
 }
 
 /// Eq.-2 loss over a set of samples, without gradient tracking.
-pub fn evaluate_loss(surrogate: &mut Surrogate, ds: &SurrogateDataset, indices: &[usize]) -> f64 {
+fn evaluate_loss(surrogate: &mut Surrogate, ds: &SurrogateDataset, indices: &[usize]) -> f64 {
     if indices.is_empty() {
         return 0.0;
     }
