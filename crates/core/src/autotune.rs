@@ -30,11 +30,17 @@
 //! 1e−4 and 1e−6, and a candidate that cannot reach 1e−4 cheaply has no
 //! business being certified, so paying full-depth solves for *losing*
 //! candidates is pure waste (on the climate operator a failed full-depth
-//! probe costs minutes; a failed relaxed probe, seconds). The best few
-//! ranked candidates are then **certified** at the budget's real
-//! options; the first that converges is the winner, and the report's
-//! `probe_iters`/`score` come from that certified solve — never from the
-//! relaxed pass.
+//! probe costs minutes; a failed relaxed probe, seconds). A ranking probe
+//! also stops early once its tolerance is out of reach: with the
+//! watchdog's reach rule on (window = the budget's restart length), a
+//! probe whose residual falls too slowly over a restart cycle to get
+//! there by the relaxed cap stops at that cycle's end and reports
+//! [`SolveFailure::OutOfReach`] in [`TrialRecord::probe_failure`]. It
+//! scores like any failed probe, from its true residual where it
+//! stopped. The best few ranked candidates are then **certified** at
+//! the budget's real options, reach rule off; the first that converges
+//! is the winner, and the report's `probe_iters`/`score` come from that
+//! certified solve — never from the relaxed pass.
 //!
 //! Candidates come from the TPE sampler (`mcmcmi_hpo`) over the joint
 //! space, optionally warm-started by a trained [`Recommender`]'s
@@ -47,7 +53,7 @@ use crate::measure::manufactured_rhs;
 use crate::pipeline::Recommender;
 use mcmcmi_hpo::{ParamKind, SearchSpace, TpeConfig, TpeSampler};
 use mcmcmi_krylov::{
-    solve_batch, CompressedPrecond, SolveSession, SolverType, TuneBudget, TuneError,
+    solve_batch, CompressedPrecond, SolveFailure, SolveSession, SolverType, TuneBudget, TuneError,
 };
 use mcmcmi_mcmc::{
     BuildAttempt, BuildConfig, CompressionPolicy, CompressionReport, McmcInverse, McmcParams,
@@ -99,11 +105,17 @@ pub struct TrialRecord {
     /// splitting.
     pub rho_estimate: f64,
     /// Whether every probe column converged *at the relaxed ranking
-    /// fidelity* (see [`AutotuneReport::relaxed_probe_opts`]).
+    /// fidelity* (see [`AutotuneReport::relaxed_probe_opts`]). A probe
+    /// the watchdog's reach rule stopped did not converge.
     pub converged: bool,
     /// Worst probe column's iteration count at the relaxed fidelity
-    /// (0 when the build failed).
+    /// (0 when the build failed). A stopped probe column counts the
+    /// iteration where it stopped, not the relaxed cap.
     pub probe_iters: usize,
+    /// Why the probe failed: the first failing column's outcome (`None`
+    /// when every column converged or the build failed).
+    #[serde(default)]
+    pub probe_failure: Option<SolveFailure>,
     /// Fraction of preconditioner nnz surviving compression (1.0 when the
     /// build failed).
     pub nnz_kept: f64,
@@ -307,6 +319,14 @@ impl AutoTuner {
             max_iter: (budget.probe_opts.max_iter / 4)
                 .max(200)
                 .min(budget.probe_opts.max_iter),
+            // A probe whose residual cannot reach the relaxed tolerance by
+            // the cap, at the rate it fell over its last restart cycle,
+            // stops there: its rank among the failures is set by its true
+            // residual, which it already has.
+            watchdog: mcmcmi_krylov::WatchdogConfig {
+                reach_window: budget.probe_opts.restart,
+                ..budget.probe_opts.watchdog
+            },
             ..budget.probe_opts
         };
         // Failure scores must dominate every converged score and still
@@ -387,6 +407,7 @@ impl AutoTuner {
                         rho_estimate: last.rho_estimate,
                         converged: false,
                         probe_iters: 0,
+                        probe_failure: None,
                         nnz_kept: 1.0,
                         // More divergent ⇒ worse, so the sampler still
                         // gets a gradient out of failed builds.
@@ -417,6 +438,7 @@ impl AutoTuner {
                         rho_estimate: guarded.rho_estimate,
                         converged,
                         probe_iters: iters,
+                        probe_failure: results.iter().find_map(|r| r.failure().cloned()),
                         nnz_kept: report.nnz_kept,
                         score,
                         attempts: guarded.attempts.clone(),

@@ -225,7 +225,8 @@ impl DriftSession {
     }
 
     /// Dirty rows accumulated since the last refresh.
-    pub fn pending_dirty(&self) -> usize {
+    #[cfg(test)]
+    fn pending_dirty(&self) -> usize {
         self.pending_dirty.len()
     }
 

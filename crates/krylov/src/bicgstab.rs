@@ -95,7 +95,7 @@ pub(crate) fn bicgstab_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Size
     let mut omega = 1.0f64;
     let mut iters = 0usize;
     let mut failure: Option<SolveFailure> = None;
-    let mut wd = Watchdog::new(opts.watchdog);
+    let mut wd = Watchdog::new(opts.watchdog, opts.tol * pb_norm, opts.max_iter);
 
     while iters < opts.max_iter {
         iters += 1;
@@ -333,7 +333,9 @@ pub(crate) fn bicgstab_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Siz
     let mut early_exit = vec![false; k];
     // Per-column watchdogs: same observations, same order as the scalar
     // driver, so lockstep columns trip (or don't) identically.
-    let mut wds: Vec<Watchdog> = (0..k).map(|_| Watchdog::new(opts.watchdog)).collect();
+    let mut wds: Vec<Watchdog> = (0..k)
+        .map(|c| Watchdog::new(opts.watchdog, opts.tol * pb_norm[c], opts.max_iter))
+        .collect();
 
     while active.iter().any(|&a| a) {
         // Scalar loop condition: `while iters < max_iter`.

@@ -55,7 +55,7 @@ impl CancelToken {
     }
 
     /// Has the flag been set or the deadline passed?
-    pub fn is_cancelled(&self) -> bool {
+    fn is_cancelled(&self) -> bool {
         if self.flag.load(Ordering::Relaxed) {
             return true;
         }

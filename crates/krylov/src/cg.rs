@@ -137,7 +137,7 @@ pub(crate) fn cg_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     ws.ap.resize(n, 0.0);
     let mut iters = 0usize;
     let mut failure: Option<SolveFailure> = None;
-    let mut wd = Watchdog::new(opts.watchdog);
+    let mut wd = Watchdog::new(opts.watchdog, opts.tol * b_norm, opts.max_iter);
 
     while iters < opts.max_iter {
         iters += 1;
@@ -296,7 +296,9 @@ pub(crate) fn cg_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     let mut continuing = vec![false; k];
     // Per-column watchdogs: same observations, same order as the scalar
     // driver, so lockstep columns trip (or don't) identically.
-    let mut wds: Vec<Watchdog> = (0..k).map(|_| Watchdog::new(opts.watchdog)).collect();
+    let mut wds: Vec<Watchdog> = (0..k)
+        .map(|c| Watchdog::new(opts.watchdog, opts.tol * b_norm[c], opts.max_iter))
+        .collect();
 
     let mut iters = vec![0usize; k];
     while active.iter().any(|&a| a) {

@@ -268,7 +268,7 @@ pub(crate) fn gmres_with<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>(
     };
 
     let mut failure: Option<SolveFailure> = None;
-    let mut wd = Watchdog::new(opts.watchdog);
+    let mut wd = Watchdog::new(opts.watchdog, opts.tol * stop_norm, opts.max_iter);
     'outer: while total_iters < opts.max_iter {
         // v₀ = r/‖r‖, with r = P(b − Ax) on the left and the true residual
         // b − Ax on the right.
@@ -615,7 +615,9 @@ pub(crate) fn gmres_batch<A: KernelBackend + ?Sized, P: Preconditioner + ?Sized>
 
     // Per-column watchdogs: same observations, same order as the scalar
     // driver, so lockstep columns trip (or don't) identically.
-    let mut wds: Vec<Watchdog> = (0..k).map(|_| Watchdog::new(opts.watchdog)).collect();
+    let mut wds: Vec<Watchdog> = (0..k)
+        .map(|c| Watchdog::new(opts.watchdog, opts.tol * stop_norm[c], opts.max_iter))
+        .collect();
 
     // Per-round scratch for the fused fast path, hoisted out of the hot loop.
     let mut mask = vec![false; k];

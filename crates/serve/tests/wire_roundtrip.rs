@@ -7,7 +7,8 @@ mod common;
 
 use common::*;
 use mcmcmi_krylov::{
-    BreakdownKind, RecoveryStep, RecoveryStepKind, RecoveryTrail, SolveFailure, SolverType,
+    BreakdownKind, RecoveryStep, RecoveryStepKind, RecoveryTrail, SolveFailure, SolveOptions,
+    SolverType, WatchdogConfig,
 };
 use mcmcmi_mcmc::{BuildAttempt, BuildError, McmcParams};
 use mcmcmi_serve::{
@@ -35,6 +36,10 @@ fn solve_failure_variants_round_trip() {
             best_residual: 3.25e-7,
         },
         SolveFailure::Diverged { growth: 1.5e9 },
+        SolveFailure::OutOfReach {
+            window: 50,
+            rate: 0.1 + 0.7, // deliberately non-representable sum
+        },
         SolveFailure::NonFinite {
             what: "residual norm".to_string(),
         },
@@ -44,6 +49,27 @@ fn solve_failure_variants_round_trip() {
     for f in variants {
         assert_eq!(round_trip(&f), f, "{f:?}");
     }
+}
+
+#[test]
+fn solve_options_without_a_reach_window_still_parse() {
+    // What a request carried before the reach rule existed.
+    let old = r#"{"tol":1e-6,"max_iter":300,"restart":30,"watchdog":{"stall_window":400,"stall_improvement":0.001,"divergence_growth":100000000.0}}"#;
+    let opts: SolveOptions = serde_json::from_str(old).expect("old options parse");
+    assert_eq!(opts.watchdog, WatchdogConfig::default());
+    assert_eq!((opts.tol, opts.max_iter, opts.restart), (1e-6, 300, 30));
+
+    let on = SolveOptions {
+        watchdog: WatchdogConfig {
+            reach_window: 50,
+            ..WatchdogConfig::default()
+        },
+        ..SolveOptions::default()
+    };
+    assert_eq!(round_trip(&on).watchdog, on.watchdog);
+    // Only the defaulted field may be missing.
+    let short = old.replace(r#""stall_window":400,"#, "");
+    assert!(serde_json::from_str::<SolveOptions>(&short).is_err());
 }
 
 #[test]

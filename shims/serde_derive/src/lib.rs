@@ -8,7 +8,10 @@
 //! unit, tuple, or struct-like. Enums serialize externally tagged exactly
 //! like real serde: `Unit` → `"Unit"`, `Tuple(a, b)` → `{"Tuple": [a, b]}`,
 //! `Struct { x }` → `{"Struct": {"x": …}}`. Generic types are rejected with
-//! a compile error rather than silently misbehaving.
+//! a compile error rather than silently misbehaving. The one field
+//! attribute read is `#[serde(default)]`: a field that carries it takes
+//! `Default::default()` when the input has no entry for it (any other
+//! missing field is an error, as upstream).
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
@@ -31,12 +34,18 @@ enum Mode {
 enum Item {
     Struct {
         name: String,
-        fields: Vec<String>,
+        fields: Vec<Field>,
     },
     Enum {
         name: String,
         variants: Vec<Variant>,
     },
+}
+
+struct Field {
+    name: String,
+    /// Carries `#[serde(default)]`.
+    default: bool,
 }
 
 struct Variant {
@@ -47,7 +56,7 @@ struct Variant {
 enum VariantKind {
     Unit,
     Tuple(usize),
-    Struct(Vec<String>),
+    Struct(Vec<Field>),
 }
 
 fn compile_error(msg: &str) -> TokenStream {
@@ -149,11 +158,30 @@ fn field_name(chunk: &[TokenTree]) -> Result<String, String> {
     }
 }
 
-fn parse_named_fields(group_tokens: &[TokenTree]) -> Result<Vec<String>, String> {
+/// Does a field chunk carry `#[serde(default)]` among its attributes?
+fn has_serde_default(chunk: &[TokenTree]) -> bool {
+    let end = skip_attrs(chunk, 0);
+    chunk[..end].iter().any(|t| {
+        let TokenTree::Group(g) = t else { return false };
+        let toks: Vec<TokenTree> = g.stream().into_iter().collect();
+        matches!(
+            toks.as_slice(),
+            [TokenTree::Ident(id), TokenTree::Group(args)]
+                if id.to_string() == "serde" && args.stream().to_string() == "default"
+        )
+    })
+}
+
+fn parse_named_fields(group_tokens: &[TokenTree]) -> Result<Vec<Field>, String> {
     split_top_level_commas(group_tokens)
         .iter()
         .filter(|chunk| !chunk.is_empty())
-        .map(|chunk| field_name(chunk))
+        .map(|chunk| {
+            Ok(Field {
+                name: field_name(chunk)?,
+                default: has_serde_default(chunk),
+            })
+        })
         .collect()
 }
 
@@ -253,10 +281,10 @@ fn parse_variant(chunk: &[TokenTree]) -> Result<Variant, String> {
 
 // --- code generation -------------------------------------------------------
 
-fn serialize_struct(name: &str, fields: &[String]) -> String {
+fn serialize_struct(name: &str, fields: &[Field]) -> String {
     let pushes: String = fields
         .iter()
-        .map(|f| {
+        .map(|Field { name: f, .. }| {
             format!("__obj.push(({f:?}.to_string(), ::serde::Serialize::to_value(&self.{f})));\n")
         })
         .collect();
@@ -272,14 +300,24 @@ fn serialize_struct(name: &str, fields: &[String]) -> String {
     )
 }
 
-fn field_from_value(ty_name: &str, field: &str, source: &str) -> String {
-    format!(
-        "{field}: ::serde::Deserialize::from_value({source}.get({field:?})\
-             .ok_or_else(|| ::serde::Error::missing_field({ty_name:?}, {field:?}))?)?,\n"
-    )
+fn field_from_value(ty_name: &str, field: &Field, source: &str) -> String {
+    let Field { name, default } = field;
+    if *default {
+        format!(
+            "{name}: match {source}.get({name:?}) {{\n\
+                 Some(__v) => ::serde::Deserialize::from_value(__v)?,\n\
+                 None => ::core::default::Default::default(),\n\
+             }},\n"
+        )
+    } else {
+        format!(
+            "{name}: ::serde::Deserialize::from_value({source}.get({name:?})\
+                 .ok_or_else(|| ::serde::Error::missing_field({ty_name:?}, {name:?}))?)?,\n"
+        )
+    }
 }
 
-fn deserialize_struct(name: &str, fields: &[String]) -> String {
+fn deserialize_struct(name: &str, fields: &[Field]) -> String {
     let inits: String = fields
         .iter()
         .map(|f| field_from_value(name, f, "v"))
@@ -322,8 +360,9 @@ fn serialize_enum(name: &str, variants: &[Variant]) -> String {
                     )
                 }
                 VariantKind::Struct(fields) => {
-                    let bind = fields.join(", ");
-                    let items: String = fields
+                    let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
+                    let bind = names.join(", ");
+                    let items: String = names
                         .iter()
                         .map(|f| {
                             format!("({f:?}.to_string(), ::serde::Serialize::to_value({f})),")

@@ -9,10 +9,10 @@ use mcmcmi::core::autotune::{AutoTuner, AutotuneConfig};
 use mcmcmi::core::features::N_MATRIX_FEATURES;
 use mcmcmi::core::{MeasureConfig, MeasurementRunner, PaperDataset, Recommender};
 use mcmcmi::gnn::{SurrogateConfig, TrainConfig};
-use mcmcmi::krylov::{SolveOptions, SolverType, TuneBudget};
+use mcmcmi::krylov::{SolveFailure, SolveOptions, SolverType, TuneBudget};
 use mcmcmi::matgen::{fd_laplace_2d, laplace_1d, pdd_real_sparse, PaperMatrix};
 use mcmcmi::mcmc::{BuildConfig, BuildError, McmcInverse, McmcParams, SafeguardConfig, WalkMatrix};
-use mcmcmi::sparse::Csr;
+use mcmcmi::sparse::{Coo, Csr};
 
 /// The full climate operator `nonsym_r3_a11` (n = 20 930, ~1.9 M nnz).
 fn climate() -> mcmcmi::sparse::Csr {
@@ -238,4 +238,59 @@ fn recommendation_step_reproduces_parent_commit_bits() {
         }
     }
     assert_eq!(lines, GOLDEN_RECOMMENDATIONS);
+}
+
+/// The non-dominant ring under GMRES(25): the three fixed anchors reach
+/// a relative residual of 1e-2 to 1e-3 in the first restart cycle and
+/// then stall, far from the ranking tolerance, while later TPE trials
+/// converge. The ranking probe stops the stalled anchors at a cycle
+/// boundary and says why; certification still runs at the full options.
+#[test]
+fn a_ranking_probe_out_of_reach_stops_early_and_says_why() {
+    let n = 48;
+    let mut coo = Coo::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 1.0);
+        coo.push(i, (i + 1) % n, 2.5);
+        coo.push(i, (i + 5) % n, -2.5);
+    }
+    let a = coo.to_csr();
+    let budget = TuneBudget {
+        trials: 6,
+        probe_rhs: 2,
+        probe_opts: SolveOptions {
+            tol: 1e-8,
+            max_iter: 2000,
+            restart: 25,
+            ..Default::default()
+        },
+        seed: 0,
+    };
+    let (mut session, report) = AutoTuner::new(AutotuneConfig::default())
+        .auto_session(&a, budget)
+        .expect("a later trial converges");
+    let relaxed = report.relaxed_probe_opts;
+    assert_eq!(relaxed.watchdog.reach_window, budget.probe_opts.restart);
+    assert_eq!(budget.probe_opts.watchdog.reach_window, 0);
+    for (t, trial) in report.trials.iter().enumerate().take(3) {
+        assert!(!trial.converged, "anchor {t} converged");
+        assert!(
+            matches!(
+                trial.probe_failure,
+                Some(SolveFailure::OutOfReach { window: 25, .. })
+            ),
+            "anchor {t}: {:?}",
+            trial.probe_failure
+        );
+        assert!(
+            trial.probe_iters < relaxed.max_iter,
+            "anchor {t} ran to the cap ({} iterations)",
+            trial.probe_iters
+        );
+    }
+    for trial in report.trials.iter().filter(|t| t.converged) {
+        assert_eq!(trial.probe_failure, None);
+    }
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.4).cos()).collect();
+    assert!(session.solve(&b).converged);
 }
