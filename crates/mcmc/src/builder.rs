@@ -9,9 +9,9 @@
 
 use crate::compress::{CompressionPolicy, CompressionReport};
 use crate::params::McmcParams;
-use crate::walk::{RowWalkStats, SoaBatch, WalkEngine, WalkMatrix};
+use crate::walk::{carve, row_parts, RowWalkStats, SoaBatch, WalkEngine, WalkMatrix};
 use mcmcmi_krylov::SparsePrecond;
-use mcmcmi_sparse::Csr;
+use mcmcmi_sparse::{nnz_balanced_ranges, Csr};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
@@ -88,7 +88,9 @@ pub struct BuildOutcome {
     /// The explicit sparse approximate inverse `P ≈ Â⁻¹`.
     pub precond: SparsePrecond,
     /// Total transitions simulated (the work measure; scales ~linearly with
-    /// cores, the "embarrassing parallelism" the paper leans on).
+    /// cores, the "embarrassing parallelism" the paper leans on). Each
+    /// chain's ending step is counted, but the scalar engine decides it
+    /// from `|w|·S_k` without a draw.
     pub transitions: usize,
     /// Chains that hit the step cap.
     pub capped_chains: usize,
@@ -292,6 +294,11 @@ impl McmcInverse {
     /// from `keep`. Returns that matrix and the dirty rows' walk statistics
     /// in `dirty` order. The one estimate-then-splice under every build, so
     /// an all-dirty rebuild *is* a fresh build.
+    ///
+    /// Assembly sizes every row first, then copies the rows into their
+    /// exact slots over nnz-balanced row ranges, in parallel once `nnz(P)`
+    /// clears the dispatch threshold. The copies are pure, so `P` is
+    /// bit-identical at any thread count.
     fn estimate_and_splice(
         &self,
         walk: &WalkMatrix,
@@ -317,7 +324,6 @@ impl McmcInverse {
             )
             .collect();
 
-        // Assemble CSR in row order with exact-size preallocation.
         let row = |i: usize| match dirty.binary_search(&i) {
             Ok(d) => (&estimated[d].cols[..], &estimated[d].vals[..]),
             Err(_) => {
@@ -325,17 +331,31 @@ impl McmcInverse {
                 (kept.row_indices(i), kept.row_values(i))
             }
         };
-        let nnz_total: usize = (0..n).map(|i| row(i).0.len()).sum();
-        let mut indptr = Vec::with_capacity(n + 1);
-        let mut cols = Vec::with_capacity(nnz_total);
-        let mut vals = Vec::with_capacity(nnz_total);
-        indptr.push(0);
+        let mut indptr = vec![0usize; n + 1];
         for i in 0..n {
-            let (row_cols, row_vals) = row(i);
-            cols.extend_from_slice(row_cols);
-            vals.extend_from_slice(row_vals);
-            indptr.push(cols.len());
+            indptr[i + 1] = indptr[i] + row(i).0.len();
         }
+        let nnz = indptr[n];
+        let ranges = nnz_balanced_ranges(&indptr, row_parts(nnz));
+        let entry_counts = || ranges.iter().map(|r| indptr[r.end] - indptr[r.start]);
+        let mut cols = vec![0usize; nnz];
+        let mut vals = vec![0.0; nnz];
+        ranges
+            .iter()
+            .cloned()
+            .zip(carve(&mut cols, entry_counts()))
+            .zip(carve(&mut vals, entry_counts()))
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .for_each(|((rows, cols), vals)| {
+                let base = indptr[rows.start];
+                for i in rows {
+                    let (rs, re) = (indptr[i] - base, indptr[i + 1] - base);
+                    let (row_cols, row_vals) = row(i);
+                    cols[rs..re].copy_from_slice(row_cols);
+                    vals[rs..re].copy_from_slice(row_vals);
+                }
+            });
         let stats = estimated.iter().map(|r| r.stats).collect();
         (Csr::from_raw(n, n, indptr, cols, vals), stats)
     }

@@ -35,4 +35,4 @@ pub use builder::{BuildConfig, BuildOutcome, McmcInverse};
 pub use compress::{compress, sparsify, CompressionPolicy, CompressionReport, StoragePrecision};
 pub use params::McmcParams;
 pub use safeguard::{BuildAttempt, BuildError, SafeguardConfig, SafeguardedBuild};
-pub use walk::{RowWalkStats, SoaBatch, WalkEngine, WalkMatrix, MAX_LANES};
+pub use walk::{RowWalkStats, WalkEngine, WalkMatrix};

@@ -53,12 +53,14 @@
 //! Two interchangeable walk engines implement the estimator:
 //!
 //! * [`WalkEngine::Scalar`] (default) — one chain at a time, the
-//!   straightforward loop ([`WalkMatrix::walk_row`]). The ledger
-//!   (`benchmark/`, `mcmc.build_scalar_engine_s` vs the lane engine) has it
-//!   ahead on every workload, cache-resident and memory-bound alike.
+//!   straightforward loop (`WalkMatrix::walk_row`). It decides a chain's
+//!   ending step from `|w|·S_k` before drawing it, so that step reads no
+//!   alias slot. The ledger (`benchmark/`, `mcmc.build_scalar_engine_s` vs
+//!   the lane engine) has it ahead on every workload, cache-resident and
+//!   memory-bound alike.
 //! * [`WalkEngine::Soa`] — a lockstep structure-of-arrays batch
-//!   ([`WalkMatrix::walk_row_soa`]): the row's O(10³) chains stream through
-//!   a window of [`MAX_LANES`] lanes held in parallel weight/step/RNG/
+//!   (`WalkMatrix::walk_row_soa`): the row's O(10³) chains stream through
+//!   a window of `MAX_LANES` lanes held in parallel weight/step/RNG/
 //!   row-cursor arrays, stepped together. Each lockstep round sweeps the
 //!   live lanes once — one `u64` draw, a branchless alias pick (the coin
 //!   selects between slot and donor by conditional move, then a single
@@ -84,7 +86,7 @@
 //!
 //! # The regenerative loop
 //!
-//! `walk_row_regen`, beside [`WalkMatrix::walk_row`], is the single-budget
+//! `walk_row_regen`, beside `WalkMatrix::walk_row`, is the single-budget
 //! variant (*Regenerative Ulam–von Neumann*, Ghosh et al.): a row spends a
 //! transition budget on cycles that restart at the row from one per-row
 //! stream, with a fixed tight truncation, and its tally is divided by the
@@ -103,12 +105,12 @@ use std::ops::Range;
 /// they differ only in throughput and memory access pattern.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalkEngine {
-    /// One chain at a time ([`WalkMatrix::walk_row`]) — the default build
+    /// One chain at a time (`WalkMatrix::walk_row`) — the default build
     /// path: the faster engine on every workload the ledger measures.
     #[default]
     Scalar,
     /// Lockstep structure-of-arrays lane batch
-    /// ([`WalkMatrix::walk_row_soa`]).
+    /// (`WalkMatrix::walk_row_soa`).
     Soa,
 }
 
@@ -120,7 +122,7 @@ pub enum WalkEngine {
 /// hot journal tails, ≈ 60 B per lane) stays L1-resident while still
 /// keeping hundreds of independent alias-table fetches in flight per
 /// round.
-pub const MAX_LANES: usize = 256;
+pub(crate) const MAX_LANES: usize = 256;
 
 /// Weight magnitude past which a chain (or cycle) counts as blown up.
 const BLOWUP: f64 = 1e12;
@@ -218,7 +220,9 @@ fn fill_row_alias(
     slots: &mut [AliasSlot],
 ) {
     let m = vals.len();
-    debug_assert!(m > 0 && s > 0.0 && slots.len() == m && cols.len() == m);
+    // A NaN sum (a NaN entry) passes: the table saturates, and every walk
+    // into the row blows up on `S_k` before it would be sampled.
+    debug_assert!(m > 0 && (s > 0.0 || s.is_nan()) && slots.len() == m && cols.len() == m);
     assert_row_width(m);
     let AliasScratch {
         prob,
@@ -265,7 +269,7 @@ fn fill_row_alias(
 
 /// How many row ranges a pass over `work` entries is split into: one per
 /// thread once the work clears the dispatch threshold, else one (serial).
-fn row_parts(work: usize) -> usize {
+pub(crate) fn row_parts(work: usize) -> usize {
     if par_pays_off(work) {
         rayon::current_num_threads()
     } else {
@@ -274,7 +278,7 @@ fn row_parts(work: usize) -> usize {
 }
 
 /// Split `buf` front to back into one slice per length in `lens`.
-fn carve<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
+pub(crate) fn carve<T>(mut buf: &mut [T], lens: impl Iterator<Item = usize>) -> Vec<&mut [T]> {
     lens.map(|len| {
         let (head, tail) = std::mem::take(&mut buf).split_at_mut(len);
         buf = tail;
@@ -328,7 +332,9 @@ fn assert_row_width(m: usize) {
 /// Outcome summary of one row's walks.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RowWalkStats {
-    /// Total transitions taken.
+    /// Total transitions taken. Each chain's ending step (truncation or
+    /// blow-up) is counted, but the scalar engine decides it from `|w|·S_k`
+    /// without a draw.
     pub transitions: usize,
     /// Chains that hit the hard step cap (possible divergence).
     pub capped: usize,
@@ -558,7 +564,7 @@ impl WalkMatrix {
     }
 
     /// Signed entries `(j, c_kj)` of row `k`, in storage order.
-    pub fn row_entries(&self, k: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub(crate) fn row_entries(&self, k: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let (rs, re) = (self.indptr[k], self.indptr[k + 1]);
         self.cols[rs..re]
             .iter()
@@ -614,7 +620,18 @@ impl WalkMatrix {
     ///
     /// Returns per-row statistics. The scratch tallies are *sums*; divide by
     /// `n_chains` to get the estimator.
-    pub fn walk_row(
+    ///
+    /// A step's multiplier is `±S_k`, and `|w·(±S_k)| = |w|·S_k` exactly,
+    /// so whether a step ends the chain (truncation or blow-up) is decided
+    /// before its draw: the ending step is counted but reads no alias slot.
+    /// The chain's stream dies with it, so no later draw moves, and the
+    /// lane engine, which samples that step anyway, stays bit-identical.
+    ///
+    /// Kept out of line: inlined into the builder's worker closure, the
+    /// loop's weight and stream state spill to the stack, and a
+    /// cache-resident stencil build runs about a tenth slower.
+    #[inline(never)]
+    pub(crate) fn walk_row(
         &self,
         i: usize,
         n_chains: usize,
@@ -643,26 +660,25 @@ impl WalkMatrix {
                     stats.capped += 1;
                     break;
                 }
-                match self.step(k, &mut rng) {
-                    None => break, // absorbed
-                    Some((j, mult)) => {
-                        w *= mult;
-                        k = j;
-                        steps += 1;
-                        stats.transitions += 1;
-                        if w.abs() < delta {
-                            break;
-                        }
-                        if w.abs() > BLOWUP || !w.is_finite() {
-                            stats.blown_up += 1;
-                            break;
-                        }
-                        if scratch[k] == 0.0 {
-                            touched.push(k);
-                        }
-                        scratch[k] += w;
-                    }
+                if self.indptr[k] == self.indptr[k + 1] {
+                    break; // absorbed
                 }
+                let next = w.abs() * self.rowsum[k];
+                steps += 1;
+                stats.transitions += 1;
+                // One branch on the hot path: truncation below δ, a blow-up
+                // above BLOWUP or at a non-finite weight.
+                if !(delta..=BLOWUP).contains(&next) {
+                    stats.blown_up += usize::from(next >= delta || next.is_nan());
+                    break;
+                }
+                let (j, mult) = self.resolve_draw(k, rng.next_u64());
+                w *= mult;
+                k = j;
+                if scratch[k] == 0.0 {
+                    touched.push(k);
+                }
+                scratch[k] += w;
             }
         }
         stats
@@ -764,7 +780,7 @@ impl WalkMatrix {
     /// in chain order afterwards, replaying the scalar engine's exact
     /// floating-point add sequence (FP addition is non-associative, so
     /// flushing in lane-interleaved order would change low-order bits).
-    pub fn walk_row_soa(
+    pub(crate) fn walk_row_soa(
         &self,
         i: usize,
         n_chains: usize,
@@ -916,7 +932,7 @@ impl WalkMatrix {
 /// arrays and the per-chain contribution journals are allocated once and
 /// recycled across rows.
 #[derive(Default)]
-pub struct SoaBatch {
+pub(crate) struct SoaBatch {
     /// Current chain weight per lane.
     pub(crate) weight: Vec<f64>,
     /// Steps taken by the lane's chain so far.
@@ -940,7 +956,7 @@ pub struct SoaBatch {
 
 impl SoaBatch {
     /// Fresh (empty) batch; arrays grow on first use and are then reused.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 

@@ -20,6 +20,60 @@ fn mcmc_build_identical_across_thread_counts() {
     }
 }
 
+/// Lowers the parallel-dispatch threshold to one entry while it lives, so
+/// even a small build splits every pass, and restores the default when
+/// dropped (also on panic).
+struct SplitEverything;
+
+impl SplitEverything {
+    fn install() -> Self {
+        mcmcmi::sparse::set_par_threshold_for_tests(Some(1));
+        Self
+    }
+}
+
+impl Drop for SplitEverything {
+    fn drop(&mut self) {
+        mcmcmi::sparse::set_par_threshold_for_tests(None);
+    }
+}
+
+/// `P` is assembled over nnz-balanced row ranges once `nnz(P)` clears the
+/// dispatch threshold. With the threshold at one entry, a fresh build and a
+/// sparse `rebuild_rows` (kept rows spliced between estimated ones) must
+/// equal the serially assembled matrices bit for bit in every pool.
+#[test]
+fn split_assembly_of_p_matches_the_serial_one() {
+    let a = mcmcmi::matgen::pdd_real_sparse(120, 5);
+    let params = McmcParams::new(1.0, 0.125, 0.125);
+    let builder = McmcInverse::new(BuildConfig::default());
+    let dirty: Vec<usize> = (3..a.nrows()).step_by(7).collect();
+    let mut drifted = a.clone();
+    for &i in &dirty {
+        drifted.row_values_mut(i)[0] *= 1.0 + 1e-2;
+    }
+    let run = || {
+        let fresh = builder.build(&a, params);
+        let mut rebuilt = fresh.clone();
+        builder.rebuild_rows(&mut rebuilt, &drifted, &dirty, params);
+        (
+            fresh.precond.matrix().clone(),
+            rebuilt.precond.matrix().clone(),
+        )
+    };
+    let (ref_fresh, ref_rebuilt) = run();
+    let _split = SplitEverything::install();
+    for threads in [1usize, 2, 8] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let (fresh, rebuilt) = pool.install(run);
+        assert_eq!(fresh, ref_fresh, "fresh build, {threads} threads");
+        assert_eq!(rebuilt, ref_rebuilt, "rebuild, {threads} threads");
+    }
+}
+
 /// Wide-stencil operator with ~93 entries per row and more than 2¹⁹ in all:
 /// past `DEFAULT_PAR_THRESHOLD`, so the production rule — no override —
 /// splits every product of it wherever the pool has a second thread.
