@@ -1180,6 +1180,132 @@ mod tests {
         assert!(stats.blown_up > 0);
     }
 
+    /// Draw-then-decide reference for [`WalkMatrix::walk_row`]: every step
+    /// is sampled and its weight multiplied before the ending conditions are
+    /// checked, so a chain's ending step reads an alias slot that the loop
+    /// under test never reads.
+    fn walk_row_drawn(
+        w: &WalkMatrix,
+        i: usize,
+        n_chains: usize,
+        delta: f64,
+        max_len: usize,
+        seed: u64,
+        scratch: &mut [f64],
+        touched: &mut Vec<usize>,
+    ) -> RowWalkStats {
+        let mut tally = |k: usize, wt: f64| {
+            if scratch[k] == 0.0 {
+                touched.push(k);
+            }
+            scratch[k] += wt;
+        };
+        let mut stats = RowWalkStats::default();
+        for chain in 0..n_chains {
+            let mut rng = chain_rng(seed, i, chain);
+            let (mut k, mut wt) = (i, 1.0f64);
+            tally(k, wt);
+            for steps in 0.. {
+                if steps >= max_len {
+                    stats.capped += 1;
+                    break;
+                }
+                let Some((j, mult)) = w.step(k, &mut rng) else {
+                    break; // absorbed
+                };
+                wt *= mult;
+                k = j;
+                stats.transitions += 1;
+                if wt.abs() < delta {
+                    break;
+                }
+                if wt.abs() > BLOWUP || !wt.is_finite() {
+                    stats.blown_up += 1;
+                    break;
+                }
+                tally(k, wt);
+            }
+        }
+        stats
+    }
+
+    /// `n`-row ring with diagonal 4 and off-diagonals −1 to both neighbours.
+    fn ring(n: usize) -> Coo {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0);
+            coo.push(i, (i + 1) % n, -1.0);
+            coo.push(i, (i + n - 1) % n, -1.0);
+        }
+        coo
+    }
+
+    /// The edges of the ending-step decision, with their parameters: every
+    /// chain ending on its first step, weights turned infinite or NaN by the
+    /// row sum, a path into an absorbing row, and chains that only the step
+    /// cap ends. `tests/walk_build.rs` builds the same five operators.
+    fn ending_step_edges() -> Vec<(&'static str, Csr, crate::McmcParams)> {
+        use crate::McmcParams;
+        let mut with_inf = ring(6);
+        with_inf.push(2, 4, f64::INFINITY);
+        let mut with_nan = ring(6);
+        with_nan.push(3, 5, f64::NAN);
+        // Row 0's only step leads to row 1, which has no off-diagonal.
+        let mut into_absorbing = Coo::new(4, 4);
+        for (i, j, v) in [(0, 0, 2.0), (0, 1, -1.0), (1, 1, 3.0), (2, 2, 4.0)] {
+            into_absorbing.push(i, j, v);
+        }
+        for (i, j, v) in [(2, 0, -1.0), (2, 3, 1.0), (3, 3, 4.0), (3, 2, -2.0)] {
+            into_absorbing.push(i, j, v);
+        }
+        // A = I − shift at α = 0: C is the unit cycle and |w| stays 1.
+        let mut cycle = Coo::new(8, 8);
+        for i in 0..8 {
+            cycle.push(i, i, 1.0);
+            cycle.push(i, (i + 1) % 8, -1.0);
+        }
+        let tight = McmcParams::new(0.5, 0.1, 1e-6);
+        vec![
+            (
+                "delta = 1",
+                mcmcmi_matgen::fd_laplace_2d(6),
+                McmcParams::new(0.5, 0.1, 1.0),
+            ),
+            ("infinite off-diagonal", with_inf.to_csr(), tight),
+            ("NaN off-diagonal", with_nan.to_csr(), tight),
+            ("path into an absorbing row", into_absorbing.to_csr(), tight),
+            ("unit cycle", cycle.to_csr(), McmcParams::new(0.0, 0.5, 0.5)),
+        ]
+    }
+
+    /// `walk_row` decides a chain's ending step without drawing it; the
+    /// reference draws it first. Row by row, on every edge of that
+    /// decision, both must leave the same scratch bits in the same
+    /// `touched` order and report the same statistics.
+    #[test]
+    fn walk_row_matches_the_draw_then_decide_reference() {
+        const MAX_LEN: usize = 10_000;
+        for (name, a, params) in ending_step_edges() {
+            let w = WalkMatrix::from_perturbed(&a, params.alpha);
+            let (chains, delta) = (params.chains_per_row(), params.delta);
+            for seed in [0u64, 7] {
+                for i in 0..w.dim() {
+                    let run = |walk: &dyn Fn(&mut [f64], &mut Vec<usize>) -> RowWalkStats| {
+                        let mut scratch = vec![0.0; w.dim()];
+                        let mut touched = Vec::new();
+                        let s = walk(&mut scratch, &mut touched);
+                        let bits: Vec<u64> = scratch.iter().map(|v| v.to_bits()).collect();
+                        (bits, touched, (s.transitions, s.capped, s.blown_up))
+                    };
+                    let got = run(&|s, t| w.walk_row(i, chains, delta, MAX_LEN, seed, s, t));
+                    let want =
+                        run(&|s, t| walk_row_drawn(&w, i, chains, delta, MAX_LEN, seed, s, t));
+                    assert_eq!(got, want, "{name}: row {i}, seed {seed}");
+                }
+            }
+        }
+    }
+
     /// Implied selection probability of entry `e` of row `k` under the alias
     /// table: own-slot mass plus donated mass from every slot aliasing to it.
     fn alias_implied_prob(w: &WalkMatrix, k: usize, e: usize) -> f64 {
