@@ -9,7 +9,7 @@
 
 use crate::compress::{CompressionPolicy, CompressionReport};
 use crate::params::McmcParams;
-use crate::walk::{carve, row_parts, RowWalkStats, SoaBatch, WalkEngine, WalkMatrix};
+use crate::walk::{carve, row_parts, RowWalkStats, WalkEngine, WalkMatrix};
 use mcmcmi_krylov::SparsePrecond;
 use mcmcmi_sparse::{nnz_balanced_ranges, Csr};
 use rayon::prelude::*;
@@ -21,10 +21,6 @@ use std::borrow::Cow;
 struct RowWorkspace {
     scratch: Vec<f64>,
     touched: Vec<usize>,
-    /// Lockstep lane batch for the SoA engine (unused by the scalar one);
-    /// lives in the workspace so its lane arrays and journals are likewise
-    /// allocated once per worker.
-    batch: SoaBatch,
 }
 
 impl RowWorkspace {
@@ -32,7 +28,6 @@ impl RowWorkspace {
         Self {
             scratch: vec![0.0; n],
             touched: Vec::with_capacity(64),
-            batch: SoaBatch::new(),
         }
     }
 
@@ -62,24 +57,15 @@ const MAX_WALK_LEN: usize = 10_000;
 
 /// Matrix-independent build settings. Fill budget, truncation threshold and
 /// walk-length cap are fixed by the paper and are constants of the builder.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
 pub struct BuildConfig {
     /// RNG seed; each chain derives an independent `(seed, row, chain)`
     /// stream from it.
     pub seed: u64,
-    /// Which walk engine estimates rows. Output is bit-identical either
-    /// way; the scalar engine (default) is the faster one on every workload
-    /// the ledger measures.
+    /// Read by nothing: every build runs the one walk loop, whichever
+    /// variant is named. Kept while the benchmark ledger names the field;
+    /// its refresh deletes this field and [`WalkEngine`].
     pub engine: WalkEngine,
-}
-
-impl Default for BuildConfig {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            engine: WalkEngine::Scalar,
-        }
-    }
 }
 
 /// A built MCMC preconditioner plus build diagnostics.
@@ -89,8 +75,8 @@ pub struct BuildOutcome {
     pub precond: SparsePrecond,
     /// Total transitions simulated (the work measure; scales ~linearly with
     /// cores, the "embarrassing parallelism" the paper leans on). Each
-    /// chain's ending step is counted, but the scalar engine decides it
-    /// from `|w|·S_k` without a draw.
+    /// chain's ending step is counted, but the walk decides it from
+    /// `|w|·S_k` without a draw.
     pub transitions: usize,
     /// Chains that hit the step cap.
     pub capped_chains: usize,
@@ -211,9 +197,9 @@ impl McmcInverse {
 
     /// Build `P ≈ (A + α·diag)⁻¹` for the given parameters.
     ///
-    /// Rows are processed in parallel with Rayon; every row uses an RNG
-    /// stream keyed by `(seed, row)`, so the result is identical for any
-    /// thread count.
+    /// Rows are processed in parallel with Rayon; every chain draws from an
+    /// RNG stream keyed by `(seed, row, chain)`, so the result is identical
+    /// for any thread count.
     pub fn build(&self, a: &Csr, params: McmcParams) -> BuildOutcome {
         self.build_on(&WalkMatrix::from_perturbed(a, params.alpha), a, params)
     }
@@ -257,9 +243,8 @@ impl McmcInverse {
         SparsePrecond::new(p)
     }
 
-    /// Walk one row of the classic (α, ε, δ) estimator on the configured
-    /// engine. Returns its statistics and its chain count, the divisor of
-    /// the tally.
+    /// Walk one row of the classic (α, ε, δ) estimator. Returns its
+    /// statistics and its chain count, the divisor of the tally.
     fn walk_row(
         &self,
         walk: &WalkMatrix,
@@ -267,23 +252,10 @@ impl McmcInverse {
         params: McmcParams,
         ws: &mut RowWorkspace,
     ) -> (RowWalkStats, usize) {
-        let cfg = &self.config;
         let chains = params.chains_per_row();
-        let (delta, max_len, seed) = (params.delta, MAX_WALK_LEN, cfg.seed);
+        let (delta, seed) = (params.delta, self.config.seed);
         let (scratch, touched) = (&mut ws.scratch, &mut ws.touched);
-        let stats = match cfg.engine {
-            WalkEngine::Scalar => walk.walk_row(i, chains, delta, max_len, seed, scratch, touched),
-            WalkEngine::Soa => walk.walk_row_soa(
-                i,
-                chains,
-                delta,
-                max_len,
-                seed,
-                &mut ws.batch,
-                scratch,
-                touched,
-            ),
-        };
+        let stats = walk.walk_row(i, chains, delta, MAX_WALK_LEN, seed, scratch, touched);
         (stats, chains)
     }
 
@@ -367,7 +339,7 @@ impl McmcInverse {
     /// rows costs ~3% of a full build.
     ///
     /// Semantics:
-    /// - Each rebuilt row runs the *same* `(seed, row)` RNG stream, the
+    /// - Each rebuilt row runs the *same* `(seed, row, chain)` RNG streams, the
     ///   same budget rule against `a`'s row degree, and the same harvest
     ///   as [`McmcInverse::build`] — so a call with **all** rows dirty is
     ///   bit-identical to a fresh build against `a` (at any thread count),

@@ -13,9 +13,8 @@
 //!
 //! Walks run embarrassingly parallel across rows (Rayon) with deterministic
 //! per-`(seed, row, chain)` RNG streams, so a build is bit-reproducible for
-//! any thread count. Within a row, chains execute on either of two
-//! bit-identical engines ([`WalkEngine`]): the default scalar loop or the
-//! lockstep SoA lane batch (see [`walk`] for the engine contract).
+//! any thread count. Within a row, chains run one at a time through one
+//! walk loop (see [`walk`]).
 //! The regenerative single-budget variant (Ghosh et al., SIMAX'25) is one
 //! scalar loop on the same harvest: [`McmcInverse::build_regenerative`].
 //!

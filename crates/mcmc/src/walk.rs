@@ -21,15 +21,11 @@
 //! column+sign) so a transition resolves in one or two cache-line touches
 //! with no floating-point arithmetic.
 //!
-//! Alias construction (Vose's stable variant): scale the row's MAO
-//! probabilities by the row length `m` so they average 1, split the entries
-//! into a "small" (< 1) and "large" (≥ 1) worklist, and repeatedly pair one
-//! small entry with one large donor — the small entry's slot keeps its own
-//! probability as the cutoff and records the donor as its alias; the donor's
-//! residual mass is pushed back onto the appropriate worklist. Leftovers get
-//! cutoff 1 (no alias ever taken). Construction is branch-deterministic:
-//! worklists are filled in ascending index order, so the table — and hence
-//! every sampled stream — is identical on every run.
+//! Alias construction is Vose's stable variant: each "small" entry (scaled
+//! probability < 1) keeps its own probability as the cutoff and takes a
+//! "large" donor as its alias. Worklists are filled in ascending index
+//! order, so the table, and hence every sampled stream, is identical on
+//! every run.
 //!
 //! # Determinism contract
 //!
@@ -37,9 +33,7 @@
 //! stream per transition, and the stream is keyed by `(seed, row, chain)`
 //! only. The result of a build is therefore bit-identical for any thread
 //! count or scheduling order (`RAYON_NUM_THREADS=1` vs `=8` produce equal
-//! preconditioners; see `tests/determinism.rs`) — and, because the streams
-//! are per *chain* rather than per row, independent of how chains are
-//! scheduled onto lanes inside a row.
+//! preconditioners; see `tests/determinism.rs`).
 //!
 //! Table set-up ([`WalkMatrix::from_perturbed`]) and the spectral probe
 //! ([`WalkMatrix::abs_spectral_radius_estimate`]) run over nnz-balanced row
@@ -48,41 +42,11 @@
 //! sum stays sequential and `max` is exact, so the tables and ρ̂ are
 //! bit-equal at any thread count too.
 //!
-//! # Engines: scalar default vs lockstep SoA
+//! # The walk loop
 //!
-//! Two interchangeable walk engines implement the estimator:
-//!
-//! * [`WalkEngine::Scalar`] (default) — one chain at a time, the
-//!   straightforward loop (`WalkMatrix::walk_row`). It decides a chain's
-//!   ending step from `|w|·S_k` before drawing it, so that step reads no
-//!   alias slot. The ledger (`benchmark/`, `mcmc.build_scalar_engine_s` vs
-//!   the lane engine) has it ahead on every workload, cache-resident and
-//!   memory-bound alike.
-//! * [`WalkEngine::Soa`] — a lockstep structure-of-arrays batch
-//!   (`WalkMatrix::walk_row_soa`): the row's O(10³) chains stream through
-//!   a window of `MAX_LANES` lanes held in parallel weight/step/RNG/
-//!   row-cursor arrays, stepped together. Each lockstep round sweeps the
-//!   live lanes once — one `u64` draw, a branchless alias pick (the coin
-//!   selects between slot and donor by conditional move, then a single
-//!   unconditional load), the weight update, and the per-lane journal
-//!   append — retiring finished lanes by swap-compaction and regenerating
-//!   freed lanes from the row's pending chains at the end of the round.
-//!   Lanes carry their row cursor (alias-table offset, width, row sum) so
-//!   the steady-state loop touches only lane arrays and the alias table.
-//!   Breaking the scalar loop's serial draw→lookup→branch dependency chain
-//!   exposes instruction-level and memory-level parallelism (many
-//!   independent alias-table fetches in flight) — the lane layout is what
-//!   a SIMD/GPU port would vectorise — but on the CPUs measured so far the
-//!   lane bookkeeping and journal replay cost more than the overlap buys.
-//!
-//! The SoA engine is **bit-identical** to the scalar engine: chains draw
-//! from the same per-`(seed, row, chain)` streams regardless of lane
-//! scheduling, and lane contributions are journalled per chain and flushed
-//! into the dense tally in chain order, replaying the scalar engine's exact
-//! sequence of floating-point adds (FP addition is not associative, so the
-//! flush order — not just the set of contributions — must match). Rows,
-//! not lanes, are sharded across rayon workers, so `rebuild_rows` and
-//! `build_safeguarded` ride on either engine unchanged.
+//! `WalkMatrix::walk_row` runs a row's chains one at a time, and decides a
+//! chain's ending step from `|w|·S_k` before drawing it. The unit tests
+//! hold it bit for bit to a reference loop that draws first.
 //!
 //! # The regenerative loop
 //!
@@ -90,8 +54,8 @@
 //! variant (*Regenerative Ulam–von Neumann*, Ghosh et al.): a row spends a
 //! transition budget on cycles that restart at the row from one per-row
 //! stream, with a fixed tight truncation, and its tally is divided by the
-//! cycle count instead of the chain count. It is scalar only, and reaches
-//! the builder's harvest through [`crate::McmcInverse::build_regenerative`].
+//! cycle count instead of the chain count. It reaches the builder's harvest
+//! through [`crate::McmcInverse::build_regenerative`].
 
 use mcmcmi_sparse::{nnz_balanced_ranges, par_pays_off, Csr};
 use rand::{Rng, RngCore, SeedableRng};
@@ -100,29 +64,17 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
-/// Which engine runs the row walks. Both produce **bit-identical** output
-/// (same per-`(seed, row, chain)` streams, same floating-point add order);
-/// they differ only in throughput and memory access pattern.
+/// A name kept while the benchmark ledger still selects a walk engine.
+/// Nothing reads it: both variants run the one walk loop. The ledger's
+/// refresh deletes it with [`crate::BuildConfig::engine`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalkEngine {
-    /// One chain at a time (`WalkMatrix::walk_row`) — the default build
-    /// path: the faster engine on every workload the ledger measures.
+    /// The walk loop.
     #[default]
     Scalar,
-    /// Lockstep structure-of-arrays lane batch
-    /// (`WalkMatrix::walk_row_soa`).
+    /// The walk loop too; the lane engine it named is gone.
     Soa,
 }
-
-/// Lane-window width for the lockstep SoA engine. A row's whole O(10³)
-/// chain population (1138 at the paper's ε = 0.02) streams through this
-/// many concurrent lanes; finished lanes are swap-retired and refilled, so
-/// the batch, not the window, is what gets walked per step. Sized so one
-/// worker's lane state (weight/steps/chain/RNG/row-cursor arrays plus the
-/// hot journal tails, ≈ 60 B per lane) stays L1-resident while still
-/// keeping hundreds of independent alias-table fetches in flight per
-/// round.
-pub(crate) const MAX_LANES: usize = 256;
 
 /// Weight magnitude past which a chain (or cycle) counts as blown up.
 const BLOWUP: f64 = 1e12;
@@ -134,9 +86,9 @@ const REGEN_DELTA: f64 = 1e-10;
 /// Salt folded into the seed for the regenerative loop's per-row stream.
 const REGEN_SALT: u64 = 0xd1b54a32d192ed03;
 
-/// Deterministic stream for chain `chain` of row `row`: both engines draw
-/// every transition of that chain from this exact stream, so the estimate
-/// is independent of engine choice, thread count, and lane scheduling.
+/// Deterministic stream for chain `chain` of row `row`: every transition
+/// of that chain draws from this exact stream, so the estimate is
+/// independent of the thread count and of the order rows are walked in.
 #[inline]
 pub(crate) fn chain_rng(seed: u64, row: usize, chain: usize) -> ChaCha8Rng {
     let h = seed
@@ -315,12 +267,9 @@ fn splitting_row(a: &Csr, i: usize, dii: f64) -> impl Iterator<Item = (usize, f6
 }
 
 /// Hard guard on the packed alias representation: a row with more than
-/// `u32::MAX` entries cannot be indexed by the 32-bit slot/donor fields —
-/// the old `debug_assert!` here meant a release build would silently
-/// truncate such a row into garbage alias slots. Unreachable through
-/// [`WalkMatrix::from_perturbed`] (which rejects `n ≥ 2³¹` outright, and a
-/// row holds at most `n − 1` off-diagonals), but kept as a hard assert so
-/// any future construction path fails loudly instead of corrupting walks.
+/// `u32::MAX` entries cannot be indexed by the 32-bit slot/donor fields.
+/// Unreachable through [`WalkMatrix::from_perturbed`] (which rejects
+/// `n ≥ 2³¹`), but a hard assert, so a release build fails loudly too.
 #[inline]
 fn assert_row_width(m: usize) {
     assert!(
@@ -333,8 +282,8 @@ fn assert_row_width(m: usize) {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RowWalkStats {
     /// Total transitions taken. Each chain's ending step (truncation or
-    /// blow-up) is counted, but the scalar engine decides it from `|w|·S_k`
-    /// without a draw.
+    /// blow-up) is counted, but the walk decides it from `|w|·S_k` without
+    /// a draw.
     pub transitions: usize,
     /// Chains that hit the hard step cap (possible divergence).
     pub capped: usize,
@@ -574,10 +523,6 @@ impl WalkMatrix {
 
     /// Sample the next state from row `k` via the alias table; returns
     /// `(next_state, signed weight multiplier)` or `None` on absorption.
-    /// One `u64` draw, split into disjoint bit ranges: the high 32 bits
-    /// pick the slot by multiply-shift, the low 32 bits are the
-    /// fixed-point coin flip against the slot's cutoff — no float ops
-    /// until the multiplier is produced.
     #[inline]
     fn step<R: Rng>(&self, k: usize, rng: &mut R) -> Option<(usize, f64)> {
         let (rs, re) = (self.indptr[k], self.indptr[k + 1]);
@@ -588,11 +533,11 @@ impl WalkMatrix {
     }
 
     /// Map one raw 64-bit draw to a transition out of non-absorbing row
-    /// `k`: `(next_state, signed weight multiplier)`. The SoA round inlines
-    /// the same mapping with a branchless coin, so both engines turn
-    /// identical draws into identical transitions.
+    /// `k`: `(next_state, signed weight multiplier)`. The high 32 bits pick
+    /// the slot by multiply-shift, the low 32 bits are the fixed-point coin
+    /// flip against the slot's cutoff.
     #[inline]
-    pub(crate) fn resolve_draw(&self, k: usize, r: u64) -> (usize, f64) {
+    fn resolve_draw(&self, k: usize, r: u64) -> (usize, f64) {
         let (rs, re) = (self.indptr[k], self.indptr[k + 1]);
         debug_assert!(re > rs, "resolve_draw: absorbing row");
         let m = (re - rs) as u64;
@@ -624,8 +569,7 @@ impl WalkMatrix {
     /// A step's multiplier is `±S_k`, and `|w·(±S_k)| = |w|·S_k` exactly,
     /// so whether a step ends the chain (truncation or blow-up) is decided
     /// before its draw: the ending step is counted but reads no alias slot.
-    /// The chain's stream dies with it, so no later draw moves, and the
-    /// lane engine, which samples that step anyway, stays bit-identical.
+    /// The chain's stream dies with it, so no later draw moves.
     ///
     /// Kept out of line: inlined into the builder's worker closure, the
     /// loop's weight and stream state spill to the stack, and a
@@ -644,8 +588,7 @@ impl WalkMatrix {
         debug_assert_eq!(scratch.len(), self.n);
         let mut stats = RowWalkStats::default();
         for chain in 0..n_chains {
-            // Per-chain deterministic stream: independent of scheduling,
-            // and of how the SoA engine maps chains onto lanes.
+            // Per-chain deterministic stream: independent of scheduling.
             let mut rng = chain_rng(seed, i, chain);
             let mut k = i;
             let mut w = 1.0f64;
@@ -751,261 +694,13 @@ impl WalkMatrix {
         }
         (stats, cycles)
     }
-
-    /// Lockstep SoA twin of [`WalkMatrix::walk_row`]: identical signature
-    /// (plus the reusable [`SoaBatch`]), **bit-identical** tallies and
-    /// statistics, batched execution.
-    ///
-    /// Up to [`MAX_LANES`] chains of row `i` run concurrently as lanes of
-    /// parallel weight/step/row-constant arrays. The scalar loop is a
-    /// pointer chase — each transition's alias-slot load depends on the
-    /// previous transition's outcome, so on operators whose tables exceed
-    /// the cache working set every step eats a full miss latency, and the
-    /// alias coin flip is an inherently unpredictable branch whose
-    /// mispredictions flush whatever memory parallelism the core had
-    /// extracted. The lockstep round fixes both: consecutive loop
-    /// iterations belong to *different* lanes, so their alias gathers are
-    /// mutually independent and overlap, and the coin flip compiles to a
-    /// conditional move between the primary slot index and its donor — no
-    /// branch at all. Each lane carries its current row's constants
-    /// (flat-array offset, width, absolute row sum), gathered one round
-    /// early when the lane advanced, so a transition touches no `indptr`
-    /// re-loads on the critical path. Retired lanes (truncation `|W| < δ`,
-    /// blowup, step cap, absorption — the latter two checked *after* the
-    /// tally, in the scalar loop's order, and consuming no RNG word)
-    /// swap-compact away and immediately regenerate as the row's next
-    /// pending chains, re-seeding their per-lane stream in place.
-    ///
-    /// Contributions are journalled per chain and flushed into `scratch`
-    /// in chain order afterwards, replaying the scalar engine's exact
-    /// floating-point add sequence (FP addition is non-associative, so
-    /// flushing in lane-interleaved order would change low-order bits).
-    pub(crate) fn walk_row_soa(
-        &self,
-        i: usize,
-        n_chains: usize,
-        delta: f64,
-        max_len: usize,
-        seed: u64,
-        batch: &mut SoaBatch,
-        scratch: &mut [f64],
-        touched: &mut Vec<usize>,
-    ) -> RowWalkStats {
-        debug_assert_eq!(scratch.len(), self.n);
-        let mut stats = RowWalkStats::default();
-        if n_chains == 0 {
-            return stats;
-        }
-
-        let row_rs = self.indptr[i];
-        let row_re = self.indptr[i + 1];
-        // Absorbing start row or zero step cap: every chain tallies its
-        // step-0 contribution and ends without drawing — the scalar loop
-        // takes the same exit before its first draw, cap counted first.
-        if row_rs == row_re || max_len == 0 {
-            for _ in 0..n_chains {
-                if scratch[i] == 0.0 {
-                    touched.push(i);
-                }
-                scratch[i] += 1.0;
-            }
-            if max_len == 0 {
-                stats.capped = n_chains;
-            }
-            return stats;
-        }
-
-        let lanes = n_chains.min(MAX_LANES);
-        batch.reset(n_chains, lanes);
-        let row_width = (row_re - row_rs) as u32;
-        let row_srow = self.rowsum[i];
-        for lane in 0..lanes {
-            batch.weight[lane] = 1.0;
-            batch.chain[lane] = lane as u32;
-            batch.rng[lane] = chain_rng(seed, i, lane);
-            batch.rs[lane] = row_rs;
-            batch.width[lane] = row_width;
-            batch.srow[lane] = row_srow;
-            // Step 0 contribution of chain `lane`.
-            batch.logs[lane].push((i as u32, 1.0));
-        }
-        let mut next_chain = lanes;
-        let mut n_active = lanes;
-
-        // Loop invariant: every active lane sits on a non-absorbing state
-        // with `steps < max_len` and carries that state's row constants
-        // (`rs`/`width`/`srow`), so every round draws for every lane.
-        while n_active > 0 {
-            let mut l = 0;
-            while l < n_active {
-                let r = batch.rng[l].next_u64();
-                let rs = batch.rs[l];
-                let idx = (((r >> 32) * batch.width[l] as u64) >> 32) as usize;
-                let slot = self.alias[rs + idx];
-                // Branchless coin: a conditional move between the primary
-                // index and its donor, then one unconditional load (a
-                // cache hit on acceptance — same line as `slot`).
-                let pick = if (r as u32) < slot.prob {
-                    idx
-                } else {
-                    slot.alias as usize
-                };
-                let chosen = self.alias[rs + pick];
-                let s = batch.srow[l];
-                let mult = if chosen.col_sign & SIGN_BIT == 0 {
-                    s
-                } else {
-                    -s
-                };
-                let j = (chosen.col_sign & !SIGN_BIT) as usize;
-                let w = batch.weight[l] * mult;
-                batch.weight[l] = w;
-                batch.steps[l] += 1;
-                stats.transitions += 1;
-                if w.abs() < delta {
-                    n_active -= 1;
-                    batch.retire_lane(l, n_active);
-                    continue;
-                }
-                if w.abs() > BLOWUP || !w.is_finite() {
-                    stats.blown_up += 1;
-                    n_active -= 1;
-                    batch.retire_lane(l, n_active);
-                    continue;
-                }
-                batch.logs[batch.chain[l] as usize].push((j as u32, w));
-                // The scalar loop's next iteration checks the cap first,
-                // then absorption — replicate that order. Both retire
-                // without consuming a draw, exactly like the scalar exit.
-                if (batch.steps[l] as usize) >= max_len {
-                    stats.capped += 1;
-                    n_active -= 1;
-                    batch.retire_lane(l, n_active);
-                    continue;
-                }
-                let nrs = self.indptr[j];
-                let nre = self.indptr[j + 1];
-                if nrs == nre {
-                    // Absorbed: chain ends with no draw next round.
-                    n_active -= 1;
-                    batch.retire_lane(l, n_active);
-                    continue;
-                }
-                batch.rs[l] = nrs;
-                batch.width[l] = (nre - nrs) as u32;
-                batch.srow[l] = self.rowsum[j];
-                l += 1;
-            }
-            // Regenerate freed lanes into the next pending chains; their
-            // first draw happens next round.
-            while n_active < lanes && next_chain < n_chains {
-                let l = n_active;
-                batch.weight[l] = 1.0;
-                batch.steps[l] = 0;
-                batch.chain[l] = next_chain as u32;
-                batch.rng[l] = chain_rng(seed, i, next_chain);
-                batch.rs[l] = row_rs;
-                batch.width[l] = row_width;
-                batch.srow[l] = row_srow;
-                batch.logs[next_chain].push((i as u32, 1.0));
-                next_chain += 1;
-                n_active += 1;
-            }
-        }
-
-        // Chain-major flush: the scalar engine's exact FP-add sequence.
-        for log in batch.logs[..n_chains].iter() {
-            for &(j, w) in log {
-                let j = j as usize;
-                if scratch[j] == 0.0 {
-                    touched.push(j);
-                }
-                scratch[j] += w;
-            }
-        }
-        stats
-    }
-}
-
-/// Reusable lockstep lane-batch state for [`WalkMatrix::walk_row_soa`] —
-/// one per worker (like the dense scratch in the builder), so the lane
-/// arrays and the per-chain contribution journals are allocated once and
-/// recycled across rows.
-#[derive(Default)]
-pub(crate) struct SoaBatch {
-    /// Current chain weight per lane.
-    pub(crate) weight: Vec<f64>,
-    /// Steps taken by the lane's chain so far.
-    pub(crate) steps: Vec<u32>,
-    /// Chain id owning each lane (indexes `logs`).
-    pub(crate) chain: Vec<u32>,
-    /// One RNG stream (`chain_rng`) per lane, positioned mid-stream and
-    /// re-seeded in place on regeneration, so the draws stream sequentially.
-    pub(crate) rng: Vec<ChaCha8Rng>,
-    /// Row constants of the lane's current state, carried across rounds
-    /// so each transition gathers them one round early: flat-array start
-    /// of the row...
-    pub(crate) rs: Vec<usize>,
-    /// ...its entry count...
-    pub(crate) width: Vec<u32>,
-    /// ...and its absolute row sum (the weight multiplier magnitude).
-    pub(crate) srow: Vec<f64>,
-    /// Per-chain contribution journal `(state, weight)` in step order.
-    pub(crate) logs: Vec<Vec<(u32, f64)>>,
-}
-
-impl SoaBatch {
-    /// Fresh (empty) batch; arrays grow on first use and are then reused.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Size the lane arrays for a row of `n_chains` chains run on `lanes`
-    /// lanes, clearing the journals while keeping their capacity.
-    pub(crate) fn reset(&mut self, n_chains: usize, lanes: usize) {
-        self.weight.clear();
-        self.weight.resize(lanes, 0.0);
-        self.steps.clear();
-        self.steps.resize(lanes, 0);
-        self.chain.clear();
-        self.chain.resize(lanes, 0);
-        self.rs.clear();
-        self.rs.resize(lanes, 0);
-        self.width.clear();
-        self.width.resize(lanes, 0);
-        self.srow.clear();
-        self.srow.resize(lanes, 0.0);
-        // One RNG per lane (callers seed them); one journal per chain,
-        // with the journals pooling their buffers across rows.
-        self.rng.clear();
-        self.rng.resize(lanes, ChaCha8Rng::seed_from_u64(0));
-        if self.logs.len() < n_chains {
-            self.logs.resize_with(n_chains, Vec::new);
-        }
-        for log in self.logs[..n_chains].iter_mut() {
-            log.clear();
-        }
-    }
-
-    /// Retire lane `a` by pulling in tail lane `b`: everything the round
-    /// still reads for the pulled-in lane must travel — its chain, weight
-    /// and step count, the carried row constants and the per-lane RNG
-    /// stream.
-    #[inline]
-    pub(crate) fn retire_lane(&mut self, a: usize, b: usize) {
-        self.weight.swap(a, b);
-        self.steps.swap(a, b);
-        self.chain.swap(a, b);
-        self.rng.swap(a, b);
-        self.rs.swap(a, b);
-        self.width.swap(a, b);
-        self.srow.swap(a, b);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::McmcParams;
+    use mcmcmi_matgen::fd_laplace_2d;
     use mcmcmi_sparse::Coo;
 
     fn two_by_two() -> Csr {
@@ -1181,9 +876,8 @@ mod tests {
     }
 
     /// Draw-then-decide reference for [`WalkMatrix::walk_row`]: every step
-    /// is sampled and its weight multiplied before the ending conditions are
-    /// checked, so a chain's ending step reads an alias slot that the loop
-    /// under test never reads.
+    /// is sampled and its weight multiplied before the ending conditions
+    /// are checked, so a chain's ending step reads an alias slot.
     fn walk_row_drawn(
         w: &WalkMatrix,
         i: usize,
@@ -1244,8 +938,7 @@ mod tests {
     /// chain ending on its first step, weights turned infinite or NaN by the
     /// row sum, a path into an absorbing row, and chains that only the step
     /// cap ends. `tests/walk_build.rs` builds the same five operators.
-    fn ending_step_edges() -> Vec<(&'static str, Csr, crate::McmcParams)> {
-        use crate::McmcParams;
+    fn ending_step_edges() -> Vec<(&'static str, Csr, McmcParams)> {
         let mut with_inf = ring(6);
         with_inf.push(2, 4, f64::INFINITY);
         let mut with_nan = ring(6);
@@ -1268,7 +961,7 @@ mod tests {
         vec![
             (
                 "delta = 1",
-                mcmcmi_matgen::fd_laplace_2d(6),
+                fd_laplace_2d(6),
                 McmcParams::new(0.5, 0.1, 1.0),
             ),
             ("infinite off-diagonal", with_inf.to_csr(), tight),
@@ -1278,28 +971,26 @@ mod tests {
         ]
     }
 
-    /// `walk_row` decides a chain's ending step without drawing it; the
-    /// reference draws it first. Row by row, on every edge of that
-    /// decision, both must leave the same scratch bits in the same
-    /// `touched` order and report the same statistics.
+    /// Row by row, on every edge of the ending-step decision, `walk_row` and
+    /// the reference leave the same scratch bits, `touched` order and stats.
     #[test]
     fn walk_row_matches_the_draw_then_decide_reference() {
         const MAX_LEN: usize = 10_000;
+        let trace = |n, walk: &dyn Fn(&mut [f64], &mut Vec<usize>) -> RowWalkStats| {
+            let (mut scratch, mut touched) = (vec![0.0; n], Vec::new());
+            let s = walk(&mut scratch, &mut touched);
+            let bits: Vec<u64> = scratch.iter().map(|v| v.to_bits()).collect();
+            (bits, touched, [s.transitions, s.capped, s.blown_up])
+        };
         for (name, a, params) in ending_step_edges() {
             let w = WalkMatrix::from_perturbed(&a, params.alpha);
-            let (chains, delta) = (params.chains_per_row(), params.delta);
+            let (n, chains, delta) = (w.dim(), params.chains_per_row(), params.delta);
             for seed in [0u64, 7] {
-                for i in 0..w.dim() {
-                    let run = |walk: &dyn Fn(&mut [f64], &mut Vec<usize>) -> RowWalkStats| {
-                        let mut scratch = vec![0.0; w.dim()];
-                        let mut touched = Vec::new();
-                        let s = walk(&mut scratch, &mut touched);
-                        let bits: Vec<u64> = scratch.iter().map(|v| v.to_bits()).collect();
-                        (bits, touched, (s.transitions, s.capped, s.blown_up))
-                    };
-                    let got = run(&|s, t| w.walk_row(i, chains, delta, MAX_LEN, seed, s, t));
-                    let want =
-                        run(&|s, t| walk_row_drawn(&w, i, chains, delta, MAX_LEN, seed, s, t));
+                for i in 0..n {
+                    let got = trace(n, &|s, t| w.walk_row(i, chains, delta, MAX_LEN, seed, s, t));
+                    let want = trace(n, &|s, t| {
+                        walk_row_drawn(&w, i, chains, delta, MAX_LEN, seed, s, t)
+                    });
                     assert_eq!(got, want, "{name}: row {i}, seed {seed}");
                 }
             }
@@ -1329,7 +1020,7 @@ mod tests {
         // column and sign.
         let mats = [
             mcmcmi_matgen::pdd_real_sparse(64, 7),
-            mcmcmi_matgen::fd_laplace_2d(8),
+            fd_laplace_2d(8),
             mcmcmi_matgen::unsteady_adv_diff(8, mcmcmi_matgen::AdvDiffOrder::One),
         ];
         for a in &mats {
@@ -1407,242 +1098,6 @@ mod tests {
         assert_row_width(u32::MAX as usize);
     }
 
-    /// The SoA engine must reproduce the scalar engine **bit for bit**:
-    /// identical scratch tallies (FP add order included), identical touched
-    /// discovery order, identical stats — across branching structure,
-    /// absorbing rows, step caps, blow-ups, and chain counts on both sides
-    /// of the lane cap (n_chains > MAX_LANES exercises lane regeneration).
-    #[test]
-    fn soa_engine_bit_identical_to_scalar() {
-        let mats = [
-            mcmcmi_matgen::pdd_real_sparse(64, 7),
-            mcmcmi_matgen::fd_laplace_2d(8),
-            mcmcmi_matgen::unsteady_adv_diff(8, mcmcmi_matgen::AdvDiffOrder::One),
-        ];
-        let mut batch = SoaBatch::new();
-        for (mi, a) in mats.iter().enumerate() {
-            let w = WalkMatrix::from_perturbed(a, 0.5);
-            let n = w.dim();
-            // max_len = 3 forces capped retirement through pass 1.
-            for (chains, delta, max_len) in [
-                (1usize, 1e-6, 10_000usize),
-                (37, 1e-4, 10_000),
-                (1500, 1e-3, 3),
-            ] {
-                let seed = 1000 + mi as u64;
-                let mut s_ref = vec![0.0; n];
-                let mut t_ref = Vec::new();
-                let st_ref = w.walk_row(0, chains, delta, max_len, seed, &mut s_ref, &mut t_ref);
-                let mut s_soa = vec![0.0; n];
-                let mut t_soa = Vec::new();
-                let st_soa = w.walk_row_soa(
-                    0, chains, delta, max_len, seed, &mut batch, &mut s_soa, &mut t_soa,
-                );
-                assert_eq!(s_ref, s_soa, "matrix {mi}, chains {chains}: tallies differ");
-                assert_eq!(t_ref, t_soa, "matrix {mi}, chains {chains}: touched differ");
-                assert_eq!(st_ref.transitions, st_soa.transitions);
-                assert_eq!(st_ref.capped, st_soa.capped);
-                assert_eq!(st_ref.blown_up, st_soa.blown_up);
-            }
-        }
-    }
-
-    #[test]
-    fn soa_engine_matches_scalar_on_blowups() {
-        // Divergent splitting: every chain blows up. Stats and tallies must
-        // still agree bit-for-bit (blow-up retirement happens in pass 3).
-        let mut coo = Coo::new(2, 2);
-        coo.push(0, 0, 1.0);
-        coo.push(0, 1, 5.0);
-        coo.push(1, 0, 5.0);
-        coo.push(1, 1, 1.0);
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.0);
-        let mut s_ref = vec![0.0; 2];
-        let mut t_ref = Vec::new();
-        let st_ref = w.walk_row(0, 2000, 1e-300, 100_000, 1, &mut s_ref, &mut t_ref);
-        assert!(st_ref.blown_up > 0);
-        let mut batch = SoaBatch::new();
-        let mut s_soa = vec![0.0; 2];
-        let mut t_soa = Vec::new();
-        let st_soa = w.walk_row_soa(
-            0, 2000, 1e-300, 100_000, 1, &mut batch, &mut s_soa, &mut t_soa,
-        );
-        assert_eq!(s_ref, s_soa);
-        assert_eq!(t_ref, t_soa);
-        assert_eq!(st_ref.blown_up, st_soa.blown_up);
-        assert_eq!(st_ref.transitions, st_soa.transitions);
-    }
-
-    #[test]
-    fn soa_all_absorbed_batch_makes_progress() {
-        // Regression for the lane-masking hazard: when every lane of a
-        // batch is absorbed at once (start row has no off-diagonals), the
-        // round must still retire all lanes, regenerate pending chains, and
-        // terminate — spending the whole chain budget with zero draws.
-        let n = 3;
-        let mut coo = Coo::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0);
-        }
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.0);
-        let chains = 5000; // > MAX_LANES: forces multiple regeneration waves
-        let mut batch = SoaBatch::new();
-        let mut s_soa = vec![0.0; n];
-        let mut t_soa = Vec::new();
-        let st_soa = w.walk_row_soa(
-            1, chains, 1e-6, 10_000, 5, &mut batch, &mut s_soa, &mut t_soa,
-        );
-        assert_eq!(st_soa.transitions, 0);
-        assert_eq!(st_soa.capped, 0);
-        assert_eq!(s_soa[1], chains as f64);
-        assert_eq!(t_soa, vec![1]);
-        // And it is exactly what the scalar engine produces.
-        let mut s_ref = vec![0.0; n];
-        let mut t_ref = Vec::new();
-        let st_ref = w.walk_row(1, chains, 1e-6, 10_000, 5, &mut s_ref, &mut t_ref);
-        assert_eq!(s_ref, s_soa);
-        assert_eq!(t_ref, t_soa);
-        assert_eq!(st_ref.transitions, st_soa.transitions);
-    }
-
-    #[test]
-    fn soa_zero_chains_is_a_noop() {
-        let w = WalkMatrix::from_perturbed(&two_by_two(), 0.0);
-        let mut batch = SoaBatch::new();
-        let mut scratch = vec![0.0; 2];
-        let mut touched = Vec::new();
-        let st = w.walk_row_soa(0, 0, 1e-6, 100, 0, &mut batch, &mut scratch, &mut touched);
-        assert_eq!(st.transitions, 0);
-        assert_eq!(scratch, vec![0.0; 2]);
-        assert!(touched.is_empty());
-    }
-
-    #[test]
-    fn gathered_lane_sampling_passes_chi_square() {
-        // Drive lane-batch sampling directly — a contiguous block of draws
-        // from per-lane chain streams, resolved through the gathered alias
-        // lookup — and χ²-test the pooled transition counts
-        // against the MAO distribution. Catches any bias introduced by the
-        // block-draw/gather restructuring (e.g. reusing a draw across
-        // lanes, or misindexing the draw block). χ²₀.₉₉₉(9 dof) = 27.88.
-        let n = 11;
-        let mut coo = Coo::new(n, n);
-        coo.push(0, 0, 20.0);
-        for j in 1..n {
-            coo.push(0, j, j as f64);
-        }
-        for j in 1..n {
-            coo.push(j, j, 1.0);
-        }
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.0);
-        let s = w.rowsum(0);
-
-        let lanes = 512usize;
-        let rounds = 400usize;
-        let mut rngs: Vec<ChaCha8Rng> = (0..lanes).map(|c| chain_rng(99, 0, c)).collect();
-        let mut draws = vec![0u64; lanes];
-        let mut counts = vec![0usize; n];
-        for _ in 0..rounds {
-            // Pass 2: contiguous draw block.
-            for (d, rng) in draws.iter_mut().zip(rngs.iter_mut()) {
-                *d = rng.next_u64();
-            }
-            // Pass 3: gathered resolution (every lane samples row 0).
-            for &r in &draws {
-                let (j, mult) = w.resolve_draw(0, r);
-                assert!((mult.abs() - s).abs() < 1e-15);
-                counts[j] += 1;
-            }
-        }
-        let total = (lanes * rounds) as f64;
-        let mut stat = 0.0;
-        for (j, c) in w.row_entries(0) {
-            let expected = c.abs() / s * total;
-            let d = counts[j] as f64 - expected;
-            stat += d * d / expected;
-        }
-        assert!(stat < 27.88, "gathered-lane χ² = {stat}");
-    }
-
-    /// Micro-profile of the SoA passes vs the scalar loop. Ignored: a
-    /// perf-tuning aid, not a correctness test — run release-mode with
-    /// `cargo test -p mcmcmi_mcmc --release soa_profile -- --ignored --nocapture`.
-    #[test]
-    #[ignore]
-    fn soa_profile() {
-        use std::time::Instant;
-        // Climate-operator-class system: wide rows, far-flung columns.
-        let n = 20_000usize;
-        let nnz_row = 90usize;
-        let mut coo = Coo::new(n, n);
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for i in 0..n {
-            coo.push(i, i, 200.0);
-            for _ in 0..nnz_row {
-                let j = (rng.next_u64() % n as u64) as usize;
-                if j != i {
-                    coo.push(i, j, 1.0 - 2.0 * ((rng.next_u64() & 1) as f64));
-                }
-            }
-        }
-        let w = WalkMatrix::from_perturbed(&coo.to_csr(), 0.5);
-        let chains = 1138usize;
-        let (delta, max_len, seed) = (1e-3, 10_000usize, 42u64);
-        let rows: Vec<usize> = (0..200).map(|r| r * 97 % n).collect();
-        let mut scratch = vec![0.0; n];
-        let mut touched = Vec::new();
-        let mut batch = SoaBatch::new();
-        for pass in 0..2 {
-            let t0 = Instant::now();
-            let mut tr = 0usize;
-            for &i in &rows {
-                tr += w
-                    .walk_row(i, chains, delta, max_len, seed, &mut scratch, &mut touched)
-                    .transitions;
-                for &j in touched.iter() {
-                    scratch[j] = 0.0;
-                }
-                touched.clear();
-            }
-            let scalar_ns = t0.elapsed().as_nanos() as f64 / tr as f64;
-            let t0 = Instant::now();
-            let mut tr2 = 0usize;
-            for &i in &rows {
-                tr2 += w
-                    .walk_row_soa(
-                        i,
-                        chains,
-                        delta,
-                        max_len,
-                        seed,
-                        &mut batch,
-                        &mut scratch,
-                        &mut touched,
-                    )
-                    .transitions;
-                for &j in touched.iter() {
-                    scratch[j] = 0.0;
-                }
-                touched.clear();
-            }
-            let soa_ns = t0.elapsed().as_nanos() as f64 / tr2 as f64;
-            assert_eq!(tr, tr2);
-            // Flush replay alone (journals left from the last row).
-            let t0 = Instant::now();
-            let mut sink = 0u64;
-            for log in batch.logs.iter() {
-                for &(j, v) in log {
-                    sink ^= (j as u64).wrapping_add(v.to_bits());
-                }
-            }
-            let replay_ns = t0.elapsed().as_nanos() as f64;
-            println!(
-                "pass {pass}: scalar {scalar_ns:.2} ns/t  soa {soa_ns:.2} ns/t  \
-                 (journal replay of last row: {replay_ns:.0} ns, sink {sink})"
-            );
-        }
-    }
-
     /// Serializes the tests that install the process-wide dispatch
     /// threshold, and clears it when the test ends (also on panic).
     struct ThresholdOverride(#[allow(dead_code)] std::sync::MutexGuard<'static, ()>);
@@ -1676,7 +1131,7 @@ mod tests {
         // and probed over per-thread row ranges, the second serially.
         const THRESHOLD: usize = 400;
         let above = mcmcmi_matgen::pdd_real_sparse(96, 3);
-        let below = mcmcmi_matgen::fd_laplace_2d(6);
+        let below = fd_laplace_2d(6);
         let _guard = ThresholdOverride::install(THRESHOLD);
         for (a, parts) in [(&above, 5), (&below, 1)] {
             let reference = in_pool(1, || WalkMatrix::from_perturbed(a, 0.5));

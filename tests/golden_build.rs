@@ -1,10 +1,11 @@
 //! Golden bits of `build_safeguarded`, captured at commit `d65ec6d` (the
 //! parent of the build-pipeline restructuring: one splitting per safeguard
 //! attempt, parallel table set-up and probe, slimmer `WalkMatrix`, scalar
-//! default engine). The cross-engine and thread-count suites prove the
-//! implementations agree *with each other*; this one pins them to what the
-//! library produced before the pipeline changed, so a restructuring that
-//! moves every path by the same bit is still caught.
+//! default engine). The thread-count suites prove the implementations
+//! agree *with each other*; this one pins them to what the library produced
+//! before the pipeline changed, so a restructuring that moves every path by
+//! the same bit is still caught. It builds on both `WalkEngine` names,
+//! which run the same walk loop, because the benchmark ledger names both.
 
 use mcmcmi::matgen::{fd_laplace_2d, pdd_real_sparse, unsteady_adv_diff, AdvDiffOrder};
 use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams, SafeguardConfig, WalkEngine};

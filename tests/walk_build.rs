@@ -1,23 +1,19 @@
-//! Cross-engine contract for the two walk engines: a lockstep SoA build
-//! must be **bit-identical** to a scalar build — same CSR pattern and
-//! values — at any thread count, whichever of them `BuildConfig::default()`
-//! routes through, and `rebuild_rows` must preserve that identity when
-//! every row is dirty.
+//! Builds through the walk loop: **bit-identical** at any thread count —
+//! same CSR pattern, values and chain counters — and `rebuild_rows` with
+//! every row dirty is a fresh build. The unit tests in `walk.rs` hold the
+//! loop itself to a draw-then-decide reference.
 //!
-//! Per-chain `(seed, row, chain)` RNG streams plus the chain-major journal
-//! flush are what make this hold; these tests are the tripwire for any
-//! change that silently reorders draws or floating-point adds.
+//! Per-chain `(seed, row, chain)` RNG streams are what make this hold;
+//! these tests are the tripwire for any change that silently reorders
+//! draws or floating-point adds.
 
 use mcmcmi::matgen::{fd_laplace_2d, pdd_real_sparse, unsteady_adv_diff, AdvDiffOrder};
 use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams, WalkEngine};
 use mcmcmi::sparse::{Coo, Csr};
 use proptest::prelude::*;
 
-fn build_with(engine: WalkEngine, a: &Csr, params: McmcParams) -> Csr {
-    let builder = McmcInverse::new(BuildConfig {
-        engine,
-        ..Default::default()
-    });
+fn build(a: &Csr, params: McmcParams) -> Csr {
+    let builder = McmcInverse::new(BuildConfig::default());
     builder.build(a, params).precond.matrix().clone()
 }
 
@@ -30,7 +26,7 @@ fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
 }
 
 #[test]
-fn soa_build_bit_identical_to_scalar_across_thread_counts() {
+fn build_bit_identical_across_thread_counts() {
     let mats: Vec<Csr> = vec![
         pdd_real_sparse(96, 7),
         fd_laplace_2d(10),
@@ -38,79 +34,55 @@ fn soa_build_bit_identical_to_scalar_across_thread_counts() {
     ];
     let params = McmcParams::new(0.5, 0.1, 1e-4);
     for (mi, a) in mats.iter().enumerate() {
-        let reference = build_with(WalkEngine::Scalar, a, params);
+        let reference = build(a, params);
         for threads in [1usize, 8] {
-            let scalar = in_pool(threads, || build_with(WalkEngine::Scalar, a, params));
-            let soa = in_pool(threads, || build_with(WalkEngine::Soa, a, params));
+            let got = in_pool(threads, || build(a, params));
             assert_eq!(
-                &scalar, &reference,
-                "matrix {mi}: scalar build drifted at {threads} threads"
-            );
-            assert_eq!(
-                &soa, &reference,
-                "matrix {mi}: SoA build differs from scalar at {threads} threads"
+                &got, &reference,
+                "matrix {mi}: build drifted at {threads} threads"
             );
         }
     }
 }
 
 #[test]
-fn both_engines_match_each_other_and_the_default_end_to_end() {
-    // Which engine `BuildConfig::default()` names is a measured choice, not
-    // a contract; what callers rely on is that the default build equals an
-    // explicit build on either engine bit for bit, so moving the default is
-    // behaviour-neutral for every downstream user.
+fn soa_engine_name_builds_the_default_bits() {
+    // The benchmark ledger still selects `WalkEngine::Soa` for its traced
+    // build. The name runs the one walk loop, so it must build the
+    // default's bits exactly.
     let a = fd_laplace_2d(12);
     let params = McmcParams::new(1.0, 0.125, 0.125);
-    let default_build = McmcInverse::new(BuildConfig::default())
-        .build(&a, params)
-        .precond
-        .matrix()
-        .clone();
-    let scalar = build_with(WalkEngine::Scalar, &a, params);
-    let soa = build_with(WalkEngine::Soa, &a, params);
-    assert_eq!(soa, scalar);
-    assert_eq!(default_build, scalar);
+    let soa = McmcInverse::new(BuildConfig {
+        engine: WalkEngine::Soa,
+        ..Default::default()
+    });
+    assert_eq!(soa.build(&a, params).precond.matrix(), &build(&a, params));
 }
 
 #[test]
-fn all_dirty_rebuild_on_soa_engine_is_bit_identical_at_any_thread_count() {
+fn all_dirty_rebuild_is_bit_identical_at_any_thread_count() {
     let a = pdd_real_sparse(80, 6);
     let n = a.nrows();
     let params = McmcParams::new(0.5, 0.1, 1e-4);
     let all: Vec<usize> = (0..n).collect();
-    let reference = build_with(WalkEngine::Scalar, &a, params);
-    for engine in [WalkEngine::Scalar, WalkEngine::Soa] {
-        let builder = McmcInverse::new(BuildConfig {
-            engine,
-            ..Default::default()
+    let reference = build(&a, params);
+    let builder = McmcInverse::new(BuildConfig::default());
+    for threads in [1usize, 8] {
+        let rebuilt = in_pool(threads, || {
+            let mut out = builder.build(&a, params);
+            builder.rebuild_rows(&mut out, &a, &all, params);
+            out.precond.matrix().clone()
         });
-        for threads in [1usize, 8] {
-            let rebuilt = in_pool(threads, || {
-                let mut out = builder.build(&a, params);
-                builder.rebuild_rows(&mut out, &a, &all, params);
-                out.precond.matrix().clone()
-            });
-            assert_eq!(
-                &rebuilt, &reference,
-                "{engine:?} all-dirty rebuild at {threads} threads"
-            );
-        }
+        assert_eq!(
+            &rebuilt, &reference,
+            "all-dirty rebuild at {threads} threads"
+        );
     }
 }
 
-/// One build's matrix and chain counters, on `engine` in a pool of
-/// `threads`.
-fn outcome_in(
-    threads: usize,
-    engine: WalkEngine,
-    a: &Csr,
-    params: McmcParams,
-) -> (Csr, usize, usize, usize) {
-    let builder = McmcInverse::new(BuildConfig {
-        engine,
-        ..Default::default()
-    });
+/// One build's matrix and chain counters, in a pool of `threads`.
+fn outcome_in(threads: usize, a: &Csr, params: McmcParams) -> (Csr, usize, usize, usize) {
+    let builder = McmcInverse::new(BuildConfig::default());
     let out = in_pool(threads, || builder.build(a, params));
     (
         out.precond.matrix().clone(),
@@ -131,14 +103,14 @@ fn ring(n: usize) -> Coo {
     coo
 }
 
-/// The scalar engine decides a chain's ending step from `|w|·S_k` without
-/// drawing it; the lane engine still draws it. Both must build the same
-/// bits and count the same transitions, capped and blown-up chains on the
-/// edges of that decision: every chain ending on its first step, weights
-/// turned infinite or NaN by the row sum, a path into an absorbing row,
-/// and chains that only the step cap ends.
+/// The walk decides a chain's ending step from `|w|·S_k` without drawing
+/// it (`walk.rs` holds that decision to a draw-then-decide reference). On
+/// the edges of that decision — every chain ending on its first step,
+/// weights turned infinite or NaN by the row sum, a path into an absorbing
+/// row, and chains that only the step cap ends — a build must keep its
+/// bits and its transition, capped and blown-up counts at any thread count.
 #[test]
-fn ending_step_edges_agree_across_engines_and_thread_counts() {
+fn ending_step_edges_agree_across_thread_counts() {
     let mut with_inf = ring(6);
     with_inf.push(2, 4, f64::INFINITY);
     let mut with_nan = ring(6);
@@ -169,12 +141,10 @@ fn ending_step_edges_agree_across_engines_and_thread_counts() {
         ("unit cycle", cycle.to_csr(), McmcParams::new(0.0, 0.5, 0.5)),
     ];
     for (name, a, params) in &cases {
-        let reference = outcome_in(1, WalkEngine::Scalar, a, *params);
+        let reference = outcome_in(1, a, *params);
         for threads in [1usize, 8] {
-            for engine in [WalkEngine::Scalar, WalkEngine::Soa] {
-                let got = outcome_in(threads, engine, a, *params);
-                assert_eq!(got, reference, "{name}: {engine:?} at {threads} threads");
-            }
+            let got = outcome_in(threads, a, *params);
+            assert_eq!(got, reference, "{name}: at {threads} threads");
         }
         let (_, transitions, capped, blown_up) = reference;
         let chains = params.chains_per_row();
@@ -216,12 +186,11 @@ fn arb_matrix() -> impl Strategy<Value = (usize, Vec<(usize, usize, f64)>)> {
 }
 
 proptest! {
-    /// Engine equivalence as a property: for arbitrary sparse structure
-    /// (absorbing rows, heavy rows, disconnected blocks included), scalar
-    /// and SoA builds — and an all-dirty SoA rebuild — are bit-identical
-    /// at 1 and 8 threads.
+    /// Thread-count identity as a property: for arbitrary sparse structure
+    /// (absorbing rows, heavy rows, disconnected blocks included), a build
+    /// and an all-dirty rebuild are bit-identical at 1 and 8 threads.
     #[test]
-    fn soa_scalar_and_all_dirty_rebuild_agree_bitwise((n, ts) in arb_matrix()) {
+    fn build_and_all_dirty_rebuild_agree_bitwise((n, ts) in arb_matrix()) {
         let mut coo = Coo::new(n, n);
         // A dominant diagonal keeps the splitting contractive so walks
         // terminate fast whatever the random pattern.
@@ -235,15 +204,12 @@ proptest! {
         }
         let a = coo.to_csr();
         let params = McmcParams::new(0.5, 0.25, 1e-3);
-        let reference = build_with(WalkEngine::Scalar, &a, params);
+        let reference = build(&a, params);
         let all: Vec<usize> = (0..n).collect();
+        let builder = McmcInverse::new(BuildConfig::default());
         for threads in [1usize, 8] {
-            let soa = in_pool(threads, || build_with(WalkEngine::Soa, &a, params));
-            prop_assert_eq!(&soa, &reference, "SoA build at {} threads", threads);
-            let builder = McmcInverse::new(BuildConfig {
-                engine: WalkEngine::Soa,
-                ..Default::default()
-            });
+            let built = in_pool(threads, || build(&a, params));
+            prop_assert_eq!(&built, &reference, "build at {} threads", threads);
             let rebuilt = in_pool(threads, || {
                 let mut out = builder.build(&a, params);
                 builder.rebuild_rows(&mut out, &a, &all, params);
