@@ -39,25 +39,18 @@ use crate::solver::{
 use mcmcmi_sparse::KernelBackend;
 use serde::{Deserialize, Serialize};
 
-/// Which rungs of the ladder are allowed to run, in their fixed order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Whether the ladder may run. The default lets every rung run, in its
+/// fixed order, wherever it applies: the full-precision retry (needs
+/// [`RecoveryContext::full_precision`]), the flexible swap, and the
+/// unpreconditioned GMRES fallback.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RecoveryPolicy {
-    /// Rung 1: retry with the full-precision parent of a compressed
-    /// preconditioner (needs [`RecoveryContext::full_precision`]).
-    pub full_precision_retry: bool,
-    /// Rung 2: swap to the flexible driver of the same Krylov family.
-    pub flexible_swap: bool,
-    /// Rung 3: final fallback to unpreconditioned GMRES.
-    pub unpreconditioned_fallback: bool,
+    escalate: bool,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        Self {
-            full_precision_retry: true,
-            flexible_swap: true,
-            unpreconditioned_fallback: true,
-        }
+        Self { escalate: true }
     }
 }
 
@@ -65,11 +58,7 @@ impl RecoveryPolicy {
     /// A policy with every rung disabled: `solve_resilient` degenerates to
     /// a plain solve that also reports its trail (always empty).
     pub fn disabled() -> Self {
-        Self {
-            full_precision_retry: false,
-            flexible_swap: false,
-            unpreconditioned_fallback: false,
-        }
+        Self { escalate: false }
     }
 }
 
@@ -218,10 +207,13 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
     let mut trail = RecoveryTrail::default();
     // A cancelled column is out of deadline budget, not out of numerical
     // luck — every rung would burn post-deadline CPU on a result nobody is
-    // waiting for. It keeps its best iterate and is never re-solved.
+    // waiting for. It keeps its best iterate and is never re-solved. Under
+    // a disabled policy no column is retried.
     let mut failing: Vec<usize> = (0..results.len())
         .filter(|&c| {
-            !results[c].converged && !matches!(results[c].failure(), Some(SolveFailure::Cancelled))
+            policy.escalate
+                && !results[c].converged
+                && !matches!(results[c].failure(), Some(SolveFailure::Cancelled))
         })
         .collect();
     // The trigger reported per rung is the first failing column's failure —
@@ -248,13 +240,13 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
         // Arm the rung — its preconditioner and driver — or skip it.
         match step {
             RecoveryStepKind::FullPrecisionRetry => match ctx.full_precision {
-                Some(full) if policy.full_precision_retry && precond.is_compressed() => {
+                Some(full) if precond.is_compressed() => {
                     active = full;
                 }
                 _ => continue,
             },
             RecoveryStepKind::FlexibleSwap => {
-                if !policy.flexible_swap || active_solver.is_flexible() {
+                if active_solver.is_flexible() {
                     continue;
                 }
                 active_solver = active_solver.flexible();
@@ -262,9 +254,6 @@ pub(crate) fn escalate<A: KernelBackend + ?Sized>(
             // Nothing left to distrust: no preconditioner, the most robust
             // general-purpose driver.
             RecoveryStepKind::UnpreconditionedFallback => {
-                if !policy.unpreconditioned_fallback {
-                    continue;
-                }
                 active = &identity;
                 active_solver = SolverType::Gmres;
             }
