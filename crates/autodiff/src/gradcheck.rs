@@ -26,7 +26,8 @@ pub fn numeric_gradient<F: FnMut(&Tensor) -> f64>(x: &Tensor, mut f: F, h: f64) 
 
 /// Assert that an analytic gradient matches the numeric one to `tol`
 /// (relative, with an absolute floor). Panics with a diagnostic otherwise.
-pub fn assert_grad_close(analytic: &Tensor, numeric: &Tensor, tol: f64) {
+#[cfg(test)]
+fn assert_grad_close(analytic: &Tensor, numeric: &Tensor, tol: f64) {
     assert_eq!(analytic.rows(), numeric.rows(), "gradcheck: row mismatch");
     assert_eq!(analytic.cols(), numeric.cols(), "gradcheck: col mismatch");
     for i in 0..analytic.len() {

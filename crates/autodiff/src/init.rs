@@ -4,39 +4,11 @@ use crate::tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// Initialisation scheme for a weight matrix.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Initializer {
-    /// Glorot/Xavier uniform: `U(−√(6/(fan_in+fan_out)), +…)`.
-    XavierUniform,
-    /// He/Kaiming uniform (ReLU-friendly): `U(−√(6/fan_in), +…)`.
-    HeUniform,
-    /// All zeros (biases).
-    Zeros,
-}
-
-/// Draw an `out × in` weight tensor.
-pub fn init_tensor(init: Initializer, rows: usize, cols: usize, rng: &mut ChaCha8Rng) -> Tensor {
-    match init {
-        Initializer::Zeros => Tensor::zeros(rows, cols),
-        Initializer::XavierUniform => {
-            let bound = (6.0 / (rows + cols) as f64).sqrt();
-            uniform(rows, cols, bound, rng)
-        }
-        Initializer::HeUniform => {
-            let bound = (6.0 / cols as f64).sqrt();
-            uniform(rows, cols, bound, rng)
-        }
-    }
-}
-
-/// Convenience: Xavier-uniform from a bare seed.
+/// A `rows × cols` (`out × in`) weight tensor drawn from `seed`, Glorot /
+/// Xavier uniform: `U(−√(6/(fan_in+fan_out)), +…)`.
 pub fn xavier_uniform(rows: usize, cols: usize, seed: u64) -> Tensor {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    init_tensor(Initializer::XavierUniform, rows, cols, &mut rng)
-}
-
-fn uniform(rows: usize, cols: usize, bound: f64, rng: &mut ChaCha8Rng) -> Tensor {
+    let bound = (6.0 / (rows + cols) as f64).sqrt();
     let data: Vec<f64> = (0..rows * cols)
         .map(|_| rng.gen_range(-bound..bound))
         .collect();
@@ -60,12 +32,5 @@ mod tests {
     fn deterministic_per_seed() {
         assert_eq!(xavier_uniform(8, 8, 3), xavier_uniform(8, 8, 3));
         assert_ne!(xavier_uniform(8, 8, 3), xavier_uniform(8, 8, 4));
-    }
-
-    #[test]
-    fn zeros_initializer() {
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let t = init_tensor(Initializer::Zeros, 3, 4, &mut rng);
-        assert!(t.data().iter().all(|&v| v == 0.0));
     }
 }

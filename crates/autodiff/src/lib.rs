@@ -20,6 +20,6 @@ pub mod tensor;
 
 pub use gradcheck::numeric_gradient;
 pub use graph::{AggKind, Gradients, Graph, Var};
-pub use init::{xavier_uniform, Initializer};
+pub use init::xavier_uniform;
 pub use optim::{Adam, AdamConfig, GradClip};
 pub use tensor::Tensor;

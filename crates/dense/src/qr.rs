@@ -19,7 +19,7 @@ pub struct Qr {
 
 impl Qr {
     /// Factorise. Rank deficiency is tolerated (zero columns produce zero
-    /// reflections); consumers can inspect `r_diag` to detect it.
+    /// reflections).
     ///
     /// # Panics
     /// Panics if `m < n`.
@@ -80,11 +80,6 @@ impl Qr {
         Self { qr, betas }
     }
 
-    /// The diagonal of R (magnitudes signal numerical rank).
-    pub fn r_diag(&self) -> Vec<f64> {
-        (0..self.qr.ncols()).map(|k| self.qr.get(k, k)).collect()
-    }
-
     /// Apply `Qᵀ` to a length-`m` vector in place.
     fn apply_qt(&self, y: &mut [f64]) {
         let m = self.qr.nrows();
@@ -131,7 +126,7 @@ impl Qr {
     }
 
     /// Explicit thin Q (m × n), for tests and orthonormal-basis generation.
-    pub fn thin_q(&self) -> Mat {
+    fn thin_q(&self) -> Mat {
         let m = self.qr.nrows();
         let n = self.qr.ncols();
         let mut q = Mat::zeros(m, n);

@@ -136,8 +136,9 @@ impl OperatorEntry {
         lock_unpoisoned(&self.sessions).insert(key, session);
     }
 
-    /// Number of warm sessions currently pooled (for stats).
-    pub fn pooled_sessions(&self) -> usize {
+    /// Number of warm sessions currently pooled.
+    #[cfg(test)]
+    fn pooled_sessions(&self) -> usize {
         lock_unpoisoned(&self.sessions).len()
     }
 }

@@ -152,11 +152,6 @@ impl<T: Scalar> SpecializedBackend<T> {
         &self.a
     }
 
-    /// Recover the underlying matrix, dropping the detected form.
-    pub fn into_csr(self) -> Csr<T> {
-        self.a
-    }
-
     /// The detected structure this backend dispatches on.
     pub fn structure(&self) -> &Structure {
         &self.structure

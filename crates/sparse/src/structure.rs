@@ -100,7 +100,8 @@ pub struct StencilMap {
 
 impl StencilMap {
     /// Number of distinct patterns.
-    pub fn num_patterns(&self) -> usize {
+    #[cfg(test)]
+    fn num_patterns(&self) -> usize {
         self.pat_ptr.len() - 1
     }
 

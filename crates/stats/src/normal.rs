@@ -23,8 +23,8 @@ pub fn erfc(x: f64) -> f64 {
 }
 
 /// Error function.
-#[inline]
-pub fn erf(x: f64) -> f64 {
+#[cfg(test)]
+fn erf(x: f64) -> f64 {
     1.0 - erfc(x)
 }
 

@@ -6,7 +6,7 @@
 //! accurate to ~1e-14 in double precision over the ranges we use.
 
 /// Natural log of the gamma function (Lanczos approximation, g = 7, n = 9).
-pub fn ln_gamma(x: f64) -> f64 {
+fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma: x must be positive, got {x}");
     const G: f64 = 7.0;
     const COEF: [f64; 9] = [
@@ -81,7 +81,8 @@ fn gamma_q_cf(a: f64, x: f64) -> f64 {
 }
 
 /// Regularised lower incomplete gamma `P(a, x)`.
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+#[cfg(test)]
+fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0 && x >= 0.0, "gamma_p: need a > 0, x >= 0");
     if x == 0.0 {
         return 0.0;

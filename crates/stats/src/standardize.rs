@@ -79,7 +79,8 @@ impl Standardizer {
     }
 
     /// Inverse transform (exact round-trip).
-    pub fn inverse_transform(&self, row: &[f64]) -> Vec<f64> {
+    #[cfg(test)]
+    fn inverse_transform(&self, row: &[f64]) -> Vec<f64> {
         assert_eq!(row.len(), self.dim(), "Standardizer: dimension mismatch");
         row.iter()
             .zip(&self.means)
