@@ -339,11 +339,12 @@ impl McmcInverse {
     /// rows costs ~3% of a full build.
     ///
     /// Semantics:
-    /// - Each rebuilt row runs the *same* `(seed, row, chain)` RNG streams, the
-    ///   same budget rule against `a`'s row degree, and the same harvest
-    ///   as [`McmcInverse::build`] — so a call with **all** rows dirty is
-    ///   bit-identical to a fresh build against `a` (at any thread count),
-    ///   and a call with **no** rows is a no-op on the preconditioner.
+    /// - Each rebuilt row runs the *same* `(seed, row, chain)` RNG
+    ///   streams, the same budget rule against `a`'s row degree, and the
+    ///   same harvest as [`McmcInverse::build`] — so a call with **all**
+    ///   rows dirty is bit-identical to a fresh build against `a` (at any
+    ///   thread count), and a call with **no** rows is a no-op on the
+    ///   preconditioner.
     /// - The walk splitting (including its inverse diagonal and the
     ///   contractivity audit) is re-derived from the drifted `a`, so clean
     ///   rows' entries are *kept* while the aggregate
