@@ -429,6 +429,33 @@ mod tests {
     }
 
     #[test]
+    fn default_backoff_ladder_from_alpha_zero() {
+        // ρ(|C|) = 5/(1 + α) on this ring, so every α below 4 is rejected
+        // and the default step walks 0 → floor·2 → doubling until 6.4.
+        let a = nondominant(16);
+        let guarded = McmcInverse::new(BuildConfig::default())
+            .build_safeguarded(
+                &a,
+                McmcParams::new(0.0, 0.5, 0.5),
+                &SafeguardConfig {
+                    max_attempts: 12,
+                    ..Default::default()
+                },
+            )
+            .expect("the default ladder escapes α = 0");
+        let trail: Vec<u64> = guarded.attempts.iter().map(|t| t.alpha.to_bits()).collect();
+        let expected: Vec<u64> = [0.0, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4]
+            .iter()
+            .map(|a: &f64| a.to_bits())
+            .collect();
+        assert_eq!(trail, expected);
+        assert_eq!(guarded.params.alpha.to_bits(), 6.4f64.to_bits());
+        let (rejected, accepted) = guarded.attempts.split_at(7);
+        assert!(rejected.iter().all(|t| t.blown_up_chains.is_none()));
+        assert!(accepted[0].blown_up_chains.is_some());
+    }
+
+    #[test]
     fn attempt_trail_serializes() {
         let a = nondominant(16);
         let guarded = McmcInverse::new(BuildConfig::default())
