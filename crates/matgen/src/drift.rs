@@ -5,8 +5,8 @@
 //! monitoring, and partial rebuilds — and its tests need to know exactly
 //! which rows each step changed, independently of the CSR diff that the
 //! production path computes. Each generator here is an iterator-style
-//! stepper: [`DriftStep::advance`] returns the next operator in the
-//! sequence *plus* the exact set of rows whose values differ from the
+//! stepper: its `advance` returns a [`DriftStep`], the next operator in
+//! the sequence *plus* the exact set of rows whose values differ from the
 //! previous operator's.
 //!
 //! The generators model regimes the paper's serving scenario meets:
@@ -23,20 +23,11 @@
 //!   off-diagonal-to-diagonal ratio and therefore the walk matrix itself.
 //!   This is the generator that genuinely degrades a stale
 //!   preconditioner.
-//! * [`MeshRefinementDrift`] — local refinement: a moving window of a 2D
-//!   finite-difference Laplacian gets its entries strengthened, as if the
-//!   mesh were locally refined around a feature travelling through the
-//!   domain.
-//! * [`JacobianRelinearization`] — Newton-style re-linearisation: rows
-//!   whose accumulated coefficient change crosses a threshold are snapped
-//!   to a fresh linearisation (large jumps on few rows), everything else
-//!   stays bit-identical.
 //!
 //! Determinism: every generator derives its per-step randomness from
 //! `(seed, step_index)`, so a sequence is reproducible and two generators
 //! with the same seed produce identical drift histories.
 
-use crate::families::fd_laplace_2d;
 use mcmcmi_sparse::Csr;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -233,175 +224,10 @@ impl DiagonalShiftDrift {
     }
 }
 
-/// Local mesh refinement on a 2D FD Laplacian: a square window of interior
-/// grid points travels through the domain; rows inside the window get
-/// their entries strengthened (refined local stencil), rows leaving the
-/// window relax back to the base operator.
-#[derive(Clone, Debug)]
-pub struct MeshRefinementDrift {
-    base: Csr,
-    current: Csr,
-    /// Interior points per direction of the underlying grid.
-    m: usize,
-    /// Window side length in grid points.
-    window: usize,
-    /// Refinement strength: refined rows are the base rows scaled by this.
-    strength: f64,
-    step: u64,
-}
-
-impl MeshRefinementDrift {
-    /// A refinement sequence on the `k`-mesh Laplacian
-    /// ([`fd_laplace_2d`], so `n = (k-1)²`), with a `window × window`
-    /// refined patch whose position advances deterministically each step.
-    /// `strength > 1` scales refined rows (a refined cell has a stiffer
-    /// local stencil).
-    pub fn new(k: usize, window: usize, strength: f64) -> Self {
-        let base = fd_laplace_2d(k);
-        let m = k - 1;
-        assert!(window >= 1 && window <= m);
-        assert!(strength > 1.0);
-        Self {
-            current: base.clone(),
-            base,
-            m,
-            window,
-            strength,
-            step: 0,
-        }
-    }
-
-    /// The current operator.
-    pub fn current(&self) -> &Csr {
-        &self.current
-    }
-
-    fn window_rows(&self, step: u64) -> Vec<usize> {
-        // The window's top-left corner walks a diagonal lattice path, so
-        // successive windows overlap (rows stay refined) and slowly move
-        // (rows enter and leave).
-        let span = self.m - self.window + 1;
-        let r0 = (step as usize * 2) % span;
-        let c0 = (step as usize) % span;
-        let mut rows = Vec::with_capacity(self.window * self.window);
-        for di in 0..self.window {
-            for dj in 0..self.window {
-                rows.push((r0 + di) * self.m + (c0 + dj));
-            }
-        }
-        rows.sort_unstable();
-        rows
-    }
-
-    /// Advance one step: refine the new window, relax rows that left it.
-    pub fn advance(&mut self) -> DriftStep {
-        let new_window = self.window_rows(self.step);
-        let old_window = if self.step == 0 {
-            Vec::new()
-        } else {
-            self.window_rows(self.step - 1)
-        };
-        self.step += 1;
-        let mut next = self.current.clone();
-        let mut dirty = Vec::new();
-        // Rows leaving the window: restore base values.
-        for &i in &old_window {
-            if new_window.binary_search(&i).is_err() {
-                next.row_values_mut(i)
-                    .copy_from_slice(self.base.row_values(i));
-                dirty.push(i);
-            }
-        }
-        // Rows entering the window: refined stencil.
-        for &i in &new_window {
-            if old_window.binary_search(&i).is_err() {
-                let base_vals = self.base.row_values(i).to_vec();
-                for (v, &bv) in next.row_values_mut(i).iter_mut().zip(&base_vals) {
-                    *v = bv * self.strength;
-                }
-                dirty.push(i);
-            }
-        }
-        dirty.sort_unstable();
-        self.current = next.clone();
-        DriftStep {
-            matrix: next,
-            dirty_rows: dirty,
-        }
-    }
-}
-
-/// Newton-style re-linearisation: per-row "state" accumulates a seeded
-/// pseudo-random increment each step; rows whose accumulated change
-/// crosses `threshold` are re-linearised (values snapped to the base row
-/// scaled by the new state) and their accumulator resets. Large jumps on
-/// few rows — the opposite drift profile to [`CoefficientDrift`].
-#[derive(Clone, Debug)]
-pub struct JacobianRelinearization {
-    base: Csr,
-    current: Csr,
-    state: Vec<f64>,
-    accum: Vec<f64>,
-    threshold: f64,
-    seed: u64,
-    step: u64,
-}
-
-impl JacobianRelinearization {
-    /// A re-linearisation sequence starting from `a0` (which is also the
-    /// state-1 linearisation). `threshold` is the accumulated relative
-    /// state change that triggers a row's re-linearisation.
-    pub fn new(a0: Csr, threshold: f64, seed: u64) -> Self {
-        let n = a0.nrows();
-        assert!(threshold > 0.0);
-        Self {
-            current: a0.clone(),
-            base: a0,
-            state: vec![1.0; n],
-            accum: vec![0.0; n],
-            threshold,
-            seed,
-            step: 0,
-        }
-    }
-
-    /// The current operator.
-    pub fn current(&self) -> &Csr {
-        &self.current
-    }
-
-    /// Advance one step and return the new linearisation plus exactly the
-    /// rows that were re-linearised.
-    pub fn advance(&mut self) -> DriftStep {
-        let n = self.current.nrows();
-        let mut rng = step_rng(self.seed, self.step);
-        self.step += 1;
-        let mut next = self.current.clone();
-        let mut dirty = Vec::new();
-        for i in 0..n {
-            self.accum[i] += rng.gen_range(0.0..self.threshold / 3.0);
-            if self.accum[i] >= self.threshold {
-                self.state[i] *= 1.0 + self.accum[i];
-                self.accum[i] = 0.0;
-                let s = self.state[i];
-                let base_vals = self.base.row_values(i).to_vec();
-                for (v, &bv) in next.row_values_mut(i).iter_mut().zip(&base_vals) {
-                    *v = bv * s;
-                }
-                dirty.push(i);
-            }
-        }
-        self.current = next.clone();
-        DriftStep {
-            matrix: next,
-            dirty_rows: dirty,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::families::fd_laplace_2d;
     use crate::random::pdd_real_sparse;
 
     /// Every generator's declared dirty set must exactly match the CSR
@@ -511,42 +337,6 @@ mod tests {
             prev = step.matrix;
         }
         assert!(saw_below_base, "states must actually wander below 1");
-    }
-
-    #[test]
-    fn mesh_refinement_window_moves_and_diffs_exactly() {
-        let mut gen = MeshRefinementDrift::new(10, 3, 4.0);
-        let mut prev = gen.current().clone();
-        let mut saw_drift = false;
-        for _ in 0..12 {
-            let step = gen.advance();
-            check_ground_truth(&prev, &step);
-            // Window fits in the grid: never more than 2 windows' rows dirty.
-            assert!(step.dirty_rows.len() <= 2 * 9);
-            saw_drift |= !step.dirty_rows.is_empty();
-            prev = step.matrix;
-        }
-        assert!(saw_drift);
-    }
-
-    #[test]
-    fn relinearization_makes_sparse_large_jumps() {
-        let a0 = pdd_real_sparse(64, 9);
-        let n = a0.nrows();
-        let mut gen = JacobianRelinearization::new(a0.clone(), 0.5, 21);
-        let mut prev = a0;
-        let mut total_dirty = 0usize;
-        for _ in 0..10 {
-            let step = gen.advance();
-            check_ground_truth(&prev, &step);
-            total_dirty += step.dirty_rows.len();
-            prev = step.matrix;
-        }
-        assert!(total_dirty > 0, "some rows must have re-linearised");
-        assert!(
-            total_dirty < 10 * n,
-            "re-linearisation must not touch every row every step"
-        );
     }
 
     #[test]

@@ -1,49 +1,7 @@
 //! Finite-difference operator families: Laplacians, convection–diffusion,
 //! and the wide-stencil climate-type operator.
-//!
-//! The stencil/banded generators also come in `*_with_structure` variants
-//! returning [`StructureTruth`] — the offsets/bandwidth the generator *knows*
-//! it produced — so `mcmcmi_sparse::detect_structure` tests assert against
-//! ground truth instead of re-deriving the answer from the matrix under test.
 
-use mcmcmi_sparse::{Coo, Csr, Structure};
-
-/// Generator-side structure ground truth: what a stencil/banded generator
-/// *knows* it emitted, independent of any detection pass. Detection tests
-/// compare `mcmcmi_sparse::detect_structure` output against this.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StructureTruth {
-    /// Every row stores exactly the clipped dense band of these
-    /// half-bandwidths.
-    Banded {
-        /// Sub-diagonal half-bandwidth.
-        lower: usize,
-        /// Super-diagonal half-bandwidth.
-        upper: usize,
-    },
-    /// Interior rows store exactly `i + offsets`; boundary rows store the
-    /// in-bounds subset.
-    Stencil {
-        /// Interior offset pattern, sorted ascending.
-        offsets: Vec<i64>,
-    },
-}
-
-impl StructureTruth {
-    /// Does a detected [`Structure`] agree with this ground truth?
-    /// (Banded truth requires the exact half-bandwidths; stencil truth
-    /// requires the modal pattern to equal the interior offsets.)
-    pub fn matches(&self, detected: &Structure) -> bool {
-        match self {
-            StructureTruth::Banded { lower, upper } => {
-                detected.band_widths() == Some((*lower, *upper))
-            }
-            StructureTruth::Stencil { offsets } => {
-                detected.stencil_offsets() == Some(offsets.as_slice())
-            }
-        }
-    }
-}
+use mcmcmi_sparse::{Coo, Csr};
 
 /// 1D Dirichlet Laplacian `tridiag(-1, 2, -1)` of order `n` (test helper and
 /// the simplest SPD family).
@@ -95,36 +53,6 @@ pub fn fd_laplace_2d(k: usize) -> Csr {
         }
     }
     coo.to_csr()
-}
-
-/// [`laplace_1d`] plus its structure ground truth: a dense tridiagonal
-/// band, half-bandwidths (1, 1) for `n ≥ 2`.
-pub fn laplace_1d_with_structure(n: usize) -> (Csr, StructureTruth) {
-    let truth = if n >= 2 {
-        StructureTruth::Banded { lower: 1, upper: 1 }
-    } else {
-        StructureTruth::Banded { lower: 0, upper: 0 }
-    };
-    (laplace_1d(n), truth)
-}
-
-/// [`fd_laplace_2d`] plus its structure ground truth: the 5-point stencil
-/// `{−(k−1), −1, 0, 1, k−1}` on interior rows, boundary rows clipped.
-///
-/// Note the detection caveat: the interior pattern only *dominates* (covers
-/// ≥ half the rows, the `detect_structure` acceptance rule) once
-/// `(m−2)² ≥ m²/2` for `m = k−1`, i.e. `k ≥ 8` — smaller grids are all
-/// boundary and legitimately detect as something else.
-pub fn fd_laplace_2d_with_structure(k: usize) -> (Csr, StructureTruth) {
-    let m = (k - 1) as i64;
-    let offsets = if m == 1 {
-        vec![0]
-    } else if m == 2 {
-        vec![-2, -1, 0, 1, 2]
-    } else {
-        vec![-m, -1, 0, 1, m]
-    };
-    (fd_laplace_2d(k), StructureTruth::Stencil { offsets })
 }
 
 /// Parameters for [`convection_diffusion_2d`].
@@ -248,39 +176,6 @@ pub fn convection_diffusion_2d(p: ConvectionDiffusionParams) -> Csr {
     coo.to_csr()
 }
 
-/// [`convection_diffusion_2d`] plus its structure ground truth: the
-/// interior offset pattern implied by the parameters — the 5-point cross
-/// `{−ny, −1, 0, 1, ny}`, plus (when `wide`) the second ring
-/// `max(|di|,|dj|) = 2` and the far zonal couplings `di ∈ {±3, ±4}`.
-///
-/// Detection caveat (as for [`fd_laplace_2d_with_structure`]): the interior
-/// pattern must cover ≥ half the rows, which for the wide stencil needs
-/// `(nx−8)·(ny−8) ≥ nx·ny/2`.
-pub fn convection_diffusion_2d_with_structure(
-    p: ConvectionDiffusionParams,
-) -> (Csr, StructureTruth) {
-    let ny = p.ny as i64;
-    let mut offsets: Vec<i64> = vec![-ny, -1, 0, 1, ny];
-    if p.wide {
-        for di in -2i64..=2 {
-            for dj in -2i64..=2 {
-                if di.abs().max(dj.abs()) == 2 {
-                    offsets.push(di * ny + dj);
-                }
-            }
-        }
-        for di in [-4i64, -3, 3, 4] {
-            offsets.push(di * ny);
-        }
-    }
-    offsets.sort_unstable();
-    offsets.dedup();
-    (
-        convection_diffusion_2d(p),
-        StructureTruth::Stencil { offsets },
-    )
-}
-
 /// Wide-stencil stretched-grid advection–diffusion operator, the synthetic
 /// stand-in for the climate matrix `nonsym_r3_a11` (n = 20 930, φ ≈ 0.0044).
 ///
@@ -333,71 +228,6 @@ pub fn stretched_climate_operator(nlat: usize, nlon: usize, halo: usize, eps: f6
         }
     }
     coo.to_csr()
-}
-
-/// Clamped-boundary banded variant of the climate surrogate: each row `r`
-/// couples to *every* index within `halo` of it (clipped at the matrix
-/// bounds only — no periodic wrap), with the same latitude-dependent metric
-/// stretching and asymmetric advective tilt as
-/// [`stretched_climate_operator`]. The zonal wrap is what defeats
-/// offset-pattern detection on the periodic operator; dropping it yields a
-/// genuinely *banded* climate-row operator — the band-structured member of
-/// the Table-1 surrogate family, with half-bandwidths exactly
-/// `(halo, halo)` and ~`2·halo + 1` nnz/row.
-///
-/// # Panics
-/// Panics if the grid is too small (`nlat·nlon ≤ halo`) or `halo == 0`.
-pub fn banded_climate_rows(nlat: usize, nlon: usize, halo: usize, eps: f64) -> Csr {
-    assert!(halo >= 1, "banded_climate_rows: halo must be >= 1");
-    let n = nlat * nlon;
-    assert!(n > halo, "banded_climate_rows: grid too small for halo");
-    let mut coo = Coo::with_capacity(n, n, (2 * halo + 1) * n);
-    let pi = std::f64::consts::PI;
-    for r in 0..n {
-        let i = r / nlon;
-        let lat = pi * (i as f64 + 0.5) / nlat as f64; // (0, π)
-        let metric = 1.0 / (0.05 + lat.sin()); // large near poles
-        let zonal_speed = 1.0 + 0.5 * (2.0 * lat).cos();
-        let first = r.saturating_sub(halo);
-        let last = (r + halo).min(n - 1);
-        let mut wsum = 0.0;
-        for s in first..=last {
-            if s == r {
-                continue;
-            }
-            let d = s as f64 - r as f64;
-            // Diffusive decay with an upwind (eastward) advective tilt:
-            // every in-band weight is strictly negative, so the band is
-            // dense — the property the banded kernels rely on.
-            let mut w = -metric / (d * d);
-            if d > 0.0 {
-                w -= zonal_speed / d;
-            }
-            coo.push(r, s, w);
-            wsum += w.abs();
-        }
-        // Mildly non-dominant, like the periodic surrogate: iterative but
-        // not trivial.
-        coo.push(r, r, eps * (2.0 + 2.0 * metric) + 0.55 * wsum);
-    }
-    coo.to_csr()
-}
-
-/// [`banded_climate_rows`] plus its structure ground truth: dense band with
-/// half-bandwidths `(halo, halo)`.
-pub fn banded_climate_rows_with_structure(
-    nlat: usize,
-    nlon: usize,
-    halo: usize,
-    eps: f64,
-) -> (Csr, StructureTruth) {
-    (
-        banded_climate_rows(nlat, nlon, halo, eps),
-        StructureTruth::Banded {
-            lower: halo,
-            upper: halo,
-        },
-    )
 }
 
 #[cfg(test)]
@@ -498,45 +328,11 @@ mod tests {
     }
 
     #[test]
-    fn banded_climate_rows_shape_and_band() {
-        let a = banded_climate_rows(7, 30, 8, 1.0);
-        assert_eq!(a.nrows(), 210);
-        assert!(!a.is_symmetric(1e-10));
-        assert!(a.diag().iter().all(|&d| d > 0.0));
-        // Interior rows carry the full 2·halo + 1 band.
-        assert_eq!(a.row_degrees().iter().copied().max().unwrap(), 17);
-        // Every in-band entry is stored (the band is dense).
-        for i in 0..a.nrows() {
-            let first = i.saturating_sub(8);
-            let last = (i + 8).min(209);
-            assert_eq!(
-                a.row_indices(i),
-                (first..=last).collect::<Vec<_>>().as_slice()
-            );
-        }
-    }
-
-    #[test]
     fn detection_matches_generator_ground_truth() {
-        // The satellite contract: detection is asserted against what the
-        // generators *know* they emitted, never re-derived.
-        let (a, truth) = laplace_1d_with_structure(64);
-        assert!(truth.matches(&detect_structure(&a)), "laplace_1d");
+        let detected = detect_structure(&laplace_1d(64));
+        assert_eq!(detected.band_widths(), Some((1, 1)), "{detected:?}");
 
-        let (a, truth) = fd_laplace_2d_with_structure(16);
-        let detected = detect_structure(&a);
-        assert!(truth.matches(&detected), "fd_laplace_2d(16): {detected:?}");
-        assert_eq!(detected.kernel_name(), "stencil");
-
-        let (a, truth) = banded_climate_rows_with_structure(5, 24, 6, 1.0);
-        let detected = detect_structure(&a);
-        assert!(
-            truth.matches(&detected),
-            "banded_climate_rows: {detected:?}"
-        );
-        assert_eq!(detected.kernel_name(), "banded");
-
-        let (a, truth) = convection_diffusion_2d_with_structure(ConvectionDiffusionParams {
+        let convection = convection_diffusion_2d(ConvectionDiffusionParams {
             nx: 24,
             ny: 20,
             eps: 1.0,
@@ -545,17 +341,23 @@ mod tests {
             contrast: 1.0,
             wide: false,
         });
-        assert!(truth.matches(&detect_structure(&a)), "convection_diffusion");
+        // Interior rows store `i + offsets`: ±(k − 1) for the k = 16 grid,
+        // ±ny for the convection–diffusion one.
+        for (a, offsets) in [
+            (fd_laplace_2d(16), [-15, -1, 0, 1, 15]),
+            (convection, [-20, -1, 0, 1, 20]),
+        ] {
+            let detected = detect_structure(&a);
+            assert_eq!(detected.stencil_offsets(), Some(offsets.as_slice()));
+            assert_eq!(detected.kernel_name(), "stencil");
+        }
     }
 
     #[test]
-    fn periodic_climate_operator_is_not_stencil_but_banded_variant_is() {
+    fn periodic_climate_operator_is_not_a_stencil() {
         // The zonal wrap puts boundary-row offsets outside the interior
-        // pattern, so the periodic surrogate honestly demotes to General —
-        // exactly why the banded variant exists.
+        // pattern, so the periodic surrogate honestly demotes to General.
         let periodic = stretched_climate_operator(5, 24, 6, 1.0);
         assert_eq!(detect_structure(&periodic).kernel_name(), "generic-csr");
-        let banded = banded_climate_rows(5, 24, 6, 1.0);
-        assert_eq!(detect_structure(&banded).kernel_name(), "banded");
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! None of the paper's matrices ship with the paper, so each is regenerated
 //! as a synthetic equivalent with the same dimension, symmetry, sparsity
-//! class and conditioning regime (see DESIGN.md §3 for the substitution
-//! table). The 2D finite-difference Laplacians are *exactly* the paper's
-//! operators; the rest are same-class surrogates.
+//! class and conditioning regime ([`suite::PaperMatrix`] is the
+//! substitution table). The 2D finite-difference Laplacians are *exactly*
+//! the paper's operators; the rest are same-class surrogates.
 
 pub mod chebyshev;
 pub mod drift;
@@ -14,14 +14,10 @@ pub mod random;
 pub mod suite;
 
 pub use chebyshev::{chebyshev_diff_matrix, chebyshev_points, unsteady_adv_diff, AdvDiffOrder};
-pub use drift::{
-    CoefficientDrift, DiagonalShiftDrift, DriftStep, JacobianRelinearization, MeshRefinementDrift,
-};
+pub use drift::{CoefficientDrift, DiagonalShiftDrift, DriftStep};
 pub use families::{
-    banded_climate_rows, banded_climate_rows_with_structure, convection_diffusion_2d,
-    convection_diffusion_2d_with_structure, fd_laplace_2d, fd_laplace_2d_with_structure,
-    laplace_1d, laplace_1d_with_structure, stretched_climate_operator, ConvectionDiffusionParams,
-    StructureTruth,
+    convection_diffusion_2d, fd_laplace_2d, laplace_1d, stretched_climate_operator,
+    ConvectionDiffusionParams,
 };
-pub use random::{pdd_real_sparse, pdd_real_sparse_scaled, random_sparse, spd_random};
+pub use random::{pdd_real_sparse, pdd_real_sparse_scaled, spd_random};
 pub use suite::{analytic_laplace_cond_2d, PaperMatrix, PaperRow};

@@ -4,25 +4,6 @@ use mcmcmi_sparse::{Coo, Csr};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-/// General random sparse matrix: `n × n`, expected fill `density`, entries
-/// uniform in [-1, 1]. No structural guarantees — utility for tests.
-pub fn random_sparse(n: usize, density: f64, seed: u64) -> Csr {
-    assert!(
-        (0.0..=1.0).contains(&density),
-        "random_sparse: density in [0,1]"
-    );
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut coo = Coo::with_capacity(n, n, (density * (n * n) as f64) as usize + n);
-    for i in 0..n {
-        for j in 0..n {
-            if rng.gen::<f64>() < density {
-                coo.push(i, j, rng.gen_range(-1.0..1.0));
-            }
-        }
-    }
-    coo.to_csr()
-}
-
 /// `PDD_RealSparse`-style matrix: random sparse, strictly diagonally
 /// dominant ("PDD"), density ≈ 0.1, κ of order 10 — matching the paper's
 /// `PDD_RealSparse_N{64,128,256}` rows in Table 1 (κ ∈ [5, 13]).
@@ -144,22 +125,6 @@ pub fn spd_random(n: usize, cond: f64, seed: u64) -> Csr {
 mod tests {
     use super::*;
     use mcmcmi_dense::{cond_dense, CondOptions};
-
-    #[test]
-    fn random_sparse_is_deterministic() {
-        let a = random_sparse(30, 0.2, 9);
-        let b = random_sparse(30, 0.2, 9);
-        assert_eq!(a, b);
-        let c = random_sparse(30, 0.2, 10);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn random_sparse_density_close_to_target() {
-        let a = random_sparse(100, 0.15, 3);
-        let phi = a.density();
-        assert!((phi - 0.15).abs() < 0.04, "density {phi}");
-    }
 
     #[test]
     fn pdd_is_strictly_diagonally_dominant() {

@@ -4,7 +4,7 @@
 //! choice instead of a call-site rewrite.
 //!
 //! `KernelBackend::{spmv, spmm}` are the one way to ask for a product, and
-//! [`product`] below is the one place a product is split across threads:
+//! `product` below is the one place a product is split across threads:
 //! serial when the traversal is too small to pay for a fork/join
 //! ([`par_pays_off`]), otherwise one nnz-balanced row partition computed
 //! for the call. Two implementations ship, differing only in the row

@@ -29,6 +29,6 @@ pub use csr::{
     DEFAULT_PAR_THRESHOLD,
 };
 pub use fault::{corrupt_rows, FaultKind, FaultSpec, FaultyBackend};
-pub use ops::{csr_add, csr_add_diag, csr_eye, csr_scale};
+pub use ops::{csr_add, csr_eye};
 pub use scalar::Scalar;
 pub use structure::{detect_structure, StencilMap, Structure, MAX_STENCIL_PATTERNS};

@@ -1,4 +1,4 @@
-//! Whole-matrix operations: addition, scaling, identity, diagonal shifts.
+//! Whole-matrix operations: addition and identity.
 
 use crate::coo::Coo;
 use crate::csr::Csr;
@@ -24,32 +24,6 @@ pub fn csr_add(alpha: f64, a: &Csr, beta: f64, b: &Csr) -> Csr {
     if beta != 0.0 {
         for (i, j, v) in b.triplets() {
             coo.push(i, j, beta * v);
-        }
-    }
-    coo.to_csr()
-}
-
-/// Scaled copy `s·A`.
-pub fn csr_scale(s: f64, a: &Csr) -> Csr {
-    let mut out = a.clone();
-    out.scale_values(s);
-    out
-}
-
-/// `A + diag(d)` — diagonal shift used by the MCMC α-perturbation.
-///
-/// # Panics
-/// Panics if `d.len() != a.nrows()` or `a` is not square.
-pub fn csr_add_diag(a: &Csr, d: &[f64]) -> Csr {
-    assert_eq!(a.nrows(), a.ncols(), "csr_add_diag: matrix must be square");
-    assert_eq!(d.len(), a.nrows(), "csr_add_diag: diagonal length mismatch");
-    let mut coo = Coo::with_capacity(a.nrows(), a.ncols(), a.nnz() + d.len());
-    for (i, j, v) in a.triplets() {
-        coo.push(i, j, v);
-    }
-    for (i, &di) in d.iter().enumerate() {
-        if di != 0.0 {
-            coo.push(i, i, di);
         }
     }
     coo.to_csr()
@@ -90,19 +64,5 @@ mod tests {
         let a = sample();
         let c = csr_add(1.0, &a, -1.0, &a);
         assert_eq!(c.nnz(), 0);
-    }
-
-    #[test]
-    fn scale_matches_manual() {
-        let a = csr_scale(2.0, &sample());
-        assert_eq!(a.get(0, 1), 4.0);
-    }
-
-    #[test]
-    fn diag_shift() {
-        let a = csr_add_diag(&sample(), &[10.0, 20.0]);
-        assert_eq!(a.get(0, 0), 11.0);
-        assert_eq!(a.get(1, 1), 20.0);
-        assert_eq!(a.get(1, 0), 3.0);
     }
 }

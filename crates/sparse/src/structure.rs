@@ -381,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn random_sparse_matrix_is_general() {
+    fn scattered_pattern_is_general() {
         // Pseudo-random pattern: rows have unrelated offsets, so the
         // pattern budget blows and detection bails to General.
         let n = 600;
