@@ -18,7 +18,8 @@
 //!    pair is rejected *before* any chain is simulated.
 //! 2. **Geometric α backoff.** The perturbation `Â = A + α·diag` shrinks
 //!    every splitting row sum monotonically (`S(α) = S(0)/(1+α)`), so if
-//!    the probe rejects α the safeguard retries at `α·growth`, walking up
+//!    the probe rejects α the safeguard retries at
+//!    `max(α, ALPHA_FLOOR) · ALPHA_GROWTH`, walking up
 //!    the one knob that provably restores contraction. Each attempt is
 //!    recorded.
 //! 3. **Post-build blow-up audit.** The probe is an estimate, so the
@@ -48,6 +49,15 @@ const RHO_LIMIT: f64 = 0.995;
 /// tripped the weight blow-up guard.
 const BLOWN_FRACTION_LIMIT: f64 = 1e-3;
 
+/// Multiplier applied to α between attempts (geometric backoff).
+const ALPHA_GROWTH: f64 = 2.0;
+
+/// Traction for the backoff at tiny α: each step proposes
+/// `max(α, ALPHA_FLOOR) · ALPHA_GROWTH`, so a requested α of 0 (or anything
+/// below the floor) backs off to `ALPHA_FLOOR · ALPHA_GROWTH` first instead
+/// of multiplying a near-zero value forever.
+const ALPHA_FLOOR: f64 = 0.05;
+
 /// Divergence-detection and backoff settings.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SafeguardConfig {
@@ -56,13 +66,6 @@ pub struct SafeguardConfig {
     pub probe_iters: usize,
     /// Total build attempts before giving up (first attempt + backoffs).
     pub max_attempts: usize,
-    /// Multiplier applied to α between attempts (geometric backoff).
-    pub alpha_growth: f64,
-    /// Traction for the backoff at tiny α: each step proposes
-    /// `max(α, alpha_floor) · alpha_growth`, so a requested α of 0 (or
-    /// anything below the floor) backs off to `alpha_floor · alpha_growth`
-    /// first instead of multiplying a near-zero value forever.
-    pub alpha_floor: f64,
 }
 
 impl Default for SafeguardConfig {
@@ -73,16 +76,14 @@ impl Default for SafeguardConfig {
             // budget is sized to escape even a severely non-contractive
             // starting point: floor 0.05 doubling 7 times reaches α = 6.4.
             max_attempts: 8,
-            alpha_growth: 2.0,
-            alpha_floor: 0.05,
         }
     }
 }
 
 impl SafeguardConfig {
-    /// One geometric back-off step: `max(α, alpha_floor) · alpha_growth`.
+    /// One geometric back-off step: `max(α, ALPHA_FLOOR) · ALPHA_GROWTH`.
     pub fn next_alpha(&self, alpha: f64) -> f64 {
-        alpha.max(self.alpha_floor) * self.alpha_growth
+        alpha.max(ALPHA_FLOOR) * ALPHA_GROWTH
     }
 }
 
@@ -198,10 +199,6 @@ impl McmcInverse {
         assert!(
             guard.max_attempts >= 1,
             "build_safeguarded: need at least one attempt"
-        );
-        assert!(
-            guard.alpha_growth > 1.0,
-            "build_safeguarded: alpha_growth must exceed 1"
         );
         let mut attempts: Vec<BuildAttempt> = Vec::with_capacity(guard.max_attempts);
         let mut alpha = params.alpha;
@@ -366,17 +363,17 @@ mod tests {
     #[test]
     fn exhausted_budget_reports_every_attempt() {
         let a = nondominant(32);
+        // ρ(|C|) = 5/(1 + α): still divergent at the third α, 0.2.
         let guard = SafeguardConfig {
             max_attempts: 3,
-            alpha_growth: 1.1, // too timid to escape in 3 tries from 1e-4
-            alpha_floor: 1e-4,
             ..Default::default()
         };
         let err = McmcInverse::new(BuildConfig::default())
             .build_safeguarded(&a, McmcParams::new(1e-4, 0.5, 0.5), &guard)
             .unwrap_err();
         let BuildError::Divergent { attempts } = &err;
-        assert_eq!(attempts.len(), 3);
+        let trail: Vec<f64> = attempts.iter().map(|t| t.alpha).collect();
+        assert_eq!(trail, [1e-4, 0.1, 0.2]);
         let msg = err.to_string();
         assert!(msg.contains("3 attempt(s)"), "{msg}");
     }
@@ -402,10 +399,7 @@ mod tests {
             .build_safeguarded(
                 &a,
                 McmcParams::new(0.0, 0.25, 0.125),
-                &SafeguardConfig {
-                    alpha_floor: 1e-6,
-                    ..Default::default()
-                },
+                &SafeguardConfig::default(),
             )
             .expect("ρ(|C|) < 1 splitting must pass despite a heavy row");
         assert!(!guarded.backed_off());

@@ -54,5 +54,5 @@ pub use protocol::{Fault, ServeError, SolveReply, SolveRequest};
 pub use queue::{AdmissionQueue, GroupKey, Job, JobReply};
 pub use server::{
     DrainOutcome, PoisonedRecord, ServeConfig, Server, Stats, StatsSnapshot, TunedRecord,
-    TunedStore,
+    TunedStore, DEFAULT_PARAMS,
 };

@@ -52,8 +52,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission queue capacity; beyond it requests shed `Overloaded`.
     pub queue_capacity: usize,
-    /// Maximum lockstep width for coalesced same-operator groups.
-    pub max_batch_width: usize,
     /// Byte budget for the operator/session cache (LRU beyond it).
     pub cache_bytes: usize,
     /// How long [`Server::join`] waits for in-flight solves before
@@ -65,14 +63,19 @@ pub struct ServeConfig {
     pub snapshot_path: Option<PathBuf>,
     /// Honour test-only fault injections (`"fault": "panic"` etc.).
     pub test_faults: bool,
-    /// MCMC build parameters used when neither a tuned record nor the
-    /// request supplies them.
-    pub params: McmcParams,
-    /// Divergence safeguard for builds.
-    pub guard: SafeguardConfig,
-    /// Matrix-independent build settings (seeded ⇒ deterministic builds).
-    pub build: BuildConfig,
 }
+
+/// MCMC build parameters (α, ε, δ) used when neither a tuned record nor
+/// the request supplies them. Builds run behind the default safeguard with
+/// the default (seeded, so deterministic) build settings.
+pub const DEFAULT_PARAMS: McmcParams = McmcParams {
+    alpha: 2.0,
+    eps: 0.5,
+    delta: 0.5,
+};
+
+/// Maximum lockstep width for coalesced same-operator groups.
+const MAX_BATCH_WIDTH: usize = 8;
 
 impl Default for ServeConfig {
     fn default() -> Self {
@@ -80,15 +83,11 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_capacity: 64,
-            max_batch_width: 8,
             cache_bytes: 256 * 1024 * 1024,
             drain_deadline_ms: 5_000,
             default_deadline_ms: None,
             snapshot_path: None,
             test_faults: false,
-            params: McmcParams::new(2.0, 0.5, 0.5),
-            guard: SafeguardConfig::default(),
-            build: BuildConfig::default(),
         }
     }
 }
@@ -379,7 +378,7 @@ fn spawn_worker(inner: &Arc<ServerInner>) {
 
 fn worker_loop(inner: &Arc<ServerInner>, worker_id: u64) {
     loop {
-        let group = inner.queue.pop_group(inner.config.max_batch_width, |job| {
+        let group = inner.queue.pop_group(MAX_BATCH_WIDTH, |job| {
             inner.stats.deadline_queued.fetch_add(1, Ordering::Relaxed);
             job.respond(Err(ServeError::DeadlineExceeded {
                 phase: "queued",
@@ -623,9 +622,13 @@ fn resolve_operator(
         .map(|r| r.params);
     let params = tuned_params
         .or_else(|| jobs.iter().find_map(|j| j.request.params))
-        .unwrap_or(cfg.params);
+        .unwrap_or(DEFAULT_PARAMS);
     inner.stats.builds.fetch_add(1, Ordering::Relaxed);
-    match McmcInverse::new(cfg.build).build_safeguarded(&matrix, params, &cfg.guard) {
+    match McmcInverse::new(BuildConfig::default()).build_safeguarded(
+        &matrix,
+        params,
+        &SafeguardConfig::default(),
+    ) {
         Ok(build) => {
             lock_unpoisoned(&inner.tuned).insert(
                 fingerprint,

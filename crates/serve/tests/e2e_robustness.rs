@@ -9,7 +9,7 @@ mod common;
 use common::*;
 use mcmcmi_krylov::{SolveOptions, SolverType};
 use mcmcmi_mcmc::{BuildConfig, McmcInverse, SafeguardConfig};
-use mcmcmi_serve::{ServeConfig, Server};
+use mcmcmi_serve::{ServeConfig, Server, DEFAULT_PARAMS};
 use std::time::Duration;
 
 #[test]
@@ -74,9 +74,8 @@ fn cache_hits_skip_builds_and_coalesced_solves_match_sequential_bits() {
     // through one local session. The PR-3 parity contract promises the
     // server's lockstep batch is bit-identical, and the JSON layer
     // round-trips floats exactly, so equality is on raw bits.
-    let defaults = ServeConfig::default();
     let build = McmcInverse::new(BuildConfig::default())
-        .build_safeguarded(&a, defaults.params, &SafeguardConfig::default())
+        .build_safeguarded(&a, DEFAULT_PARAMS, &SafeguardConfig::default())
         .expect("oracle build succeeds");
     let mut oracle = build.into_session(&a, SolverType::BiCgStab, SolveOptions::default());
     let mut widths = Vec::new();
