@@ -937,7 +937,7 @@ mod tests {
     /// The edges of the ending-step decision, with their parameters: every
     /// chain ending on its first step, weights turned infinite or NaN by the
     /// row sum, a path into an absorbing row, and chains that only the step
-    /// cap ends. `tests/walk_build.rs` builds the same five operators.
+    /// cap ends. `tests/determinism.rs` builds the same five operators.
     fn ending_step_edges() -> Vec<(&'static str, Csr, McmcParams)> {
         let mut with_inf = ring(6);
         with_inf.push(2, 4, f64::INFINITY);

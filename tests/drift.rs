@@ -72,7 +72,8 @@ fn in_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All-dirty rebuild ≡ fresh build, bit for bit, at 1 and 8 threads.
+    /// All-dirty rebuild ≡ fresh build, bit for bit, at 1 and 8 threads,
+    /// and the fresh build at 8 threads ≡ the one at 1 thread.
     #[test]
     fn all_dirty_rebuild_is_a_fresh_build((n, ts, dirty) in arb_drift_case()) {
         let a = build_dominant(n, &ts);
@@ -80,6 +81,7 @@ proptest! {
         let params = McmcParams::new(1.0, 0.25, 0.25);
         let builder = McmcInverse::new(BuildConfig::default());
         let all: Vec<usize> = (0..n).collect();
+        let mut fresh_at_one_thread = None;
         for threads in [1usize, 8] {
             let (rebuilt, fresh) = in_pool(threads, || {
                 let mut out = builder.build(&a, params);
@@ -94,6 +96,19 @@ proptest! {
             prop_assert_eq!(rebuilt.transitions, fresh.transitions);
             prop_assert_eq!(rebuilt.capped_chains, fresh.capped_chains);
             prop_assert_eq!(rebuilt.blown_up_chains, fresh.blown_up_chains);
+            match &fresh_at_one_thread {
+                None => fresh_at_one_thread = Some(fresh),
+                Some(one) => {
+                    prop_assert_eq!(
+                        fresh.precond.matrix(), one.precond.matrix(),
+                        "fresh build at {} threads vs 1", threads
+                    );
+                    prop_assert_eq!(
+                        (fresh.transitions, fresh.capped_chains, fresh.blown_up_chains),
+                        (one.transitions, one.capped_chains, one.blown_up_chains)
+                    );
+                }
+            }
         }
     }
 
