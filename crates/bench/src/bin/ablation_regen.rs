@@ -1,5 +1,5 @@
 //! **Ablation A2** — classic (α, ε, δ) Ulam–von Neumann vs the regenerative
-//! single-budget variant (paper ref [9]) at matched work.
+//! single-budget variant (paper ref \[9\]) at matched work.
 
 use mcmcmi_bench::{parse_profile, write_csv, RunDir};
 use mcmcmi_krylov::{solve, IdentityPrecond, SolveOptions, SolverType};

@@ -1,6 +1,6 @@
 //! The conjugate-gradient family (SPD systems): one scalar loop with a
 //! reusable workspace and one lockstep batched (multi-RHS) loop, each taking
-//! the [`BetaRule`] that tells classical CG from flexible CG.
+//! the `BetaRule` that tells classical CG from flexible CG.
 //!
 //! Classical CG assumes the preconditioner is a *fixed SPD operator*; its
 //! β = ⟨r₊, z₊⟩/⟨r, z⟩ (Fletcher–Reeves form) silently relies on

@@ -1,10 +1,10 @@
 //! The restarted GMRES family: one scalar loop with a reusable workspace
-//! and one lockstep batched (multi-RHS) loop, each taking the [`Side`] the
+//! and one lockstep batched (multi-RHS) loop, each taking the `Side` the
 //! preconditioner acts on — which is what tells classical GMRES(m) from
 //! Saad's flexible FGMRES(m).
 //!
 //! Arnoldi with modified Gram–Schmidt; the Hessenberg least-squares problem
-//! is solved incrementally with Givens rotations ([`Hessenberg`]), so each
+//! is solved incrementally with Givens rotations (`Hessenberg`), so each
 //! inner iteration is O(restart · n) plus one SpMV and one preconditioner
 //! application.
 //!

@@ -1,7 +1,7 @@
 //! Preconditioner assembly: parallel walks → sparsified approximate inverse.
 //!
 //! The build is allocation-disciplined: each Rayon worker owns one reusable
-//! [`RowWorkspace`] (`map_init`), so the dense scratch vector is allocated
+//! `RowWorkspace` (`map_init`), so the dense scratch vector is allocated
 //! once per worker instead of once per row, and only the entries a row's
 //! walks actually touched are re-zeroed between rows — O(nnz_touched) reset
 //! instead of O(n), eliminating the O(n²) aggregate allocation/zeroing the
@@ -100,7 +100,7 @@ impl BuildOutcome {
     }
 
     /// Bind this preconditioner to its matrix as a reusable
-    /// [`SolveSession`] — the consumption path the build cost is amortised
+    /// [`SolveSession`](mcmcmi_krylov::SolveSession) — the consumption path the build cost is amortised
     /// over: many single solves (reused scalar workspace) and many-RHS
     /// batches (`solve_batch`, SpMM-shared traversals), all applying `P`
     /// through the block-aware [`SparsePrecond`], in the form `solver`
@@ -122,7 +122,7 @@ impl BuildOutcome {
 
     /// Apply a [`CompressionPolicy`] to the built preconditioner:
     /// drop-tolerance sparsification plus optional f32 demotion (see
-    /// [`crate::compress`]). The identity policy returns a bit-identical
+    /// [`crate::compress`](mod@crate::compress)). The identity policy returns a bit-identical
     /// f64 copy, so the compressed path can be validated against the
     /// uncompressed baseline exactly.
     pub fn compress(

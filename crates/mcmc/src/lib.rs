@@ -20,7 +20,7 @@
 //!
 //! The crate makes inverses and the pieces a repair is made of — the guarded
 //! build with its α back-off ([`safeguard`]), the dirty-row re-estimate
-//! ([`McmcInverse::rebuild_rows`]), compression ([`compress`]). *When* one
+//! ([`McmcInverse::rebuild_rows`]), compression ([`compress`](mod@compress)). *When* one
 //! is repaired is its owner's call (`mcmcmi_core::DriftSession`); nothing
 //! here is called back from inside a solve.
 

@@ -220,7 +220,7 @@ impl_strategy_tuple!(
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Accepted size arguments for [`vec`].
+    /// Accepted size arguments for [`vec`](fn@vec).
     pub trait IntoSizeRange {
         fn bounds(&self) -> (usize, usize);
     }

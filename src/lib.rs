@@ -3,13 +3,14 @@
 //! Umbrella crate for the reproduction of *"Fast Linear Solvers via AI-Tuned
 //! Markov Chain Monte Carlo-based Matrix Inversion"* (SC Workshops '25).
 //! Re-exports every workspace crate under a stable prefix; see the README
-//! for the architecture map and DESIGN.md for the per-experiment index.
+//! for the architecture map and `crates/bench/src/bin` for one
+//! reproduction binary per paper table, figure and ablation.
 //!
 //! Quick tour:
 //! - [`mcmc`] — the MCMC matrix-inversion preconditioner (α, ε, δ).
 //! - [`krylov`] — CG / BiCGStab / GMRES and classical preconditioners.
 //! - [`gnn`] — the graph-neural surrogate of preconditioning performance.
-//! - [`bayesopt`] — Expected Improvement + L-BFGS-B + search baselines.
+//! - [`bayesopt`] — Expected Improvement + L-BFGS-B + multi-start proposal.
 //! - [`core`] — the tuning framework: features, metric, dataset, pipeline,
 //!   and the `recommend(A) → x_M*` API.
 
