@@ -100,10 +100,11 @@ impl BuildOutcome {
     }
 
     /// Bind this preconditioner to its matrix as a reusable
-    /// [`SolveSession`](mcmcmi_krylov::SolveSession) — the consumption path the build cost is amortised
-    /// over: many single solves (reused scalar workspace) and many-RHS
-    /// batches (`solve_batch`, SpMM-shared traversals), all applying `P`
-    /// through the block-aware [`SparsePrecond`], in the form `solver`
+    /// [`SolveSession`](mcmcmi_krylov::SolveSession) — the consumption path
+    /// the build cost is amortised over: many single solves (reused scalar
+    /// workspace) and many-RHS batches (`solve_batch`, SpMM-shared
+    /// traversals), all applying `P` through the block-aware
+    /// [`SparsePrecond`], in the form `solver`
     /// wants ([`SparsePrecond::for_solver`]).
     pub fn into_session(
         self,
@@ -122,9 +123,9 @@ impl BuildOutcome {
 
     /// Apply a [`CompressionPolicy`] to the built preconditioner:
     /// drop-tolerance sparsification plus optional f32 demotion (see
-    /// [`crate::compress`](mod@crate::compress)). The identity policy returns a bit-identical
-    /// f64 copy, so the compressed path can be validated against the
-    /// uncompressed baseline exactly.
+    /// [`crate::compress`](mod@crate::compress)). The identity policy
+    /// returns a bit-identical f64 copy, so the compressed path can be
+    /// validated against the uncompressed baseline exactly.
     pub fn compress(
         &self,
         policy: &CompressionPolicy,

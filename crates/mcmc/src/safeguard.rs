@@ -407,22 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn alpha_zero_backs_off_through_the_floor() {
-        let a = nondominant(16);
-        let guarded = McmcInverse::new(BuildConfig::default())
-            .build_safeguarded(
-                &a,
-                McmcParams::new(0.0, 0.5, 0.5),
-                &SafeguardConfig {
-                    max_attempts: 12,
-                    ..Default::default()
-                },
-            )
-            .expect("floor + growth must escape α = 0");
-        assert!(guarded.params.alpha > 0.0);
-    }
-
-    #[test]
     fn default_backoff_ladder_from_alpha_zero() {
         // ρ(|C|) = 5/(1 + α) on this ring, so every α below 4 is rejected
         // and the default step walks 0 → floor·2 → doubling until 6.4.

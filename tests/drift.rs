@@ -81,7 +81,7 @@ proptest! {
         let params = McmcParams::new(1.0, 0.25, 0.25);
         let builder = McmcInverse::new(BuildConfig::default());
         let all: Vec<usize> = (0..n).collect();
-        let mut fresh_at_one_thread = None;
+        let mut fresh_builds = Vec::new();
         for threads in [1usize, 8] {
             let (rebuilt, fresh) = in_pool(threads, || {
                 let mut out = builder.build(&a, params);
@@ -96,20 +96,17 @@ proptest! {
             prop_assert_eq!(rebuilt.transitions, fresh.transitions);
             prop_assert_eq!(rebuilt.capped_chains, fresh.capped_chains);
             prop_assert_eq!(rebuilt.blown_up_chains, fresh.blown_up_chains);
-            match &fresh_at_one_thread {
-                None => fresh_at_one_thread = Some(fresh),
-                Some(one) => {
-                    prop_assert_eq!(
-                        fresh.precond.matrix(), one.precond.matrix(),
-                        "fresh build at {} threads vs 1", threads
-                    );
-                    prop_assert_eq!(
-                        (fresh.transitions, fresh.capped_chains, fresh.blown_up_chains),
-                        (one.transitions, one.capped_chains, one.blown_up_chains)
-                    );
-                }
-            }
+            fresh_builds.push(fresh);
         }
+        let (one, eight) = (&fresh_builds[0], &fresh_builds[1]);
+        prop_assert_eq!(
+            eight.precond.matrix(), one.precond.matrix(),
+            "fresh build, 8 threads vs 1"
+        );
+        prop_assert_eq!(
+            (eight.transitions, eight.capped_chains, eight.blown_up_chains),
+            (one.transitions, one.capped_chains, one.blown_up_chains)
+        );
     }
 
     /// No dirty rows: the preconditioner bytes must be untouched.
