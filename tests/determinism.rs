@@ -1,9 +1,7 @@
 //! Reproducibility guarantees across the stack: identical results for
 //! identical seeds, regardless of thread count.
 
-use mcmcmi::matgen::{
-    fd_laplace_2d, pdd_real_sparse, unsteady_adv_diff, AdvDiffOrder, PaperMatrix,
-};
+use mcmcmi::matgen::{fd_laplace_2d, PaperMatrix};
 use mcmcmi::mcmc::{BuildConfig, McmcInverse, McmcParams, WalkEngine};
 use mcmcmi::sparse::{Coo, Csr};
 
@@ -15,31 +13,15 @@ fn in_pool<T: Send>(threads: usize, f: impl FnOnce() -> T + Send) -> T {
         .install(f)
 }
 
-/// Per-chain `(seed, row, chain)` RNG streams make a build bit-identical at
-/// any thread count — same CSR pattern and values. This is the tripwire for
-/// any change that silently reorders draws or floating-point adds.
 #[test]
 fn mcmc_build_identical_across_thread_counts() {
-    let cases = [
-        (fd_laplace_2d(12), McmcParams::new(1.0, 0.125, 0.125)),
-        (pdd_real_sparse(96, 7), McmcParams::new(0.5, 0.1, 1e-4)),
-        (fd_laplace_2d(10), McmcParams::new(0.5, 0.1, 1e-4)),
-        (
-            unsteady_adv_diff(8, AdvDiffOrder::One),
-            McmcParams::new(0.5, 0.1, 1e-4),
-        ),
-    ];
+    let a = fd_laplace_2d(12);
+    let params = McmcParams::new(1.0, 0.125, 0.125);
     let builder = McmcInverse::new(BuildConfig::default());
-    for (mi, (a, params)) in cases.iter().enumerate() {
-        let reference = builder.build(a, *params).precond.matrix().clone();
-        for threads in [1usize, 3, 8] {
-            let got = in_pool(threads, || builder.build(a, *params));
-            assert_eq!(
-                got.precond.matrix(),
-                &reference,
-                "matrix {mi}: thread count {threads}"
-            );
-        }
+    let reference = builder.build(&a, params).precond.matrix().clone();
+    for threads in [1usize, 3, 8] {
+        let got = in_pool(threads, || builder.build(&a, params));
+        assert_eq!(got.precond.matrix(), &reference, "thread count {threads}");
     }
 }
 
