@@ -299,7 +299,7 @@ impl AutoTuner {
         // Detect A's structure once up front: every trial's probe solve and
         // every certification solve re-traverses the same operator, so the
         // one-time scan amortises across the whole budget and each matvec
-        // dispatches straight to the banded/stencil/generic kernel family.
+        // dispatches straight to the stencil or generic kernel family.
         let a_op = SpecializedBackend::detect(a.clone());
         let rhs: Vec<Vec<f64>> = (0..budget.probe_rhs.max(1))
             .map(|c| manufactured_rhs(a, c))

@@ -159,7 +159,6 @@ impl RefreshTrail {
 /// previous step's solution, staleness-monitored solves, and the
 /// escalating refresh ladder described in the module docs.
 pub struct DriftSession {
-    a: Csr,
     outcome: BuildOutcome,
     session: SolveSession<SparsePrecond>,
     monitor: StalenessMonitor,
@@ -194,9 +193,8 @@ impl DriftSession {
     ) -> Result<Self, BuildError> {
         let guarded = McmcInverse::new(build).build_safeguarded(&a, params, &guard)?;
         let precond = guarded.outcome.precond.for_solver(solver).into_owned();
-        let session = SolveSession::new(a.clone(), precond, solver, opts);
+        let session = SolveSession::new(a, precond, solver, opts);
         Ok(Self {
-            a,
             outcome: guarded.outcome,
             session,
             monitor: StalenessMonitor::new(policy.degrading_ratio),
@@ -247,10 +245,14 @@ impl DriftSession {
         // seed on the same inputs would return that inverse bit for bit.
         // Take one of the safeguard's back-off steps first.
         if self.pending_dirty.is_empty() && params == self.params {
-            params.alpha = self.guard.next_alpha(params.alpha);
+            params.alpha = SafeguardConfig::next_alpha(params.alpha);
         }
         self.full_rebuilds_since_tune += 1;
-        let built = McmcInverse::new(self.build).build_safeguarded(&self.a, params, &self.guard);
+        let built = McmcInverse::new(self.build).build_safeguarded(
+            self.session.matrix(),
+            params,
+            &self.guard,
+        );
         if let Ok(guarded) = built {
             self.params = guarded.params;
             self.outcome = guarded.outcome;
@@ -271,7 +273,7 @@ impl DriftSession {
             probe_opts: self.session.opts(),
             ..Default::default()
         };
-        let tuned = tuner.tune_parts(&self.a, &budget);
+        let tuned = tuner.tune_parts(self.session.matrix(), &budget);
         self.full_rebuild(tuned.map_or(self.params, |(_, report)| report.params));
         self.full_rebuilds_since_tune = 0;
     }
@@ -279,7 +281,12 @@ impl DriftSession {
     /// Partial refresh: re-estimate exactly the pending dirty rows.
     fn partial_rebuild(&mut self) -> usize {
         let rows: Vec<usize> = self.pending_dirty.iter().copied().collect();
-        McmcInverse::new(self.build).rebuild_rows(&mut self.outcome, &self.a, &rows, self.params);
+        McmcInverse::new(self.build).rebuild_rows(
+            &mut self.outcome,
+            self.session.matrix(),
+            &rows,
+            self.params,
+        );
         self.sync_precond();
         rows.len()
     }
@@ -296,15 +303,14 @@ impl DriftSession {
     /// operator sequence, not drift) or `b` has the wrong length.
     pub fn step(&mut self, a_new: Csr, b: &[f64]) -> SolveResult {
         let step_idx = self.trail.steps.len();
-        let dirty_new = self.a.diff_rows(&a_new);
+        let dirty_new = self.session.matrix().diff_rows(&a_new);
         self.pending_dirty.extend(dirty_new.iter().copied());
-        self.session.replace_matrix(a_new.clone());
-        self.a = a_new;
+        self.session.replace_matrix(a_new);
 
         let first = self.session.solve_warm(b, self.prev_x.as_deref());
         let first_iters = first.iterations;
         let verdict = self.monitor.observe(&first);
-        let n = self.a.nrows();
+        let n = self.session.matrix().nrows();
         let dirty_pending = self.pending_dirty.len();
         let partial_ok = dirty_pending > 0
             && (dirty_pending as f64) <= self.policy.max_partial_fraction * n as f64;

@@ -323,10 +323,10 @@ impl CompressedPrecond {
     }
 
     /// Kernel family the compressed operator's applies dispatch to
-    /// (`"banded"`, `"stencil"`, or `"generic-csr"`). Structure is
-    /// re-detected on the *sparsified* pattern when the precond is built,
-    /// so compression can both create structure (dropping stray entries
-    /// collapses P onto a band) and destroy it.
+    /// (`"stencil"` or `"generic-csr"`). Structure is re-detected on the
+    /// *sparsified* pattern when the precond is built, so compression can
+    /// both create structure (dropping stray entries collapses P onto a
+    /// stencil) and destroy it.
     pub fn kernel_name(&self) -> &'static str {
         match self {
             CompressedPrecond::F64(p) => p.backend().kernel_name(),
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn precond_detects_structure_of_wrapped_operator() {
-        // A tridiagonal approximate inverse dispatches the banded kernels…
+        // A tridiagonal approximate inverse dispatches the stencil kernel…
         let mut coo = Coo::new(32, 32);
         for i in 0..32usize {
             coo.push(i, i, 2.0);
@@ -539,15 +539,12 @@ mod tests {
             }
         }
         let p = SparsePrecond::new(coo.to_csr());
-        assert_eq!(p.backend().kernel_name(), "banded");
-        assert!(matches!(
-            p.structure(),
-            mcmcmi_sparse::Structure::Banded { lower: 1, upper: 1 }
-        ));
+        assert_eq!(p.backend().kernel_name(), "stencil");
+        assert_eq!(p.structure().stencil_offsets(), Some(&[-1, 0, 1][..]));
         // …and the structure survives cloning and symmetrisation.
-        assert_eq!(p.clone().backend().kernel_name(), "banded");
-        assert_eq!(p.symmetrized().backend().kernel_name(), "banded");
-        assert_eq!(p.to_f32().backend().kernel_name(), "banded");
+        assert_eq!(p.clone().backend().kernel_name(), "stencil");
+        assert_eq!(p.symmetrized().backend().kernel_name(), "stencil");
+        assert_eq!(p.to_f32().backend().kernel_name(), "stencil");
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::sync::Arc;
 pub struct SolveSession<P: Preconditioner> {
     /// The operator behind the kernel seam: structure is detected once at
     /// session build, so every matvec in every solve dispatches straight
-    /// to the banded/stencil/generic kernel family. Shared, so the sessions
+    /// to the stencil or generic kernel family. Shared, so the sessions
     /// a cache binds to one operator hold one copy of it between them.
     a: Arc<SpecializedBackend>,
     precond: P,
@@ -214,7 +214,7 @@ impl<P: Preconditioner> SolveSession<P> {
 
     /// Swap the operator under the session — the drift-step primitive.
     /// Structure is re-detected for the new matrix (so the kernel seam
-    /// keeps dispatching to the right banded/stencil family), while every
+    /// keeps dispatching to the right kernel family), while every
     /// solver workspace is kept: a drifting sequence of same-size
     /// operators never re-allocates its iteration vectors.
     ///

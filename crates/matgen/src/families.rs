@@ -330,7 +330,11 @@ mod tests {
     #[test]
     fn detection_matches_generator_ground_truth() {
         let detected = detect_structure(&laplace_1d(64));
-        assert_eq!(detected.band_widths(), Some((1, 1)), "{detected:?}");
+        assert_eq!(
+            detected.stencil_offsets(),
+            Some(&[-1, 0, 1][..]),
+            "{detected:?}"
+        );
 
         let convection = convection_diffusion_2d(ConvectionDiffusionParams {
             nx: 24,

@@ -406,7 +406,7 @@ impl McmcInverse {
         out.noncontractive_fraction = walk.noncontractive_fraction();
         out.chains_per_row = params.chains_per_row();
         // `SparsePrecond::new` re-runs structure detection on the spliced
-        // matrix, so banded/stencil block applies keep dispatching right.
+        // matrix, so stencil applies keep dispatching right.
         out.precond = SparsePrecond::new(p);
     }
 }

@@ -349,9 +349,9 @@ mod tests {
     #[test]
     fn compression_rediscovers_structure_after_sparsification() {
         // A tridiagonal inverse polluted by tiny far-off-band couplings: the
-        // raw operator defeats both banded and stencil detection, but the
-        // drop tolerance removes exactly those entries, so the compressed
-        // precond re-detects and dispatches the banded kernels.
+        // raw operator defeats stencil detection, but the drop tolerance
+        // removes exactly those entries, so the compressed precond
+        // re-detects and dispatches the stencil kernel.
         let n = 24;
         let mut coo = Coo::new(n, n);
         for i in 0..n {
@@ -371,7 +371,7 @@ mod tests {
         );
         for policy in [CompressionPolicy::f64(1e-4), CompressionPolicy::f32(1e-4)] {
             let (c, _) = compress(&p, &policy);
-            assert_eq!(c.kernel_name(), "banded", "{}", policy.precision.name());
+            assert_eq!(c.kernel_name(), "stencil", "{}", policy.precision.name());
         }
         // A tolerance that keeps the stray couplings keeps the generic path.
         let (c, _) = compress(&p, &CompressionPolicy::f64(0.0));

@@ -82,7 +82,7 @@ impl Default for SafeguardConfig {
 
 impl SafeguardConfig {
     /// One geometric back-off step: `max(α, ALPHA_FLOOR) · ALPHA_GROWTH`.
-    pub fn next_alpha(&self, alpha: f64) -> f64 {
+    pub fn next_alpha(alpha: f64) -> f64 {
         alpha.max(ALPHA_FLOOR) * ALPHA_GROWTH
     }
 }
@@ -215,7 +215,7 @@ impl McmcInverse {
                     noncontractive_fraction: ncf,
                     blown_up_chains: None,
                 });
-                alpha = guard.next_alpha(alpha);
+                alpha = SafeguardConfig::next_alpha(alpha);
                 continue;
             }
             let attempt_params = McmcParams::new(alpha, params.eps, params.delta);
@@ -233,7 +233,7 @@ impl McmcInverse {
                 blown_up_chains: Some(outcome.blown_up_chains),
             });
             if blown_fraction > BLOWN_FRACTION_LIMIT || outcome.likely_divergent() {
-                alpha = guard.next_alpha(alpha);
+                alpha = SafeguardConfig::next_alpha(alpha);
                 continue;
             }
             return Ok(SafeguardedBuild {

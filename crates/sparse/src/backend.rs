@@ -12,19 +12,20 @@
 //! - every [`Csr`] *is* a backend (the generic row kernels of
 //!   [`Csr::spmv`] / [`Csr::spmm`], which stay as the serial reference);
 //! - [`SpecializedBackend`] runs [`crate::structure::detect_structure`]
-//!   once at construction and runs a banded, stencil, or generic row
-//!   kernel from then on. It is plain data — the matrix and its detected
-//!   structure — so sessions share it behind an `Arc` with no lock.
+//!   once at construction and, on a stencil, runs the stencil SpMV row
+//!   kernel from then on; every other product is the generic one. It is
+//!   plain data — the matrix and its detected structure — so sessions
+//!   share it behind an `Arc` with no lock.
 //!
 //! ## Bit-reproducibility contract
 //!
-//! All kernels here perform, per output element, exactly the operations of
-//! [`Csr::spmv`]'s row kernel in exactly its order (4 lane accumulators
+//! The stencil kernel performs, per output element, exactly the operations
+//! of [`Csr::spmv`]'s row kernel in exactly its order (4 lane accumulators
 //! combined `(a0+a1)+(a2+a3)`, then the in-order remainder) — only the
-//! *addressing* of `x` changes (streamed column indices, a contiguous band
-//! window, or a tiny offset table) — and the driver never splits a row.
-//! Every product is therefore bit-identical to the serial generic one on
-//! any matrix, at every thread count.
+//! *addressing* of `x` changes (a tiny offset table instead of streamed
+//! column indices) — and the driver never splits a row. Every product is
+//! therefore bit-identical to the serial generic one on any matrix, at
+//! every thread count.
 
 use crate::csr::{nnz_balanced_ranges, par_pays_off, Csr};
 use crate::scalar::Scalar;
@@ -49,7 +50,7 @@ pub trait KernelBackend: Sync {
     /// `Y ← A·X` for a row-major `ncols×k` block `X`, auto-dispatched;
     /// column `c` is bit-identical to `spmv` on the extracted column.
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]);
-    /// Kernel-family label: `"generic-csr"`, `"banded"`, or `"stencil"`.
+    /// Kernel-family label: `"generic-csr"` or `"stencil"`.
     fn kernel_name(&self) -> &'static str {
         "generic-csr"
     }
@@ -131,9 +132,10 @@ impl<T: Scalar> KernelBackend for Csr<T> {
 }
 
 /// A structure-specialized backend: owns the matrix and the detected
-/// [`Structure`], and runs the matching row kernel family under every
-/// apply. Built once per session/preconditioner (detection is `O(nnz)`
-/// with early bail), applied many times.
+/// [`Structure`], and runs the stencil SpMV row kernel under every SpMV of
+/// a stencil (SpMM is the generic block kernel). Built once per
+/// session/preconditioner (detection is `O(nnz)` with early bail), applied
+/// many times.
 #[derive(Clone, Debug)]
 pub struct SpecializedBackend<T: Scalar = f64> {
     a: Csr<T>,
@@ -162,72 +164,29 @@ impl<T: Scalar> SpecializedBackend<T> {
         self.structure.is_specialized()
     }
 
-    /// Serial apply over a contiguous row range, writing
+    /// Serial SpMV over a contiguous row range, writing
     /// `y[i - rows.start]`, dispatched on the detected structure. The one
     /// row loop shared by the serial and parallel arms — sharing it is
     /// what makes them bit-identical.
     fn spmv_rows_dispatch(&self, rows: Range<usize>, x: &[f64], y: &mut [f64]) {
+        let Structure::Stencil(map) = &self.structure else {
+            return self.a.spmv_rows(rows, x, y);
+        };
+        // Batch maximal runs of equal-pattern rows (on structured grids the
+        // whole interior is one run), hoisting the offset table — and for
+        // common stencil widths, the offsets themselves — out of the row
+        // loop.
         let base = rows.start;
-        match &self.structure {
-            Structure::Banded { lower, .. } => {
-                for i in rows {
-                    let vals = self.a.row_values(i);
-                    let j0 = i.saturating_sub(*lower);
-                    y[i - base] = row_dot_window(vals, &x[j0..j0 + vals.len()]);
-                }
+        let mut i = rows.start;
+        while i < rows.end {
+            let pid = map.pattern_id(i);
+            let mut end = i + 1;
+            while end < rows.end && map.pattern_id(end) == pid {
+                end += 1;
             }
-            Structure::Stencil(map) => {
-                // Batch maximal runs of equal-pattern rows (on structured
-                // grids the whole interior is one run), hoisting the offset
-                // table — and for common stencil widths, the offsets
-                // themselves — out of the row loop.
-                let mut i = rows.start;
-                while i < rows.end {
-                    let pid = map.pattern_id(i);
-                    let mut end = i + 1;
-                    while end < rows.end && map.pattern_id(end) == pid {
-                        end += 1;
-                    }
-                    let offs = map.offsets_of(pid);
-                    spmv_stencil_run(&self.a, x, &mut y[i - base..end - base], i, offs);
-                    i = end;
-                }
-            }
-            Structure::General => self.a.spmv_rows(rows, x, y),
-        }
-    }
-
-    /// Block counterpart of [`SpecializedBackend::spmv_rows_dispatch`].
-    fn spmm_rows_dispatch(&self, rows: Range<usize>, x: &[f64], k: usize, y: &mut [f64]) {
-        let base = rows.start;
-        match &self.structure {
-            Structure::Banded { lower, .. } => {
-                for i in rows {
-                    let vals = self.a.row_values(i);
-                    let j0 = i.saturating_sub(*lower);
-                    let yrow = &mut y[(i - base) * k..(i - base + 1) * k];
-                    // The whole band maps to one contiguous x block
-                    // (rows j0..j0+len of the row-major n×k operand).
-                    row_block_window(vals, &x[j0 * k..(j0 + vals.len()) * k], k, yrow);
-                }
-            }
-            Structure::Stencil(map) => {
-                // Run-batched like the SpMV arm: one offset-table lookup
-                // per maximal equal-pattern run, not per row.
-                let mut i = rows.start;
-                while i < rows.end {
-                    let pid = map.pattern_id(i);
-                    let mut end = i + 1;
-                    while end < rows.end && map.pattern_id(end) == pid {
-                        end += 1;
-                    }
-                    let offs = map.offsets_of(pid);
-                    let yrun = &mut y[(i - base) * k..(end - base) * k];
-                    spmm_stencil_run(&self.a, x, k, yrun, i, offs);
-                    i = end;
-                }
-            }
-            Structure::General => self.a.spmm_rows(rows, x, k, y),
+            let offs = map.offsets_of(pid);
+            spmv_stencil_run(&self.a, x, &mut y[i - base..end - base], i, offs);
+            i = end;
         }
     }
 }
@@ -248,41 +207,11 @@ impl<T: Scalar> KernelBackend for SpecializedBackend<T> {
         });
     }
     fn spmm(&self, x: &[f64], k: usize, y: &mut [f64]) {
-        product(&self.a, x, k, y, |rows, ys| {
-            self.spmm_rows_dispatch(rows, x, k, ys)
-        });
+        KernelBackend::spmm(&self.a, x, k, y);
     }
     fn kernel_name(&self) -> &'static str {
         self.structure.kernel_name()
     }
-}
-
-/// Contiguous-window row dot for banded rows: `vals · xw`, where `xw` is
-/// the clipped band window `x[j0 .. j0 + vals.len()]`. Exactly
-/// [`Csr::spmv`]'s row kernel with the index gather replaced by a second
-/// streamed operand — same 4 lane accumulators, same `(a0+a1)+(a2+a3)`
-/// combination, same in-order remainder, hence bit-identical. Streaming
-/// two contiguous slices is what the compiler can vectorize where the
-/// generic gather cannot, and the 8-byte-per-nnz column stream disappears
-/// entirely.
-#[inline]
-fn row_dot_window<T: Scalar>(vals: &[T], xw: &[f64]) -> f64 {
-    let split = vals.len() & !3;
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (v, xc) in vals[..split]
-        .chunks_exact(4)
-        .zip(xw[..split].chunks_exact(4))
-    {
-        a0 += v[0].to_f64() * xc[0];
-        a1 += v[1].to_f64() * xc[1];
-        a2 += v[2].to_f64() * xc[2];
-        a3 += v[3].to_f64() * xc[3];
-    }
-    let mut s = (a0 + a1) + (a2 + a3);
-    for (&v, &xv) in vals[split..].iter().zip(&xw[split..]) {
-        s += v.to_f64() * xv;
-    }
-    s
 }
 
 /// SpMV over one run of rows sharing a stencil pattern, `y` pre-positioned
@@ -353,143 +282,6 @@ fn spmv_stencil_run_w<T: Scalar, const M: usize>(
     }
 }
 
-/// SpMM over one run of rows sharing a stencil pattern (`y` holds the
-/// run's block rows). Common widths get the const-`M` streamed body;
-/// other widths fall back to the per-row offset-table block kernel.
-#[inline]
-fn spmm_stencil_run<T: Scalar>(
-    a: &Csr<T>,
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-    r0: usize,
-    offs: &[i64],
-) {
-    match offs.len() {
-        3 => spmm_stencil_run_w::<T, 3>(a, x, k, y, r0, offs),
-        5 => spmm_stencil_run_w::<T, 5>(a, x, k, y, r0, offs),
-        7 => spmm_stencil_run_w::<T, 7>(a, x, k, y, r0, offs),
-        9 => spmm_stencil_run_w::<T, 9>(a, x, k, y, r0, offs),
-        _ => {
-            for (ri, yrow) in y.chunks_exact_mut(k).enumerate() {
-                let r = r0 + ri;
-                row_block_offsets(a.row_values(r), x, k, r as i64, offs, yrow);
-            }
-        }
-    }
-}
-
-/// Const-width body of [`spmm_stencil_run`]: the block counterpart of
-/// [`spmv_stencil_run_w`]. Stream `t` is the row-major block
-/// `x[(r0 + offs[t])·k ..][.. run·k]`, so lane `t` of block row `ri`
-/// reads the contiguous window `xs[t][ri·k + c ..][.. W]` — no index
-/// loads, no per-row `indptr` loads. Columns are tiled 8/4/2/1 exactly
-/// like `Csr::spmm_rows`, each tile using [`Csr::spmv`]'s lane
-/// association, so every column stays bit-identical to the generic path.
-#[inline]
-fn spmm_stencil_run_w<T: Scalar, const M: usize>(
-    a: &Csr<T>,
-    x: &[f64],
-    k: usize,
-    y: &mut [f64],
-    r0: usize,
-    offs: &[i64],
-) {
-    let o: &[i64; M] = offs.try_into().expect("run width matches pattern");
-    let run = y.len() / k;
-    let vals = a.rows_values(r0..r0 + run);
-    let mut xs: [&[f64]; M] = [&x[..0]; M];
-    for (t, s) in xs.iter_mut().enumerate() {
-        let start = (r0 as i64 + o[t]) as usize * k;
-        *s = &x[start..start + run * k];
-    }
-    for (ri, (yrow, v)) in y.chunks_exact_mut(k).zip(vals.chunks_exact(M)).enumerate() {
-        let mut c = 0usize;
-        while c + 8 <= k {
-            stencil_tile::<T, M, 8>(v, &xs, ri, k, c, &mut yrow[c..c + 8]);
-            c += 8;
-        }
-        while c + 4 <= k {
-            stencil_tile::<T, M, 4>(v, &xs, ri, k, c, &mut yrow[c..c + 4]);
-            c += 4;
-        }
-        while c + 2 <= k {
-            stencil_tile::<T, M, 2>(v, &xs, ri, k, c, &mut yrow[c..c + 2]);
-            c += 2;
-        }
-        while c < k {
-            yrow[c] = stencil_tile_col::<T, M>(v, &xs, ri, k, c);
-            c += 1;
-        }
-    }
-}
-
-/// `W`-column tile of one stencil block row read from the per-offset
-/// streams (mirrors `Csr`'s `row_dot_cols` association per column).
-#[inline]
-fn stencil_tile<T: Scalar, const M: usize, const W: usize>(
-    v: &[T],
-    xs: &[&[f64]; M],
-    ri: usize,
-    k: usize,
-    c: usize,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), W);
-    let b = ri * k + c;
-    let split = M & !3;
-    let mut acc = [[0.0f64; W]; 4];
-    let mut t = 0usize;
-    while t < split {
-        for lane in 0..4 {
-            let xr = &xs[t + lane][b..b + W];
-            let vl = v[t + lane].to_f64();
-            for w in 0..W {
-                acc[lane][w] += vl * xr[w];
-            }
-        }
-        t += 4;
-    }
-    for (w, o) in out.iter_mut().enumerate() {
-        let mut s = (acc[0][w] + acc[1][w]) + (acc[2][w] + acc[3][w]);
-        let mut t = split;
-        while t < M {
-            s += v[t].to_f64() * xs[t][b + w];
-            t += 1;
-        }
-        *o = s;
-    }
-}
-
-/// Strided single-column counterpart of [`stencil_tile`] (mirrors `Csr`'s
-/// `row_dot_col` operation-for-operation).
-#[inline]
-fn stencil_tile_col<T: Scalar, const M: usize>(
-    v: &[T],
-    xs: &[&[f64]; M],
-    ri: usize,
-    k: usize,
-    c: usize,
-) -> f64 {
-    let b = ri * k + c;
-    let split = M & !3;
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut t = 0usize;
-    while t < split {
-        a0 += v[t].to_f64() * xs[t][b];
-        a1 += v[t + 1].to_f64() * xs[t + 1][b];
-        a2 += v[t + 2].to_f64() * xs[t + 2][b];
-        a3 += v[t + 3].to_f64() * xs[t + 3][b];
-        t += 4;
-    }
-    let mut s = (a0 + a1) + (a2 + a3);
-    while t < M {
-        s += v[t].to_f64() * xs[t][b];
-        t += 1;
-    }
-    s
-}
-
 /// Offset-table row dot for stencil rows: exactly the generic row kernel
 /// with the streamed 8-byte-per-nnz column indices replaced by the
 /// L1-resident pattern offsets (`x[i + offs[t]]`). `offs.len()` always
@@ -515,196 +307,10 @@ fn row_dot_offsets<T: Scalar>(vals: &[T], x: &[f64], i: i64, offs: &[i64]) -> f6
     s
 }
 
-/// `W`-column block kernel over a contiguous band window: `xw` is the
-/// row-major block `x[j0·k .. (j0 + vals.len())·k]`, so lane `t + lane`
-/// reads `xw[(t+lane)·k + c ..][..W]` — no index loads at all. Mirrors
-/// `Csr`'s `row_dot_cols` association per column exactly.
-#[inline]
-fn row_dot_cols_window<T: Scalar, const W: usize>(
-    vals: &[T],
-    xw: &[f64],
-    k: usize,
-    c: usize,
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), W);
-    let split = vals.len() & !3;
-    // acc[lane][col]: lane = position within the 4-wide nnz chunk.
-    let mut acc = [[0.0f64; W]; 4];
-    for (tc, v) in vals[..split].chunks_exact(4).enumerate() {
-        let t = tc * 4;
-        for lane in 0..4 {
-            let base = (t + lane) * k + c;
-            let xr = &xw[base..base + W];
-            let vl = v[lane].to_f64();
-            for w in 0..W {
-                acc[lane][w] += vl * xr[w];
-            }
-        }
-    }
-    for (w, o) in out.iter_mut().enumerate() {
-        let mut s = (acc[0][w] + acc[1][w]) + (acc[2][w] + acc[3][w]);
-        for (r, &v) in (split..vals.len()).zip(&vals[split..]) {
-            s += v.to_f64() * xw[r * k + c + w];
-        }
-        *o = s;
-    }
-}
-
-/// Strided single-column counterpart of [`row_dot_cols_window`] (mirrors
-/// `Csr`'s `row_dot_col` operation-for-operation).
-#[inline]
-fn row_dot_col_window<T: Scalar>(vals: &[T], xw: &[f64], k: usize, c: usize) -> f64 {
-    let split = vals.len() & !3;
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (tc, v) in vals[..split].chunks_exact(4).enumerate() {
-        let t = tc * 4;
-        a0 += v[0].to_f64() * xw[t * k + c];
-        a1 += v[1].to_f64() * xw[(t + 1) * k + c];
-        a2 += v[2].to_f64() * xw[(t + 2) * k + c];
-        a3 += v[3].to_f64() * xw[(t + 3) * k + c];
-    }
-    let mut s = (a0 + a1) + (a2 + a3);
-    for (t, &v) in (split..vals.len()).zip(&vals[split..]) {
-        s += v.to_f64() * xw[t * k + c];
-    }
-    s
-}
-
-/// `W`-column block kernel with offset addressing (the stencil SpMM form
-/// of `Csr`'s `row_dot_cols`).
-#[inline]
-fn row_dot_cols_offsets<T: Scalar, const W: usize>(
-    vals: &[T],
-    x: &[f64],
-    k: usize,
-    c: usize,
-    i: i64,
-    offs: &[i64],
-    out: &mut [f64],
-) {
-    debug_assert_eq!(out.len(), W);
-    let split = vals.len() & !3;
-    let mut acc = [[0.0f64; W]; 4];
-    for (v, o) in vals[..split]
-        .chunks_exact(4)
-        .zip(offs[..split].chunks_exact(4))
-    {
-        for lane in 0..4 {
-            let j = (i + o[lane]) as usize;
-            let xr = &x[j * k + c..j * k + c + W];
-            let vl = v[lane].to_f64();
-            for w in 0..W {
-                acc[lane][w] += vl * xr[w];
-            }
-        }
-    }
-    for (w, o) in out.iter_mut().enumerate() {
-        let mut s = (acc[0][w] + acc[1][w]) + (acc[2][w] + acc[3][w]);
-        for (&v, &d) in vals[split..].iter().zip(&offs[split..]) {
-            s += v.to_f64() * x[(i + d) as usize * k + c + w];
-        }
-        *o = s;
-    }
-}
-
-/// Strided single-column counterpart of [`row_dot_cols_offsets`].
-#[inline]
-fn row_dot_col_offsets<T: Scalar>(
-    vals: &[T],
-    x: &[f64],
-    k: usize,
-    c: usize,
-    i: i64,
-    offs: &[i64],
-) -> f64 {
-    let split = vals.len() & !3;
-    let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for (v, o) in vals[..split]
-        .chunks_exact(4)
-        .zip(offs[..split].chunks_exact(4))
-    {
-        a0 += v[0].to_f64() * x[(i + o[0]) as usize * k + c];
-        a1 += v[1].to_f64() * x[(i + o[1]) as usize * k + c];
-        a2 += v[2].to_f64() * x[(i + o[2]) as usize * k + c];
-        a3 += v[3].to_f64() * x[(i + o[3]) as usize * k + c];
-    }
-    let mut s = (a0 + a1) + (a2 + a3);
-    for (&v, &o) in vals[split..].iter().zip(&offs[split..]) {
-        s += v.to_f64() * x[(i + o) as usize * k + c];
-    }
-    s
-}
-
-/// One banded output block row, with the same 8/4/2/1 column tiling as
-/// `Csr::spmm_rows` — keeping every column bit-identical to the generic
-/// block path.
-#[inline]
-fn row_block_window<T: Scalar>(vals: &[T], xw: &[f64], k: usize, yrow: &mut [f64]) {
-    let mut c = 0usize;
-    while c + 8 <= k {
-        row_dot_cols_window::<T, 8>(vals, xw, k, c, &mut yrow[c..c + 8]);
-        c += 8;
-    }
-    while c + 4 <= k {
-        row_dot_cols_window::<T, 4>(vals, xw, k, c, &mut yrow[c..c + 4]);
-        c += 4;
-    }
-    while c + 2 <= k {
-        row_dot_cols_window::<T, 2>(vals, xw, k, c, &mut yrow[c..c + 2]);
-        c += 2;
-    }
-    while c < k {
-        yrow[c] = row_dot_col_window(vals, xw, k, c);
-        c += 1;
-    }
-}
-
-/// One stencil output block row, 8/4/2/1-tiled like `Csr::spmm_rows`.
-#[inline]
-fn row_block_offsets<T: Scalar>(
-    vals: &[T],
-    x: &[f64],
-    k: usize,
-    i: i64,
-    offs: &[i64],
-    yrow: &mut [f64],
-) {
-    let mut c = 0usize;
-    while c + 8 <= k {
-        row_dot_cols_offsets::<T, 8>(vals, x, k, c, i, offs, &mut yrow[c..c + 8]);
-        c += 8;
-    }
-    while c + 4 <= k {
-        row_dot_cols_offsets::<T, 4>(vals, x, k, c, i, offs, &mut yrow[c..c + 4]);
-        c += 4;
-    }
-    while c + 2 <= k {
-        row_dot_cols_offsets::<T, 2>(vals, x, k, c, i, offs, &mut yrow[c..c + 2]);
-        c += 2;
-    }
-    while c < k {
-        yrow[c] = row_dot_col_offsets(vals, x, k, c, i, offs);
-        c += 1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coo::Coo;
-
-    fn band(n: usize, lower: usize, upper: usize) -> Csr {
-        let mut coo = Coo::new(n, n);
-        for i in 0..n {
-            let first = i.saturating_sub(lower);
-            let last = (i + upper).min(n - 1);
-            for j in first..=last {
-                coo.push(i, j, (1 + (i * 13 + j * 7) % 11) as f64 * 0.3 - 1.1);
-            }
-        }
-        coo.to_csr()
-    }
 
     fn spread(n: usize, s: usize) -> Csr {
         let mut coo = Coo::new(n, n);
@@ -736,20 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_backend_bit_identical_to_generic_serial() {
-        for (lower, upper) in [(1usize, 1usize), (0, 3), (4, 2)] {
-            let a = band(97, lower, upper);
-            let b = SpecializedBackend::detect(a.clone());
-            assert_eq!(b.kernel_name(), "banded");
-            let x = x_of(97);
-            let want = a.spmv_alloc(&x);
-            let mut got = vec![0.0; 97];
-            b.spmv(&x, &mut got);
-            assert_eq!(got, want, "band ({lower},{upper})");
-        }
-    }
-
-    #[test]
     fn stencil_backend_bit_identical_to_generic_serial() {
         let a = spread(131, 6);
         let b = SpecializedBackend::detect(a.clone());
@@ -759,26 +351,6 @@ mod tests {
         let mut got = vec![0.0; 131];
         b.spmv(&x, &mut got);
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn spmm_bit_identical_for_every_tile_width() {
-        // k chosen to cover the 8-, 4-, 2-wide tiles and the scalar
-        // remainder column.
-        let a = band(60, 2, 2);
-        let s = spread(60, 4);
-        for k in [1usize, 2, 3, 4, 5, 7, 8, 9, 11, 16] {
-            for (m, label) in [(&a, "banded"), (&s, "stencil")] {
-                let b = SpecializedBackend::detect((*m).clone());
-                assert_eq!(b.kernel_name(), label);
-                let xb: Vec<f64> = (0..60 * k).map(|t| (t as f64 * 0.013).cos()).collect();
-                let mut want = vec![0.0; 60 * k];
-                m.spmm(&xb, k, &mut want);
-                let mut got = vec![0.0; 60 * k];
-                b.spmm(&xb, k, &mut got);
-                assert_eq!(got, want, "{label} k={k}");
-            }
-        }
     }
 
     #[test]
@@ -804,7 +376,7 @@ mod tests {
 
     #[test]
     fn bare_csr_backend_runs_generic_kernels_on_structured_matrix() {
-        let a = band(40, 1, 1);
+        let a = spread(40, 1);
         assert_eq!(KernelBackend::kernel_name(&a), "generic-csr");
         let x = x_of(40);
         let want = a.spmv_alloc(&x);
@@ -815,7 +387,7 @@ mod tests {
 
     #[test]
     fn clone_preserves_structure_without_rescan() {
-        let b = SpecializedBackend::detect(band(30, 2, 1));
+        let b = SpecializedBackend::detect(spread(30, 3));
         let c = b.clone();
         assert_eq!(b.structure(), c.structure());
         assert_eq!(b.csr(), c.csr());
@@ -824,7 +396,7 @@ mod tests {
     #[test]
     fn in_ranges_bit_identical_for_any_cover() {
         // Which in-order cover of the rows the driver is handed decides who
-        // computes a row, never what is computed — for every kernel family.
+        // computes a row, never what is computed — for every row kernel.
         let n = 150usize;
         let covers: [&[Range<usize>]; 4] = [
             &[0..75, 75..150],
@@ -835,7 +407,7 @@ mod tests {
         let x = x_of(n);
         let k = 3usize;
         let xb: Vec<f64> = (0..n * k).map(|t| (t as f64 * 0.013).sin()).collect();
-        for m in [band(n, 2, 3), spread(n, 5), skewed_general(n)] {
+        for m in [spread(n, 5), skewed_general(n)] {
             let b = SpecializedBackend::detect(m.clone());
             let want = m.spmv_alloc(&x);
             let mut wantb = vec![0.0; n * k];
@@ -845,24 +417,10 @@ mod tests {
                 in_ranges(cover, 1, &mut y, |r, ys| b.spmv_rows_dispatch(r, &x, ys));
                 assert_eq!(y, want, "{} spmv {cover:?}", b.kernel_name());
                 let mut yb = vec![0.0; n * k];
-                in_ranges(cover, k, &mut yb, |r, ys| {
-                    b.spmm_rows_dispatch(r, &xb, k, ys)
-                });
+                in_ranges(cover, k, &mut yb, |r, ys| m.spmm_rows(r, &xb, k, ys));
                 assert_eq!(yb, wantb, "{} spmm {cover:?}", b.kernel_name());
             }
         }
-    }
-
-    #[test]
-    fn f32_storage_specialized_matches_f32_generic_bitwise() {
-        let a32: Csr<f32> = band(80, 3, 3).to_precision();
-        let b = SpecializedBackend::detect(a32.clone());
-        assert_eq!(b.kernel_name(), "banded");
-        let x = x_of(80);
-        let want = a32.spmv_alloc(&x);
-        let mut got = vec![0.0; 80];
-        b.spmv(&x, &mut got);
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -877,7 +435,6 @@ mod tests {
         }
         let _restore = Restore;
         for (m, label) in [
-            (band(140, 2, 3), "banded"),
             (spread(140, 5), "stencil"),
             (skewed_general(140), "generic-csr"),
         ] {

@@ -604,13 +604,6 @@ impl Csr<f64> {
         }
         acc / self.nrows as f64
     }
-
-    /// Scale all values in place.
-    pub fn scale_values(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
 }
 
 /// Partition the rows of a CSR row-pointer array (`indptr.len() ==

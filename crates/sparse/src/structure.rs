@@ -1,15 +1,15 @@
 //! Sparsity-structure detection for CSR operators.
 //!
-//! The paper's Table-1 operators are overwhelmingly *stencils* (finite
-//! difference Laplacians, advection–diffusion) and *bands* (climate rows
-//! coupling a fixed halo of neighbours). General CSR kernels pay an 8-byte
-//! column-index load per stored entry to rediscover, on every traversal,
-//! structure that is a property of the matrix — [`detect_structure`]
-//! recovers that structure once so the specialized kernels in
-//! [`crate::backend`] can skip the index stream entirely.
+//! Many of the paper's operators are *stencils* (finite-difference
+//! Laplacians, advection–diffusion; a dense band is a stencil too, its
+//! boundary rows being clipped interiors). General CSR kernels pay an
+//! 8-byte column-index load per stored entry to rediscover, on every
+//! traversal, structure that is a property of the matrix —
+//! [`detect_structure`] recovers that structure once so the stencil SpMV
+//! kernel in [`crate::backend`] can skip the index stream entirely.
 //!
 //! Detection is strict by design: a classification is only returned when
-//! *every* row conforms, so the specialized kernels never need a per-row
+//! *every* row conforms, so the stencil kernel never needs a per-row
 //! fallback and a single perturbed entry demotes the whole matrix to
 //! [`Structure::General`]. The pass is `O(nnz)` with an early bail once the
 //! distinct-pattern budget ([`MAX_STENCIL_PATTERNS`]) is exhausted, so
@@ -33,16 +33,6 @@ pub const MAX_STENCIL_PATTERNS: usize = 256;
 /// for [`crate::backend::SpecializedBackend`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Structure {
-    /// Every row `i` stores *exactly* the contiguous dense band
-    /// `max(i−lower, 0) ..= min(i+upper, ncols−1)` — no interior gaps, no
-    /// missing edge entries beyond the matrix-bound clipping. Kernels index
-    /// `x` by a contiguous window: no column loads, unit-stride gathers.
-    Banded {
-        /// Sub-diagonal half-bandwidth.
-        lower: usize,
-        /// Super-diagonal half-bandwidth.
-        upper: usize,
-    },
     /// Every row's column set is `i + offsets` for one of a small table of
     /// offset patterns, each a subset of the modal (interior) pattern.
     /// Kernels compute columns from the L1-resident table instead of
@@ -57,7 +47,6 @@ impl Structure {
     /// [`crate::backend::KernelBackend::kernel_name`]).
     pub fn kernel_name(&self) -> &'static str {
         match self {
-            Structure::Banded { .. } => "banded",
             Structure::Stencil(_) => "stencil",
             Structure::General => "generic-csr",
         }
@@ -66,14 +55,6 @@ impl Structure {
     /// Is there a specialized kernel for this structure?
     pub fn is_specialized(&self) -> bool {
         !matches!(self, Structure::General)
-    }
-
-    /// `(lower, upper)` half-bandwidths when banded.
-    pub fn band_widths(&self) -> Option<(usize, usize)> {
-        match self {
-            Structure::Banded { lower, upper } => Some((*lower, *upper)),
-            _ => None,
-        }
     }
 
     /// The modal (interior) offset pattern when a stencil.
@@ -135,13 +116,8 @@ impl StencilMap {
     }
 }
 
-/// Classify the sparsity structure of `a`.
-///
-/// Precedence: [`Structure::Banded`] (the stronger claim — contiguous
-/// columns, so kernels need no offset table at all), then
-/// [`Structure::Stencil`], else [`Structure::General`]. Empty matrices and
-/// matrices with empty rows are `General` for banded purposes (a dense band
-/// always stores ≥ 1 entry per row).
+/// Classify the sparsity structure of `a`: [`Structure::Stencil`] when it
+/// is one, else [`Structure::General`] (always for an empty matrix).
 ///
 /// Stencil acceptance rules (all strict, see module docs):
 /// - at most [`MAX_STENCIL_PATTERNS`] distinct per-row offset patterns
@@ -155,44 +131,7 @@ pub fn detect_structure<T: Scalar>(a: &Csr<T>) -> Structure {
     if a.nrows() == 0 || a.nnz() == 0 {
         return Structure::General;
     }
-    if let Some(s) = detect_banded(a) {
-        return s;
-    }
-    if let Some(s) = detect_stencil(a) {
-        return s;
-    }
-    Structure::General
-}
-
-/// Banded check: one pass to find the maximal half-bandwidths, one pass to
-/// verify every row stores exactly its clipped dense band.
-fn detect_banded<T: Scalar>(a: &Csr<T>) -> Option<Structure> {
-    let n = a.nrows();
-    let ncols = a.ncols();
-    let mut lower = 0usize;
-    let mut upper = 0usize;
-    for i in 0..n {
-        let cols = a.row_indices(i);
-        let (&first, &last) = match (cols.first(), cols.last()) {
-            (Some(f), Some(l)) => (f, l),
-            _ => return None, // empty row: a dense band always stores ≥ 1
-        };
-        lower = lower.max(i.saturating_sub(first));
-        upper = upper.max(last.saturating_sub(i));
-    }
-    for i in 0..n {
-        let cols = a.row_indices(i);
-        let first = i.saturating_sub(lower);
-        let last = (i + upper).min(ncols - 1);
-        if first > last
-            || cols[0] != first
-            || *cols.last().unwrap() != last
-            || cols.len() != last - first + 1
-        {
-            return None;
-        }
-    }
-    Some(Structure::Banded { lower, upper })
+    detect_stencil(a).unwrap_or(Structure::General)
 }
 
 /// Stencil check; see [`detect_structure`] for the acceptance rules.
@@ -273,24 +212,6 @@ mod tests {
     use super::*;
     use crate::coo::Coo;
 
-    /// Dense band with half-bandwidths (lower, upper), n×n.
-    fn band_matrix(n: usize, lower: usize, upper: usize) -> Csr {
-        let mut coo = Coo::new(n, n);
-        for i in 0..n {
-            let first = i.saturating_sub(lower);
-            let last = (i + upper).min(n - 1);
-            for j in first..=last {
-                let v = if i == j {
-                    4.0
-                } else {
-                    -1.0 / (1 + i.abs_diff(j)) as f64
-                };
-                coo.push(i, j, v);
-            }
-        }
-        coo.to_csr()
-    }
-
     /// 1-D grid with a non-contiguous 3-point stencil {−s, 0, +s}, s ≥ 2.
     fn spread_stencil(n: usize, s: usize) -> Csr {
         let mut coo = Coo::new(n, n);
@@ -304,56 +225,6 @@ mod tests {
             }
         }
         coo.to_csr()
-    }
-
-    #[test]
-    fn tridiagonal_is_banded() {
-        let a = band_matrix(50, 1, 1);
-        assert_eq!(
-            detect_structure(&a),
-            Structure::Banded { lower: 1, upper: 1 }
-        );
-    }
-
-    #[test]
-    fn asymmetric_band_widths_recovered() {
-        let a = band_matrix(64, 3, 7);
-        assert_eq!(
-            detect_structure(&a).band_widths(),
-            Some((3, 7)),
-            "clipped edges must not shrink the detected band"
-        );
-    }
-
-    #[test]
-    fn diagonal_matrix_is_banded_zero_zero() {
-        let a = crate::ops::csr_eye(10);
-        assert_eq!(
-            detect_structure(&a),
-            Structure::Banded { lower: 0, upper: 0 }
-        );
-    }
-
-    #[test]
-    fn band_with_interior_gap_is_not_banded() {
-        // Remove one interior entry: still a valid stencil superset-wise?
-        // No — the hole makes that row's offsets a non-subset-breaking
-        // *subset*, but the modal pattern only covers the unbroken rows, so
-        // banded fails and stencil may or may not absorb it. Use a matrix
-        // where the gap row is the mode-breaking minority.
-        let a = band_matrix(40, 2, 2);
-        let mut coo = Coo::new(40, 40);
-        for (i, j, v) in a.triplets() {
-            if i == 20 && j == 19 {
-                continue; // punch a hole inside row 20's band
-            }
-            coo.push(i, j, v);
-        }
-        let s = detect_structure(&coo.to_csr());
-        assert_ne!(s.kernel_name(), "banded");
-        // The holed row is a subset of the interior pattern, so stencil
-        // legitimately absorbs it — what matters is banded rejected it.
-        assert!(matches!(s, Structure::Stencil(_)));
     }
 
     #[test]
@@ -401,24 +272,23 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_zero_row_matrices_are_general() {
+    fn empty_matrix_is_general_and_an_empty_row_fits_a_stencil() {
         assert_eq!(
             detect_structure(&Coo::new(0, 0).to_csr()),
             Structure::General
         );
-        // A matrix with an empty row can still be a stencil (empty ⊆ mode)
-        // but never banded.
+        // An empty row's pattern is empty, a subset of any mode.
         let mut coo = Coo::new(4, 4);
         coo.push(0, 0, 1.0);
         coo.push(1, 1, 1.0);
         coo.push(3, 3, 1.0);
         let s = detect_structure(&coo.to_csr());
-        assert_ne!(s.kernel_name(), "banded");
+        assert_eq!(s.stencil_offsets(), Some(&[0][..]));
     }
 
     #[test]
     fn detection_is_pattern_only_not_value_dependent() {
-        let a = band_matrix(30, 2, 2);
+        let a = spread_stencil(30, 2);
         let a32: Csr<f32> = a.to_precision();
         assert_eq!(detect_structure(&a), detect_structure(&a32));
     }

@@ -178,7 +178,7 @@ impl<T: Scalar> Case<T> {
 fn run_table<T: Scalar>(tag: &str) {
     let small: [(&str, Csr, &str); 5] = [
         ("skewed", skewed(300, 12), "generic-csr"),
-        ("band(3,2)", offsets(140, &[-3, -2, -1, 0, 1, 2]), "banded"),
+        ("band(3,2)", offsets(140, &[-3, -2, -1, 0, 1, 2]), "stencil"),
         ("5-point", five_point(12), "stencil"),
         ("4-offset", offsets(150, &[-3, 0, 1, 3]), "stencil"),
         ("rectangular", rectangular(90, 70), "generic-csr"),
